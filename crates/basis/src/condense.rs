@@ -13,12 +13,26 @@
 //! twice" identify the intended condition as **i ≠ j ∧ l_i = l_j**, which
 //! is what [`accumulate_entry`] implements (and what the dense reference
 //! test confirms).
+//!
+//! [`PairPlan`] is the one form of Algorithm 1's k-loop every assembly
+//! routine runs: it walks the triangle once, maps each pair to its
+//! translation-canonical [`PairKey`], evaluates every *distinct* key once
+//! (on worker threads if asked, or through a cache), then accumulates P in
+//! k order. Because a value depends only on its key and the accumulation
+//! order is fixed, the result is bit-identical however the evaluation was
+//! split or cached.
+
+use std::cell::Cell;
+use std::ops::Range;
+use std::sync::OnceLock;
 
 use bemcap_linalg::Matrix;
+use bemcap_par::pool::{self, WorkerTiming};
+use bemcap_par::{triangle_size, Metric, Registry};
 use bemcap_quad::galerkin::GalerkinEngine;
 
 use crate::basisfn::BasisSet;
-use crate::template::{pair_integral, Template};
+use crate::template::{pair_integral, CanonicalTemplate, PairKey, Template};
 
 /// The flattened template view of a basis set: templates T₁…T_M plus the
 /// label array l mapping each template to its basis function.
@@ -119,18 +133,248 @@ pub fn assemble_dense_reference(eng: &GalerkinEngine, set: &BasisSet) -> Matrix 
 }
 
 /// Condensed assembly over the upper triangle of P̃ (sequential
-/// Algorithm 1; the parallel drivers in `bemcap-core` split the same k
-/// loop across workers).
+/// Algorithm 1 through a [`PairPlan`]).
 pub fn assemble_condensed(eng: &GalerkinEngine, index: &TemplateIndex) -> Matrix {
-    let n = index.basis_count();
-    let m = index.template_count();
-    let mut p = Matrix::zeros(n, n);
-    for k in 0..bemcap_par::triangle_size(m) {
-        let (i, j) = bemcap_par::k_to_ij(k);
-        let value = pair_integral(eng, index.template(i), index.template(j));
-        accumulate_entry(&mut p, i, j, index.label(i), index.label(j), value);
+    let plan = PairPlan::new(index);
+    let (values, _) = plan.evaluate(eng, 1);
+    plan.accumulate(&values, 1.0)
+}
+
+/// The registry counter `bemcap_pair_integrals_total`: template-pair
+/// integrals actually evaluated, counted at [`PairPlan`]'s single
+/// evaluation site (cache hits and repeated keys cost nothing, so they
+/// count nothing).
+pub fn pair_integrals_metric() -> &'static Metric {
+    static METRIC: OnceLock<&'static Metric> = OnceLock::new();
+    METRIC.get_or_init(|| {
+        Registry::global().counter(
+            "bemcap_pair_integrals_total",
+            "Template-pair integrals evaluated (one per distinct pair key no cache answered).",
+        )
+    })
+}
+
+/// Algorithm 1's k-loop, planned: every pair (i ≤ j) of the triangle
+/// mapped to its distinct translation-canonical [`PairKey`].
+///
+/// The plan holds one representative (i, j) per distinct key and the
+/// distinct-key id of every pair in k order. Keys are found through a
+/// table of 32-bit fingerprints verified against the representative's
+/// recomputed key, so no key is stored. The distinct list is interleaved
+/// so that any contiguous slice of it costs about the same to evaluate.
+///
+/// ```
+/// use bemcap_basis::instantiate::{instantiate, InstantiateConfig};
+/// use bemcap_basis::{PairPlan, TemplateIndex};
+/// use bemcap_geom::structures::{self, BusParams};
+/// use bemcap_quad::galerkin::GalerkinEngine;
+///
+/// let geo = structures::bus_crossing(2, 2, BusParams::default());
+/// let index = TemplateIndex::new(&instantiate(&geo, &InstantiateConfig::default())?);
+/// let plan = PairPlan::new(&index);
+/// let m = index.template_count();
+/// assert_eq!(plan.pairs(), m * (m + 1) / 2);
+/// assert!(plan.distinct() < plan.pairs()); // the regular bus repeats pairs
+/// let (values, _) = plan.evaluate(&GalerkinEngine::default(), 1);
+/// let p = plan.accumulate(&values, 1.0);
+/// assert_eq!(p.dim(), index.basis_count());
+/// # Ok::<(), bemcap_basis::BasisError>(())
+/// ```
+#[derive(Debug)]
+pub struct PairPlan<'a> {
+    index: &'a TemplateIndex,
+    canonical: Vec<CanonicalTemplate>,
+    reps: Vec<(u32, u32)>,
+    ids: Vec<u32>,
+}
+
+impl<'a> PairPlan<'a> {
+    /// Walks the triangle of `index` once and collects its distinct keys.
+    ///
+    /// # Panics
+    ///
+    /// Panics if there are 2³² or more templates, or 2³² − 1 or more
+    /// distinct keys.
+    pub fn new(index: &'a TemplateIndex) -> PairPlan<'a> {
+        let canonical: Vec<CanonicalTemplate> =
+            index.templates().iter().map(CanonicalTemplate::of).collect();
+        let m = u32::try_from(canonical.len()).expect("fewer than 2^32 templates");
+        let key = |(i, j): (u32, u32)| PairKey::of(&canonical[i as usize], &canonical[j as usize]);
+        let mut ids = Vec::with_capacity(triangle_size(m as usize));
+        let mut reps: Vec<(u32, u32)> = Vec::new();
+        let mut table = FingerprintTable::with_capacity(1024);
+        for j in 0..m {
+            for i in 0..=j {
+                let k = key((i, j));
+                let fp = fingerprint(&k);
+                let id = match table.probe(fp, |id| key(reps[id]) == k) {
+                    Ok(id) => id,
+                    Err(slot) => {
+                        table.put(slot, fp, reps.len());
+                        reps.push((i, j));
+                        if 2 * reps.len() > table.slots.len() {
+                            table = FingerprintTable::with_capacity(2 * table.slots.len());
+                            for (id, &rep) in reps.iter().enumerate() {
+                                let fp = fingerprint(&key(rep));
+                                let slot = table.probe(fp, |_| false).unwrap_err();
+                                table.put(slot, fp, id);
+                            }
+                        }
+                        reps.len() - 1
+                    }
+                };
+                ids.push(id as u32); // `put` checked id + 1 < 2^32
+            }
+        }
+        // Deal the first-occurrence order into INTERLEAVE runs: keys found
+        // late in the walk cost more (near-field pairs repeat less), and
+        // interleaving makes every contiguous slice of the distinct list
+        // sample the whole walk, so a static split of it is balanced.
+        let n = reps.len();
+        let mut run_start = [0; INTERLEAVE];
+        for c in 1..INTERLEAVE {
+            // Run c − 1 holds the first-occurrence ids ≡ c − 1 (mod INTERLEAVE).
+            run_start[c] = run_start[c - 1] + (n + INTERLEAVE - c) / INTERLEAVE;
+        }
+        let position = |d: usize| run_start[d % INTERLEAVE] + d / INTERLEAVE;
+        let mut dealt = vec![(0, 0); n];
+        for (d, &rep) in reps.iter().enumerate() {
+            dealt[position(d)] = rep;
+        }
+        for id in &mut ids {
+            *id = position(*id as usize) as u32;
+        }
+        PairPlan { index, canonical, reps: dealt, ids }
     }
-    p
+
+    /// Pairs in the triangle: M(M+1)/2.
+    pub fn pairs(&self) -> usize {
+        self.ids.len()
+    }
+
+    /// Distinct keys among them.
+    pub fn distinct(&self) -> usize {
+        self.reps.len()
+    }
+
+    /// The key of distinct entry `d`.
+    fn key(&self, d: usize) -> PairKey {
+        let (i, j) = self.reps[d];
+        PairKey::of(&self.canonical[i as usize], &self.canonical[j as usize])
+    }
+
+    /// The raw integrals of the distinct keys in `range`, in order. Each is
+    /// obtained through `source`, which receives the key and the
+    /// evaluation — a cache answers from its store or calls the evaluation,
+    /// a plain caller just calls it. The evaluation is the one place pair
+    /// integrals are computed and counted ([`pair_integrals_metric`]).
+    pub fn values(
+        &self,
+        eng: &GalerkinEngine,
+        range: Range<usize>,
+        mut source: impl FnMut(&PairKey, &dyn Fn() -> f64) -> f64,
+    ) -> Vec<f64> {
+        // Counted locally and published once: one shared atomic add per
+        // evaluation would bounce its cache line between the workers.
+        let evaluated = Cell::new(0);
+        let values = range
+            .map(|d| {
+                let key = self.key(d);
+                source(&key, &|| {
+                    evaluated.set(evaluated.get() + 1);
+                    key.integral(eng)
+                })
+            })
+            .collect();
+        pair_integrals_metric().add(evaluated.get());
+        values
+    }
+
+    /// Every distinct key's raw integral, on `workers` threads over the
+    /// static partition of the distinct list, with the per-worker timings.
+    /// The values do not depend on `workers`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `workers == 0`.
+    pub fn evaluate(&self, eng: &GalerkinEngine, workers: usize) -> (Vec<f64>, Vec<WorkerTiming>) {
+        let (parts, timings) = pool::run_partitioned(workers, self.distinct(), |_, range| {
+            self.values(eng, range, |_, eval| eval())
+        });
+        (parts.concat(), timings)
+    }
+
+    /// P from the distinct values: every pair's `scale × value`, folded in
+    /// k order by [`accumulate_entry`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `values` has fewer than [`PairPlan::distinct`] entries.
+    pub fn accumulate(&self, values: &[f64], scale: f64) -> Matrix {
+        let n = self.index.basis_count();
+        let labels = self.index.labels();
+        let mut p = Matrix::zeros(n, n);
+        let mut ids = self.ids.iter();
+        for j in 0..labels.len() {
+            for (i, id) in ids.by_ref().take(j + 1).enumerate() {
+                accumulate_entry(&mut p, i, j, labels[i], labels[j], scale * values[*id as usize]);
+            }
+        }
+        p
+    }
+}
+
+/// Runs the distinct keys are dealt into (see [`PairPlan::new`]).
+const INTERLEAVE: usize = 64;
+
+/// Open-addressed table of distinct-key ids: each slot holds a key's upper
+/// 32 fingerprint bits and its id + 1 (0 = empty), kept at most half full.
+struct FingerprintTable {
+    slots: Vec<u64>,
+}
+
+impl FingerprintTable {
+    fn with_capacity(slots: usize) -> FingerprintTable {
+        debug_assert!(slots.is_power_of_two());
+        FingerprintTable { slots: vec![0; slots] }
+    }
+
+    /// The id stored under `fp` for which `is_match` holds, or the empty
+    /// slot where a new one goes.
+    fn probe(&self, fp: u64, mut is_match: impl FnMut(usize) -> bool) -> Result<usize, usize> {
+        let mask = self.slots.len() - 1;
+        let mut s = fp as usize & mask;
+        loop {
+            let slot = self.slots[s];
+            if slot == 0 {
+                return Err(s);
+            }
+            if slot >> 32 == fp >> 32 {
+                let id = (slot & 0xffff_ffff) as usize - 1;
+                if is_match(id) {
+                    return Ok(id);
+                }
+            }
+            s = (s + 1) & mask;
+        }
+    }
+
+    fn put(&mut self, slot: usize, fp: u64, id: usize) {
+        let stored = u32::try_from(id + 1).expect("fewer than 2^32 - 1 distinct keys");
+        self.slots[slot] = (fp >> 32) << 32 | u64::from(stored);
+    }
+}
+
+/// A 64-bit hash of a key's words (multiply-rotate per word, splitmix64
+/// finaliser): its low bits pick the slot, its high bits screen matches.
+fn fingerprint(key: &PairKey) -> u64 {
+    let h = key
+        .words()
+        .iter()
+        .fold(0, |h: u64, &w| (h.rotate_left(5) ^ w).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    let h = (h ^ (h >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    let h = (h ^ (h >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    h ^ (h >> 31)
 }
 
 #[cfg(test)]
@@ -187,6 +431,49 @@ mod tests {
             }
         }
         assert!(condensed.is_symmetric(1e-9));
+    }
+
+    #[test]
+    fn plan_matches_the_plain_k_loop_bit_for_bit_at_any_split() {
+        let eng = GalerkinEngine::default();
+        let idx = TemplateIndex::new(&example_set());
+        let mut naive = Matrix::zeros(4, 4);
+        for k in 0..triangle_size(idx.template_count()) {
+            let (i, j) = bemcap_par::k_to_ij(k);
+            let v = 0.5 * pair_integral(&eng, idx.template(i), idx.template(j));
+            accumulate_entry(&mut naive, i, j, idx.label(i), idx.label(j), v);
+        }
+        let plan = PairPlan::new(&idx);
+        assert_eq!(plan.pairs(), 15);
+        for workers in [1, 2, 3, 5] {
+            let (values, timings) = plan.evaluate(&eng, workers);
+            assert_eq!(timings.len(), workers);
+            assert_eq!(values.len(), plan.distinct());
+            assert_eq!(plan.accumulate(&values, 0.5), naive, "workers={workers}");
+        }
+    }
+
+    #[test]
+    fn translated_repeats_share_one_key() {
+        // Three unit flats 1.5 apart on one plane.
+        let p = |u0: f64| Panel::new(Axis::Z, 0.0, (u0, u0 + 1.0), (0.0, 1.0)).unwrap();
+        let set = BasisSet::new(
+            [0.0, 1.5, 3.0]
+                .iter()
+                .map(|&u0| BasisFunction::new(0, vec![Template::flat(p(u0))]))
+                .collect(),
+        );
+        let idx = TemplateIndex::new(&set);
+        let plan = PairPlan::new(&idx);
+        // Six pairs: three self pairs (one key), two at offset 1.5, one at 3.
+        assert_eq!((plan.pairs(), plan.distinct()), (6, 3));
+        let mut seen = Vec::new();
+        plan.values(&GalerkinEngine::default(), 0..plan.distinct(), |key, eval| {
+            seen.push(*key);
+            eval()
+        });
+        assert_eq!(seen.len(), 3);
+        assert!(seen.iter().enumerate().all(|(d, key)| *key == plan.key(d)));
     }
 
     #[test]

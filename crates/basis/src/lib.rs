@@ -41,6 +41,8 @@ pub mod template;
 
 pub use arch::{ArchLaws, ArchShape};
 pub use basisfn::{BasisFunction, BasisSet};
-pub use condense::{accumulate_entry, TemplateIndex};
+pub use condense::{accumulate_entry, pair_integrals_metric, PairPlan, TemplateIndex};
 pub use error::BasisError;
-pub use template::{pair_integral, template_moment, Template, TemplateKey, TemplateKind};
+pub use template::{
+    pair_integral, template_moment, PairKey, Template, TemplateKey, TemplateKind, PAIR_KEY_WORDS,
+};

@@ -1,6 +1,16 @@
-//! Templates: the atomic shapes of instantiable basis functions.
+//! Templates: the atomic shapes of instantiable basis functions, and the
+//! translation-canonical identity of a template pair.
+//!
+//! A pair integral depends only on the two templates' shapes and their
+//! relative position, never on where the pair sits in space. [`PairKey`]
+//! captures exactly that: both shapes plus b's offset from a's lower
+//! corner, every length rounded to a fixed 2⁻⁶⁰ m grid. The pair's value
+//! is evaluated from the key alone ([`pair_integral`]), so a key is a
+//! complete, reusable unit of setup work: every translated copy of a pair
+//! — across one structure's regular placements or across requests —
+//! shares one evaluation, bit for bit.
 
-use bemcap_geom::Panel;
+use bemcap_geom::{Axis, Panel, Point3};
 use bemcap_quad::galerkin::{GalerkinEngine, PanelShape, ShapeDir};
 
 use crate::arch::ArchShape;
@@ -42,14 +52,10 @@ impl Template {
     }
 
     /// The exact identity key of this template: two templates share a key
-    /// iff their support panels and shapes are **bit-identical**.
-    ///
-    /// Bit-exactness is the load-bearing property: the instantiation pass
-    /// uses keys to drop duplicate induced functions, and the batch
-    /// extraction cache (`bemcap-core::batch`) uses them to share pair
-    /// integrals across jobs — a hit returns the very f64 the engine would
-    /// have recomputed, so cached and uncached runs produce identical
-    /// capacitance matrices.
+    /// iff their support panels and shapes are **bit-identical**, at the
+    /// same absolute placement. The instantiation pass uses keys to drop
+    /// duplicate induced functions; pair integrals are identified by the
+    /// translation-canonical [`PairKey`] instead.
     pub fn key(&self) -> TemplateKey {
         let p = &self.panel;
         let mut k = [0u64; 9];
@@ -89,30 +95,163 @@ impl Template {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TemplateKey([u64; 9]);
 
-impl From<[u64; 9]> for TemplateKey {
-    /// Builds a key from raw words — synthetic identities for cache tests
-    /// and tooling. Keys made this way are distinct from every
-    /// [`Template::key`] only if the caller keeps them distinct; the type
-    /// is an identity token, so no invariant is at risk.
-    fn from(raw: [u64; 9]) -> TemplateKey {
-        TemplateKey(raw)
+/// Number of `u64` words in a [`PairKey`].
+pub const PAIR_KEY_WORDS: usize = 12;
+
+/// 2⁶⁰: lengths are stored as their (rounded) count of 2⁻⁶⁰ m quanta. A
+/// power of two, so scaling by it and back is exact.
+const QUANTA_PER_METER: f64 = (1u64 << 60) as f64;
+
+/// A length as its bits on the quantum grid: the rounded quantum count as
+/// an `f64` (exact below 2⁵³ quanta, ≈7.8 mm; beyond that the value is its
+/// own coarser grid), `-0` folded into `+0`.
+fn quantise(len: f64) -> u64 {
+    ((len * QUANTA_PER_METER).round() + 0.0).to_bits()
+}
+
+/// The length a [`quantise`]d word stands for.
+fn dequantise(word: u64) -> f64 {
+    f64::from_bits(word) / QUANTA_PER_METER
+}
+
+/// One template in translation-free form: its tag (normal index in bits
+/// 0–1, shape in bits 2–3: 0 flat, 1 arch along u, 2 arch along v), its
+/// quantised shape words (u and v extents, arch centre relative to the
+/// panel's lower corner, arch width), and the absolute lower corner the
+/// pair offset is measured between.
+///
+/// The arch width is quantised too although no translation moves it: the
+/// instantiation pass derives it from a difference of absolute
+/// coordinates (the crossing gap), whose last bits do move.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct CanonicalTemplate {
+    tag: u64,
+    shape: [u64; 4],
+    corner: Point3,
+}
+
+impl CanonicalTemplate {
+    pub(crate) fn of(t: &Template) -> CanonicalTemplate {
+        let p = &t.panel;
+        let (u0, v0) = (p.u_range().0, p.v_range().0);
+        let (kind, centre, width) = match &t.kind {
+            TemplateKind::Flat => (0, 0, 0),
+            TemplateKind::Arch { dir: ShapeDir::U, shape } => {
+                (1, quantise(shape.center - u0), quantise(shape.width))
+            }
+            TemplateKind::Arch { dir: ShapeDir::V, shape } => {
+                (2, quantise(shape.center - v0), quantise(shape.width))
+            }
+        };
+        CanonicalTemplate {
+            tag: p.normal().index() as u64 | kind << 2,
+            shape: [quantise(p.u_len()), quantise(p.v_len()), centre, width],
+            corner: p.point_at(u0, v0),
+        }
+    }
+
+    /// Rebuilds the template from its tag and shape words with its lower
+    /// corner at `corner`.
+    fn rebuild(tag: u64, shape: &[u64], corner: Point3) -> Template {
+        let normal = Axis::from_index((tag & 3) as usize);
+        let (ua, va) = normal.tangents();
+        let (u0, v0) = (corner.component(ua), corner.component(va));
+        let panel = Panel::new(
+            normal,
+            corner.component(normal),
+            (u0, u0 + dequantise(shape[0])),
+            (v0, v0 + dequantise(shape[1])),
+        )
+        .expect("a pair key holds extents of at least one quantum");
+        let arch =
+            |lo: f64| ArchShape { center: lo + dequantise(shape[2]), width: dequantise(shape[3]) };
+        match tag >> 2 {
+            0 => Template::flat(panel),
+            1 => Template::arch(panel, ShapeDir::U, arch(u0)),
+            _ => Template::arch(panel, ShapeDir::V, arch(v0)),
+        }
     }
 }
 
-impl TemplateKey {
-    /// The raw identity words, in the order [`From<[u64; 9]>`] consumes
-    /// them — the serialization seam for cache snapshots: a key written
-    /// as its words and rebuilt with `From` is the identical key, so a
-    /// restored cache entry answers the very lookups the original did.
-    pub fn words(&self) -> [u64; 9] {
+/// The translation-canonical identity of an ordered template pair (a, b):
+/// both templates' normals, shapes, extents and arch parameters, plus b's
+/// offset from a's lower corner — every length quantised to a 2⁻⁶⁰ m
+/// grid. Translating both templates by a multiple of the quantum (with
+/// every moved coordinate exact in `f64`) leaves the key unchanged; any
+/// other translation can move a word by about one quantum.
+///
+/// The order is part of the identity and is not symmetrised: swapping
+/// the roles changes which panel carries the outer quadrature.
+///
+/// Word layout: `[tags, a.u_len, a.v_len, a.centre, a.width, b.u_len,
+/// b.v_len, b.centre, b.width, dx, dy, dz]`, tags = a's tag | b's tag << 8.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct PairKey([u64; PAIR_KEY_WORDS]);
+
+impl PairKey {
+    /// The key of the ordered pair (a, b).
+    pub fn new(a: &Template, b: &Template) -> PairKey {
+        PairKey::of(&CanonicalTemplate::of(a), &CanonicalTemplate::of(b))
+    }
+
+    pub(crate) fn of(a: &CanonicalTemplate, b: &CanonicalTemplate) -> PairKey {
+        let d = b.corner - a.corner;
+        let (sa, sb) = (a.shape, b.shape);
+        PairKey([
+            a.tag | b.tag << 8,
+            sa[0],
+            sa[1],
+            sa[2],
+            sa[3],
+            sb[0],
+            sb[1],
+            sb[2],
+            sb[3],
+            quantise(d.x),
+            quantise(d.y),
+            quantise(d.z),
+        ])
+    }
+
+    /// The raw words, in the order [`From<[u64; PAIR_KEY_WORDS]>`]
+    /// consumes them — the serialization seam for cache snapshots.
+    pub fn words(&self) -> [u64; PAIR_KEY_WORDS] {
         self.0
+    }
+
+    /// The two templates the key stands for, with a's lower corner at the
+    /// origin.
+    fn templates(&self) -> (Template, Template) {
+        let w = &self.0;
+        let offset = Point3::new(dequantise(w[9]), dequantise(w[10]), dequantise(w[11]));
+        (
+            CanonicalTemplate::rebuild(w[0] & 0xff, &w[1..5], Point3::ZERO),
+            CanonicalTemplate::rebuild(w[0] >> 8, &w[5..9], offset),
+        )
+    }
+
+    /// The raw Galerkin integral of the pair, evaluated on the templates
+    /// rebuilt from the key — a pure function of the key's words.
+    pub(crate) fn integral(&self, eng: &GalerkinEngine) -> f64 {
+        let (a, b) = self.templates();
+        a.with_shape(|sa| b.with_shape(|sb| eng.panel_pair(&a.panel, sa, &b.panel, sb)))
+    }
+}
+
+impl From<[u64; PAIR_KEY_WORDS]> for PairKey {
+    /// Rebuilds a key from its raw words — cache snapshot restore and
+    /// synthetic identities for cache tests. Only keys made by
+    /// [`PairKey::new`] are ever evaluated.
+    fn from(words: [u64; PAIR_KEY_WORDS]) -> PairKey {
+        PairKey(words)
     }
 }
 
 /// The Galerkin integral of a template pair (equation (5) entry, raw
-/// kernel — the caller divides by 4πε).
+/// kernel — the caller divides by 4πε), evaluated from the pair's
+/// [`PairKey`], so every translated copy of the pair gets the same bits.
 pub fn pair_integral(eng: &GalerkinEngine, a: &Template, b: &Template) -> f64 {
-    a.with_shape(|sa| b.with_shape(|sb| eng.panel_pair(&a.panel, sa, &b.panel, sb)))
+    PairKey::new(a, b).integral(eng)
 }
 
 /// ∫ template over its support — the template's contribution to the
@@ -190,6 +329,60 @@ mod tests {
         assert_ne!(flat.key(), arch_u.key());
         assert_ne!(arch_u.key(), arch_v.key());
         assert_ne!(arch_u.key(), arch_wide.key());
+    }
+
+    /// `t` moved by `(dx, dy, dz)` (arch centres move with their panel).
+    fn shifted(t: &Template, d: Point3) -> Template {
+        let p = &t.panel;
+        let (ua, va) = p.normal().tangents();
+        let (du, dv) = (d.component(ua), d.component(va));
+        let (u, v) = (p.u_range(), p.v_range());
+        let panel = Panel::new(
+            p.normal(),
+            p.w() + d.component(p.normal()),
+            (u.0 + du, u.1 + du),
+            (v.0 + dv, v.1 + dv),
+        )
+        .unwrap();
+        match t.kind {
+            TemplateKind::Flat => Template::flat(panel),
+            TemplateKind::Arch { dir, shape } => {
+                let along = if dir == ShapeDir::U { du } else { dv };
+                Template::arch(panel, dir, ArchShape { center: shape.center + along, ..shape })
+            }
+        }
+    }
+
+    #[test]
+    fn pair_keys_ignore_translation_but_not_order_or_shape() {
+        let shape = ArchShape { center: 0.5, width: 0.3 };
+        let a = Template::flat(panel(0.0));
+        let b = Template::arch(panel(0.75), ShapeDir::U, shape);
+        // Dyadic coordinates and shifts keep every sum exact, so the key is.
+        let d = Point3::new(0.25, -1.5, 3.0);
+        let key = PairKey::new(&a, &b);
+        assert_eq!(key, PairKey::new(&shifted(&a, d), &shifted(&b, d)));
+        assert_ne!(key, PairKey::new(&b, &a), "roles are part of the identity");
+        assert_ne!(key, PairKey::new(&a, &shifted(&b, d)), "relative offset is");
+        let wider = Template::arch(panel(0.75), ShapeDir::U, ArchShape { width: 0.4, ..shape });
+        assert_ne!(key, PairKey::new(&a, &wider));
+        let along_v = Template::arch(panel(0.75), ShapeDir::V, shape);
+        assert_ne!(key, PairKey::new(&a, &along_v));
+        assert_eq!(PairKey::from(key.words()), key);
+    }
+
+    #[test]
+    fn key_evaluation_matches_the_absolute_pair() {
+        let eng = GalerkinEngine::default();
+        let shape = ArchShape { center: 0.4, width: 0.3 };
+        let a = Template::arch(panel(0.0), ShapeDir::V, shape);
+        let b = Template::flat(Panel::new(Axis::X, 1.2, (0.1, 0.9), (0.3, 1.4)).unwrap());
+        for (s, t) in [(&a, &b), (&b, &a), (&a, &a)] {
+            let direct =
+                s.with_shape(|ss| t.with_shape(|st| eng.panel_pair(&s.panel, ss, &t.panel, st)));
+            let keyed = pair_integral(&eng, s, t);
+            assert!((keyed - direct).abs() <= 1e-12 * direct.abs(), "{keyed} vs {direct}");
+        }
     }
 
     #[test]

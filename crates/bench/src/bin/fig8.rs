@@ -42,7 +42,7 @@ fn main() {
     let set = instantiate(&geo, &InstantiateConfig::default()).expect("basis");
     let index = TemplateIndex::new(&set);
     let eng = GalerkinEngine::default();
-    let costs = assembly::measure_chunk_costs_best_of(&eng, &index, geo.eps_rel(), 8192, 2);
+    let costs = assembly::measure_chunk_costs_best_of(&eng, &index, 8192, 2);
     let n = index.basis_count();
     let this_work = |comm: CommModel, partial: usize| -> Vec<(usize, f64)> {
         let t1 = MachineSim::new(1, comm).simulate_setup(&costs, 0, 5e-3, 5e-3).makespan;

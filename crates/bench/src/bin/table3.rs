@@ -33,7 +33,7 @@ fn main() {
 
     eprintln!("measuring per-chunk integral costs (single thread)...");
     let chunks = 8192.min(k_total.max(1));
-    let costs = assembly::measure_chunk_costs_best_of(&eng, &index, geo.eps_rel(), chunks, 2);
+    let costs = assembly::measure_chunk_costs_best_of(&eng, &index, chunks, 2);
     let work: f64 = costs.iter().sum();
     eprintln!("total setup work: {:.2} s over {chunks} chunks\n", work);
 

@@ -1,26 +1,30 @@
 //! System setup: filling P and Φ from the template index.
 //!
-//! Three drivers for the same Algorithm 1 k-loop:
+//! Every shared-memory assembly runs Algorithm 1's k-loop as one
+//! [`PairPlan`]: the triangle is walked once into distinct
+//! translation-canonical pair keys, each key is evaluated once, and P is
+//! accumulated from those values in k order.
 //!
 //! * [`assemble_sequential`] — one thread, the D = 1 reference;
-//! * [`assemble_threaded`] — the shared-memory flow of Fig. 4: workers
-//!   accumulate *private* partial matrices over their k-ranges, merged by
-//!   the main thread;
+//! * [`assemble_threaded`] — the shared-memory flow of Fig. 4: the
+//!   distinct keys are split across workers; the accumulation is the
+//!   sequential one, so the result is bit-identical to it;
 //! * [`assemble_distributed`] — the message-passing flow of Figs. 5–6:
 //!   every rank builds an N×N_d partial matrix over its contiguous column
 //!   range (adjacent ranks share a boundary column), sends it to rank 0,
-//!   which shifts and adds.
-//!
-//! All three produce bit-identical results up to floating-point addition
-//! order; the workspace integration tests assert their agreement.
+//!   which shifts and adds. It agrees with the others up to addition
+//!   order.
 
 use std::time::Instant;
 
-use bemcap_basis::{accumulate_entry, pair_integral, template_moment, BasisSet, TemplateIndex};
+use bemcap_basis::{pair_integral, template_moment, BasisSet, PairPlan, TemplateIndex};
 use bemcap_geom::EPS0;
 use bemcap_linalg::Matrix;
 use bemcap_par::{k_to_ij, partition_ranges, pool, triangle_size, Universe};
 use bemcap_quad::galerkin::GalerkinEngine;
+
+use crate::cache::{TemplateCache, ENTRY_BYTES};
+use crate::report::CacheStats;
 
 /// Output of one assembly run.
 #[derive(Debug, Clone)]
@@ -57,29 +61,47 @@ pub fn assemble_sequential(
     n_cond: usize,
     eps_rel: f64,
 ) -> Assembly {
-    let start = Instant::now();
-    let scale = kernel_scale(eps_rel);
-    let n = index.basis_count();
-    let mut p = Matrix::zeros(n, n);
-    // (i, j) advance incrementally through the triangle enumeration — one
-    // closed-form k_to_ij per loop instead of one sqrt per entry.
-    let (mut i, mut j) = (0usize, 0usize);
-    for _ in 0..triangle_size(index.template_count()) {
-        let v = scale * pair_integral(eng, index.template(i), index.template(j));
-        accumulate_entry(&mut p, i, j, index.label(i), index.label(j), v);
-        i += 1;
-        if i > j {
-            i = 0;
-            j += 1;
-        }
-    }
-    let phi = assemble_phi(eng, set, n_cond);
-    Assembly { p, phi, seconds: start.elapsed().as_secs_f64() }
+    assemble_cached(eng, index, set, n_cond, eps_rel, None).0
 }
 
-/// Shared-memory Algorithm 1 (Fig. 4): `threads` workers over the static
-/// k-partition, each accumulating a private full-size matrix, merged at
-/// the join. Returns per-worker timings alongside the assembly.
+/// Sequential Algorithm 1 with every distinct pair key probed once in
+/// `cache` (when given) before it is evaluated. A hit returns the bits the
+/// evaluation would produce, so the assembly is bit-identical to
+/// [`assemble_sequential`] whatever the cache holds.
+pub(crate) fn assemble_cached(
+    eng: &GalerkinEngine,
+    index: &TemplateIndex,
+    set: &BasisSet,
+    n_cond: usize,
+    eps_rel: f64,
+    cache: Option<&TemplateCache>,
+) -> (Assembly, CacheStats) {
+    let start = Instant::now();
+    let plan = PairPlan::new(index);
+    let mut stats = CacheStats::default();
+    let values = plan.values(eng, 0..plan.distinct(), |key, eval| match cache {
+        Some(c) => {
+            let (v, lookup) = c.get_or_compute(*key, eval);
+            if lookup.hit {
+                stats.hits += 1;
+            } else {
+                stats.misses += 1;
+                stats.inserted_bytes += ENTRY_BYTES;
+            }
+            stats.evictions += lookup.evicted;
+            v
+        }
+        None => eval(),
+    });
+    let p = plan.accumulate(&values, kernel_scale(eps_rel));
+    let phi = assemble_phi(eng, set, n_cond);
+    (Assembly { p, phi, seconds: start.elapsed().as_secs_f64() }, stats)
+}
+
+/// Shared-memory Algorithm 1 (Fig. 4): `threads` workers evaluate the
+/// static partition of the distinct pair keys, then P is accumulated in k
+/// order — bit-identical to [`assemble_sequential`]. Returns per-worker
+/// timings alongside the assembly.
 pub fn assemble_threaded(
     eng: &GalerkinEngine,
     index: &TemplateIndex,
@@ -89,32 +111,9 @@ pub fn assemble_threaded(
     threads: usize,
 ) -> (Assembly, Vec<pool::WorkerTiming>) {
     let start = Instant::now();
-    let scale = kernel_scale(eps_rel);
-    let n = index.basis_count();
-    let total_k = triangle_size(index.template_count());
-    let (partials, timings) = pool::run_partitioned(threads, total_k, |_, range| {
-        let mut local = Matrix::zeros(n, n);
-        if range.is_empty() {
-            return local;
-        }
-        let (mut i, mut j) = k_to_ij(range.start);
-        for _ in range {
-            let v = scale * pair_integral(eng, index.template(i), index.template(j));
-            accumulate_entry(&mut local, i, j, index.label(i), index.label(j), v);
-            i += 1;
-            if i > j {
-                i = 0;
-                j += 1;
-            }
-        }
-        local
-    });
-    let mut p = Matrix::zeros(n, n);
-    // The merge runs through the blocked elementwise axpy kernel
-    // (`Matrix::add_assign`), bit-identical to the old scalar loop.
-    for part in &partials {
-        p += part;
-    }
+    let plan = PairPlan::new(index);
+    let (values, timings) = plan.evaluate(eng, threads);
+    let p = plan.accumulate(&values, kernel_scale(eps_rel));
     let phi = assemble_phi(eng, set, n_cond);
     (Assembly { p, phi, seconds: start.elapsed().as_secs_f64() }, timings)
 }
@@ -211,15 +210,11 @@ fn add_shifted(dest: &mut Matrix, partial: &Matrix, col_offset: usize, cols: usi
 }
 
 /// Measures per-chunk task costs of the k-loop for the machine simulator:
-/// the k-range is split into `chunks` blocks and each block's wall time is
-/// recorded. These are the *measured* inputs to Table 3 / Fig. 8.
-pub fn measure_chunk_costs(
-    eng: &GalerkinEngine,
-    index: &TemplateIndex,
-    eps_rel: f64,
-    chunks: usize,
-) -> Vec<f64> {
-    measure_chunk_costs_best_of(eng, index, eps_rel, chunks, 1)
+/// the distinct pair keys of the plan are split into `chunks` blocks and
+/// each block's evaluation wall time is recorded. These are the *measured*
+/// inputs to Table 3 / Fig. 8.
+pub fn measure_chunk_costs(eng: &GalerkinEngine, index: &TemplateIndex, chunks: usize) -> Vec<f64> {
+    measure_chunk_costs_best_of(eng, index, chunks, 1)
 }
 
 /// Like [`measure_chunk_costs`] but repeats the sweep `reps` times and
@@ -229,24 +224,16 @@ pub fn measure_chunk_costs(
 pub fn measure_chunk_costs_best_of(
     eng: &GalerkinEngine,
     index: &TemplateIndex,
-    eps_rel: f64,
     chunks: usize,
     reps: usize,
 ) -> Vec<f64> {
-    let scale = kernel_scale(eps_rel);
-    let total_k = triangle_size(index.template_count());
-    let n = index.basis_count();
-    let mut sink = Matrix::zeros(n, n);
-    let ranges = partition_ranges(total_k, chunks.max(1));
+    let plan = PairPlan::new(index);
+    let ranges = partition_ranges(plan.distinct(), chunks.max(1));
     let mut best = vec![f64::INFINITY; ranges.len()];
     for _ in 0..reps.max(1) {
         for (slot, range) in best.iter_mut().zip(&ranges) {
             let t = Instant::now();
-            for k in range.clone() {
-                let (i, j) = k_to_ij(k);
-                let v = scale * pair_integral(eng, index.template(i), index.template(j));
-                accumulate_entry(&mut sink, i, j, index.label(i), index.label(j), v);
-            }
+            std::hint::black_box(plan.values(eng, range.clone(), |_, eval| eval()));
             *slot = slot.min(t.elapsed().as_secs_f64());
         }
     }
@@ -270,11 +257,11 @@ mod tests {
     fn threaded_matches_sequential() {
         let (eng, set, index, nc) = setup();
         let seq = assemble_sequential(&eng, &index, &set, nc, 1.0);
-        for threads in [2, 3] {
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for threads in [2, 3, 5] {
             let (par, timings) = assemble_threaded(&eng, &index, &set, nc, 1.0, threads);
             assert_eq!(timings.len(), threads);
-            let diff = (&seq.p - &par.p).max_abs();
-            assert!(diff < 1e-9 * seq.p.max_abs(), "threads={threads}: diff {diff}");
+            assert_eq!(bits(&seq.p), bits(&par.p), "threads={threads}");
             assert_eq!(seq.phi, par.phi);
         }
     }
@@ -318,7 +305,7 @@ mod tests {
     #[test]
     fn chunk_costs_cover_all_work() {
         let (eng, _, index, _) = setup();
-        let costs = measure_chunk_costs(&eng, &index, 1.0, 16);
+        let costs = measure_chunk_costs(&eng, &index, 16);
         assert_eq!(costs.len(), 16);
         assert!(costs.iter().all(|&c| c >= 0.0));
         assert!(costs.iter().sum::<f64>() > 0.0);

@@ -17,10 +17,10 @@
 //!   (`⌈jobs / workers⌉` jobs per micro-batch), so engine builds are
 //!   amortized deterministically, matching the old dedicated scheduler;
 //! * with caching enabled (the default), pair integrals are shared across
-//!   jobs through a [`bemcap_basis::TemplateKey`]-keyed
+//!   jobs through a [`bemcap_basis::PairKey`]-keyed
 //!   [`crate::cache::TemplateCache`]: families that keep part of the
-//!   geometry fixed (every sweep does) skip the integrals of the
-//!   unchanged template pairs entirely. A cache hit returns the very f64
+//!   geometry fixed or merely move it (every sweep does) skip the
+//!   integrals of the unchanged template pairs entirely. A cache hit returns the very f64
 //!   a recomputation would produce, so cached and uncached runs yield
 //!   **bit-identical** capacitance matrices. By default each run gets a
 //!   private unbounded cache; [`BatchExtractor::shared_cache`] plugs in a

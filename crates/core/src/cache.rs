@@ -8,11 +8,13 @@
 //! the cache to a first-class, process-lifetime object so a long-running
 //! daemon (`bemcap-serve`) can keep integrals warm across requests:
 //!
-//! * **bit-identity** — keys are exact bit-level template identities
-//!   ([`TemplateKey`]), so a hit returns the very `f64` a recomputation
-//!   would produce. Eviction can only cause recomputation, never a
-//!   different answer: results are bit-identical at any bound, including
-//!   zero.
+//! * **bit-identity** — keys are translation-canonical pair identities
+//!   ([`PairKey`]) and a pair's integral is evaluated from its key alone,
+//!   so a hit returns the very `f64` a recomputation would produce — for
+//!   the pair that filled the entry and for every translated copy of it,
+//!   in this structure or another. Eviction can only cause recomputation,
+//!   never a different answer: results are bit-identical at any bound,
+//!   including zero.
 //! * **bounded memory** — [`TemplateCache::with_max_bytes`] caps the
 //!   resident footprint ([`ENTRY_BYTES`] per entry). When a shard fills,
 //!   the least-recently-used quarter of its entries (by a global epoch
@@ -35,19 +37,17 @@ use std::io::{self, BufRead, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use bemcap_basis::TemplateKey;
+pub use bemcap_basis::PairKey;
+use bemcap_basis::PAIR_KEY_WORDS;
 
 use crate::metrics::metrics;
 use crate::report::CacheStats;
 
-/// A cache key: the ordered pair of template identities of one Galerkin
-/// pair integral.
-pub type PairKey = (TemplateKey, TemplateKey);
-
 /// Approximate resident bytes per cache entry, used to convert the
-/// configured memory bound into an entry budget: two 72-byte
-/// [`TemplateKey`]s, the `f64` value, the `u64` epoch, and hash-map slot
-/// overhead, rounded up.
+/// configured memory bound into an entry budget: a 113-byte hash-map slot
+/// (the 96-byte [`PairKey`], the `f64` value, the `u64` epoch, one control
+/// byte) over the map's typical fill — its table is a power of two at
+/// most 7/8 full, so between 7/16 and 7/8 — rounded up.
 pub const ENTRY_BYTES: usize = 192;
 
 const SHARDS: usize = 32;
@@ -83,10 +83,10 @@ pub struct Lookup {
 /// keys to raw pair integrals. See the module docs for the invariants.
 ///
 /// ```
-/// use bemcap_core::cache::TemplateCache;
+/// use bemcap_core::cache::{PairKey, TemplateCache};
 ///
 /// let cache = TemplateCache::with_max_bytes(16 << 20);
-/// let key = ([1u64; 9].into(), [2u64; 9].into());
+/// let key = PairKey::from([1u64; 12]);
 /// let (v, first) = cache.get_or_compute(key, || 42.0);
 /// let (w, second) = cache.get_or_compute(key, || unreachable!("cached"));
 /// assert_eq!((v, w), (42.0, 42.0));
@@ -230,10 +230,10 @@ impl TemplateCache {
     /// Writes every resident entry to `w` in the versioned snapshot
     /// format (see [`SNAPSHOT_HEADER`]) and returns how many entries
     /// were written. The format is binary-safe *text*: one header line,
-    /// then one line per entry of 19 lowercase-hex `u64` words (the two
-    /// 9-word [`TemplateKey`] identities followed by the value's raw
-    /// `f64` bits), so a restored value is the identical `f64`, bit for
-    /// bit, and the file survives any text transport.
+    /// then one line per entry of 13 lowercase-hex `u64` words (the 12
+    /// [`PairKey`] words followed by the value's raw `f64` bits), so a
+    /// restored value is the identical `f64`, bit for bit, and the file
+    /// survives any text transport.
     ///
     /// Concurrent lookups during the snapshot are safe (each shard is
     /// locked only while it is copied out); the snapshot is a consistent
@@ -251,11 +251,11 @@ impl TemplateCache {
         }
         // Deterministic file contents for identical cache contents:
         // sort by key words, not by shard/hash iteration order.
-        entries.sort_by_key(|((a, b), _)| (a.words(), b.words()));
+        entries.sort_by_key(|(key, _)| key.words());
         writeln!(w, "{} {}", SNAPSHOT_HEADER, entries.len())?;
-        for ((a, b), value) in &entries {
-            let mut line = String::with_capacity(19 * 17);
-            for word in a.words().iter().chain(b.words().iter()) {
+        for (key, value) in &entries {
+            let mut line = String::with_capacity(ENTRY_WORDS * 17);
+            for word in &key.words() {
                 push_hex(&mut line, *word);
                 line.push(' ');
             }
@@ -277,8 +277,9 @@ impl TemplateCache {
     /// # Errors
     ///
     /// [`io::ErrorKind::InvalidData`] for a missing/foreign header, an
-    /// unsupported snapshot version, or a malformed entry line; any I/O
-    /// error from `r`.
+    /// unsupported snapshot version (including v1, whose absolute-placement
+    /// keys cannot answer translation-canonical lookups), or a malformed
+    /// entry line; any I/O error from `r`.
     pub fn restore_from(&self, r: impl BufRead) -> io::Result<usize> {
         let mut lines = r.lines();
         let header = lines.next().ok_or_else(|| bad_snapshot("empty snapshot file"))??;
@@ -291,25 +292,23 @@ impl TemplateCache {
                 continue;
             }
             seen += 1;
-            let mut words = [0u64; 19];
+            let mut words = [0u64; ENTRY_WORDS];
             let mut fields = line.split_ascii_whitespace();
             for (i, slot) in words.iter_mut().enumerate() {
-                let field = fields
-                    .next()
-                    .ok_or_else(|| bad_snapshot(format!("entry {seen}: expected 19 words")))?;
+                let field = fields.next().ok_or_else(|| {
+                    bad_snapshot(format!("entry {seen}: expected {ENTRY_WORDS} words"))
+                })?;
                 *slot = u64::from_str_radix(field, 16).map_err(|e| {
                     bad_snapshot(format!("entry {seen} word {i}: not a hex u64: {e}"))
                 })?;
             }
             if fields.next().is_some() {
-                return Err(bad_snapshot(format!("entry {seen}: more than 19 words")));
+                return Err(bad_snapshot(format!("entry {seen}: more than {ENTRY_WORDS} words")));
             }
-            let mut a = [0u64; 9];
-            let mut b = [0u64; 9];
-            a.copy_from_slice(&words[0..9]);
-            b.copy_from_slice(&words[9..18]);
-            let key: PairKey = (a.into(), b.into());
-            let value = f64::from_bits(words[18]);
+            let mut key = [0u64; PAIR_KEY_WORDS];
+            key.copy_from_slice(&words[..PAIR_KEY_WORDS]);
+            let key = PairKey::from(key);
+            let value = f64::from_bits(words[PAIR_KEY_WORDS]);
             let stamp = self.epoch.fetch_add(1, Ordering::Relaxed);
             let mut map = self.shard(&key).lock().expect("template cache poisoned");
             if let Some(cap) = self.shard_cap {
@@ -330,9 +329,13 @@ impl TemplateCache {
 }
 
 /// Magic-plus-version tag opening every [`TemplateCache::snapshot_to`]
-/// file. Bump the version on any change to the entry encoding; restore
-/// refuses versions it does not know instead of misreading them.
-pub const SNAPSHOT_HEADER: &str = "bemcap-template-cache v1";
+/// file. Bump the version on any change to the entry encoding or to what
+/// a key's value means; restore refuses versions it does not know instead
+/// of misreading them.
+pub const SNAPSHOT_HEADER: &str = "bemcap-template-cache v2";
+
+/// Words per snapshot entry line: the key words, then the value's bits.
+const ENTRY_WORDS: usize = PAIR_KEY_WORDS + 1;
 
 fn push_hex(out: &mut String, word: u64) {
     use std::fmt::Write as _;
@@ -352,9 +355,9 @@ fn parse_snapshot_header(header: &str) -> io::Result<usize> {
             "not a template-cache snapshot (expected a '{SNAPSHOT_HEADER}' header, got '{header}')"
         )));
     }
-    if version != "v1" {
+    if version != "v2" {
         return Err(bad_snapshot(format!(
-            "unsupported template-cache snapshot version '{version}' (this build reads v1)"
+            "unsupported template-cache snapshot version '{version}' (this build reads v2)"
         )));
     }
     fields
@@ -386,7 +389,9 @@ mod tests {
     use super::*;
 
     fn key(i: u64) -> PairKey {
-        ([i; 9].into(), [i.wrapping_mul(31); 9].into())
+        let mut words = [i; PAIR_KEY_WORDS];
+        words[PAIR_KEY_WORDS - 1] = i.wrapping_mul(31);
+        PairKey::from(words)
     }
 
     #[test]
@@ -599,19 +604,23 @@ mod tests {
             ("", "empty"),
             ("not a snapshot\n", "foreign header"),
             ("bemcap-template-cache v9 0\n", "future version"),
-            ("bemcap-template-cache v1\n", "missing count"),
-            ("bemcap-template-cache v1 2\n", "truncated body"),
-            ("bemcap-template-cache v1 1\n1 2 3\n", "short entry"),
-            ("bemcap-template-cache v1 1\nzz 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1\n", "bad hex"),
+            ("bemcap-template-cache v1 0\n", "absolute-placement v1"),
+            ("bemcap-template-cache v2\n", "missing count"),
+            ("bemcap-template-cache v2 2\n", "truncated body"),
+            ("bemcap-template-cache v2 1\n1 2 3\n", "short entry"),
+            ("bemcap-template-cache v2 1\nzz 1 1 1 1 1 1 1 1 1 1 1 1\n", "bad hex"),
+            ("bemcap-template-cache v2 1\n1 1 1 1 1 1 1 1 1 1 1 1 1 1\n", "long entry"),
         ];
         for (text, what) in errors {
             let e = cache.restore_from(text.as_bytes()).unwrap_err();
             assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{what}: {e}");
         }
         assert!(cache.is_empty() || !cache.is_empty(), "no panic is the contract");
-        // The future-version message names the version problem.
-        let e = cache.restore_from("bemcap-template-cache v9 0\n".as_bytes()).unwrap_err();
-        assert!(e.to_string().contains("version"), "{e}");
+        // The version messages name the version problem.
+        for old in ["bemcap-template-cache v9 0\n", "bemcap-template-cache v1 0\n"] {
+            let e = cache.restore_from(old.as_bytes()).unwrap_err();
+            assert!(e.to_string().contains("version"), "{e}");
+        }
     }
 
     #[test]

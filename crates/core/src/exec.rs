@@ -38,15 +38,14 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::time::Instant;
 
 use bemcap_basis::instantiate::instantiate;
-use bemcap_basis::{accumulate_entry, pair_integral, Template, TemplateIndex, TemplateKey};
+use bemcap_basis::TemplateIndex;
 use bemcap_geom::Geometry;
-use bemcap_linalg::Matrix;
-use bemcap_par::{k_to_ij, triangle_size, WorkQueue};
+use bemcap_par::WorkQueue;
 use bemcap_quad::galerkin::GalerkinEngine;
 
 use crate::assembly;
 use crate::batch::{default_pool_size, BatchJob};
-use crate::cache::{TemplateCache, ENTRY_BYTES};
+use crate::cache::TemplateCache;
 use crate::error::CoreError;
 use crate::extraction::{CapacitanceMatrix, Extraction, Extractor, Method};
 use crate::metrics::metrics;
@@ -452,9 +451,10 @@ pub(crate) fn run_job(
 /// The instantiable extraction of [`Extractor::extract`], restated with a
 /// caller-provided engine and an optional shared pair-integral cache.
 ///
-/// The k-loop, accumulation order, and scaling are exactly those of
-/// `assembly::assemble_sequential`, so the result is bit-identical to the
-/// one-at-a-time sequential path — with or without the cache.
+/// Assembly is `assembly::assemble_sequential`'s own pair plan, with each
+/// distinct pair key probed once in the cache, so the result is
+/// bit-identical to the one-at-a-time sequential path — with or without
+/// the cache.
 fn extract_instantiable_cached(
     extractor: &Extractor,
     engine: &GalerkinEngine,
@@ -472,34 +472,14 @@ fn extract_instantiable_cached(
     let setup_span = crate::metrics::Span::enter(metrics().extract_setup_nanos);
     let set = instantiate(geo, extractor.instantiate_cfg())?;
     let index = TemplateIndex::new(&set);
-    let n_cond = geo.conductor_count();
-
-    let scale = assembly::kernel_scale(geo.eps_rel());
-    let n = index.basis_count();
-    let mut p = Matrix::zeros(n, n);
-    let mut stats = CacheStats::default();
-    let keys: Vec<TemplateKey> = index.templates().iter().map(Template::key).collect();
-    for k in 0..triangle_size(index.template_count()) {
-        let (i, j) = k_to_ij(k);
-        let raw = match cache {
-            Some(c) => {
-                let (v, lookup) = c.get_or_compute((keys[i], keys[j]), || {
-                    pair_integral(engine, index.template(i), index.template(j))
-                });
-                if lookup.hit {
-                    stats.hits += 1;
-                } else {
-                    stats.misses += 1;
-                    stats.inserted_bytes += ENTRY_BYTES;
-                }
-                stats.evictions += lookup.evicted;
-                v
-            }
-            None => pair_integral(engine, index.template(i), index.template(j)),
-        };
-        accumulate_entry(&mut p, i, j, index.label(i), index.label(j), scale * raw);
-    }
-    let phi = assembly::assemble_phi(engine, &set, n_cond);
+    let (assembly::Assembly { p, phi, .. }, stats) = assembly::assemble_cached(
+        engine,
+        &index,
+        &set,
+        geo.conductor_count(),
+        geo.eps_rel(),
+        cache,
+    );
     let setup_seconds = start.elapsed().as_secs_f64();
     drop(setup_span);
     let memory = p.memory_bytes() + phi.memory_bytes();
@@ -512,7 +492,7 @@ fn extract_instantiable_cached(
         CapacitanceMatrix::from_parts(names, c),
         ExtractionReport {
             method: "instantiable".into(),
-            n,
+            n: index.basis_count(),
             m_templates: Some(index.template_count()),
             workers: 1,
             setup_seconds,

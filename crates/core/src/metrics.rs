@@ -56,6 +56,10 @@ pub struct CoreMetrics {
     pub template_cache_misses: &'static Metric,
     /// Template-cache entries evicted under the memory bound.
     pub template_cache_evictions: &'static Metric,
+    /// Template-pair integrals evaluated: one per distinct pair key of an
+    /// assembly that no cache answered (registered by `bemcap-basis`,
+    /// whose pair plan is the one place they are computed).
+    pub pair_integrals: &'static Metric,
     /// Window-cache lookups that hit.
     pub window_cache_hits: &'static Metric,
     /// Window-cache lookups that missed.
@@ -118,6 +122,7 @@ pub fn metrics() -> &'static CoreMetrics {
                 "bemcap_template_cache_evictions_total",
                 "Template cache entries evicted under the memory bound.",
             ),
+            pair_integrals: bemcap_basis::pair_integrals_metric(),
             window_cache_hits: r
                 .counter("bemcap_window_cache_hits_total", "Window cache lookups that hit."),
             window_cache_misses: r

@@ -57,7 +57,7 @@ fn a_snapshot_warm_starts_a_second_daemon() {
 #[test]
 fn a_truncated_snapshot_fails_startup() {
     let path = temp_path("corrupt");
-    std::fs::write(&path, "bemcap-template-cache v1 3\ndeadbeef\n").expect("write corrupt file");
+    std::fs::write(&path, "bemcap-template-cache v2 3\ndeadbeef\n").expect("write corrupt file");
     let err = Server::bind(ServerConfig {
         addr: "127.0.0.1:0".into(),
         cache_restore: Some(path.clone()),
@@ -66,6 +66,25 @@ fn a_truncated_snapshot_fails_startup() {
     .map(|_| ())
     .expect_err("corrupt snapshot must fail bind");
     assert!(err.to_string().contains("cache restore"), "{err}");
+    std::fs::remove_file(&path).ok();
+}
+
+/// A v1 snapshot keys absolute template placements; its values are not
+/// what the translation-canonical evaluation computes, so restoring it
+/// would break cached ≡ uncached. Startup refuses it.
+#[test]
+fn a_v1_snapshot_fails_startup() {
+    let path = temp_path("v1");
+    let words = ["1"; 19].join(" ");
+    std::fs::write(&path, format!("bemcap-template-cache v1 1\n{words}\n")).expect("write v1 file");
+    let err = Server::bind(ServerConfig {
+        addr: "127.0.0.1:0".into(),
+        cache_restore: Some(path.clone()),
+        ..Default::default()
+    })
+    .map(|_| ())
+    .expect_err("v1 snapshot must fail bind");
+    assert!(err.to_string().contains("version"), "{err}");
     std::fs::remove_file(&path).ok();
 }
 

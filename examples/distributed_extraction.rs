@@ -33,7 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("3-rank message-passing assembly matches sequential: max rel diff {diff:.2e}");
 
     // Measured per-chunk costs → simulated 1..10-node distributed machine.
-    let costs = assembly::measure_chunk_costs(&eng, &index, geo.eps_rel(), 512);
+    let costs = assembly::measure_chunk_costs(&eng, &index, 512);
     let n = index.basis_count();
     let partial_bytes = n * n * 8; // upper bound on one partial matrix
     let serial = 0.02 * costs.iter().sum::<f64>(); // parse+allocate+solve share

@@ -18,10 +18,14 @@ fn all_assembly_modes_bitwise_close() {
     let eng = GalerkinEngine::default();
     let nc = geo.conductor_count();
     let seq = assembly::assemble_sequential(&eng, &index, &set, nc, 1.0);
-    for workers in 1..=4 {
+    let bits =
+        |p: &bemcap_linalg::Matrix| p.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    for workers in [2, 3, 5] {
         let (thr, timings) = assembly::assemble_threaded(&eng, &index, &set, nc, 1.0, workers);
         assert_eq!(timings.len(), workers);
-        assert!((&seq.p - &thr.p).max_abs() < 1e-10 * seq.p.max_abs());
+        assert_eq!(bits(&thr.p), bits(&seq.p), "threads={workers}");
+    }
+    for workers in 1..=4 {
         let dist = assembly::assemble_distributed(&eng, &index, &set, nc, 1.0, workers);
         assert!((&seq.p - &dist.p).max_abs() < 1e-10 * seq.p.max_abs());
     }
@@ -98,7 +102,9 @@ fn measured_chunk_costs_drive_high_efficiency() {
     let set = instantiate(&geo, &InstantiateConfig::default()).expect("basis");
     let index = TemplateIndex::new(&set);
     let eng = GalerkinEngine::default();
-    let costs = assembly::measure_chunk_costs(&eng, &index, 1.0, 512);
+    // Best of three sweeps: one preempted chunk would otherwise pose as
+    // imbalance (this test shares the host with the rest of the suite).
+    let costs = assembly::measure_chunk_costs_best_of(&eng, &index, 512, 3);
     let t1 =
         MachineSim::new(1, CommModel::shared_memory()).simulate_setup(&costs, 0, 0.0, 0.0).makespan;
     // Thresholds are loose because this small bus has few entries and the

@@ -1,0 +1,113 @@
+//! Translation invariance of the pair integrals: a pair's value depends
+//! on its shapes and relative position only, so translated structures
+//! reuse each other's cached integrals and extract to the same matrix.
+
+use std::sync::Arc;
+
+use bemcap_basis::arch::ArchShape;
+use bemcap_basis::{pair_integral, PairKey, Template};
+use bemcap_core::batch::{BatchExtractor, BatchJob};
+use bemcap_core::{Extractor, TemplateCache};
+use bemcap_geom::structures::{self, BusParams};
+use bemcap_geom::{Axis, Panel, Point3};
+use bemcap_quad::galerkin::{GalerkinEngine, ShapeDir};
+use proptest::prelude::*;
+
+/// A template with lower corner `corner`, in-plane extents `(eu, ev)` and
+/// `kind` 0 (flat), 1 (arch along u) or 2 (arch along v).
+fn template(normal: usize, kind: usize, corner: Point3, eu: f64, ev: f64) -> Template {
+    let normal = Axis::from_index(normal);
+    let (ua, va) = normal.tangents();
+    let (u0, v0) = (corner.component(ua), corner.component(va));
+    let panel =
+        Panel::new(normal, corner.component(normal), (u0, u0 + eu), (v0, v0 + ev)).expect("panel");
+    let arch = |lo: f64, len: f64| ArchShape { center: lo + 0.375 * len, width: 0.3e-6 };
+    match kind {
+        0 => Template::flat(panel),
+        1 => Template::arch(panel, ShapeDir::U, arch(u0, eu)),
+        _ => Template::arch(panel, ShapeDir::V, arch(v0, ev)),
+    }
+}
+
+/// Nanometre-lattice coordinates on the 2⁻³⁰ m grid: sums with shifts on
+/// the 2⁻⁶⁰ m quantum grid stay exact in `f64`.
+fn lattice(units: i64) -> f64 {
+    units as f64 * (-30f64).exp2()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// An arbitrary translation of both templates moves the integral by
+    /// rounding only.
+    #[test]
+    fn translating_both_templates_keeps_the_integral(
+        na in 0usize..3, ka in 0usize..3, nb in 0usize..3, kb in 0usize..3,
+        ax in -2.0..2.0f64, ay in -2.0..2.0f64, az in -2.0..2.0f64,
+        bx in -2.0..2.0f64, by in -2.0..2.0f64, bz in -2.0..2.0f64,
+        eu in 0.3..2.0f64, ev in 0.3..2.0f64,
+        tx in -40.0..40.0f64, ty in -40.0..40.0f64, tz in -40.0..40.0f64,
+    ) {
+        let eng = GalerkinEngine::default();
+        let um = |x: f64, y: f64, z: f64| Point3::new(x * 1e-6, y * 1e-6, z * 1e-6);
+        let (a0, b0, t) = (um(ax, ay, az), um(bx, by, bz), um(tx, ty, tz));
+        let pair = |shift: Point3| {
+            let a = template(na, ka, a0 + shift, eu * 1e-6, ev * 1e-6);
+            let b = template(nb, kb, b0 + shift, ev * 1e-6, eu * 1e-6);
+            pair_integral(&eng, &a, &b)
+        };
+        let (here, moved) = (pair(Point3::ZERO), pair(t));
+        prop_assert!(here.is_finite() && here > 0.0, "{here}");
+        prop_assert!((moved - here).abs() <= 1e-12 * here, "{here} moved to {moved}");
+    }
+
+    /// A translation by a multiple of the quantum that keeps every
+    /// coordinate exact leaves the key — hence the value — unchanged.
+    #[test]
+    fn quantum_multiple_shifts_keep_the_key(
+        na in 0usize..3, ka in 0usize..3, nb in 0usize..3, kb in 0usize..3,
+        ax in -2000i64..2000, ay in -2000i64..2000, az in -2000i64..2000,
+        bx in -2000i64..2000, by in -2000i64..2000, bz in -2000i64..2000,
+        eu in 300i64..2000, ev in 300i64..2000,
+        tx in -(1i64 << 42)..(1i64 << 42), ty in -(1i64 << 42)..(1i64 << 42),
+        tz in -(1i64 << 42)..(1i64 << 42),
+    ) {
+        let quantum = (-60f64).exp2();
+        let t = Point3::new(tx as f64 * quantum, ty as f64 * quantum, tz as f64 * quantum);
+        let corner = |x, y, z| Point3::new(lattice(x), lattice(y), lattice(z));
+        let (a0, b0) = (corner(ax, ay, az), corner(bx, by, bz));
+        let key = |shift: Point3| {
+            let a = template(na, ka, a0 + shift, lattice(eu), lattice(ev));
+            let b = template(nb, kb, b0 + shift, lattice(ev), lattice(eu));
+            PairKey::new(&a, &b)
+        };
+        prop_assert_eq!(key(Point3::ZERO), key(t));
+    }
+}
+
+/// Bus 3×3, then the same bus moved by (0.37, −1.21, 0.05) µm, through
+/// one shared cache: every pair of the moved bus is a translated repeat,
+/// so its extraction evaluates nothing and reproduces the first.
+#[test]
+fn a_translated_bus_is_all_cache_hits() {
+    let bus = structures::bus_crossing(3, 3, BusParams::default());
+    let moved = structures::translated(&bus, Point3::new(0.37e-6, -1.21e-6, 0.05e-6));
+    let cache = Arc::new(TemplateCache::unbounded());
+    let batch = BatchExtractor::new(Extractor::new()).workers(1).shared_cache(Arc::clone(&cache));
+    let run = |geo| {
+        let result = batch.extract_all(&[BatchJob::new("bus", geo)]).expect("extraction");
+        result.points()[0].clone()
+    };
+    let first = run(bus);
+    assert!(first.job.cache.misses > 0 && first.job.cache.hits == 0, "{:?}", first.job.cache);
+    let second = run(moved);
+    assert_eq!(second.job.cache.misses, 0, "{:?}", second.job.cache);
+    assert_eq!(second.job.cache.hits, first.job.cache.misses);
+
+    let (a, b) =
+        (first.extraction.capacitance().matrix(), second.extraction.capacitance().matrix());
+    let scale = a.max_abs();
+    for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
+        assert!((x - y).abs() <= 1e-12 * scale, "{x} vs {y}");
+    }
+}
