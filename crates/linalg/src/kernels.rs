@@ -519,6 +519,13 @@ mod tests {
     }
 
     #[test]
+    fn gemm_accumulates() {
+        let mut c = vec![10.0];
+        gemm(1, 1, 1, &[1.0], &[2.0], &mut c);
+        assert_eq!(c, vec![12.0]);
+    }
+
+    #[test]
     fn spmv_matches_naive_with_remainder_rows() {
         // A small banded CSR, rows of width 0..=6.
         let rows: usize = 9;

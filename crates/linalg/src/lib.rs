@@ -21,7 +21,6 @@
 // textbook loop index; iterator rewrites obscure the formulas.
 #![allow(clippy::needless_range_loop)]
 
-pub mod blas;
 pub mod cholesky;
 pub mod error;
 pub mod kernels;

@@ -3,8 +3,8 @@
 use std::fmt;
 use std::ops::{Add, AddAssign, Mul, Sub};
 
-use crate::blas;
 use crate::error::LinalgError;
+use crate::kernels;
 
 /// A dense row-major `rows × cols` matrix of `f64`.
 ///
@@ -218,7 +218,7 @@ impl Matrix {
             self.cols
         );
         let mut y = vec![0.0; self.rows];
-        blas::gemv(self.rows, self.cols, &self.data, x, &mut y);
+        kernels::gemv(self.rows, self.cols, &self.data, x, &mut y);
         y
     }
 
@@ -235,21 +235,14 @@ impl Matrix {
             });
         }
         let mut out = Matrix::zeros(self.rows, other.cols);
-        blas::gemm_blocked(
-            self.rows,
-            self.cols,
-            other.cols,
-            &self.data,
-            &other.data,
-            &mut out.data,
-        );
+        kernels::gemm(self.rows, self.cols, other.cols, &self.data, &other.data, &mut out.data);
         Ok(out)
     }
 
     /// Scales every entry in place (elementwise kernel, bit-identical to
     /// the scalar loop).
     pub fn scale(&mut self, s: f64) {
-        crate::kernels::scale(s, &mut self.data);
+        kernels::scale(s, &mut self.data);
     }
 
     /// Frobenius norm.

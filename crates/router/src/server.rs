@@ -1,9 +1,10 @@
 //! The `bemcaprd` front tier: a TCP listener that speaks the daemon
 //! wire protocol and proxies payload ops to backend replicas.
 //!
-//! Connection handling mirrors `bemcapd` (thread per connection, shared
-//! size-capped framing, 50 ms shutdown polling) so a client cannot tell
-//! the tiers apart by transport behavior. What differs is dispatch:
+//! Connection handling is `bemcapd`'s own: both tiers run on the shared
+//! skeleton [`bemcap_serve::listener`] (thread per connection, size-capped
+//! framing, wake-up shutdown), so a client cannot tell the tiers apart
+//! by transport behavior. What differs is dispatch:
 //!
 //! * `extract` / `batch` / `chip` — compute the routing key
 //!   ([`crate::balance::routing_key`]), walk replicas in rendezvous
@@ -25,24 +26,19 @@
 //! from routing (its shard fails over with minimal remap), and the
 //! first succeeding check re-admits it.
 
-use std::io::{self, BufReader, BufWriter, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::io;
+use std::net::SocketAddr;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use bemcap_core::metrics::{Metric, Registry};
-use bemcap_serve::framing::{next_frame, Frame};
 use bemcap_serve::protocol::{self, codes, error_response, ok_response, Request, PROTOCOL_VERSION};
-use bemcap_serve::Client;
+use bemcap_serve::{Client, Listener, Shutdown};
 use serde_json::{json, Value};
 
 use crate::balance::{routing_key, Balancer};
 use crate::replica::Replica;
-
-/// How often blocked reads and the accept loop wake to check the
-/// shutdown flag (mirrors the daemon's tick).
-const POLL_TICK: Duration = Duration::from_millis(50);
 
 /// Configuration of a [`Router`].
 #[derive(Debug, Clone)]
@@ -90,7 +86,7 @@ struct RouterState {
     cfg: RouterConfig,
     replicas: Vec<Replica>,
     balancer: Balancer,
-    shutdown: AtomicBool,
+    shutdown: Shutdown,
     requests: AtomicU64,
     proxied: AtomicU64,
     failovers: AtomicU64,
@@ -101,8 +97,24 @@ struct RouterState {
 }
 
 impl RouterState {
-    fn stopping(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst)
+    fn new(cfg: RouterConfig, shutdown: Shutdown) -> RouterState {
+        RouterState {
+            balancer: Balancer::new(&cfg.replicas),
+            replicas: cfg
+                .replicas
+                .iter()
+                .map(|a| Replica::new(a.clone(), cfg.pool_per_replica))
+                .collect(),
+            cfg,
+            shutdown,
+            requests: AtomicU64::new(0),
+            proxied: AtomicU64::new(0),
+            failovers: AtomicU64::new(0),
+            upstream_errors: AtomicU64::new(0),
+            ejections: AtomicU64::new(0),
+            readmissions: AtomicU64::new(0),
+            started: Instant::now(),
+        }
     }
 
     fn healthy_count(&self) -> usize {
@@ -162,7 +174,7 @@ fn router_metrics() -> &'static RouterMetrics {
 /// A bound, not-yet-running front tier. [`Router::bind`] →
 /// [`Router::run`] (blocking) or [`Router::spawn`] (background thread).
 pub struct Router {
-    listener: TcpListener,
+    listener: Listener,
     state: Arc<RouterState>,
 }
 
@@ -176,36 +188,16 @@ impl Router {
     /// [`io::ErrorKind::InvalidInput`] for an empty replica set or a
     /// zero ejection threshold; any socket error from bind.
     pub fn bind(cfg: RouterConfig) -> io::Result<Router> {
-        if cfg.replicas.is_empty() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "router needs at least one replica address",
-            ));
+        for (invalid, why) in [
+            (cfg.replicas.is_empty(), "router needs at least one replica address"),
+            (cfg.eject_after == 0, "ejection threshold must be at least one failed check"),
+        ] {
+            if invalid {
+                return Err(io::Error::new(io::ErrorKind::InvalidInput, why));
+            }
         }
-        if cfg.eject_after == 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "ejection threshold must be at least one failed check",
-            ));
-        }
-        let listener = TcpListener::bind(cfg.addr.as_str())?;
-        listener.set_nonblocking(true)?;
-        let balancer = Balancer::new(&cfg.replicas);
-        let replicas: Vec<Replica> =
-            cfg.replicas.iter().map(|a| Replica::new(a.clone(), cfg.pool_per_replica)).collect();
-        let state = Arc::new(RouterState {
-            cfg,
-            replicas,
-            balancer,
-            shutdown: AtomicBool::new(false),
-            requests: AtomicU64::new(0),
-            proxied: AtomicU64::new(0),
-            failovers: AtomicU64::new(0),
-            upstream_errors: AtomicU64::new(0),
-            ejections: AtomicU64::new(0),
-            readmissions: AtomicU64::new(0),
-            started: Instant::now(),
-        });
+        let listener = Listener::bind(cfg.addr.as_str())?;
+        let state = Arc::new(RouterState::new(cfg, listener.shutdown()));
         Ok(Router { listener, state })
     }
 
@@ -230,31 +222,13 @@ impl Router {
             let state = Arc::clone(&self.state);
             std::thread::spawn(move || health_loop(&state))
         };
-        let mut handlers: Vec<std::thread::JoinHandle<()>> = Vec::new();
-        loop {
-            if self.state.stopping() {
-                break;
-            }
-            match self.listener.accept() {
-                Ok((stream, _peer)) => {
-                    let state = Arc::clone(&self.state);
-                    handlers.push(std::thread::spawn(move || {
-                        let _ = serve_connection(&state, stream);
-                    }));
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(POLL_TICK);
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-            handlers.retain(|h| !h.is_finished());
-        }
-        for h in handlers {
-            let _ = h.join();
-        }
+        let state = self.state;
+        let max_frame_bytes = state.cfg.max_frame_bytes;
+        let served = self.listener.run(max_frame_bytes, move |line| dispatch(&state, line));
+        // `run` triggers the shutdown handle on every exit path, which
+        // also ends the health checker's wait.
         let _ = health.join();
-        Ok(())
+        served
     }
 
     /// Runs the router on a background thread.
@@ -293,13 +267,13 @@ impl RouterHandle {
 
 /// Pings every replica once per interval, ejecting after
 /// [`RouterConfig::eject_after`] consecutive failures and re-admitting
-/// on the first success. Sleeps in [`POLL_TICK`] slices so shutdown
-/// latency stays bounded by the tick, not the interval.
+/// on the first success. Waits on the shutdown handle between rounds, so
+/// a shutdown ends the loop at once rather than after the interval.
 fn health_loop(state: &RouterState) {
     let eject_after = u64::from(state.cfg.eject_after);
-    while !state.stopping() {
+    loop {
         for replica in &state.replicas {
-            if state.stopping() {
+            if state.shutdown.is_triggered() {
                 return;
             }
             if check_replica(replica, &state.cfg) {
@@ -312,13 +286,8 @@ fn health_loop(state: &RouterState) {
                 router_metrics().ejections.inc();
             }
         }
-        let deadline = Instant::now() + state.cfg.health_interval;
-        loop {
-            let now = Instant::now();
-            if now >= deadline || state.stopping() {
-                break;
-            }
-            std::thread::sleep(POLL_TICK.min(deadline - now));
+        if state.shutdown.wait_timeout(state.cfg.health_interval) {
+            return;
         }
     }
 }
@@ -332,36 +301,6 @@ fn check_replica(replica: &Replica, cfg: &RouterConfig) -> bool {
         client.ping()
     };
     probe().is_ok()
-}
-
-fn serve_connection(state: &RouterState, stream: TcpStream) -> io::Result<()> {
-    stream.set_read_timeout(Some(POLL_TICK))?;
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = BufWriter::new(stream);
-    let stop = || state.stopping();
-    loop {
-        let frame = match next_frame(&mut reader, state.cfg.max_frame_bytes, &stop)? {
-            None => return Ok(()),
-            Some(frame) => frame,
-        };
-        let response = match frame {
-            Frame::Oversized => error_response(
-                None,
-                codes::OVERSIZED,
-                &format!("request frame exceeds {} bytes", state.cfg.max_frame_bytes),
-            )
-            .into_bytes(),
-            Frame::Line(bytes) => match std::str::from_utf8(&bytes) {
-                Err(e) => error_response(None, codes::UTF8, &format!("request is not UTF-8: {e}"))
-                    .into_bytes(),
-                Ok(line) if line.trim().is_empty() => continue,
-                Ok(line) => dispatch(state, line),
-            },
-        };
-        writer.write_all(&response)?;
-        writer.write_all(b"\n")?;
-        writer.flush()?;
-    }
 }
 
 /// Handles one request line. Payload ops forward the *original* line so
@@ -397,7 +336,7 @@ fn dispatch(state: &RouterState, line: &str) -> Vec<u8> {
         Request::Metrics { id } => ok_response(id, metrics_scrape(state)).into_bytes(),
         Request::RouteStats { id } => ok_response(id, route_stats_value(state)).into_bytes(),
         Request::Shutdown { id } => {
-            state.shutdown.store(true, Ordering::SeqCst);
+            state.shutdown.trigger();
             ok_response(id, json!({ "stopping": true })).into_bytes()
         }
         Request::Stats { id } => error_response(
@@ -501,21 +440,7 @@ fn metrics_scrape(state: &RouterState) -> Value {
     let m = router_metrics();
     m.replicas.set(state.replicas.len() as u64);
     m.healthy_replicas.set(state.healthy_count() as u64);
-    let registry = Registry::global();
-    let mut counters: Vec<(String, Value)> = Vec::new();
-    let mut gauges: Vec<(String, Value)> = Vec::new();
-    for s in registry.snapshot() {
-        let pair = (s.name.to_string(), Value::Number(s.value as f64));
-        match s.kind {
-            bemcap_core::metrics::MetricKind::Counter => counters.push(pair),
-            bemcap_core::metrics::MetricKind::Gauge => gauges.push(pair),
-        }
-    }
-    json!({
-        "text": registry.render_prometheus(),
-        "counters": Value::Object(counters),
-        "gauges": Value::Object(gauges),
-    })
+    protocol::metrics_value()
 }
 
 #[cfg(test)]
@@ -524,28 +449,16 @@ mod tests {
 
     fn test_state(replicas: Vec<String>) -> RouterState {
         let cfg = RouterConfig {
-            replicas: replicas.clone(),
+            replicas,
             connect_timeout: Duration::from_millis(200),
             ..RouterConfig::default()
         };
-        RouterState {
-            balancer: Balancer::new(&replicas),
-            replicas: replicas.into_iter().map(|a| Replica::new(a, cfg.pool_per_replica)).collect(),
-            cfg,
-            shutdown: AtomicBool::new(false),
-            requests: AtomicU64::new(0),
-            proxied: AtomicU64::new(0),
-            failovers: AtomicU64::new(0),
-            upstream_errors: AtomicU64::new(0),
-            ejections: AtomicU64::new(0),
-            readmissions: AtomicU64::new(0),
-            started: Instant::now(),
-        }
+        RouterState::new(cfg, Listener::bind("127.0.0.1:0").expect("bind loopback").shutdown())
     }
 
     /// A port with nothing listening on it (bound once, then released).
     fn dead_addr() -> String {
-        let l = TcpListener::bind("127.0.0.1:0").unwrap();
+        let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         l.local_addr().unwrap().to_string()
     }
 
@@ -608,7 +521,7 @@ mod tests {
         let state = test_state(vec![dead_addr()]);
         let v: Value = parse(&dispatch(&state, r#"{"op":"shutdown"}"#));
         assert_eq!(v["result"]["stopping"].as_bool(), Some(true));
-        assert!(state.stopping());
+        assert!(state.shutdown.is_triggered());
         // No replica traffic was generated by the shutdown.
         assert_eq!(state.replicas[0].request_count(), 0);
     }

@@ -6,7 +6,7 @@
 //! last bit, for every op. The router relays frames verbatim, so any
 //! divergence here means the proxy path re-encoded something.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use bemcap_geom::io::write_geometry;
 use bemcap_geom::structures::{self, BusParams, CrossingParams};
@@ -215,4 +215,37 @@ fn repeats_keep_their_shard_and_hit_its_warm_cache() {
         );
     }
     tier.stop();
+}
+
+/// The median of ten timed runs of `f`.
+fn median_of_ten(mut f: impl FnMut() -> Duration) -> Duration {
+    let mut samples: Vec<Duration> = (0..10).map(|_| f()).collect();
+    samples.sort();
+    samples[5]
+}
+
+/// Neither tier waits on a timer: the median first reply on a fresh
+/// connection and the median idle router-plus-daemon stop both stay under
+/// 25 ms, half of a 50 ms poll tick, so a polling accept loop or read
+/// timeout fails this test.
+#[test]
+fn fresh_connections_and_idle_stops_do_not_wait_for_a_tick() {
+    let bound = Duration::from_millis(25);
+    let tier = Tier::start(1);
+    for addr in [tier.daemons[0].addr(), tier.router.addr()] {
+        let first_reply = median_of_ten(|| {
+            let started = Instant::now();
+            Client::connect(addr).expect("connect").ping().expect("ping");
+            started.elapsed()
+        });
+        assert!(first_reply < bound, "{addr}: median first reply {first_reply:?}");
+    }
+    tier.stop();
+    let stop = median_of_ten(|| {
+        let tier = Tier::start(1);
+        let started = Instant::now();
+        tier.stop();
+        started.elapsed()
+    });
+    assert!(stop < bound, "median idle router + daemon stop {stop:?}");
 }

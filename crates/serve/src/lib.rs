@@ -6,15 +6,15 @@
 //! A one-shot CLI throws that reuse away at every process exit. This
 //! crate keeps the engine resident:
 //!
-//! * [`Server`] / the `bemcapd` binary — a std-`TcpListener` daemon
-//!   (thread per connection for I/O, no async runtime) speaking a
-//!   newline-delimited JSON protocol. Extraction runs on one shared,
-//!   admission-controlled [`bemcap_core::exec::Executor`]: connection
-//!   threads only parse, enqueue, and respond; overload degrades into
-//!   structured `busy` rejections; concurrent same-configuration
-//!   requests coalesce into engine-sharing micro-batches. One
-//!   process-lifetime, memory-bounded [`bemcap_core::TemplateCache`] is
-//!   shared across every request;
+//! * [`Server`] / the `bemcapd` binary — a daemon on the [`listener`]
+//!   skeleton it shares with the `bemcaprd` front tier (thread per
+//!   connection, no async runtime) speaking a newline-delimited JSON
+//!   protocol. Extraction runs on one shared, admission-controlled
+//!   [`bemcap_core::exec::Executor`]: connection threads only parse,
+//!   enqueue, and respond; overload degrades into structured `busy`
+//!   rejections; concurrent same-configuration requests coalesce into
+//!   engine-sharing micro-batches. One process-lifetime, memory-bounded
+//!   [`bemcap_core::TemplateCache`] is shared across every request;
 //! * [`Client`] — the matching blocking client library (single
 //!   [`Client::extract`] and many-geometry [`Client::extract_batch`]);
 //! * [`protocol`] — the single encode/decode implementation both sides
@@ -46,7 +46,7 @@
 
 pub mod client;
 pub mod error;
-pub mod framing;
+pub mod listener;
 pub mod protocol;
 pub mod server;
 
@@ -55,5 +55,6 @@ pub use client::{
     RouteStatsReply, SnapshotReply,
 };
 pub use error::ServeError;
+pub use listener::{Listener, Shutdown};
 pub use protocol::ExtractOptions;
 pub use server::{Server, ServerConfig, ServerHandle};

@@ -14,6 +14,7 @@
 //! value decoded by the client is **bit-identical** to the `f64` the
 //! engine produced — the property behind the daemon's determinism tests.
 
+use bemcap_core::metrics::{MetricKind, Registry};
 use bemcap_core::{
     CacheStats, ExecStats, Extractor, FmmConfig, KrylovConfig, Method, PfftConfig, PrecondKind,
     SolverStats,
@@ -663,6 +664,26 @@ pub fn solver_stats_from_value(v: &Value) -> Result<SolverStats, WireError> {
         iterations: obj_uint(v, "solver", "iterations")?,
         restarts: obj_uint(v, "solver", "restarts")?,
         residual: obj_f64(v, "solver", "residual")?,
+    })
+}
+
+/// The v5 `metrics` result: the whole global registry as the Prometheus
+/// text exposition plus structured counter and gauge maps.
+pub fn metrics_value() -> Value {
+    let registry = Registry::global();
+    let mut counters: Vec<(String, Value)> = Vec::new();
+    let mut gauges: Vec<(String, Value)> = Vec::new();
+    for s in registry.snapshot() {
+        let pair = (s.name.to_string(), Value::Number(s.value as f64));
+        match s.kind {
+            MetricKind::Counter => counters.push(pair),
+            MetricKind::Gauge => gauges.push(pair),
+        }
+    }
+    json!({
+        "text": registry.render_prometheus(),
+        "counters": Value::Object(counters),
+        "gauges": Value::Object(gauges),
     })
 }
 

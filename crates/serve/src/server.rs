@@ -1,4 +1,5 @@
-//! The `bemcapd` daemon: a std-`TcpListener` extraction service.
+//! The `bemcapd` daemon: an extraction service on the shared connection
+//! skeleton ([`crate::listener`]).
 //!
 //! One OS thread per connection reads newline-delimited JSON requests
 //! (see [`crate::protocol`]) and answers in order — but connection
@@ -23,47 +24,42 @@
 //! gets amortized across the daemon's lifetime instead of one process
 //! run.
 //!
-//! Robustness rules (tested in `tests/serve_daemon.rs`):
+//! Robustness rules (tested in `tests/serve_daemon.rs`): malformed JSON,
+//! bad requests, geometry errors, and extraction failures all produce a
+//! structured `{"ok":false,...}` response on the same connection — the
+//! daemon never panics on input and never drops a connection silently
+//! while the peer is still there. Oversized, non-UTF-8, blank and
+//! truncated frames are handled by the skeleton's framing rules, with
+//! [`ServerConfig::max_frame_bytes`] as the cap.
 //!
-//! * malformed JSON, bad requests, geometry errors, and extraction
-//!   failures all produce a structured `{"ok":false,...}` response on the
-//!   same connection — the daemon never panics on input and never drops a
-//!   connection silently while the peer is still there;
-//! * frames larger than [`ServerConfig::max_frame_bytes`] are drained and
-//!   answered with an `oversized` error without buffering the payload;
-//! * non-UTF-8 frames get a `utf8` error;
-//! * a truncated frame (peer vanished mid-line) just ends the connection.
-//!
-//! Shutdown: the `shutdown` op flips a flag; the accept loop stops, every
-//! connection thread notices within its read-timeout tick, finishes its
-//! in-flight request, and [`Server::run`] returns after joining them all.
+//! Shutdown: the `shutdown` op triggers the skeleton's
+//! [`Shutdown`] handle. Idle connections are released at once, in-flight
+//! requests finish and are answered, and [`Server::run`] returns after
+//! joining every connection thread.
 
+use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::SocketAddr;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
-use std::time::{Duration, Instant};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+use std::time::Instant;
 
 use bemcap_core::batch::default_pool_size;
 use bemcap_core::cache::TemplateCache;
 use bemcap_core::chip::{ChipExtractor, WindowCache};
 use bemcap_core::exec::{default_queue_depth, ExecConfig, Executor, DEFAULT_COALESCE_LIMIT};
-use bemcap_core::metrics::{metrics as core_metrics, Metric, MetricKind, Registry};
+use bemcap_core::metrics::{metrics as core_metrics, Registry};
 use bemcap_core::{BatchJob, CoreError, Extractor, JobOutcome, Submission};
 use bemcap_geom::io::parse_geometry;
 use bemcap_geom::Geometry;
 use serde_json::{json, Value};
 
-use crate::framing::{next_frame, Frame};
+use crate::listener::{Listener, Shutdown};
 use crate::protocol::{
     self, build_extractor, cache_stats_value, codes, error_response, exec_stats_value, ok_response,
     ExtractOptions, Request, PROTOCOL_VERSION,
 };
-
-/// How often a blocked connection read wakes up to check the shutdown
-/// flag (and how often the accept loop polls). Bounds shutdown latency.
-const POLL_TICK: Duration = Duration::from_millis(50);
 
 /// Configuration of a [`Server`].
 #[derive(Debug, Clone)]
@@ -116,15 +112,33 @@ struct ServerState {
     cache: Arc<TemplateCache>,
     window_cache: Arc<WindowCache>,
     executor: Arc<Executor>,
-    shutdown: AtomicBool,
+    shutdown: Shutdown,
     requests: AtomicU64,
-    connections: AtomicU64,
     started: Instant,
 }
 
 impl ServerState {
-    fn stopping(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst)
+    fn new(cfg: ServerConfig, shutdown: Shutdown) -> ServerState {
+        let executor = Executor::new(ExecConfig {
+            workers: cfg.workers,
+            queue_depth: cfg.queue_depth,
+            coalesce_limit: cfg.coalesce_limit,
+        });
+        ServerState {
+            cache: Arc::new(
+                cfg.cache_max_bytes
+                    .map_or_else(TemplateCache::unbounded, TemplateCache::with_max_bytes),
+            ),
+            window_cache: Arc::new(
+                cfg.window_cache_max_bytes
+                    .map_or_else(WindowCache::unbounded, WindowCache::with_max_bytes),
+            ),
+            executor: Arc::new(executor),
+            cfg,
+            shutdown,
+            requests: AtomicU64::new(0),
+            started: Instant::now(),
+        }
     }
 }
 
@@ -132,7 +146,7 @@ impl ServerState {
 /// (blocking) or [`Server::spawn`] (background thread, for tests and
 /// embedded use).
 pub struct Server {
-    listener: TcpListener,
+    listener: Listener,
     state: Arc<ServerState>,
     restored: Option<usize>,
 }
@@ -147,63 +161,28 @@ impl Server {
     /// [`io::ErrorKind::InvalidInput`] for a zero worker count, queue
     /// depth, or coalescing window; any socket error from bind.
     pub fn bind(cfg: ServerConfig) -> io::Result<Server> {
-        if cfg.workers == 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "daemon needs at least one extraction worker",
-            ));
+        for (invalid, why) in [
+            (cfg.workers == 0, "daemon needs at least one extraction worker"),
+            (cfg.queue_depth == 0, "daemon needs a queue depth of at least one job"),
+            (cfg.coalesce_limit == 0, "coalescing window must be at least 1 (1 = off)"),
+        ] {
+            if invalid {
+                return Err(io::Error::new(io::ErrorKind::InvalidInput, why));
+            }
         }
-        if cfg.queue_depth == 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "daemon needs a queue depth of at least one job",
-            ));
-        }
-        if cfg.coalesce_limit == 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "coalescing window must be at least 1 (1 = off)",
-            ));
-        }
-        let listener = TcpListener::bind(cfg.addr.as_str())?;
-        listener.set_nonblocking(true)?;
+        let listener = Listener::bind(cfg.addr.as_str())?;
         bemcap_accel::fastmath::warm_tables();
-        let cache = Arc::new(match cfg.cache_max_bytes {
-            Some(bytes) => TemplateCache::with_max_bytes(bytes),
-            None => TemplateCache::unbounded(),
-        });
-        let restored = match &cfg.cache_restore {
+        let state = ServerState::new(cfg, listener.shutdown());
+        let restored = match &state.cfg.cache_restore {
             None => None,
             Some(path) => {
-                let file = std::fs::File::open(path).map_err(|e| {
+                let restore = || state.cache.restore_from(BufReader::new(File::open(path)?));
+                Some(restore().map_err(|e| {
                     io::Error::new(e.kind(), format!("cache restore '{}': {e}", path.display()))
-                })?;
-                let count = cache.restore_from(BufReader::new(file)).map_err(|e| {
-                    io::Error::new(e.kind(), format!("cache restore '{}': {e}", path.display()))
-                })?;
-                Some(count)
+                })?)
             }
         };
-        let window_cache = Arc::new(match cfg.window_cache_max_bytes {
-            Some(bytes) => WindowCache::with_max_bytes(bytes),
-            None => WindowCache::unbounded(),
-        });
-        let executor = Arc::new(Executor::new(ExecConfig {
-            workers: cfg.workers,
-            queue_depth: cfg.queue_depth,
-            coalesce_limit: cfg.coalesce_limit,
-        }));
-        let state = Arc::new(ServerState {
-            cfg,
-            cache,
-            window_cache,
-            executor,
-            shutdown: AtomicBool::new(false),
-            requests: AtomicU64::new(0),
-            connections: AtomicU64::new(0),
-            started: Instant::now(),
-        });
-        Ok(Server { listener, state, restored })
+        Ok(Server { listener, state: Arc::new(state), restored })
     }
 
     /// Entries admitted from the [`ServerConfig::cache_restore`]
@@ -234,31 +213,9 @@ impl Server {
     /// Fatal accept-loop socket errors (per-connection errors are handled
     /// per connection).
     pub fn run(self) -> io::Result<()> {
-        let mut handlers: Vec<std::thread::JoinHandle<()>> = Vec::new();
-        loop {
-            if self.state.stopping() {
-                break;
-            }
-            match self.listener.accept() {
-                Ok((stream, _peer)) => {
-                    let state = Arc::clone(&self.state);
-                    state.connections.fetch_add(1, Ordering::Relaxed);
-                    handlers.push(std::thread::spawn(move || handle_connection(&state, stream)));
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(POLL_TICK);
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-            // Reap finished handlers so a long-lived daemon does not grow
-            // an unbounded join list.
-            handlers.retain(|h| !h.is_finished());
-        }
-        for h in handlers {
-            let _ = h.join();
-        }
-        Ok(())
+        let state = self.state;
+        let max_frame_bytes = state.cfg.max_frame_bytes;
+        self.listener.run(max_frame_bytes, move |line| dispatch(&state, line).into_bytes())
     }
 
     /// Runs the daemon on a background thread; the returned handle knows
@@ -303,40 +260,6 @@ impl ServerHandle {
     }
 }
 
-fn handle_connection(state: &ServerState, stream: TcpStream) {
-    // Per-connection failures just end the connection: the peer is gone
-    // or the socket is broken, so there is nobody left to tell.
-    let _ = serve_connection(state, stream);
-}
-
-fn serve_connection(state: &ServerState, stream: TcpStream) -> io::Result<()> {
-    stream.set_read_timeout(Some(POLL_TICK))?;
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = BufWriter::new(stream);
-    let stop = || state.stopping();
-    loop {
-        let frame = match next_frame(&mut reader, state.cfg.max_frame_bytes, &stop)? {
-            None => return Ok(()),
-            Some(frame) => frame,
-        };
-        let response = match frame {
-            Frame::Oversized => error_response(
-                None,
-                codes::OVERSIZED,
-                &format!("request frame exceeds {} bytes", state.cfg.max_frame_bytes),
-            ),
-            Frame::Line(bytes) => match std::str::from_utf8(&bytes) {
-                Err(e) => error_response(None, codes::UTF8, &format!("request is not UTF-8: {e}")),
-                Ok(line) if line.trim().is_empty() => continue,
-                Ok(line) => dispatch(state, line),
-            },
-        };
-        writer.write_all(response.as_bytes())?;
-        writer.write_all(b"\n")?;
-        writer.flush()?;
-    }
-}
-
 /// Handles one request line and returns the response line. Never panics
 /// on any input; every failure maps to a structured error response.
 fn dispatch(state: &ServerState, line: &str) -> String {
@@ -368,7 +291,7 @@ fn dispatch(state: &ServerState, line: &str) -> String {
                     "window_cache_max_bytes": state.window_cache.max_bytes(),
                     "uptime_seconds": state.started.elapsed().as_secs_f64(),
                     "requests": state.requests.load(Ordering::Relaxed) as f64,
-                    "connections": state.connections.load(Ordering::Relaxed) as f64,
+                    "connections": state.shutdown.accepted() as f64,
                     "workers": state.cfg.workers,
                     "queue": json!({
                         "depth": state.cfg.queue_depth,
@@ -392,7 +315,7 @@ fn dispatch(state: &ServerState, line: &str) -> String {
             Err(e) => error_response(id, e.code, &e.message),
         },
         Request::Shutdown { id } => {
-            state.shutdown.store(true, Ordering::SeqCst);
+            state.shutdown.trigger();
             ok_response(id, json!({ "stopping": true }))
         }
         Request::Extract { id, geometry, options } => match extract(state, &geometry, options) {
@@ -418,89 +341,74 @@ struct DispatchError {
     message: String,
 }
 
-/// Daemon-level gauges of the v5 `metrics` op. Counters are incremented
-/// by the hot layers themselves (`bemcap_core::metrics`); gauges describe
-/// *instantaneous* state the daemon owns — cache residency, queue
-/// occupancy, uptime — so they are written only here, at scrape time,
-/// from the live `ServerState`. That keeps every scrape honest (no stale
-/// values from instances that no longer exist) and keeps gauge updates
-/// entirely off the request hot path.
-struct DaemonGauges {
-    uptime_seconds: &'static Metric,
-    requests: &'static Metric,
-    connections: &'static Metric,
-    exec_queued_jobs: &'static Metric,
-    exec_running_jobs: &'static Metric,
-    template_cache_entries: &'static Metric,
-    template_cache_resident_bytes: &'static Metric,
-    window_cache_entries: &'static Metric,
-    window_cache_resident_bytes: &'static Metric,
-}
-
-fn daemon_gauges() -> &'static DaemonGauges {
-    static GAUGES: OnceLock<DaemonGauges> = OnceLock::new();
-    GAUGES.get_or_init(|| {
-        let r = Registry::global();
-        DaemonGauges {
-            uptime_seconds: r
-                .gauge("bemcap_daemon_uptime_seconds", "Whole seconds since the daemon started."),
-            requests: r.gauge("bemcap_daemon_requests", "Requests handled since start (all ops)."),
-            connections: r.gauge("bemcap_daemon_connections", "Connections accepted since start."),
-            exec_queued_jobs: r
-                .gauge("bemcap_exec_queued_jobs", "Jobs waiting in the admission queue right now."),
-            exec_running_jobs: r
-                .gauge("bemcap_exec_running_jobs", "Jobs executing on workers right now."),
-            template_cache_entries: r.gauge(
-                "bemcap_template_cache_entries",
-                "Resident pair-integral cache entries right now.",
-            ),
-            template_cache_resident_bytes: r.gauge(
-                "bemcap_template_cache_resident_bytes",
-                "Approximate resident pair-integral cache bytes right now.",
-            ),
-            window_cache_entries: r
-                .gauge("bemcap_window_cache_entries", "Resident window-cache results right now."),
-            window_cache_resident_bytes: r.gauge(
-                "bemcap_window_cache_resident_bytes",
-                "Approximate resident window-cache bytes right now.",
-            ),
-        }
-    })
-}
-
 /// Builds the v5 `metrics` result: refreshes the daemon gauges from the
-/// live state, then snapshots the whole global registry as both the
-/// Prometheus text exposition and structured counter/gauge maps.
+/// live state, then snapshots the global registry
+/// ([`protocol::metrics_value`]).
+///
+/// Counters are incremented by the hot layers themselves
+/// (`bemcap_core::metrics`); gauges describe *instantaneous* state the
+/// daemon owns — cache residency, queue occupancy, uptime — so they are
+/// written only here, at scrape time, from the live `ServerState`. That
+/// keeps every scrape honest (no stale values from instances that no
+/// longer exist) and keeps gauge updates entirely off the request hot
+/// path.
 fn metrics_scrape(state: &ServerState) -> Value {
     // Touch the core handles so a scrape of an idle daemon still exposes
     // every counter (at zero) instead of a set that grows as code paths
     // first run.
     let _ = core_metrics();
-    let g = daemon_gauges();
-    g.uptime_seconds.set(state.started.elapsed().as_secs());
-    g.requests.set(state.requests.load(Ordering::Relaxed));
-    g.connections.set(state.connections.load(Ordering::Relaxed));
-    g.exec_queued_jobs.set(state.executor.queued_jobs() as u64);
-    g.exec_running_jobs.set(state.executor.running_jobs() as u64);
-    g.template_cache_entries.set(state.cache.len() as u64);
-    g.template_cache_resident_bytes.set(state.cache.resident_bytes() as u64);
-    g.window_cache_entries.set(state.window_cache.len() as u64);
-    g.window_cache_resident_bytes.set(state.window_cache.resident_bytes() as u64);
-    let registry = Registry::global();
-    let mut counters: Vec<(String, Value)> = Vec::new();
-    let mut gauges: Vec<(String, Value)> = Vec::new();
-    for s in registry.snapshot() {
-        let pair = (s.name.to_string(), Value::Number(s.value as f64));
-        match s.kind {
-            MetricKind::Counter => counters.push(pair),
-            MetricKind::Gauge => gauges.push(pair),
-        }
+    let (cache, windows, exec) = (&state.cache, &state.window_cache, &state.executor);
+    let gauges = [
+        (
+            "bemcap_daemon_uptime_seconds",
+            "Whole seconds since the daemon started.",
+            state.started.elapsed().as_secs(),
+        ),
+        (
+            "bemcap_daemon_requests",
+            "Requests handled since start (all ops).",
+            state.requests.load(Ordering::Relaxed),
+        ),
+        (
+            "bemcap_daemon_connections",
+            "Connections accepted since start.",
+            state.shutdown.accepted(),
+        ),
+        (
+            "bemcap_exec_queued_jobs",
+            "Jobs waiting in the admission queue right now.",
+            exec.queued_jobs() as u64,
+        ),
+        (
+            "bemcap_exec_running_jobs",
+            "Jobs executing on workers right now.",
+            exec.running_jobs() as u64,
+        ),
+        (
+            "bemcap_template_cache_entries",
+            "Resident pair-integral cache entries right now.",
+            cache.len() as u64,
+        ),
+        (
+            "bemcap_template_cache_resident_bytes",
+            "Approximate resident pair-integral cache bytes right now.",
+            cache.resident_bytes() as u64,
+        ),
+        (
+            "bemcap_window_cache_entries",
+            "Resident window-cache results right now.",
+            windows.len() as u64,
+        ),
+        (
+            "bemcap_window_cache_resident_bytes",
+            "Approximate resident window-cache bytes right now.",
+            windows.resident_bytes() as u64,
+        ),
+    ];
+    for (name, help, value) in gauges {
+        Registry::global().gauge(name, help).set(value);
     }
-    json!({
-        "text": registry.render_prometheus(),
-        "counters": Value::Object(counters),
-        "gauges": Value::Object(gauges),
-    })
+    protocol::metrics_value()
 }
 
 /// Writes the daemon's pair-integral cache to `path` (v6 `snapshot` op)
@@ -509,7 +417,7 @@ fn metrics_scrape(state: &ServerState) -> Value {
 /// connection survives a bad mount or a full disk.
 fn snapshot_cache(state: &ServerState, path: &str) -> Result<Value, DispatchError> {
     let write = || -> io::Result<(usize, u64)> {
-        let mut w = BufWriter::new(std::fs::File::create(path)?);
+        let mut w = BufWriter::new(File::create(path)?);
         let entries = state.cache.snapshot_to(&mut w)?;
         w.flush()?;
         Ok((entries, std::fs::metadata(path)?.len()))
@@ -721,28 +629,14 @@ fn chip(
 mod tests {
     use super::*;
 
-    fn test_state(max_frame: usize) -> ServerState {
-        let cfg =
-            ServerConfig { max_frame_bytes: max_frame, workers: 1, ..ServerConfig::default() };
-        ServerState {
-            executor: Arc::new(Executor::new(ExecConfig {
-                workers: cfg.workers,
-                queue_depth: cfg.queue_depth,
-                coalesce_limit: cfg.coalesce_limit,
-            })),
-            cfg,
-            cache: Arc::new(TemplateCache::unbounded()),
-            window_cache: Arc::new(WindowCache::unbounded()),
-            shutdown: AtomicBool::new(false),
-            requests: AtomicU64::new(0),
-            connections: AtomicU64::new(0),
-            started: Instant::now(),
-        }
+    fn test_state() -> ServerState {
+        let cfg = ServerConfig { workers: 1, ..ServerConfig::default() };
+        ServerState::new(cfg, Listener::bind("127.0.0.1:0").expect("bind loopback").shutdown())
     }
 
     #[test]
     fn dispatch_ping_stats_and_errors() {
-        let state = test_state(1 << 20);
+        let state = test_state();
         let v = serde_json::from_str(&dispatch(&state, r#"{"op":"ping","id":5}"#)).unwrap();
         assert_eq!(v["ok"].as_bool(), Some(true));
         assert_eq!(v["id"].as_u64(), Some(5));
@@ -766,7 +660,7 @@ mod tests {
 
     #[test]
     fn dispatch_extract_and_geometry_error() {
-        let state = test_state(1 << 20);
+        let state = test_state();
         let line = r#"{"op":"extract","id":1,"geometry":"conductor a\nbox 0 0 0 1e-6 1e-6 1e-6\nconductor b\nbox 0 0 2e-6 1e-6 1e-6 3e-6\n"}"#;
         let v = serde_json::from_str(&dispatch(&state, line)).unwrap();
         assert_eq!(v["ok"].as_bool(), Some(true), "{v:?}");
@@ -797,7 +691,7 @@ mod tests {
 
     #[test]
     fn dispatch_batch_runs_and_reports_failing_index() {
-        let state = test_state(1 << 20);
+        let state = test_state();
         let a =
             "conductor a\\nbox 0 0 0 1e-6 1e-6 1e-6\\nconductor b\\nbox 0 0 2e-6 1e-6 1e-6 3e-6\\n";
         let line = format!(r#"{{"op":"batch","id":4,"geometries":["{a}","{a}"]}}"#);
@@ -826,7 +720,7 @@ mod tests {
 
     #[test]
     fn dispatch_chip_extracts_and_reuses_windows() {
-        let state = test_state(1 << 20);
+        let state = test_state();
         let geo = "conductor a\\nbox 0 0 0 1e-6 1e-6 1e-6\\nconductor b\\nbox 4e-6 0 0 5e-6 1e-6 1e-6\\nconductor c\\nbox 0 4e-6 0 1e-6 5e-6 1e-6\\n";
         let line =
             format!(r#"{{"op":"chip","id":7,"geometry":"{geo}","windows":[2,2],"halo":2e-6}}"#);
@@ -868,7 +762,7 @@ mod tests {
 
     #[test]
     fn busy_executor_maps_to_the_busy_code() {
-        let state = test_state(1 << 20);
+        let state = test_state();
         // A frame larger than the whole admission queue can never run.
         let geo =
             "conductor a\\nbox 0 0 0 1e-6 1e-6 1e-6\\nconductor b\\nbox 0 0 2e-6 1e-6 1e-6 3e-6\\n";
@@ -883,7 +777,7 @@ mod tests {
 
     #[test]
     fn dispatch_metrics_scrapes_the_registry() {
-        let state = test_state(1 << 20);
+        let state = test_state();
         let v = serde_json::from_str(&dispatch(&state, r#"{"op":"metrics","id":3}"#)).unwrap();
         assert_eq!(v["ok"].as_bool(), Some(true), "{v:?}");
         assert_eq!(v["id"].as_u64(), Some(3));
@@ -913,7 +807,7 @@ mod tests {
         // batch_results sees a failed outcome only if the screening in
         // batch() and the executor disagree — simulate that directly.
         let ok_outcome = || {
-            let state = test_state(1 << 20);
+            let state = test_state();
             let geo = "conductor a\nbox 0 0 0 1e-6 1e-6 1e-6\n";
             let parsed = parse_job(geo, None).unwrap();
             let extractor = build_extractor(&ExtractOptions::default());
@@ -936,7 +830,7 @@ mod tests {
 
     #[test]
     fn dispatch_snapshot_writes_a_restorable_file() {
-        let state = test_state(1 << 20);
+        let state = test_state();
         let geo = r#"{"op":"extract","id":1,"geometry":"conductor a\nbox 0 0 0 1e-6 1e-6 1e-6\nconductor b\nbox 0 0 2e-6 1e-6 1e-6 3e-6\n"}"#;
         let v = serde_json::from_str(&dispatch(&state, geo)).unwrap();
         assert_eq!(v["ok"].as_bool(), Some(true), "{v:?}");
@@ -973,10 +867,10 @@ mod tests {
 
     #[test]
     fn shutdown_flips_the_flag() {
-        let state = test_state(1 << 20);
-        assert!(!state.stopping());
+        let state = test_state();
+        assert!(!state.shutdown.is_triggered());
         let v = serde_json::from_str(&dispatch(&state, r#"{"op":"shutdown"}"#)).unwrap();
         assert_eq!(v["result"]["stopping"].as_bool(), Some(true));
-        assert!(state.stopping());
+        assert!(state.shutdown.is_triggered());
     }
 }

@@ -19,8 +19,9 @@
 use std::fmt::Write as _;
 use std::fs;
 use std::path::PathBuf;
+use std::sync::OnceLock;
 
-use bemcap_core::chip::{ChipCapacitance, ChipExtractor};
+use bemcap_core::chip::{ChipCapacitance, ChipExtraction, ChipExtractor};
 use bemcap_core::{Extractor, Method};
 use bemcap_geom::structures::{self, BusParams};
 use bemcap_geom::{Box3, Conductor, Geometry};
@@ -188,12 +189,27 @@ fn chip_entries(c: &ChipCapacitance) -> Vec<(usize, usize, f64)> {
     c.matrix().iter().collect()
 }
 
+/// The in-process extractions of case `index` of [`cases`], one per
+/// [`CHIP_METHODS`] entry in that order. Each case is computed once and
+/// shared by its in-process test and the wire test.
+fn in_process(index: usize) -> &'static [ChipExtraction] {
+    static EXTRACTIONS: [OnceLock<Vec<ChipExtraction>>; 3] =
+        [OnceLock::new(), OnceLock::new(), OnceLock::new()];
+    EXTRACTIONS[index].get_or_init(|| {
+        let case = &cases()[index];
+        CHIP_METHODS
+            .iter()
+            .map(|&method| chip_for(case, method).extract(&case.geo).expect("chip extraction"))
+            .collect()
+    })
+}
+
 fn check_case_in_process(name: &str) {
-    let case = cases().into_iter().find(|c| c.name == name).expect("known case");
+    let index = cases().iter().position(|c| c.name == name).expect("known case");
+    let case = &cases()[index];
     let golden = load_golden(name);
     assert_eq!((golden.nx, golden.ny), (case.nx, case.ny), "{name}: fixture grid");
-    for method in CHIP_METHODS {
-        let full = chip_for(&case, method).extract(&case.geo).expect("chip extraction");
+    for (method, full) in CHIP_METHODS.into_iter().zip(in_process(index)) {
         let c = full.capacitance();
         check_against_golden(
             &golden,
@@ -245,11 +261,10 @@ fn golden_chips_over_the_wire_match_in_process_bits() {
         .expect("spawn daemon");
     let mut client = bemcap_serve::Client::connect(server.addr()).expect("connect");
     client.ping().expect("v4 daemon");
-    for case in cases() {
+    for (index, case) in cases().into_iter().enumerate() {
         let golden = load_golden(case.name);
-        for method in CHIP_METHODS {
+        for (slot, method) in CHIP_METHODS.into_iter().enumerate() {
             let context = format!("{}/{method:?}/wire", case.name);
-            let local = chip_for(&case, method).extract(&case.geo).expect("in-process chip");
             let reply = client
                 .chip(
                     &case.geo,
@@ -265,6 +280,7 @@ fn golden_chips_over_the_wire_match_in_process_bits() {
                     },
                 )
                 .expect("chip over the wire");
+            let local = &in_process(index)[slot];
             let c = local.capacitance();
             assert_eq!(reply.windows, local.report().windows, "{context}: window count");
             assert_eq!(reply.nnz(), c.matrix().nnz(), "{context}: nnz");

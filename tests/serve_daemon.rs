@@ -149,11 +149,9 @@ fn overloaded_daemon_answers_busy_and_recovers() {
     let slow_geo = structures::bus_crossing(3, 3, structures::BusParams::default());
     let wait_geo = structures::crossing_wires(structures::CrossingParams::default());
 
-    // Connect every client up front: the daemon's accept loop polls on
-    // a tick, so a fresh TCP connect can cost a whole tick — paying it
-    // inside the worker-busy window would make the queue race flaky on
-    // a fast machine (the slow job could finish before the second
-    // request ever arrived).
+    // Connect every client up front, so nothing but the requests
+    // themselves happens inside the worker-busy window: the slow job
+    // must still be running when the second request arrives.
     let mut slow_client = Client::connect(addr).expect("slow client connect");
     let mut queued_client = Client::connect(addr).expect("queued client connect");
     let mut probe = Client::connect(addr).expect("probe connect");
