@@ -2,17 +2,18 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use bemcap_pfft::fft::{fft3_inplace, fft_inplace, Complex};
+use bemcap_pfft::fft::{Complex, Convolver, FftPlan};
 
 fn bench_fft_1d(c: &mut Criterion) {
     let mut group = c.benchmark_group("fft_1d");
     for &n in &[256usize, 1024, 4096] {
         let data: Vec<Complex> =
             (0..n).map(|i| Complex::new((i as f64 * 0.1).sin(), 0.0)).collect();
+        let plan = FftPlan::new(n);
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
             b.iter(|| {
                 let mut d = data.clone();
-                fft_inplace(&mut d);
+                plan.forward(&mut d);
                 std::hint::black_box(d[0])
             })
         });
@@ -20,16 +21,33 @@ fn bench_fft_1d(c: &mut Criterion) {
     group.finish();
 }
 
+/// The pFFT grid convolution on an n³ logical box padded to (2n)³: the
+/// pruned real-input forward transform, kernel multiply and inverse.
 fn bench_fft_3d(c: &mut Criterion) {
     let mut group = c.benchmark_group("fft_3d");
     group.sample_size(20);
-    for &n in &[16usize, 32] {
-        let data: Vec<Complex> = (0..n * n * n).map(|i| Complex::new(i as f64, 0.0)).collect();
-        group.bench_with_input(BenchmarkId::new("cube", n), &n, |b, &n| {
+    for &n in &[8usize, 16] {
+        let p = 2 * n;
+        let signed = |i: usize| if i <= p / 2 { i as f64 } else { i as f64 - p as f64 };
+        let kernel: Vec<f64> = (0..p * p * p)
+            .map(|f| {
+                let r2 =
+                    signed(f / (p * p)).powi(2) + signed(f / p % p).powi(2) + signed(f % p).powi(2);
+                if r2 > 0.0 {
+                    1.0 / r2.sqrt()
+                } else {
+                    0.0
+                }
+            })
+            .collect();
+        let conv = Convolver::new([n; 3], [p; 3], &kernel);
+        let field: Vec<f64> = (0..p * p * p).map(|i| (i % 17) as f64).collect();
+        let mut spec = vec![Complex::ZERO; conv.spectrum_len()];
+        group.bench_with_input(BenchmarkId::new("convolve", n), &n, |b, _| {
             b.iter(|| {
-                let mut d = data.clone();
-                fft3_inplace(&mut d, n, n, n, false);
-                std::hint::black_box(d[0])
+                let mut f = field.clone();
+                conv.convolve(&mut f, &mut spec);
+                std::hint::black_box(f[0])
             })
         });
     }

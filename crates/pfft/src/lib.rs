@@ -5,12 +5,17 @@
 //! The approximated matvec:
 //!
 //! 1. **project** panel charges onto a uniform grid (trilinear stencils);
-//! 2. **convolve** with the sampled 1/r kernel via 3-D FFT;
+//! 2. **convolve** with the sampled 1/r kernel via 3-D FFT — one
+//!    real-input transform that skips the zero padding, a multiply by the
+//!    kernel's real half-spectrum, and the matching inverse;
 //! 3. **interpolate** grid potentials back to panel centers;
 //! 4. **precorrect**: for nearby pairs, subtract the (inaccurate)
 //!    grid-mediated term and add the exact closed-form Galerkin integral.
 //!
-//! The FFT itself ([`fft`]) is written from scratch (iterative radix-2).
+//! The FFT itself ([`fft`]) is written from scratch: radix-2 Cooley–Tukey
+//! on plans built once per operator (bit-reversal and twiddle tables), a
+//! real-input transform along the contiguous axis, and the pruned 3-D
+//! convolution [`fft::Convolver`].
 //! The parallel cost model ([`parallel`]) expresses the FFT's all-to-all
 //! transposes — the structural reason the parallel pFFT efficiency
 //! collapses to ~42 % at 8 nodes in Fig. 8.

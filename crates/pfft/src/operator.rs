@@ -1,5 +1,6 @@
 //! The precorrected-FFT matrix-vector product and capacitance solve.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::time::Instant;
 
@@ -11,7 +12,7 @@ use bemcap_linalg::{
 use bemcap_quad::galerkin::{GalerkinEngine, PanelShape};
 
 use crate::error::PfftError;
-use crate::fft::{fft3_inplace, Complex};
+use crate::fft::{Complex, Convolver};
 use crate::grid::Grid;
 
 /// pFFT tuning.
@@ -36,7 +37,8 @@ impl Default for PfftConfig {
 pub struct PfftTimings {
     /// Projection + interpolation.
     pub project: f64,
-    /// Forward + inverse 3-D FFTs and the spectral multiply.
+    /// The grid convolution: the pruned real-input forward 3-D FFT, the
+    /// multiply by the kernel's real half-spectrum, and the pruned inverse.
     pub fft: f64,
     /// Precorrection sparse product.
     pub precorrect: f64,
@@ -47,7 +49,8 @@ pub struct PfftTimings {
 /// The precorrected-FFT Galerkin operator (scaled by 1/(4πε)).
 pub struct PfftOperator {
     grid: Grid,
-    kernel_hat: Vec<Complex>,
+    conv: Convolver,
+    work: RefCell<Workspace>,
     stencils: Vec<[(usize, f64); 8]>,
     areas: Vec<f64>,
     /// Near rows: (column, exact − grid-mediated), the precorrection.
@@ -55,6 +58,14 @@ pub struct PfftOperator {
     inv_diag: Vec<f64>,
     scale: f64,
     timings: std::cell::Cell<PfftTimings>,
+}
+
+/// Per-matvec buffers, kept between applies.
+struct Workspace {
+    /// The real grid field (padded layout): charges in, potentials out.
+    field: Vec<f64>,
+    /// The half-spectrum the convolution runs in.
+    spec: Vec<Complex>,
 }
 
 impl std::fmt::Debug for PfftOperator {
@@ -79,9 +90,9 @@ impl PfftOperator {
         let n = panels.len();
         let scale = 1.0 / (4.0 * std::f64::consts::PI * eps_rel * EPS0);
         let eng = GalerkinEngine::default();
-        // Sampled kernel on the padded (circulant) grid, then its FFT.
+        // Sampled kernel on the padded (circulant) grid.
         let [px, py, pz] = grid.fft_dims;
-        let mut kernel = vec![Complex::ZERO; grid.fft_points()];
+        let mut kernel = vec![0.0; grid.fft_points()];
         for i in 0..px {
             let dx = signed_offset(i, px) as f64 * grid.h;
             for j in 0..py {
@@ -92,12 +103,10 @@ impl PfftOperator {
                     // G(0) = 0: every pair whose stencils can meet is in
                     // the precorrected near zone, where this choice cancels
                     // exactly.
-                    let g = if r > 0.0 { 1.0 / r } else { 0.0 };
-                    kernel[grid.flat(i, j, k)] = Complex::new(g, 0.0);
+                    kernel[grid.flat(i, j, k)] = if r > 0.0 { 1.0 / r } else { 0.0 };
                 }
             }
         }
-        fft3_inplace(&mut kernel, px, py, pz, false);
         // Stencils.
         let centers: Vec<Point3> = panels.iter().map(|p| p.panel.center()).collect();
         let stencils: Vec<[(usize, f64); 8]> = centers.iter().map(|c| grid.stencil(*c)).collect();
@@ -107,20 +116,6 @@ impl PfftOperator {
         for (pi, c) in centers.iter().enumerate() {
             buckets.entry(grid.cell_of(*c)).or_default().push(pi);
         }
-        let kernel_sample = |a: usize, b: usize, grid: &Grid| -> f64 {
-            // Raw (circulant) kernel value between two padded flat indices.
-            let (ax, ay, az) = unflat(a, grid);
-            let (bx, by, bz) = unflat(b, grid);
-            let dx = (ax as isize - bx as isize).unsigned_abs() as f64 * grid.h;
-            let dy = (ay as isize - by as isize).unsigned_abs() as f64 * grid.h;
-            let dz = (az as isize - bz as isize).unsigned_abs() as f64 * grid.h;
-            let r = (dx * dx + dy * dy + dz * dz).sqrt();
-            if r > 0.0 {
-                1.0 / r
-            } else {
-                0.0
-            }
-        };
         let mut near = vec![Vec::new(); n];
         let mut inv_diag = vec![0.0; n];
         let r = cfg.near_cells as isize;
@@ -136,6 +131,21 @@ impl PfftOperator {
                         }
                         let key = [nc[0] as usize, nc[1] as usize, nc[2] as usize];
                         let Some(list) = buckets.get(&key) else { continue };
+                        // A stencil's base node is its panel's cell, so
+                        // corner a of pi and corner b of any pj here are
+                        // bits(a) − bits(b) − o nodes apart. |offset| <
+                        // dims ≤ fft_dims/2, so the wrapped sample is G at
+                        // exactly that offset.
+                        let mut g = [[0.0; 8]; 8];
+                        for (a, row) in g.iter_mut().enumerate() {
+                            for (b, v) in row.iter_mut().enumerate() {
+                                let wrap = |axis: usize, o: isize| {
+                                    let d = ((a >> axis) & 1) as isize - ((b >> axis) & 1) as isize;
+                                    (d - o).rem_euclid(grid.fft_dims[axis] as isize) as usize
+                                };
+                                *v = kernel[grid.flat(wrap(0, ox), wrap(1, oy), wrap(2, oz))];
+                            }
+                        }
                         for &pj in list {
                             let exact = scale
                                 * eng.panel_pair(
@@ -146,9 +156,9 @@ impl PfftOperator {
                                 );
                             // Grid-mediated contribution for the same pair.
                             let mut mediated = 0.0;
-                            for &(sa, wa) in &stencils[pi] {
-                                for &(sb, wb) in &stencils[pj] {
-                                    mediated += wa * wb * kernel_sample(sa, sb, &grid);
+                            for (&(_, wa), row) in stencils[pi].iter().zip(&g) {
+                                for (&(_, wb), &gab) in stencils[pj].iter().zip(row) {
+                                    mediated += wa * wb * gab;
                                 }
                             }
                             mediated *= scale * areas[pi] * areas[pj];
@@ -161,9 +171,15 @@ impl PfftOperator {
                 }
             }
         }
+        let conv = Convolver::new(grid.dims, grid.fft_dims, &kernel);
+        let work = Workspace {
+            field: vec![0.0; grid.fft_points()],
+            spec: vec![Complex::ZERO; conv.spectrum_len()],
+        };
         Ok(PfftOperator {
             grid,
-            kernel_hat: kernel,
+            conv,
+            work: RefCell::new(work),
             stencils,
             areas,
             near,
@@ -196,9 +212,16 @@ impl PfftOperator {
 
     /// Approximate memory footprint in bytes.
     pub fn memory_bytes(&self) -> usize {
-        self.kernel_hat.len() * 16
-            + self.grid.fft_points() * 16
-            + self.near.iter().map(|r| r.len() * 12).sum::<usize>()
+        self.grid_memory_bytes() + self.near.iter().map(|r| r.len() * 12).sum::<usize>()
+    }
+
+    /// The grid part of [`PfftOperator::memory_bytes`]: the kernel
+    /// half-spectrum, the convolution workspace and the stencils.
+    fn grid_memory_bytes(&self) -> usize {
+        let work = self.work.borrow();
+        self.conv.memory_bytes()
+            + work.spec.len() * 16
+            + work.field.len() * 8
             + self.stencils.len() * 8 * 16
     }
 }
@@ -211,13 +234,6 @@ fn signed_offset(i: usize, n: usize) -> isize {
     }
 }
 
-fn unflat(flat: usize, grid: &Grid) -> (usize, usize, usize) {
-    let k = flat % grid.fft_dims[2];
-    let j = (flat / grid.fft_dims[2]) % grid.fft_dims[1];
-    let i = flat / (grid.fft_dims[1] * grid.fft_dims[2]);
-    (i, j, k)
-}
-
 impl LinearOperator for PfftOperator {
     fn dim(&self) -> usize {
         self.areas.len()
@@ -227,31 +243,27 @@ impl LinearOperator for PfftOperator {
         assert_eq!(x.len(), self.dim());
         assert_eq!(y.len(), self.dim());
         let mut t = self.timings.get();
-        let [px, py, pz] = self.grid.fft_dims;
+        let mut work = self.work.borrow_mut();
+        let Workspace { field, spec } = &mut *work;
         let t0 = Instant::now();
         // Project charges q_j = x_j A_j onto the grid.
-        let mut field = vec![Complex::ZERO; self.grid.fft_points()];
+        field.fill(0.0);
         for (j, st) in self.stencils.iter().enumerate() {
             let q = x[j] * self.areas[j];
             for &(flat, w) in st {
-                field[flat].re += q * w;
+                field[flat] += q * w;
             }
         }
         let t1 = Instant::now();
         t.project += (t1 - t0).as_secs_f64();
-        // Convolve.
-        fft3_inplace(&mut field, px, py, pz, false);
-        for (f, k) in field.iter_mut().zip(&self.kernel_hat) {
-            *f = *f * *k;
-        }
-        fft3_inplace(&mut field, px, py, pz, true);
+        self.conv.convolve(field, spec);
         let t2 = Instant::now();
         t.fft += (t2 - t1).as_secs_f64();
         // Interpolate potentials and apply the Galerkin weights. The
         // 8-point gather sums pairwise — four independent products per
         // level, the same shape as the blocked kernels' reductions.
         for (i, st) in self.stencils.iter().enumerate() {
-            let g = |s: usize| st[s].1 * field[st[s].0].re;
+            let g = |s: usize| st[s].1 * field[st[s].0];
             let phi = ((g(0) + g(1)) + (g(2) + g(3))) + ((g(4) + g(5)) + (g(6) + g(7)));
             y[i] = self.scale * self.areas[i] * phi;
         }
@@ -380,6 +392,35 @@ mod tests {
         let mesh = Mesh::uniform(&geo, 4);
         let op = PfftOperator::new(&mesh, 1.0, PfftConfig::default()).unwrap();
         assert!(op.memory_bytes() > 0);
+    }
+
+    #[test]
+    fn grid_memory_within_auto_estimate() {
+        // `AutoBackend` sizes pFFT as fft_points·32 + n·128 bytes, near
+        // field excluded; the half-spectrum layout must stay inside it.
+        for (geo, div) in
+            [(structures::cube(1.0), 4), (structures::parallel_plates(1.0, 1.0, 0.3), 5)]
+        {
+            let mesh = Mesh::uniform(&geo, div);
+            let op = PfftOperator::new(&mesh, 1.0, PfftConfig::default()).unwrap();
+            let estimate = op.grid().fft_points() * 32 + mesh.panel_count() * 128;
+            assert!(op.grid_memory_bytes() <= estimate, "{} > {estimate}", op.grid_memory_bytes());
+            assert!(op.memory_bytes() > op.grid_memory_bytes());
+        }
+    }
+
+    #[test]
+    fn gmres_matvec_count_pinned() {
+        // 72 matvecs was measured on the full-complex FFT convolution this
+        // operator replaced; the pruned real-input one must not move it.
+        let geo = structures::bus_crossing(2, 2, structures::BusParams::default());
+        let mesh = Mesh::uniform(&geo, 3);
+        let op = PfftOperator::new(&mesh, geo.eps_rel(), PfftConfig::default()).unwrap();
+        assert_eq!(op.grid().dims, [8, 8, 5]);
+        let pre = DiagonalPrecond::new(op.inv_diag().to_vec());
+        let krylov = KrylovConfig { tol: 1e-6, restart: 30, max_iters: 2000 };
+        let (_, stats) = solve_prepared(&op, &mesh, geo.conductor_count(), &pre, &krylov).unwrap();
+        assert_eq!(stats.matvecs, 72);
     }
 
     #[test]
