@@ -132,14 +132,6 @@ pub fn assemble_dense_reference(eng: &GalerkinEngine, set: &BasisSet) -> Matrix 
     p
 }
 
-/// Condensed assembly over the upper triangle of P̃ (sequential
-/// Algorithm 1 through a [`PairPlan`]).
-pub fn assemble_condensed(eng: &GalerkinEngine, index: &TemplateIndex) -> Matrix {
-    let plan = PairPlan::new(index);
-    let (values, _) = plan.evaluate(eng, 1);
-    plan.accumulate(&values, 1.0)
-}
-
 /// The registry counter `bemcap_pair_integrals_total`: template-pair
 /// integrals actually evaluated, counted at [`PairPlan`]'s single
 /// evaluation site (cache hits and repeated keys cost nothing, so they
@@ -417,7 +409,9 @@ mod tests {
         let set = example_set();
         let idx = TemplateIndex::new(&set);
         let dense = assemble_dense_reference(&eng, &set);
-        let condensed = assemble_condensed(&eng, &idx);
+        let plan = PairPlan::new(&idx);
+        let (values, _) = plan.evaluate(&eng, 1);
+        let condensed = plan.accumulate(&values, 1.0);
         let scale = dense.max_abs();
         for i in 0..4 {
             for j in 0..4 {

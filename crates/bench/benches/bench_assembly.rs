@@ -1,5 +1,6 @@
 //! Criterion benchmarks of the system-setup step (the >95 % phase):
-//! sequential vs threaded assembly, exact vs accelerated primitives.
+//! sequential, threaded and distributed assembly, exact vs accelerated
+//! primitives.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 

@@ -1,29 +1,37 @@
 //! System setup: filling P and Φ from the template index.
 //!
-//! Every shared-memory assembly runs Algorithm 1's k-loop as one
-//! [`PairPlan`]: the triangle is walked once into distinct
-//! translation-canonical pair keys, each key is evaluated once, and P is
-//! accumulated from those values in k order.
+//! Algorithm 1's k-loop exists once, in the crate-private driver behind
+//! every function here: the triangle is walked once into a [`PairPlan`]
+//! of distinct translation-canonical pair keys, each key's value is
+//! obtained once (probed in a [`TemplateCache`] when one is given), and P
+//! is accumulated from those values in k order by
+//! [`PairPlan::accumulate`]. The three [`Parallelism`] modes differ only
+//! in who evaluates which slice of the distinct list and how the values
+//! reach the accumulation:
 //!
-//! * [`assemble_sequential`] — one thread, the D = 1 reference;
-//! * [`assemble_threaded`] — the shared-memory flow of Fig. 4: the
-//!   distinct keys are split across workers; the accumulation is the
-//!   sequential one, so the result is bit-identical to it;
+//! * [`assemble_sequential`] — one thread evaluates the whole list, the
+//!   D = 1 reference;
+//! * [`assemble_threaded`] — the shared-memory flow of Fig. 4: workers
+//!   evaluate the static partition of the list;
 //! * [`assemble_distributed`] — the message-passing flow of Figs. 5–6:
-//!   every rank builds an N×N_d partial matrix over its contiguous column
-//!   range (adjacent ranks share a boundary column), sends it to rank 0,
-//!   which shifts and adds. It agrees with the others up to addition
-//!   order.
+//!   every rank evaluates its contiguous slice of the list, and ranks
+//!   1…r−1 send their values to rank 0.
+//!
+//! A value depends only on its key and the accumulation order is fixed,
+//! so every mode, with or without a cache, yields bit-identical P.
 
+use std::ops::Range;
 use std::time::Instant;
 
-use bemcap_basis::{pair_integral, template_moment, BasisSet, PairPlan, TemplateIndex};
+use bemcap_basis::{template_moment, BasisSet, PairPlan, TemplateIndex};
 use bemcap_geom::EPS0;
 use bemcap_linalg::Matrix;
-use bemcap_par::{k_to_ij, partition_ranges, pool, triangle_size, Universe};
+use bemcap_par::pool::{self, WorkerTiming};
+use bemcap_par::{partition_ranges, Universe};
 use bemcap_quad::galerkin::GalerkinEngine;
 
 use crate::cache::{TemplateCache, ENTRY_BYTES};
+use crate::extraction::Parallelism;
 use crate::report::CacheStats;
 
 /// Output of one assembly run.
@@ -61,25 +69,81 @@ pub fn assemble_sequential(
     n_cond: usize,
     eps_rel: f64,
 ) -> Assembly {
-    assemble_cached(eng, index, set, n_cond, eps_rel, None).0
+    assemble(eng, index, set, n_cond, eps_rel, Parallelism::Sequential, None).0
 }
 
-/// Sequential Algorithm 1 with every distinct pair key probed once in
-/// `cache` (when given) before it is evaluated. A hit returns the bits the
-/// evaluation would produce, so the assembly is bit-identical to
-/// [`assemble_sequential`] whatever the cache holds.
-pub(crate) fn assemble_cached(
+/// Shared-memory Algorithm 1 (Fig. 4) on `threads` workers,
+/// bit-identical to [`assemble_sequential`]. Returns per-worker timings
+/// alongside the assembly.
+pub fn assemble_threaded(
     eng: &GalerkinEngine,
     index: &TemplateIndex,
     set: &BasisSet,
     n_cond: usize,
     eps_rel: f64,
+    threads: usize,
+) -> (Assembly, Vec<WorkerTiming>) {
+    let (asm, timings, _) =
+        assemble(eng, index, set, n_cond, eps_rel, Parallelism::Threads(threads), None);
+    (asm, timings)
+}
+
+/// Distributed-memory Algorithm 1 (Figs. 5–6) on `ranks` ranks of the
+/// in-process message-passing runtime, bit-identical to
+/// [`assemble_sequential`].
+pub fn assemble_distributed(
+    eng: &GalerkinEngine,
+    index: &TemplateIndex,
+    set: &BasisSet,
+    n_cond: usize,
+    eps_rel: f64,
+    ranks: usize,
+) -> Assembly {
+    assemble(eng, index, set, n_cond, eps_rel, Parallelism::MessagePassing(ranks), None).0
+}
+
+/// Algorithm 1 in `parallelism`'s mode, with every distinct pair key
+/// probed once in `cache` when given. Returns the assembly, one timing
+/// per worker or rank, and the summed cache counters of every worker or
+/// rank.
+pub(crate) fn assemble(
+    eng: &GalerkinEngine,
+    index: &TemplateIndex,
+    set: &BasisSet,
+    n_cond: usize,
+    eps_rel: f64,
+    parallelism: Parallelism,
     cache: Option<&TemplateCache>,
-) -> (Assembly, CacheStats) {
+) -> (Assembly, Vec<WorkerTiming>, CacheStats) {
     let start = Instant::now();
     let plan = PairPlan::new(index);
+    let slice = |range: Range<usize>| values_through(&plan, eng, cache, range);
+    let (parts, timings): (Vec<(Vec<f64>, CacheStats)>, _) = match parallelism {
+        Parallelism::Sequential => pool::run_partitioned(1, plan.distinct(), |_, r| slice(r)),
+        Parallelism::Threads(t) => pool::run_partitioned(t, plan.distinct(), |_, r| slice(r)),
+        Parallelism::MessagePassing(r) => gather_to_rank0(r, plan.distinct(), slice),
+    };
+    let mut values = Vec::with_capacity(plan.distinct());
     let mut stats = CacheStats::default();
-    let values = plan.values(eng, 0..plan.distinct(), |key, eval| match cache {
+    for (part, part_stats) in parts {
+        values.extend(part);
+        stats.absorb(part_stats);
+    }
+    let p = plan.accumulate(&values, kernel_scale(eps_rel));
+    let phi = assemble_phi(eng, set, n_cond);
+    (Assembly { p, phi, seconds: start.elapsed().as_secs_f64() }, timings, stats)
+}
+
+/// The values of the distinct keys in `range`, each obtained through
+/// `cache` when given, with the counters of those probes.
+fn values_through(
+    plan: &PairPlan<'_>,
+    eng: &GalerkinEngine,
+    cache: Option<&TemplateCache>,
+    range: Range<usize>,
+) -> (Vec<f64>, CacheStats) {
+    let mut stats = CacheStats::default();
+    let values = plan.values(eng, range, |key, eval| match cache {
         Some(c) => {
             let (v, lookup) = c.get_or_compute(*key, eval);
             if lookup.hit {
@@ -93,132 +157,45 @@ pub(crate) fn assemble_cached(
         }
         None => eval(),
     });
-    let p = plan.accumulate(&values, kernel_scale(eps_rel));
-    let phi = assemble_phi(eng, set, n_cond);
-    (Assembly { p, phi, seconds: start.elapsed().as_secs_f64() }, stats)
+    (values, stats)
 }
 
-/// Shared-memory Algorithm 1 (Fig. 4): `threads` workers evaluate the
-/// static partition of the distinct pair keys, then P is accumulated in k
-/// order — bit-identical to [`assemble_sequential`]. Returns per-worker
-/// timings alongside the assembly.
-pub fn assemble_threaded(
-    eng: &GalerkinEngine,
-    index: &TemplateIndex,
-    set: &BasisSet,
-    n_cond: usize,
-    eps_rel: f64,
-    threads: usize,
-) -> (Assembly, Vec<pool::WorkerTiming>) {
-    let start = Instant::now();
-    let plan = PairPlan::new(index);
-    let (values, timings) = plan.evaluate(eng, threads);
-    let p = plan.accumulate(&values, kernel_scale(eps_rel));
-    let phi = assemble_phi(eng, set, n_cond);
-    (Assembly { p, phi, seconds: start.elapsed().as_secs_f64() }, timings)
-}
-
-/// Distributed-memory Algorithm 1 (Figs. 5–6) on the in-process
-/// message-passing runtime.
-///
-/// Rank 0 accumulates its own partition directly into P; every other rank
-/// builds an `N × N_d` partial matrix over its contiguous basis-column
-/// range (the upper-triangle representatives only — labels are monotone in
-/// the template index, so l_i ≤ l_j for every computed entry), serializes
-/// it, and sends it to rank 0, which shifts it to the right columns, adds,
-/// and finally mirrors the upper triangle into the full symmetric P.
-pub fn assemble_distributed(
-    eng: &GalerkinEngine,
-    index: &TemplateIndex,
-    set: &BasisSet,
-    n_cond: usize,
-    eps_rel: f64,
+/// Figs. 5–6 on `ranks` in-process ranks: each evaluates its contiguous
+/// slice of the `distinct` list through `slice`, and ranks 1…r−1 send
+/// their values to rank 0, which appends them behind its own in rank
+/// order. Rank 0's part is the whole list, the others' parts are empty;
+/// each rank keeps its own cache counters and timing.
+fn gather_to_rank0(
     ranks: usize,
-) -> Assembly {
-    let start = Instant::now();
-    let scale = kernel_scale(eps_rel);
-    let n = index.basis_count();
-    let total_k = triangle_size(index.template_count());
-    let ranges = partition_ranges(total_k, ranks);
-    // Each rank returns (col_offset, partial N×Nd buffer); rank 0 returns
-    // its accumulated upper-triangle matrix directly.
-    let results = Universe::run(ranks, |comm| {
+    distinct: usize,
+    slice: impl Fn(Range<usize>) -> (Vec<f64>, CacheStats) + Sync,
+) -> (Vec<(Vec<f64>, CacheStats)>, Vec<WorkerTiming>) {
+    let ranges = partition_ranges(distinct, ranks);
+    Universe::run(ranks, |comm| {
         let range = ranges[comm.rank()].clone();
-        // Column range of this partition in basis indices.
-        let (col_lo, col_hi) = if range.is_empty() {
-            (0usize, 0usize)
-        } else {
-            let (_, j_first) = k_to_ij(range.start);
-            let (_, j_last) = k_to_ij(range.end - 1);
-            (index.label(j_first), index.label(j_last))
-        };
-        let nd = if range.is_empty() { 0 } else { col_hi - col_lo + 1 };
-        let mut partial = Matrix::zeros(n, nd.max(1));
-        for k in range.clone() {
-            let (i, j) = k_to_ij(k);
-            let (li, lj) = (index.label(i), index.label(j));
-            let v = scale * pair_integral(eng, index.template(i), index.template(j));
-            // Upper-triangle representative accumulation (li ≤ lj).
-            let col = lj - col_lo;
-            if i == j {
-                partial.add_to(li, col, v);
-            } else if li == lj {
-                partial.add_to(li, col, 2.0 * v);
-            } else {
-                partial.add_to(li, col, v);
-            }
-        }
+        let start = Instant::now();
+        let (mut values, stats) = slice(range.clone());
+        let timing =
+            WorkerTiming { worker: comm.rank(), range, seconds: start.elapsed().as_secs_f64() };
         if comm.rank() == 0 {
-            // Rank 0 keeps its partial locally and receives the others.
-            let mut upper = Matrix::zeros(n, n);
-            add_shifted(&mut upper, &partial, col_lo, nd);
             for src in 1..comm.size() {
-                let header = comm.recv_f64s(src).expect("header from worker rank");
-                let (off, cols) = (header[0] as usize, header[1] as usize);
-                let data = comm.recv_f64s(src).expect("partial matrix from worker rank");
-                let m = Matrix::from_vec(n, cols.max(1), data).expect("partial matrix shape");
-                add_shifted(&mut upper, &m, off, cols);
+                values.extend(comm.recv_f64s(src).expect("values from worker rank"));
             }
-            Some(upper)
         } else {
-            comm.send_f64s(0, &[col_lo as f64, nd as f64]).expect("header to rank 0");
-            comm.send_f64s(0, partial.as_slice()).expect("partial to rank 0");
-            None
+            comm.send_f64s(0, &values).expect("values to rank 0");
+            values = Vec::new();
         }
-    });
-    let mut upper = results.into_iter().next().flatten().expect("rank 0 returns the matrix");
-    // Mirror the strict upper triangle.
-    for i in 0..n {
-        for j in (i + 1)..n {
-            let v = upper.get(i, j);
-            upper.set(j, i, v);
-        }
-    }
-    let phi = assemble_phi(eng, set, n_cond);
-    Assembly { p: upper, phi, seconds: start.elapsed().as_secs_f64() }
-}
-
-fn add_shifted(dest: &mut Matrix, partial: &Matrix, col_offset: usize, cols: usize) {
-    for i in 0..dest.rows() {
-        for c in 0..cols {
-            let v = partial.get(i, c);
-            if v != 0.0 {
-                dest.add_to(i, col_offset + c, v);
-            }
-        }
-    }
+        ((values, stats), timing)
+    })
+    .into_iter()
+    .unzip()
 }
 
 /// Measures per-chunk task costs of the k-loop for the machine simulator:
 /// the distinct pair keys of the plan are split into `chunks` blocks and
 /// each block's evaluation wall time is recorded. These are the *measured*
-/// inputs to Table 3 / Fig. 8.
-pub fn measure_chunk_costs(eng: &GalerkinEngine, index: &TemplateIndex, chunks: usize) -> Vec<f64> {
-    measure_chunk_costs_best_of(eng, index, chunks, 1)
-}
-
-/// Like [`measure_chunk_costs`] but repeats the sweep `reps` times and
-/// keeps each chunk's *minimum* time — the standard defense against
+/// inputs to Table 3 / Fig. 8. The sweep runs `reps` times and each
+/// chunk keeps its *minimum* time — the standard defense against
 /// scheduler interference on a shared host, which otherwise inflates a few
 /// chunks by orders of magnitude and corrupts the balance statistics.
 pub fn measure_chunk_costs_best_of(
@@ -270,10 +247,11 @@ mod tests {
     fn distributed_matches_sequential() {
         let (eng, set, index, nc) = setup();
         let seq = assemble_sequential(&eng, &index, &set, nc, 1.0);
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         for ranks in [1, 2, 4] {
             let dist = assemble_distributed(&eng, &index, &set, nc, 1.0, ranks);
-            let diff = (&seq.p - &dist.p).max_abs();
-            assert!(diff < 1e-9 * seq.p.max_abs(), "ranks={ranks}: diff {diff}");
+            assert_eq!(bits(&seq.p), bits(&dist.p), "ranks={ranks}");
+            assert_eq!(seq.phi, dist.phi);
         }
     }
 
@@ -305,7 +283,7 @@ mod tests {
     #[test]
     fn chunk_costs_cover_all_work() {
         let (eng, _, index, _) = setup();
-        let costs = measure_chunk_costs(&eng, &index, 16);
+        let costs = measure_chunk_costs_best_of(&eng, &index, 16, 1);
         assert_eq!(costs.len(), 16);
         assert!(costs.iter().all(|&c| c >= 0.0));
         assert!(costs.iter().sum::<f64>() > 0.0);

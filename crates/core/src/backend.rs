@@ -43,8 +43,10 @@ use bemcap_quad::galerkin::{GalerkinEngine, PanelShape};
 
 use crate::assembly;
 use crate::batch::default_pool_size;
+use crate::cache::TemplateCache;
 use crate::error::CoreError;
 use crate::extraction::{Method, Parallelism};
+use crate::report::CacheStats;
 use crate::solver::{solve_capacitance, DensePwcSolver};
 
 /// Most panels [`AutoBackend`] hands to the dense direct solver: beyond
@@ -72,6 +74,7 @@ pub struct SolveOutput {
 /// resolves the [`Method`] to a backend, times `prepare`, times
 /// [`PreparedSystem::solve`], and assembles the
 /// [`crate::ExtractionReport`] from the prepared system's accounting.
+/// Executor jobs run the same driver with their shared cache.
 pub trait Backend: fmt::Debug {
     /// Appends this backend's full typed configuration to the solver
     /// digest, word by word (`f64` fields as raw bits). Two extractors
@@ -81,6 +84,8 @@ pub trait Backend: fmt::Debug {
 
     /// The system-setup step: build everything the solve needs (basis
     /// instantiation + assembly, or mesh + operator + preconditioner).
+    /// A backend that evaluates template-pair integrals probes each
+    /// distinct one in `cache` when given; the others ignore it.
     ///
     /// # Errors
     ///
@@ -90,6 +95,7 @@ pub trait Backend: fmt::Debug {
         &self,
         engine: &GalerkinEngine,
         geo: &Geometry,
+        cache: Option<&TemplateCache>,
     ) -> Result<Box<dyn PreparedSystem>, CoreError>;
 }
 
@@ -115,6 +121,12 @@ pub trait PreparedSystem {
 
     /// Estimated solver memory in bytes (system matrix or operator).
     fn memory_bytes(&self) -> usize;
+
+    /// Pair-integral cache counters of the setup step (all zero for a
+    /// backend that does not use the cache).
+    fn cache_stats(&self) -> CacheStats {
+        CacheStats::default()
+    }
 
     /// The system-solving step.
     ///
@@ -183,6 +195,7 @@ struct PreparedDirect {
     m_templates: Option<usize>,
     workers: usize,
     memory: usize,
+    cache: CacheStats,
     p: Matrix,
     phi: Matrix,
 }
@@ -206,6 +219,10 @@ impl PreparedSystem for PreparedDirect {
 
     fn memory_bytes(&self) -> usize {
         self.memory
+    }
+
+    fn cache_stats(&self) -> CacheStats {
+        self.cache
     }
 
     fn solve(self: Box<Self>) -> Result<SolveOutput, CoreError> {
@@ -233,29 +250,26 @@ impl Backend for InstantiableBackend {
         &self,
         engine: &GalerkinEngine,
         geo: &Geometry,
+        cache: Option<&TemplateCache>,
     ) -> Result<Box<dyn PreparedSystem>, CoreError> {
         let set = instantiate(geo, &self.instantiate)?;
         let index = TemplateIndex::new(&set);
-        let n_cond = geo.conductor_count();
-        let (asm, workers) = match self.parallelism {
-            Parallelism::Sequential => {
-                (assembly::assemble_sequential(engine, &index, &set, n_cond, geo.eps_rel()), 1)
-            }
-            Parallelism::Threads(t) => {
-                let (a, _) =
-                    assembly::assemble_threaded(engine, &index, &set, n_cond, geo.eps_rel(), t);
-                (a, t)
-            }
-            Parallelism::MessagePassing(r) => {
-                (assembly::assemble_distributed(engine, &index, &set, n_cond, geo.eps_rel(), r), r)
-            }
-        };
+        let (asm, timings, stats) = assembly::assemble(
+            engine,
+            &index,
+            &set,
+            geo.conductor_count(),
+            geo.eps_rel(),
+            self.parallelism,
+            cache,
+        );
         Ok(Box::new(PreparedDirect {
             name: "instantiable",
             n: index.basis_count(),
             m_templates: Some(index.template_count()),
-            workers,
+            workers: timings.len(),
             memory: asm.p.memory_bytes() + asm.phi.memory_bytes(),
+            cache: stats,
             p: asm.p,
             phi: asm.phi,
         }))
@@ -283,6 +297,7 @@ impl DensePwcBackend {
             m_templates: None,
             workers,
             memory: p.memory_bytes() + phi.memory_bytes(),
+            cache: CacheStats::default(),
             p,
             phi,
         }))
@@ -298,6 +313,7 @@ impl Backend for DensePwcBackend {
         &self,
         _engine: &GalerkinEngine,
         geo: &Geometry,
+        _cache: Option<&TemplateCache>,
     ) -> Result<Box<dyn PreparedSystem>, CoreError> {
         self.prepare_on(geo, Mesh::uniform(geo, self.mesh_divisions))
     }
@@ -370,6 +386,7 @@ impl Backend for FmmBackend {
         &self,
         _engine: &GalerkinEngine,
         geo: &Geometry,
+        _cache: Option<&TemplateCache>,
     ) -> Result<Box<dyn PreparedSystem>, CoreError> {
         self.prepare_on(geo, Mesh::uniform(geo, self.mesh_divisions))
     }
@@ -449,6 +466,7 @@ impl Backend for PfftBackend {
         &self,
         _engine: &GalerkinEngine,
         geo: &Geometry,
+        _cache: Option<&TemplateCache>,
     ) -> Result<Box<dyn PreparedSystem>, CoreError> {
         self.prepare_on(geo, Mesh::uniform(geo, self.mesh_divisions))
     }
@@ -526,6 +544,7 @@ impl Backend for AutoBackend {
         &self,
         _engine: &GalerkinEngine,
         geo: &Geometry,
+        _cache: Option<&TemplateCache>,
     ) -> Result<Box<dyn PreparedSystem>, CoreError> {
         // Size the mesh once: resolution reads it, the chosen backend
         // consumes it.

@@ -158,12 +158,11 @@ impl BatchResult {
 /// many geometries through the shared execution core, with job-level
 /// parallelism and cross-job caching.
 ///
-/// The cross-job cache applies to instantiable extractors with the
-/// default sequential setup (the executor pool is then the parallelism).
-/// Extractors that ask for within-job parallelism
-/// ([`Extractor::parallelism`]) keep it: each job runs the unchanged
-/// one-at-a-time path, scheduled on the executor but without the shared
-/// cache — pick one level or the other rather than oversubscribing both.
+/// The cross-job cache applies to every instantiable extractor. One that
+/// asks for within-job parallelism ([`Extractor::parallelism`]) keeps it:
+/// each job's setup runs on its own workers or ranks, and each of them
+/// probes the shared cache. Every job is bit-identical to
+/// [`Extractor::extract`] of the same geometry.
 #[derive(Debug, Clone)]
 pub struct BatchExtractor {
     extractor: Extractor,
@@ -457,27 +456,35 @@ mod tests {
 
     #[test]
     fn cache_on_off_identical_and_hits_counted() {
+        use crate::extraction::Parallelism;
         let jobs = family(&[0.5e-6, 0.5e-6, 0.9e-6]);
-        // One worker: jobs run in order, so job 1 (a duplicate of job 0)
-        // must be answered entirely from the cache. With more workers the
-        // duplicate jobs could race and legitimately both miss.
-        let cached =
-            BatchExtractor::new(Extractor::new()).workers(1).extract_all(&jobs).expect("cached");
-        let uncached = BatchExtractor::new(Extractor::new())
-            .workers(1)
-            .cache(false)
-            .extract_all(&jobs)
-            .expect("uncached");
-        for (a, b) in cached.points().iter().zip(uncached.points()) {
-            assert_eq!(
-                a.extraction.capacitance().matrix().as_slice(),
-                b.extraction.capacitance().matrix().as_slice()
-            );
+        let bits = |e: &Extraction| {
+            e.capacitance().matrix().as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+        };
+        // Every setup mode probes the shared cache.
+        for parallelism in
+            [Parallelism::Sequential, Parallelism::Threads(2), Parallelism::MessagePassing(2)]
+        {
+            let ex = Extractor::new().parallelism(parallelism);
+            // One worker: jobs run in order, so job 1 (a duplicate of job
+            // 0) must be answered entirely from the cache. With more
+            // workers the duplicate jobs could race and legitimately both
+            // miss.
+            let run = |cache: bool| {
+                let batch = BatchExtractor::new(ex.clone()).workers(1).cache(cache);
+                batch.extract_all(&jobs).expect("batch")
+            };
+            let (cached, uncached) = (run(true), run(false));
+            for ((job, a), b) in jobs.iter().zip(cached.points()).zip(uncached.points()) {
+                let single = ex.extract(&job.geometry).expect("single");
+                assert_eq!(bits(&a.extraction), bits(&single), "{parallelism:?}");
+                assert_eq!(bits(&b.extraction), bits(&single), "{parallelism:?}");
+            }
+            // Jobs 0 and 1 are identical geometries: job 1 must be all hits.
+            assert!(cached.points()[1].job.cache.hit_rate() > 0.99, "{parallelism:?}");
+            assert_eq!(uncached.report().cache, CacheStats::default());
+            assert!(cached.report().cache.hits > 0);
         }
-        // Jobs 0 and 1 are identical geometries: job 1 must be all hits.
-        assert!(cached.points()[1].job.cache.hit_rate() > 0.99);
-        assert_eq!(uncached.report().cache, CacheStats::default());
-        assert!(cached.report().cache.hits > 0);
     }
 
     #[test]
@@ -576,8 +583,8 @@ mod tests {
     #[test]
     fn within_job_parallelism_is_honored_and_bit_identical() {
         // An extractor that asked for threaded setup keeps it inside the
-        // batch: the job goes through the unchanged one-at-a-time path
-        // (same merge order), so results match extract() bit for bit.
+        // batch: the job runs extract()'s own driver (same accumulation
+        // order), so results match extract() bit for bit.
         use crate::extraction::Parallelism;
         let ex = Extractor::new().parallelism(Parallelism::Threads(2));
         let jobs = family(&[0.5e-6, 0.9e-6]);
@@ -590,8 +597,8 @@ mod tests {
             );
             assert_eq!(point.extraction.report().workers, 2);
         }
-        // The shared cache is bypassed on this path.
-        assert_eq!(result.report().cache, CacheStats::default());
+        // The threaded setup probes the shared cache too.
+        assert!(result.report().cache.lookups() > 0);
     }
 
     #[test]

@@ -11,8 +11,9 @@ use crate::backend::{
     AutoBackend, Backend, DensePwcBackend, FmmBackend, InstantiableBackend, PfftBackend,
     DEFAULT_AUTO_BUDGET,
 };
+use crate::cache::TemplateCache;
 use crate::error::CoreError;
-use crate::report::ExtractionReport;
+use crate::report::{CacheStats, ExtractionReport};
 
 /// Which solver backend to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -185,20 +186,8 @@ impl Extractor {
         }
     }
 
-    pub(crate) fn method_kind(&self) -> Method {
-        self.method
-    }
-
-    pub(crate) fn instantiate_cfg(&self) -> &InstantiateConfig {
-        &self.instantiate_cfg
-    }
-
     pub(crate) fn is_accelerated(&self) -> bool {
         self.accelerated
-    }
-
-    pub(crate) fn is_sequential_setup(&self) -> bool {
-        self.parallelism == Parallelism::Sequential
     }
 
     /// The [`Backend`] this configuration dispatches to — the typed
@@ -303,24 +292,38 @@ impl Extractor {
     /// * backend errors ([`CoreError::Basis`], [`CoreError::Linalg`],
     ///   [`CoreError::Fmm`], [`CoreError::Pfft`]).
     pub fn extract(&self, geo: &Geometry) -> Result<Extraction, CoreError> {
+        Ok(self.extract_with(&self.engine(), None, geo)?.0)
+    }
+
+    /// [`Extractor::extract`] on a caller-provided `engine` (built by
+    /// [`Extractor::engine`]), with the backend's pair integrals probed in
+    /// `cache` when given; also returns the job's cache counters. The
+    /// executor runs every job through here, so a job is bit-identical to
+    /// `extract` with or without the cache.
+    pub(crate) fn extract_with(
+        &self,
+        engine: &GalerkinEngine,
+        cache: Option<&TemplateCache>,
+        geo: &Geometry,
+    ) -> Result<(Extraction, CacheStats), CoreError> {
         if geo.conductor_count() == 0 {
             return Err(CoreError::EmptyGeometry);
         }
         let names: Vec<String> = geo.conductors().iter().map(|c| c.name().to_string()).collect();
         let backend = self.backend();
-        let engine = self.engine();
         let t = std::time::Instant::now();
         let prepared = {
             let _span = crate::metrics::Span::enter(crate::metrics::metrics().extract_setup_nanos);
-            backend.prepare(&engine, geo)?
+            backend.prepare(engine, geo, cache)?
         };
         let setup_seconds = t.elapsed().as_secs_f64();
-        let (method, n, m_templates, workers, memory_bytes) = (
+        let (method, n, m_templates, workers, memory_bytes, cache_stats) = (
             prepared.method_name().to_string(),
             prepared.n(),
             prepared.m_templates(),
             prepared.workers(),
             prepared.memory_bytes(),
+            prepared.cache_stats(),
         );
         let t = std::time::Instant::now();
         let out = {
@@ -329,7 +332,7 @@ impl Extractor {
         };
         let solve_seconds = t.elapsed().as_secs_f64();
         crate::metrics::metrics().extractions.inc();
-        Ok(Extraction {
+        let extraction = Extraction {
             capacitance: CapacitanceMatrix { names, c: out.capacitance },
             report: ExtractionReport {
                 method,
@@ -341,7 +344,8 @@ impl Extractor {
                 memory_bytes,
                 krylov: out.krylov.map(Into::into),
             },
-        })
+        };
+        Ok((extraction, cache_stats))
     }
 }
 
@@ -353,10 +357,6 @@ pub struct CapacitanceMatrix {
 }
 
 impl CapacitanceMatrix {
-    pub(crate) fn from_parts(names: Vec<String>, c: Matrix) -> CapacitanceMatrix {
-        CapacitanceMatrix { names, c }
-    }
-
     /// Number of conductors.
     pub fn dim(&self) -> usize {
         self.c.rows()
@@ -419,13 +419,6 @@ pub struct Extraction {
 }
 
 impl Extraction {
-    pub(crate) fn from_parts(
-        capacitance: CapacitanceMatrix,
-        report: ExtractionReport,
-    ) -> Extraction {
-        Extraction { capacitance, report }
-    }
-
     /// The capacitance matrix.
     pub fn capacitance(&self) -> &CapacitanceMatrix {
         &self.capacitance
@@ -481,16 +474,14 @@ mod tests {
         let thr = Extractor::new().parallelism(Parallelism::Threads(3)).extract(&geo).unwrap();
         let mp =
             Extractor::new().parallelism(Parallelism::MessagePassing(3)).extract(&geo).unwrap();
+        let bits = |e: &Extraction| {
+            e.capacitance().matrix().as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+        };
         for other in [&thr, &mp] {
-            for i in 0..2 {
-                for j in 0..2 {
-                    let a = seq.capacitance().get(i, j);
-                    let b = other.capacitance().get(i, j);
-                    assert!((a - b).abs() < 1e-9 * a.abs().max(b.abs()));
-                }
-            }
+            assert_eq!(bits(other), bits(&seq));
         }
         assert_eq!(thr.report().workers, 3);
+        assert_eq!(mp.report().workers, 3);
     }
 
     #[test]

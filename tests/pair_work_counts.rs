@@ -9,6 +9,7 @@
 
 use bemcap_basis::instantiate::{instantiate, InstantiateConfig};
 use bemcap_basis::{pair_integrals_metric, PairPlan, TemplateIndex};
+use bemcap_core::extraction::Parallelism;
 use bemcap_core::metrics::Registry;
 use bemcap_core::Extractor;
 use bemcap_geom::structures::{self, BusParams};
@@ -36,9 +37,17 @@ fn bus_pair_counts_and_one_evaluation_per_distinct_key() {
         assert_eq!(plan.pairs(), m * (m + 1) / 2, "bus {side}x{side}: pairs walked");
         assert_eq!(plan.distinct(), distinct, "bus {side}x{side}: distinct keys");
 
-        let before = pair_integrals_total();
-        Extractor::new().extract(&geo).expect("extraction");
-        let evaluated = pair_integrals_total() - before;
-        assert_eq!(evaluated, distinct as u64, "bus {side}x{side}: integrals evaluated");
+        // Every setup mode evaluates each distinct key exactly once.
+        for parallelism in
+            [Parallelism::Sequential, Parallelism::Threads(2), Parallelism::MessagePassing(3)]
+        {
+            let before = pair_integrals_total();
+            Extractor::new().parallelism(parallelism).extract(&geo).expect("extraction");
+            let evaluated = pair_integrals_total() - before;
+            assert_eq!(
+                evaluated, distinct as u64,
+                "bus {side}x{side}, {parallelism:?}: integrals evaluated"
+            );
+        }
     }
 }
