@@ -27,7 +27,6 @@ use std::ops::Range;
 use std::sync::OnceLock;
 
 use bemcap_linalg::Matrix;
-use bemcap_par::pool::{self, WorkerTiming};
 use bemcap_par::{triangle_size, Metric, Registry};
 use bemcap_quad::galerkin::GalerkinEngine;
 
@@ -167,7 +166,12 @@ pub fn pair_integrals_metric() -> &'static Metric {
 /// let m = index.template_count();
 /// assert_eq!(plan.pairs(), m * (m + 1) / 2);
 /// assert!(plan.distinct() < plan.pairs()); // the regular bus repeats pairs
-/// let (values, _) = plan.evaluate(&GalerkinEngine::default(), 1);
+/// // Any split of the distinct list gives the same values: here, two
+/// // slices, as two workers would evaluate them.
+/// let values: Vec<f64> = bemcap_par::partition_ranges(plan.distinct(), 2)
+///     .into_iter()
+///     .flat_map(|range| plan.values(&GalerkinEngine::default(), range, |_, eval| eval()))
+///     .collect();
 /// let p = plan.accumulate(&values, 1.0);
 /// assert_eq!(p.dim(), index.basis_count());
 /// # Ok::<(), bemcap_basis::BasisError>(())
@@ -280,20 +284,6 @@ impl<'a> PairPlan<'a> {
             .collect();
         pair_integrals_metric().add(evaluated.get());
         values
-    }
-
-    /// Every distinct key's raw integral, on `workers` threads over the
-    /// static partition of the distinct list, with the per-worker timings.
-    /// The values do not depend on `workers`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `workers == 0`.
-    pub fn evaluate(&self, eng: &GalerkinEngine, workers: usize) -> (Vec<f64>, Vec<WorkerTiming>) {
-        let (parts, timings) = pool::run_partitioned(workers, self.distinct(), |_, range| {
-            self.values(eng, range, |_, eval| eval())
-        });
-        (parts.concat(), timings)
     }
 
     /// P from the distinct values: every pair's `scale × value`, folded in
@@ -410,7 +400,7 @@ mod tests {
         let idx = TemplateIndex::new(&set);
         let dense = assemble_dense_reference(&eng, &set);
         let plan = PairPlan::new(&idx);
-        let (values, _) = plan.evaluate(&eng, 1);
+        let values = plan.values(&eng, 0..plan.distinct(), |_, eval| eval());
         let condensed = plan.accumulate(&values, 1.0);
         let scale = dense.max_abs();
         for i in 0..4 {
@@ -439,11 +429,13 @@ mod tests {
         }
         let plan = PairPlan::new(&idx);
         assert_eq!(plan.pairs(), 15);
-        for workers in [1, 2, 3, 5] {
-            let (values, timings) = plan.evaluate(&eng, workers);
-            assert_eq!(timings.len(), workers);
+        for splits in [1, 2, 3, 5] {
+            let ranges = bemcap_par::partition_ranges(plan.distinct(), splits);
+            assert_eq!(ranges.len(), splits);
+            let values: Vec<f64> =
+                ranges.into_iter().flat_map(|r| plan.values(&eng, r, |_, eval| eval())).collect();
             assert_eq!(values.len(), plan.distinct());
-            assert_eq!(plan.accumulate(&values, 0.5), naive, "workers={workers}");
+            assert_eq!(plan.accumulate(&values, 0.5), naive, "splits={splits}");
         }
     }
 

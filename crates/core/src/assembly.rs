@@ -30,7 +30,7 @@ use bemcap_par::pool::{self, WorkerTiming};
 use bemcap_par::{partition_ranges, Universe};
 use bemcap_quad::galerkin::GalerkinEngine;
 
-use crate::cache::{TemplateCache, ENTRY_BYTES};
+use crate::cache::TemplateCache;
 use crate::extraction::Parallelism;
 use crate::report::CacheStats;
 
@@ -146,13 +146,7 @@ fn values_through(
     let values = plan.values(eng, range, |key, eval| match cache {
         Some(c) => {
             let (v, lookup) = c.get_or_compute(*key, eval);
-            if lookup.hit {
-                stats.hits += 1;
-            } else {
-                stats.misses += 1;
-                stats.inserted_bytes += ENTRY_BYTES;
-            }
-            stats.evictions += lookup.evicted;
+            stats.absorb(lookup);
             v
         }
         None => eval(),

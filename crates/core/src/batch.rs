@@ -12,10 +12,8 @@
 //!   always come back in **input order**, whatever the pool size —
 //!   scheduling can never reorder or change a result;
 //! * each micro-batch builds its Galerkin engine **once** and shares it
-//!   across its jobs; a private per-run executor receives the jobs as
-//!   contiguous chunk submissions of the Algorithm-1 static share
-//!   (`⌈jobs / workers⌉` jobs per micro-batch), so engine builds are
-//!   amortized deterministically, matching the old dedicated scheduler;
+//!   across its jobs; a private per-run executor runs one micro-batch per
+//!   worker share (`⌈jobs / workers⌉` contiguous jobs);
 //! * with caching enabled (the default), pair integrals are shared across
 //!   jobs through a [`bemcap_basis::PairKey`]-keyed
 //!   [`crate::cache::TemplateCache`]: families that keep part of the
@@ -61,9 +59,9 @@ use bemcap_geom::Geometry;
 
 use crate::cache::TemplateCache;
 use crate::error::CoreError;
-use crate::exec::{ExecConfig, Executor, Ticket};
+use crate::exec::{fan_out, Executor};
 use crate::extraction::{Extraction, Extractor};
-use crate::report::{BatchReport, CacheStats, ExecStats, JobReport};
+use crate::report::{BatchReport, CacheStats, JobReport};
 
 /// Name of the environment variable that sets the default pool size
 /// (`BEMCAP_POOL=4`). CI runs the test suite under several values so
@@ -257,103 +255,42 @@ impl BatchExtractor {
     /// ([`BatchExtractor::executor`]) refuses admission (already-admitted
     /// jobs still run, but no result is assembled).
     pub fn extract_all(&self, jobs: &[BatchJob]) -> Result<BatchResult, CoreError> {
-        if jobs.is_empty() {
-            return Ok(BatchResult {
-                points: Vec::new(),
-                report: BatchReport {
-                    jobs: 0,
-                    workers: self.effective_workers(),
-                    cache_enabled: !matches!(self.cache, CacheChoice::Off),
-                    wall_seconds: 0.0,
-                    busy_seconds: 0.0,
-                    cache: CacheStats::default(),
-                    exec: ExecStats::default(),
-                },
-            });
-        }
-        match &self.executor {
-            Some(exec) => {
-                // On a shared executor, submit one job per submission:
-                // admission is then per job, and jobs coalesce freely
-                // with other clients' same-configuration work.
-                self.run_on(exec, jobs, 1)
-            }
-            None => {
-                let workers = self.effective_workers();
-                // Private per-run executor, sized so admission never
-                // rejects. Jobs are submitted as contiguous chunks of
-                // the Algorithm-1 static share (one micro-batch per
-                // worker share), so engine builds are amortized
-                // deterministically — not left to the coalescing race.
-                let chunk = jobs.len().div_ceil(workers);
-                let exec = Executor::new(ExecConfig {
-                    workers,
-                    queue_depth: jobs.len(),
-                    coalesce_limit: chunk,
-                });
-                self.run_on(&exec, jobs, chunk)
-            }
-        }
-    }
-
-    fn run_on(
-        &self,
-        exec: &Executor,
-        jobs: &[BatchJob],
-        chunk_size: usize,
-    ) -> Result<BatchResult, CoreError> {
         let cache: Option<Arc<TemplateCache>> = match &self.cache {
             CacheChoice::Off => None,
             CacheChoice::PerRun => Some(Arc::new(TemplateCache::unbounded())),
             CacheChoice::Shared(c) => Some(Arc::clone(c)),
         };
         let start = Instant::now();
-        let tickets: Vec<Ticket> = jobs
-            .chunks(chunk_size)
-            .map(|chunk| exec.submit(&self.extractor, cache.clone(), chunk.to_vec()))
-            .collect::<Result<_, _>>()?;
-
+        let run = fan_out(
+            self.executor.as_deref(),
+            self.effective_workers(),
+            &self.extractor,
+            cache.clone(),
+            jobs.to_vec(),
+        )?;
         let mut points = Vec::with_capacity(jobs.len());
         let mut busy_seconds = 0.0;
         let mut total_cache = CacheStats::default();
-        let mut exec_stats = ExecStats::default();
-        let mut micro_batches: Vec<u64> = Vec::new();
-        let mut first_failure: Option<(usize, CoreError)> = None;
-        for (chunk_index, ticket) in tickets.into_iter().enumerate() {
-            let sub = ticket.wait();
-            exec_stats.submitted += 1;
-            exec_stats.jobs += sub.outcomes.len();
-            exec_stats.queue_seconds += sub.queue_seconds;
-            if sub.coalesced {
-                exec_stats.coalesced += 1;
-            }
-            if !micro_batches.contains(&sub.micro_batch) {
-                micro_batches.push(sub.micro_batch);
-            }
-            for (offset, outcome) in sub.outcomes.into_iter().enumerate() {
-                let idx = chunk_index * chunk_size + offset;
-                let job = &jobs[idx];
-                match outcome.result {
-                    Err(e) => {
-                        if first_failure.is_none() {
-                            first_failure = Some((idx, e));
-                        }
-                    }
-                    Ok((extraction, stats)) => {
-                        busy_seconds += outcome.seconds;
-                        total_cache.absorb(stats);
-                        points.push(BatchPoint {
-                            label: job.label.clone(),
-                            parameter: job.parameter,
-                            extraction,
-                            job: JobReport {
-                                index: idx,
-                                worker: outcome.worker,
-                                seconds: outcome.seconds,
-                                cache: stats,
-                            },
-                        });
-                    }
+        let mut first_failure = None;
+        for (index, (job, outcome)) in jobs.iter().zip(run.outcomes).enumerate() {
+            match outcome.result {
+                Err(e) => {
+                    first_failure.get_or_insert((index, e));
+                }
+                Ok((extraction, stats)) => {
+                    busy_seconds += outcome.seconds;
+                    total_cache.absorb(stats);
+                    points.push(BatchPoint {
+                        label: job.label.clone(),
+                        parameter: job.parameter,
+                        extraction,
+                        job: JobReport {
+                            index,
+                            worker: outcome.worker,
+                            seconds: outcome.seconds,
+                            cache: stats,
+                        },
+                    });
                 }
             }
         }
@@ -364,18 +301,16 @@ impl BatchExtractor {
                 source: Box::new(source),
             });
         }
-        exec_stats.micro_batches = micro_batches.len();
-        let wall_seconds = start.elapsed().as_secs_f64();
         Ok(BatchResult {
             points,
             report: BatchReport {
                 jobs: jobs.len(),
-                workers: exec.config().workers,
+                workers: self.effective_workers(),
                 cache_enabled: cache.is_some(),
-                wall_seconds,
+                wall_seconds: start.elapsed().as_secs_f64(),
                 busy_seconds,
                 cache: total_cache,
-                exec: exec_stats,
+                exec: run.stats,
             },
         })
     }
@@ -421,6 +356,7 @@ impl BatchExtractor {
 mod tests {
     use super::*;
     use crate::cache::ENTRY_BYTES;
+    use crate::exec::ExecConfig;
     use crate::extraction::Method;
     use bemcap_geom::structures::{self, CrossingParams};
 

@@ -1,34 +1,33 @@
-//! The process-lifetime pair-integral cache behind batch and service
-//! extraction.
+//! The process-lifetime caches behind batch, chip and service
+//! extraction: one sharded LRU, [`ShardedLru`], under both.
 //!
 //! The paper's instantiable-basis economics (conf_dac_HsiaoD11) make the
-//! pair integral the dominant, *reusable* unit of setup work: two
-//! structures that share a template pair share the integral exactly.
-//! PR 2's batch layer exploited that within one run; this module promotes
-//! the cache to a first-class, process-lifetime object so a long-running
-//! daemon (`bemcap-serve`) can keep integrals warm across requests:
+//! pair integral the dominant, *reusable* unit of setup work, and one
+//! level up, the window result. [`TemplateCache`] keeps the first warm
+//! across runs and requests, [`crate::chip::WindowCache`] the second:
 //!
-//! * **bit-identity** — keys are translation-canonical pair identities
-//!   ([`PairKey`]) and a pair's integral is evaluated from its key alone,
-//!   so a hit returns the very `f64` a recomputation would produce — for
-//!   the pair that filled the entry and for every translated copy of it,
-//!   in this structure or another. Eviction can only cause recomputation,
-//!   never a different answer: results are bit-identical at any bound,
-//!   including zero.
-//! * **bounded memory** — [`TemplateCache::with_max_bytes`] caps the
-//!   resident footprint ([`ENTRY_BYTES`] per entry). When a shard fills,
-//!   the least-recently-used quarter of its entries (by a global epoch
-//!   counter advanced on every lookup) is evicted in one sweep, so the
-//!   bound holds after every insert while keeping the hot working set.
-//! * **sharded locking** — a fixed 32-way shard array keyed by hash keeps
-//!   lock traffic off the hot path; integrals are computed outside any
-//!   lock, so two workers may rarely duplicate a computation, which is
-//!   wasted work but never a wrong answer.
+//! * **bit-identity** — keys are exact: [`PairKey`]s are
+//!   translation-canonical and a pair's integral is evaluated from its key
+//!   alone, so a hit returns the very `f64` a recomputation would produce,
+//!   for every translated copy of the pair. Eviction can only cause
+//!   recomputation, never a different answer: results are bit-identical
+//!   at any bound, including zero.
+//! * **bounded memory** — a bound is split evenly over the shards, and
+//!   every value reports its own weight ([`CacheValue::weight`];
+//!   [`ENTRY_BYTES`] per pair integral). When an insert would push a shard
+//!   over its budget, the least-recently-used quarter of the shard (by a
+//!   global epoch counter advanced on every lookup and insert; at least
+//!   one entry) is evicted, repeated until the new entry fits. The newest
+//!   entry always stays resident, so the bound holds after every insert
+//!   except while a lone entry heavier than a shard's budget is resident.
+//! * **sharded locking** — a fixed [`SHARDS`]-way shard array keyed by
+//!   hash keeps lock traffic off the hot path; values are computed
+//!   outside any lock, so two workers may rarely duplicate a computation,
+//!   which is wasted work but never a wrong answer.
 //!
-//! [`crate::batch::BatchExtractor`] uses a private per-run instance by
-//! default and accepts a shared one via
-//! [`crate::batch::BatchExtractor::shared_cache`]; the daemon constructs
-//! one at startup and shares it across every connection.
+//! Batch and chip extraction use private per-run instances by default and
+//! accept shared ones; the daemon constructs one of each at startup and
+//! shares them across every connection.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -40,7 +39,7 @@ use std::sync::Mutex;
 pub use bemcap_basis::PairKey;
 use bemcap_basis::PAIR_KEY_WORDS;
 
-use crate::metrics::metrics;
+use crate::metrics::{metrics, Metric};
 use crate::report::CacheStats;
 
 /// Approximate resident bytes per cache entry, used to convert the
@@ -50,12 +49,13 @@ use crate::report::CacheStats;
 /// most 7/8 full, so between 7/16 and 7/8 — rounded up.
 pub const ENTRY_BYTES: usize = 192;
 
-const SHARDS: usize = 32;
+/// Shards of every [`ShardedLru`].
+pub const SHARDS: usize = 32;
 
 /// The smallest bound [`TemplateCache::with_max_bytes`] actually
 /// enforces: one entry per shard (`SHARDS * ENTRY_BYTES`). Budgets below
 /// this floor are rounded up to it, so the cache always absorbs repeated
-/// lookups; [`TemplateCache::max_bytes`] reports the effective bound.
+/// lookups; [`ShardedLru::max_bytes`] reports the effective bound.
 pub const MIN_MAX_BYTES: usize = SHARDS * ENTRY_BYTES;
 
 /// Fraction of a full shard evicted in one sweep (a quarter): large
@@ -63,20 +63,94 @@ pub const MIN_MAX_BYTES: usize = SHARDS * ENTRY_BYTES;
 /// working set resident.
 const EVICT_DENOMINATOR: usize = 4;
 
-struct Entry {
-    value: f64,
+/// A value a [`ShardedLru`] can hold: its resident weight and the
+/// process-global counters its kind of cache feeds.
+pub trait CacheValue: Clone {
+    /// Approximate resident bytes of one entry holding this value.
+    fn weight(&self) -> usize;
+
+    /// The process-global hit, miss, eviction and inserted-byte counters
+    /// of this kind of cache, in that order (`None` for one it does not
+    /// publish).
+    fn metrics() -> [Option<&'static Metric>; 4];
+}
+
+/// A pair integral, as a [`TemplateCache`] holds it.
+impl CacheValue for f64 {
+    fn weight(&self) -> usize {
+        ENTRY_BYTES
+    }
+
+    fn metrics() -> [Option<&'static Metric>; 4] {
+        let m = metrics();
+        [
+            Some(m.template_cache_hits),
+            Some(m.template_cache_misses),
+            Some(m.template_cache_evictions),
+            None,
+        ]
+    }
+}
+
+struct Entry<V> {
+    value: V,
     last_used: u64,
 }
 
-/// The outcome of one [`TemplateCache::get_or_compute`] lookup, for
-/// per-job accounting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Lookup {
-    /// Whether the value came from the cache.
-    pub hit: bool,
-    /// Entries evicted to make room for this insert (0 on hits and on
-    /// unbounded caches).
-    pub evicted: usize,
+struct Shard<K, V> {
+    map: HashMap<K, Entry<V>>,
+    /// Summed weight of the resident entries.
+    bytes: usize,
+}
+
+impl<K: Hash + Eq, V: CacheValue> Shard<K, V> {
+    fn remove(&mut self, key: &K) {
+        if let Some(old) = self.map.remove(key) {
+            self.bytes -= old.value.weight();
+        }
+    }
+
+    /// Stores `value` under `key`, which must not be resident.
+    fn put(&mut self, key: K, value: V, last_used: u64) {
+        self.bytes += value.weight();
+        self.map.insert(key, Entry { value, last_used });
+    }
+
+    /// Evicts the least-recently-used quarter of the shard (at least one
+    /// entry) until `incoming` more bytes fit `budget` or the shard is
+    /// empty, and returns how many entries were dropped.
+    fn evict_to_fit(&mut self, incoming: usize, budget: usize) -> usize {
+        let before = self.map.len();
+        while self.bytes + incoming > budget && !self.map.is_empty() {
+            let target = (self.map.len() / EVICT_DENOMINATOR).max(1);
+            let mut epochs: Vec<u64> = self.map.values().map(|e| e.last_used).collect();
+            // Epoch stamps are unique, so this drops exactly `target`.
+            let threshold = *epochs.select_nth_unstable(target - 1).1;
+            let bytes = &mut self.bytes;
+            self.map.retain(|_, e| {
+                let keep = e.last_used > threshold;
+                if !keep {
+                    *bytes -= e.value.weight();
+                }
+                keep
+            });
+        }
+        before - self.map.len()
+    }
+}
+
+/// A process-lifetime, optionally memory-bounded, sharded LRU map. See
+/// the module docs for the invariants; [`TemplateCache`] and
+/// [`crate::chip::WindowCache`] are its two instances.
+pub struct ShardedLru<K, V> {
+    shards: Vec<Mutex<Shard<K, V>>>,
+    /// Per-shard byte budget; `None` = unbounded.
+    shard_budget: Option<usize>,
+    /// Global logical clock: advanced on every lookup and insert, stamped
+    /// into the touched entry for LRU ordering.
+    epoch: AtomicU64,
+    /// Lifetime hits, misses, evictions and inserted bytes.
+    counters: [AtomicU64; 4],
 }
 
 /// A process-lifetime, memory-bounded, sharded map from template-pair
@@ -90,69 +164,52 @@ pub struct Lookup {
 /// let (v, first) = cache.get_or_compute(key, || 42.0);
 /// let (w, second) = cache.get_or_compute(key, || unreachable!("cached"));
 /// assert_eq!((v, w), (42.0, 42.0));
-/// assert!(!first.hit && second.hit);
+/// assert_eq!((first.misses, second.hits), (1, 1));
 /// ```
-pub struct TemplateCache {
-    shards: Vec<Mutex<HashMap<PairKey, Entry>>>,
-    /// Per-shard entry budget; `None` = unbounded.
-    shard_cap: Option<usize>,
-    /// Global logical clock: advanced on every lookup, stamped into the
-    /// touched entry for LRU ordering.
-    epoch: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-}
+pub type TemplateCache = ShardedLru<PairKey, f64>;
 
-impl std::fmt::Debug for TemplateCache {
+impl<K, V> std::fmt::Debug for ShardedLru<K, V> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TemplateCache")
+        f.debug_struct("ShardedLru")
             .field("entries", &self.len())
+            .field("resident_bytes", &self.resident_bytes())
             .field("max_bytes", &self.max_bytes())
             .field("lifetime", &self.lifetime())
             .finish()
     }
 }
 
-impl TemplateCache {
-    /// A cache with no memory bound — every integral ever computed stays
-    /// resident. The per-run default of [`crate::batch::BatchExtractor`].
-    pub fn unbounded() -> TemplateCache {
-        TemplateCache::build(None)
+impl<K, V> ShardedLru<K, V> {
+    /// A cache with no memory bound — every value ever inserted stays
+    /// resident. The per-run default of [`crate::batch::BatchExtractor`]
+    /// and [`crate::chip::ChipExtractor`].
+    pub fn unbounded() -> ShardedLru<K, V> {
+        ShardedLru::with_shard_budget(None)
     }
 
-    /// A cache bounded to approximately `max_bytes` resident bytes
-    /// ([`ENTRY_BYTES`] per entry). The budget is rounded **down** to a
-    /// whole number of entries per shard, but never below one entry per
-    /// shard: any `max_bytes` under [`MIN_MAX_BYTES`] (including 0) is
-    /// silently raised to that floor so the cache still absorbs repeats.
-    /// [`TemplateCache::max_bytes`] reports the bound actually enforced,
-    /// which may therefore differ from `max_bytes` in either direction.
-    pub fn with_max_bytes(max_bytes: usize) -> TemplateCache {
-        TemplateCache::build(Some((max_bytes / ENTRY_BYTES / SHARDS).max(1)))
-    }
-
-    fn build(shard_cap: Option<usize>) -> TemplateCache {
-        TemplateCache {
-            shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
-            shard_cap,
+    /// A cache whose every shard holds at most `shard_budget` bytes
+    /// (`None` = unbounded).
+    pub(crate) fn with_shard_budget(shard_budget: Option<usize>) -> ShardedLru<K, V> {
+        ShardedLru {
+            shards: (0..SHARDS)
+                .map(|_| Mutex::new(Shard { map: HashMap::new(), bytes: 0 }))
+                .collect(),
+            shard_budget,
             epoch: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
+            counters: Default::default(),
         }
     }
 
     /// The effective memory bound in bytes (`None` = unbounded): the
-    /// per-shard entry budget actually enforced, after the rounding and
-    /// the [`MIN_MAX_BYTES`] floor of [`TemplateCache::with_max_bytes`].
+    /// per-shard budget actually enforced, after each constructor's
+    /// rounding, times [`SHARDS`].
     pub fn max_bytes(&self) -> Option<usize> {
-        self.shard_cap.map(|cap| cap * SHARDS * ENTRY_BYTES)
+        self.shard_budget.map(|budget| budget * SHARDS)
     }
 
     /// Number of resident entries.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().expect("template cache poisoned").len()).sum()
+        self.shards.iter().map(|s| lock(s).map.len()).sum()
     }
 
     /// `true` when no entry is resident.
@@ -160,71 +217,115 @@ impl TemplateCache {
         self.len() == 0
     }
 
-    /// Approximate resident bytes ([`ENTRY_BYTES`] per entry).
+    /// Approximate resident bytes: the summed weight of every entry.
     pub fn resident_bytes(&self) -> usize {
-        self.len() * ENTRY_BYTES
+        self.shards.iter().map(|s| lock(s).bytes).sum()
     }
 
-    /// Lifetime counters: every hit, miss, and eviction since
-    /// construction, across all users of the cache.
+    /// Lifetime counters: every hit, miss, eviction, and inserted byte
+    /// since construction, across all users of the cache.
     pub fn lifetime(&self) -> CacheStats {
-        let misses = self.misses.load(Ordering::Relaxed) as usize;
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed) as usize,
-            misses,
-            evictions: self.evictions.load(Ordering::Relaxed) as usize,
-            inserted_bytes: misses * ENTRY_BYTES,
-        }
+        let [hits, misses, evictions, inserted_bytes] =
+            self.counters.each_ref().map(|c| c.load(Ordering::Relaxed) as usize);
+        CacheStats { hits, misses, evictions, inserted_bytes }
     }
 
     /// Drops every resident entry (counters keep running).
     pub fn clear(&self) {
         for shard in &self.shards {
-            shard.lock().expect("template cache poisoned").clear();
+            let mut s = lock(shard);
+            s.map.clear();
+            s.bytes = 0;
         }
     }
+}
 
-    fn shard(&self, key: &PairKey) -> &Mutex<HashMap<PairKey, Entry>> {
+impl<K: Hash + Eq, V: CacheValue> ShardedLru<K, V> {
+    fn shard(&self, key: &K) -> &Mutex<Shard<K, V>> {
         let mut h = DefaultHasher::new();
         key.hash(&mut h);
         &self.shards[(h.finish() as usize) % SHARDS]
     }
 
-    /// Returns the cached integral for `key`, or computes, stores, and
-    /// returns it, evicting least-recently-used entries first when the
-    /// shard is at its budget. The computation runs outside the shard
-    /// lock.
-    pub fn get_or_compute(&self, key: PairKey, f: impl FnOnce() -> f64) -> (f64, Lookup) {
+    /// Looks `key` up, returning the resident value (if any) and this
+    /// lookup's counters: one hit or one miss.
+    pub fn get(&self, key: &K) -> (Option<V>, CacheStats) {
         let now = self.epoch.fetch_add(1, Ordering::Relaxed);
-        let shard = self.shard(&key);
-        if let Some(entry) = shard.lock().expect("template cache poisoned").get_mut(&key) {
+        let found = lock(self.shard(key)).map.get_mut(key).map(|entry| {
             entry.last_used = now;
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            metrics().template_cache_hits.inc();
-            return (entry.value, Lookup { hit: true, evicted: 0 });
-        }
-        let value = f();
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        metrics().template_cache_misses.inc();
-        // Re-stamp after the computation: concurrent lookups advanced the
-        // epoch while the integral ran, and stamping the stale `now` would
-        // make the entry we just paid for look like the oldest in the
-        // shard — first in line for eviction instead of freshest.
+            entry.value.clone()
+        });
+        let hit = usize::from(found.is_some());
+        (found, self.count(CacheStats { hits: hit, misses: 1 - hit, ..CacheStats::default() }))
+    }
+
+    /// Stores a freshly computed value, evicting least-recently-used
+    /// entries until it fits the shard budget, and returns this insert's
+    /// counters (its evictions and inserted bytes). Re-inserting a
+    /// resident key replaces the entry (the value is identical by key
+    /// construction). The entry is stamped when it is inserted, not when
+    /// the lookup that missed it ran: concurrent lookups advance the epoch
+    /// while the value is computed, and the stale stamp would make the
+    /// entry just paid for the first in line for eviction.
+    pub fn insert(&self, key: K, value: V) -> CacheStats {
+        let weight = value.weight();
         let stamp = self.epoch.fetch_add(1, Ordering::Relaxed);
-        let mut map = shard.lock().expect("template cache poisoned");
-        let mut evicted = 0;
-        if let Some(cap) = self.shard_cap {
-            // Another worker may have inserted the key while we computed;
-            // inserting over it is a no-op for correctness (identical
-            // bits), so only the capacity check needs the fresh state.
-            if !map.contains_key(&key) && map.len() >= cap {
-                evicted = evict_lru(&mut map, cap);
-                self.evictions.fetch_add(evicted as u64, Ordering::Relaxed);
-                metrics().template_cache_evictions.add(evicted as u64);
+        let mut shard = lock(self.shard(&key));
+        shard.remove(&key);
+        let evicted = self.shard_budget.map_or(0, |budget| shard.evict_to_fit(weight, budget));
+        shard.put(key, value, stamp);
+        drop(shard);
+        self.count(CacheStats {
+            evictions: evicted,
+            inserted_bytes: weight,
+            ..CacheStats::default()
+        })
+    }
+
+    /// Adds `delta` to the lifetime counters and to this kind's
+    /// process-global ones, and returns it.
+    fn count(&self, delta: CacheStats) -> CacheStats {
+        let deltas = [delta.hits, delta.misses, delta.evictions, delta.inserted_bytes];
+        for ((counter, metric), n) in self.counters.iter().zip(V::metrics()).zip(deltas) {
+            if n > 0 {
+                counter.fetch_add(n as u64, Ordering::Relaxed);
+                if let Some(metric) = metric {
+                    metric.add(n as u64);
+                }
             }
         }
-        map.insert(key, Entry { value, last_used: stamp });
-        (value, Lookup { hit: false, evicted })
+        delta
+    }
+}
+
+fn lock<T>(shard: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    shard.lock().expect("cache shard poisoned")
+}
+
+impl TemplateCache {
+    /// A cache bounded to approximately `max_bytes` resident bytes
+    /// ([`ENTRY_BYTES`] per entry). The budget is rounded **down** to a
+    /// whole number of entries per shard, but never below one entry per
+    /// shard: any `max_bytes` under [`MIN_MAX_BYTES`] (including 0) is
+    /// silently raised to that floor so the cache still absorbs repeats.
+    /// [`ShardedLru::max_bytes`] reports the bound actually enforced,
+    /// which may therefore differ from `max_bytes` in either direction.
+    pub fn with_max_bytes(max_bytes: usize) -> TemplateCache {
+        let entries = (max_bytes / ENTRY_BYTES / SHARDS).max(1);
+        TemplateCache::with_shard_budget(Some(entries * ENTRY_BYTES))
+    }
+
+    /// Returns the cached integral for `key`, or computes, stores, and
+    /// returns it, with this lookup's counters. The computation runs
+    /// outside the shard lock.
+    pub fn get_or_compute(&self, key: PairKey, f: impl FnOnce() -> f64) -> (f64, CacheStats) {
+        let (cached, mut stats) = self.get(&key);
+        if let Some(value) = cached {
+            return (value, stats);
+        }
+        let value = f();
+        stats.absorb(self.insert(key, value));
+        (value, stats)
     }
 
     /// Writes every resident entry to `w` in the versioned snapshot
@@ -246,8 +347,7 @@ impl TemplateCache {
     pub fn snapshot_to(&self, w: &mut impl Write) -> io::Result<usize> {
         let mut entries: Vec<(PairKey, f64)> = Vec::new();
         for shard in &self.shards {
-            let map = shard.lock().expect("template cache poisoned");
-            entries.extend(map.iter().map(|(k, e)| (*k, e.value)));
+            entries.extend(lock(shard).map.iter().map(|(k, e)| (*k, e.value)));
         }
         // Deterministic file contents for identical cache contents:
         // sort by key words, not by shard/hash iteration order.
@@ -310,13 +410,12 @@ impl TemplateCache {
             let key = PairKey::from(key);
             let value = f64::from_bits(words[PAIR_KEY_WORDS]);
             let stamp = self.epoch.fetch_add(1, Ordering::Relaxed);
-            let mut map = self.shard(&key).lock().expect("template cache poisoned");
-            if let Some(cap) = self.shard_cap {
-                if !map.contains_key(&key) && map.len() >= cap {
-                    continue;
-                }
+            let mut shard = lock(self.shard(&key));
+            shard.remove(&key);
+            if self.shard_budget.is_some_and(|budget| shard.bytes + ENTRY_BYTES > budget) {
+                continue;
             }
-            map.insert(key, Entry { value, last_used: stamp });
+            shard.put(key, value, stamp);
             restored += 1;
         }
         if seen != declared {
@@ -367,23 +466,6 @@ fn parse_snapshot_header(header: &str) -> io::Result<usize> {
         .ok_or_else(|| bad_snapshot(format!("snapshot header lacks an entry count: '{header}'")))
 }
 
-/// Removes the least-recently-used quarter of `map` (at least one entry)
-/// and returns how many were dropped. `map.len() >= cap >= 1` on entry,
-/// so the subsequent insert keeps the shard at or under `cap`.
-fn evict_lru(map: &mut HashMap<PairKey, Entry>, cap: usize) -> usize {
-    let target = (cap / EVICT_DENOMINATOR).max(1);
-    let mut epochs: Vec<u64> = map.values().map(|e| e.last_used).collect();
-    epochs.sort_unstable();
-    // Evict everything not newer than the target-th oldest stamp. Epoch
-    // stamps are unique except for unbounded-cache races (no eviction
-    // there), so this drops exactly `target` entries in practice and at
-    // most a few more if stamps ever tie.
-    let threshold = epochs[target - 1];
-    let before = map.len();
-    map.retain(|_, e| e.last_used > threshold);
-    before - map.len()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -402,7 +484,7 @@ mod tests {
         let (b, l2) = cache.get_or_compute(key(1), || unreachable!("must hit"));
         assert_eq!(a.to_bits(), v.to_bits());
         assert_eq!(b.to_bits(), v.to_bits());
-        assert!(!l1.hit && l2.hit);
+        assert_eq!((l1.misses, l2.hits), (1, 1));
         let stats = cache.lifetime();
         assert_eq!((stats.hits, stats.misses, stats.evictions), (1, 1, 0));
         assert_eq!(stats.inserted_bytes, ENTRY_BYTES);
@@ -454,7 +536,7 @@ mod tests {
             // Touch the hot key frequently so its epoch stays fresh.
             if i % 4 == 0 {
                 let (v, l) = cache.get_or_compute(key(0), || unreachable!("hot key evicted"));
-                assert!(l.hit);
+                assert_eq!(l.hits, 1);
                 assert_eq!(v, 7.0);
             }
             cache.get_or_compute(key(i), || i as f64);
@@ -462,11 +544,57 @@ mod tests {
     }
 
     #[test]
+    fn eviction_sequence_is_pinned() {
+        // A fixed single-threaded stream under a 100-entry bound (3 entries
+        // per shard): a warm set that recurs every third step, a long cold
+        // tail, and a hot key touched every other step. The counters, the
+        // residency and the surviving keys pin the eviction order exactly.
+        let cache = TemplateCache::with_max_bytes(100 * ENTRY_BYTES);
+        cache.get_or_compute(key(0), || 0.5);
+        for i in 0..3_000u64 {
+            let k = if i % 3 == 0 { 1 + i % 40 } else { 100 + (i * 37) % 1_000 };
+            let (v, _) = cache.get_or_compute(key(k), || k as f64);
+            assert_eq!(v, k as f64);
+            if i % 2 == 0 {
+                let (v, _) = cache.get_or_compute(key(0), || unreachable!("hot key evicted"));
+                assert_eq!(v, 0.5);
+            }
+        }
+        let stats = cache.lifetime();
+        let mut file = Vec::new();
+        cache.snapshot_to(&mut file).unwrap();
+        let survivors: Vec<u64> = String::from_utf8(file)
+            .unwrap()
+            .lines()
+            .skip(1)
+            .map(|line| u64::from_str_radix(line.split(' ').next().unwrap(), 16).unwrap())
+            .collect();
+        let expected = CacheStats {
+            hits: 1_741,
+            misses: 2_760,
+            evictions: 2_664,
+            inserted_bytes: 2_760 * ENTRY_BYTES,
+        };
+        assert_eq!(stats, expected);
+        assert_eq!(cache.len(), 96);
+        #[rustfmt::skip]
+        let expected_survivors = [
+            0, 2, 3, 5, 8, 10, 11, 12, 14, 15, 16, 17, 18, 20, 23, 24, 25, 26, 29, 30, 31, 32, 33,
+            35, 36, 38, 39, 40, 138, 139, 141, 142, 143, 176, 180, 249, 251, 252, 254, 258, 286,
+            287, 288, 295, 360, 361, 364, 397, 399, 406, 471, 472, 474, 475, 508, 509, 510, 511,
+            582, 583, 590, 619, 620, 621, 623, 693, 695, 699, 705, 730, 731, 732, 734, 804, 805,
+            806, 811, 813, 818, 841, 842, 915, 916, 917, 918, 926, 952, 953, 955, 956, 1026, 1027,
+            1063, 1064, 1065, 1066,
+        ];
+        assert_eq!(survivors, expected_survivors);
+    }
+
+    #[test]
     fn tiny_bound_still_caches_repeats() {
         let cache = TemplateCache::with_max_bytes(1);
         let (_, l1) = cache.get_or_compute(key(5), || 1.0);
         let (_, l2) = cache.get_or_compute(key(5), || unreachable!("repeat must hit"));
-        assert!(!l1.hit && l2.hit);
+        assert_eq!((l1.misses, l2.hits), (1, 1));
     }
 
     #[test]
@@ -478,7 +606,7 @@ mod tests {
         assert_eq!(zero.max_bytes(), Some(MIN_MAX_BYTES));
         let (_, l1) = zero.get_or_compute(key(9), || 3.0);
         let (v, l2) = zero.get_or_compute(key(9), || unreachable!("repeat must hit"));
-        assert!(!l1.hit && l2.hit);
+        assert_eq!((l1.misses, l2.hits), (1, 1));
         assert_eq!(v, 3.0);
 
         // Every budget under the floor lands exactly on the floor...
@@ -503,7 +631,7 @@ mod tests {
         assert!(cache.is_empty());
         assert_eq!(cache.lifetime().misses, 1);
         let (_, l) = cache.get_or_compute(key(1), || 2.0);
-        assert!(!l.hit, "cleared entry recomputes");
+        assert_eq!(l.misses, 1, "cleared entry recomputes");
     }
 
     #[test]
@@ -557,7 +685,7 @@ mod tests {
         assert_eq!((stats.hits, stats.misses), (0, 0));
         for (i, v) in values.iter().enumerate() {
             let (got, l) = restored.get_or_compute(key(i as u64), || unreachable!("restored"));
-            assert!(l.hit, "entry {i} must be resident after restore");
+            assert_eq!(l.hits, 1, "entry {i} must be resident after restore");
             assert_eq!(got.to_bits(), v.to_bits(), "entry {i}");
         }
     }

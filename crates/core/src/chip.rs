@@ -39,12 +39,8 @@
 //! # Ok::<(), bemcap_core::CoreError>(())
 //! ```
 
-use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
 use std::fmt;
-use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 use bemcap_geom::layout::{GeometryDiff, Layout, PartitionConfig};
@@ -52,11 +48,11 @@ use bemcap_geom::Geometry;
 use bemcap_linalg::{Matrix, SparseMatrix};
 
 use crate::batch::{default_pool_size, BatchJob};
-use crate::cache::TemplateCache;
+use crate::cache::{CacheValue, ShardedLru, TemplateCache, SHARDS};
 use crate::error::CoreError;
-use crate::exec::{ExecConfig, Executor, Ticket};
+use crate::exec::{fan_out, Executor};
 use crate::extraction::Extractor;
-use crate::metrics::{metrics, Span};
+use crate::metrics::{metrics, Metric, Span};
 use crate::report::CacheStats;
 
 /// Cache identity of one extracted window: the solver-configuration
@@ -117,182 +113,40 @@ impl WindowResult {
     pub fn matrix(&self) -> &Matrix {
         &self.matrix
     }
+}
 
-    /// Approximate resident bytes of this result (matrix + names).
-    fn bytes(&self) -> usize {
+/// A window result's weight is its matrix plus its names.
+impl CacheValue for Arc<WindowResult> {
+    fn weight(&self) -> usize {
         self.matrix.memory_bytes() + self.names.iter().map(|n| n.len() + 24).sum::<usize>() + 64
     }
-}
 
-const SHARDS: usize = 16;
-
-struct Entry {
-    result: Arc<WindowResult>,
-    bytes: usize,
-    last_used: u64,
-}
-
-#[derive(Default)]
-struct Shard {
-    map: HashMap<WindowKey, Entry>,
-    bytes: usize,
+    fn metrics() -> [Option<&'static Metric>; 4] {
+        let m = metrics();
+        [
+            m.window_cache_hits,
+            m.window_cache_misses,
+            m.window_cache_evictions,
+            m.window_cache_inserted_bytes,
+        ]
+        .map(Some)
+    }
 }
 
 /// A process-lifetime, memory-bounded, sharded cache of per-window
-/// extraction results — the [`TemplateCache`] design applied one level
-/// up the stack.
-///
-/// Keys are exact ([`WindowKey`]), so a hit returns the very bits a
-/// recomputation would produce; eviction can only cause recomputation,
-/// never a different answer. Bounded instances evict least-recently-used
-/// entries (by a global epoch advanced on every lookup) until an insert
-/// fits; the newest entry always stays resident, so a bound smaller than
-/// one result degrades to "cache of the last window".
-pub struct WindowCache {
-    shards: Vec<Mutex<Shard>>,
-    /// Per-shard byte budget; `None` = unbounded.
-    shard_cap: Option<usize>,
-    epoch: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-    inserted_bytes: AtomicU64,
-}
-
-impl fmt::Debug for WindowCache {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("WindowCache")
-            .field("entries", &self.len())
-            .field("resident_bytes", &self.resident_bytes())
-            .field("max_bytes", &self.max_bytes())
-            .field("lifetime", &self.lifetime())
-            .finish()
-    }
-}
+/// extraction results: the [`TemplateCache`] design one level up the
+/// stack (see [`crate::cache`]). Keys are exact ([`WindowKey`]), so a hit
+/// returns the very bits a recomputation would produce; a bound smaller
+/// than one result degrades to "cache of the last window per shard".
+pub type WindowCache = ShardedLru<WindowKey, Arc<WindowResult>>;
 
 impl WindowCache {
-    /// A cache with no memory bound.
-    pub fn unbounded() -> WindowCache {
-        WindowCache::build(None)
-    }
-
-    /// A cache bounded to approximately `max_bytes` resident bytes.
+    /// A cache bounded to approximately `max_bytes` resident bytes,
+    /// rounded down to a whole number of bytes per shard (at least one).
     /// Every bound, however small, keeps at least the most recently
     /// inserted entry per shard.
     pub fn with_max_bytes(max_bytes: usize) -> WindowCache {
-        WindowCache::build(Some((max_bytes / SHARDS).max(1)))
-    }
-
-    fn build(shard_cap: Option<usize>) -> WindowCache {
-        WindowCache {
-            shards: (0..SHARDS).map(|_| Mutex::new(Shard::default())).collect(),
-            shard_cap,
-            epoch: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            inserted_bytes: AtomicU64::new(0),
-        }
-    }
-
-    /// The configured memory bound in bytes (`None` = unbounded), as
-    /// rounded to the per-shard budget actually enforced.
-    pub fn max_bytes(&self) -> Option<usize> {
-        self.shard_cap.map(|cap| cap * SHARDS)
-    }
-
-    /// Number of resident window results.
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().expect("window cache poisoned").map.len()).sum()
-    }
-
-    /// `true` when no result is resident.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Approximate resident bytes across all shards.
-    pub fn resident_bytes(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().expect("window cache poisoned").bytes).sum()
-    }
-
-    /// Lifetime counters: every hit, miss, eviction, and inserted byte
-    /// since construction, across all users of the cache.
-    pub fn lifetime(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed) as usize,
-            misses: self.misses.load(Ordering::Relaxed) as usize,
-            evictions: self.evictions.load(Ordering::Relaxed) as usize,
-            inserted_bytes: self.inserted_bytes.load(Ordering::Relaxed) as usize,
-        }
-    }
-
-    /// Drops every resident result (counters keep running).
-    pub fn clear(&self) {
-        for shard in &self.shards {
-            let mut s = shard.lock().expect("window cache poisoned");
-            s.map.clear();
-            s.bytes = 0;
-        }
-    }
-
-    fn shard(&self, key: &WindowKey) -> &Mutex<Shard> {
-        let mut h = DefaultHasher::new();
-        key.hash(&mut h);
-        &self.shards[(h.finish() as usize) % SHARDS]
-    }
-
-    /// Looks `key` up, counting a hit or a miss.
-    pub fn get(&self, key: &WindowKey) -> Option<Arc<WindowResult>> {
-        let now = self.epoch.fetch_add(1, Ordering::Relaxed);
-        let mut shard = self.shard(key).lock().expect("window cache poisoned");
-        match shard.map.get_mut(key) {
-            Some(entry) => {
-                entry.last_used = now;
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                metrics().window_cache_hits.inc();
-                Some(Arc::clone(&entry.result))
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                metrics().window_cache_misses.inc();
-                None
-            }
-        }
-    }
-
-    /// Stores a freshly computed result, evicting least-recently-used
-    /// entries until it fits the shard budget. Returns how many entries
-    /// were evicted. Re-inserting an existing key replaces the entry
-    /// (the bits are identical by key construction).
-    pub fn insert(&self, key: WindowKey, result: Arc<WindowResult>) -> usize {
-        let stamp = self.epoch.fetch_add(1, Ordering::Relaxed);
-        let bytes = result.bytes();
-        let mut shard = self.shard(&key).lock().expect("window cache poisoned");
-        if let Some(old) = shard.map.remove(&key) {
-            shard.bytes -= old.bytes;
-        }
-        let mut evicted = 0;
-        if let Some(cap) = self.shard_cap {
-            while shard.bytes + bytes > cap && !shard.map.is_empty() {
-                let oldest = shard
-                    .map
-                    .iter()
-                    .min_by_key(|(_, e)| e.last_used)
-                    .map(|(k, _)| k.clone())
-                    .expect("non-empty shard has an oldest entry");
-                let dropped = shard.map.remove(&oldest).expect("oldest entry exists");
-                shard.bytes -= dropped.bytes;
-                evicted += 1;
-            }
-        }
-        shard.bytes += bytes;
-        shard.map.insert(key, Entry { result, bytes, last_used: stamp });
-        self.evictions.fetch_add(evicted as u64, Ordering::Relaxed);
-        self.inserted_bytes.fetch_add(bytes as u64, Ordering::Relaxed);
-        metrics().window_cache_evictions.add(evicted as u64);
-        metrics().window_cache_inserted_bytes.add(bytes as u64);
-        evicted
+        WindowCache::with_shard_budget(Some((max_bytes / SHARDS).max(1)))
     }
 }
 
@@ -510,16 +364,6 @@ impl ChipExtractor {
         self
     }
 
-    /// The window cache this extractor reuses across runs.
-    pub fn window_cache_handle(&self) -> &Arc<WindowCache> {
-        &self.window_cache
-    }
-
-    /// The partition configuration currently set.
-    pub fn partition(&self) -> &PartitionConfig {
-        &self.partition
-    }
-
     /// Extracts the full chip: partition, per-window extraction (cache
     /// misses only), stitch. See the module docs for the invariants.
     ///
@@ -561,7 +405,8 @@ impl ChipExtractor {
 
         // Probe the window cache; collect the misses as executor jobs.
         let mut results: Vec<Option<Arc<WindowResult>>> = vec![None; part.window_count()];
-        let mut misses: Vec<(usize, WindowKey, Geometry)> = Vec::new();
+        let mut misses: Vec<(usize, WindowKey)> = Vec::new();
+        let mut jobs: Vec<BatchJob> = Vec::new();
         let mut run_cache = CacheStats::default();
         for w in part.windows() {
             // A window whose halo holds no conductor has nothing to
@@ -572,81 +417,47 @@ impl ChipExtractor {
             }
             let sub = w.geometry(&layout);
             let key = WindowKey::new(config.clone(), &sub);
-            match self.window_cache.get(&key) {
-                Some(r) => {
-                    run_cache.hits += 1;
-                    results[w.index()] = Some(r);
-                }
+            let (cached, lookup) = self.window_cache.get(&key);
+            run_cache.absorb(lookup);
+            match cached {
+                Some(r) => results[w.index()] = Some(r),
                 None => {
-                    run_cache.misses += 1;
-                    misses.push((w.index(), key, sub));
+                    jobs.push(BatchJob::new(format!("window{}", w.index()), sub));
+                    misses.push((w.index(), key));
                 }
             }
         }
 
         // Extract the misses on the executor.
+        let run = fan_out(
+            self.executor.as_deref(),
+            self.workers.unwrap_or_else(default_pool_size),
+            &self.extractor,
+            Some(Arc::clone(&self.template_cache)),
+            jobs,
+        )?;
         let mut busy_seconds = 0.0;
-        let mut queue_seconds = 0.0;
         let mut template_cache = CacheStats::default();
-        let workers;
-        if misses.is_empty() {
-            workers = 0;
-        } else {
-            let private;
-            let (exec, chunk) = match &self.executor {
-                Some(e) => (e.as_ref(), 1),
-                None => {
-                    let w = self.workers.unwrap_or_else(default_pool_size);
-                    let chunk = misses.len().div_ceil(w);
-                    private = Executor::new(ExecConfig {
-                        workers: w,
-                        queue_depth: misses.len(),
-                        coalesce_limit: chunk,
+        let mut first_failure = None;
+        for ((window, key), outcome) in misses.into_iter().zip(run.outcomes) {
+            busy_seconds += outcome.seconds;
+            match outcome.result {
+                Err(e) => {
+                    first_failure.get_or_insert((window, e));
+                }
+                Ok((extraction, stats)) => {
+                    template_cache.absorb(stats);
+                    let result = Arc::new(WindowResult {
+                        names: extraction.capacitance().names().to_vec(),
+                        matrix: extraction.capacitance().matrix().clone(),
                     });
-                    (&private, chunk)
-                }
-            };
-            workers = exec.config().workers;
-            let tickets: Vec<Ticket> = misses
-                .chunks(chunk)
-                .map(|c| {
-                    let jobs = c
-                        .iter()
-                        .map(|(w, _, sub)| BatchJob::new(format!("window{w}"), sub.clone()))
-                        .collect();
-                    exec.submit(&self.extractor, Some(Arc::clone(&self.template_cache)), jobs)
-                })
-                .collect::<Result<_, _>>()?;
-            let mut first_failure: Option<(usize, CoreError)> = None;
-            for (chunk_index, ticket) in tickets.into_iter().enumerate() {
-                let sub = ticket.wait();
-                queue_seconds += sub.queue_seconds;
-                for (offset, outcome) in sub.outcomes.into_iter().enumerate() {
-                    let (window, key, _) = &misses[chunk_index * chunk + offset];
-                    busy_seconds += outcome.seconds;
-                    match outcome.result {
-                        Err(e) => {
-                            if first_failure.is_none() {
-                                first_failure = Some((*window, e));
-                            }
-                        }
-                        Ok((extraction, stats)) => {
-                            template_cache.absorb(stats);
-                            let result = Arc::new(WindowResult {
-                                names: extraction.capacitance().names().to_vec(),
-                                matrix: extraction.capacitance().matrix().clone(),
-                            });
-                            run_cache.evictions +=
-                                self.window_cache.insert(key.clone(), Arc::clone(&result));
-                            run_cache.inserted_bytes += result.bytes();
-                            results[*window] = Some(result);
-                        }
-                    }
+                    run_cache.absorb(self.window_cache.insert(key, Arc::clone(&result)));
+                    results[window] = Some(result);
                 }
             }
-            if let Some((window, e)) = first_failure {
-                return Err(CoreError::ChipWindow { window, source: Box::new(e) });
-            }
+        }
+        if let Some((window, e)) = first_failure {
+            return Err(CoreError::ChipWindow { window, source: Box::new(e) });
         }
 
         // Stitch owned rows in window-index order. Ownership is a
@@ -689,10 +500,10 @@ impl ChipExtractor {
                 reused,
                 touched,
                 nnz,
-                workers,
+                workers: run.workers,
                 wall_seconds: start.elapsed().as_secs_f64(),
                 busy_seconds,
-                queue_seconds,
+                queue_seconds: run.stats.queue_seconds,
                 window_cache: run_cache,
                 template_cache,
             },
@@ -703,6 +514,7 @@ impl ChipExtractor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::ExecConfig;
     use bemcap_geom::structures::{self, BusParams};
 
     fn bus() -> Geometry {
@@ -732,14 +544,14 @@ mod tests {
     #[test]
     fn window_cache_hit_miss_and_bytes() {
         let cache = WindowCache::unbounded();
-        assert!(cache.get(&window_key(1)).is_none());
+        assert!(cache.get(&window_key(1)).0.is_none());
         let r = result_of_bytes(10);
         cache.insert(window_key(1), Arc::clone(&r));
-        let hit = cache.get(&window_key(1)).expect("hit");
+        let hit = cache.get(&window_key(1)).0.expect("hit");
         assert!(Arc::ptr_eq(&hit, &r));
         let stats = cache.lifetime();
         assert_eq!((stats.hits, stats.misses, stats.evictions), (1, 1, 0));
-        assert_eq!(cache.resident_bytes(), r.bytes());
+        assert_eq!(cache.resident_bytes(), r.weight());
         assert_eq!(cache.len(), 1);
         cache.clear();
         assert!(cache.is_empty());
@@ -748,7 +560,7 @@ mod tests {
 
     #[test]
     fn bounded_window_cache_evicts_lru_and_keeps_newest() {
-        let one = result_of_bytes(100).bytes();
+        let one = result_of_bytes(100).weight();
         // Room for about two entries per shard; keys may collide into
         // one shard, so only the aggregate bound is asserted.
         let cache = WindowCache::with_max_bytes(2 * one * SHARDS);
@@ -762,7 +574,36 @@ mod tests {
         }
         assert!(cache.lifetime().evictions > 0);
         // The newest entry always survives its own insert.
-        assert!(cache.get(&window_key(199)).is_some());
+        assert!(cache.get(&window_key(199)).0.is_some());
+    }
+
+    #[test]
+    fn weighted_eviction_keeps_the_newest_and_the_hot_entry() {
+        // Per-shard budget 1 000 bytes; results of mixed weight, all but
+        // one far under it, and one heavier than the whole cache.
+        let cache = WindowCache::with_max_bytes(1_000 * SHARDS);
+        let bound = cache.max_bytes().expect("bounded");
+        let hot = window_key(1_000_000);
+        cache.insert(hot.clone(), result_of_bytes(10));
+        let oversized = window_key(150);
+        let mut oversized_resident = false;
+        for i in 0..400u64 {
+            let size = if i == 150 { 2 * bound } else { [10, 60, 150, 300][i as usize % 4] };
+            let stats = cache.insert(window_key(i), result_of_bytes(size));
+            assert_eq!(stats.inserted_bytes, result_of_bytes(size).weight());
+            if i == 150 {
+                oversized_resident = true;
+            } else if oversized_resident {
+                oversized_resident = cache.get(&oversized).0.is_some();
+            }
+            assert!(cache.get(&window_key(i)).0.is_some(), "insert {i} evicted itself");
+            assert!(cache.get(&hot).0.is_some(), "the hot entry was evicted at insert {i}");
+            // The bound holds except while the oversized entry is resident
+            // (alone in its shard: its insert evicted every other entry).
+            assert_eq!(cache.resident_bytes() > bound, oversized_resident, "insert {i}");
+        }
+        assert!(!oversized_resident, "later inserts into its shard evict the oversized entry");
+        assert!(cache.lifetime().evictions > 0);
     }
 
     #[test]

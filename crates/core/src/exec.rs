@@ -26,11 +26,11 @@
 //! * **isolation** — a failing job fails only its own submission; other
 //!   submissions in the same micro-batch complete normally.
 //!
-//! [`crate::batch::BatchExtractor`] builds a private per-run executor by
-//! default (sized so admission never rejects) or runs as a thin client
-//! of a shared one ([`crate::batch::BatchExtractor::executor`]); the
-//! daemon owns one process-lifetime executor and enqueues every wire
-//! request on it.
+//! Batch and chip extraction submit through one fan-out: a private
+//! per-run executor by default (sized so admission never rejects), or a
+//! shared one ([`crate::batch::BatchExtractor::executor`]); the daemon
+//! owns one process-lifetime executor and enqueues every wire request on
+//! it.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -346,6 +346,69 @@ impl Executor {
         self.queue.push(move |worker| run_micro_batch(&shared, seq, worker));
         Ok(Ticket { rx })
     }
+}
+
+/// One [`fan_out`] run: every job's outcome in input order, the run's
+/// executor counters, and the worker count of its executor (0 for no jobs).
+pub(crate) struct FanOut {
+    pub(crate) outcomes: Vec<JobOutcome>,
+    pub(crate) stats: ExecStats,
+    pub(crate) workers: usize,
+}
+
+/// Runs `jobs` under `extractor` and `cache`: the submission policy of
+/// batch and chip extraction. On a `shared` executor every job is its own
+/// submission, so admission is per job and jobs coalesce freely with
+/// other clients' work. Otherwise a private executor of `workers`
+/// threads, sized so admission never rejects, gets the jobs as contiguous
+/// chunks of the Algorithm-1 static share (`⌈jobs / workers⌉` each, one
+/// micro-batch per chunk), so engine builds are amortized
+/// deterministically rather than left to the coalescing race.
+///
+/// # Errors
+///
+/// [`CoreError::Busy`] when the shared executor refuses a submission;
+/// already-admitted jobs still run, but their outcomes are dropped.
+pub(crate) fn fan_out(
+    shared: Option<&Executor>,
+    workers: usize,
+    extractor: &Extractor,
+    cache: Option<Arc<TemplateCache>>,
+    jobs: Vec<BatchJob>,
+) -> Result<FanOut, CoreError> {
+    let n = jobs.len();
+    if n == 0 {
+        return Ok(FanOut { outcomes: Vec::new(), stats: ExecStats::default(), workers: 0 });
+    }
+    let private;
+    let (exec, chunk) = match shared {
+        Some(exec) => (exec, 1),
+        None => {
+            let chunk = n.div_ceil(workers);
+            private = Executor::new(ExecConfig { workers, queue_depth: n, coalesce_limit: chunk });
+            (&private, chunk)
+        }
+    };
+    let mut jobs = jobs.into_iter();
+    let tickets: Vec<Ticket> = (0..n.div_ceil(chunk))
+        .map(|_| exec.submit(extractor, cache.clone(), jobs.by_ref().take(chunk).collect()))
+        .collect::<Result<_, _>>()?;
+    let mut outcomes = Vec::with_capacity(n);
+    let mut stats = ExecStats::default();
+    let mut micro_batches: Vec<u64> = Vec::new();
+    for ticket in tickets {
+        let sub = ticket.wait();
+        stats.submitted += 1;
+        stats.jobs += sub.outcomes.len();
+        stats.queue_seconds += sub.queue_seconds;
+        stats.coalesced += usize::from(sub.coalesced);
+        if !micro_batches.contains(&sub.micro_batch) {
+            micro_batches.push(sub.micro_batch);
+        }
+        outcomes.extend(sub.outcomes);
+    }
+    stats.micro_batches = micro_batches.len();
+    Ok(FanOut { outcomes, stats, workers: exec.config().workers })
 }
 
 impl Shared {

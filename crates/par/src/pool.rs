@@ -78,33 +78,6 @@ where
     (results, timings)
 }
 
-/// Maps `f` over the job indices `0..jobs` on `threads` workers and
-/// returns the results **in job order**, regardless of the pool size —
-/// the scheduling primitive behind `bemcap-core`'s batch extraction.
-///
-/// Jobs are split into contiguous per-worker ranges (the same static
-/// partition as Algorithm 1); each worker runs its range in ascending job
-/// order and the per-worker result vectors are concatenated in worker
-/// order, which restores the input order exactly. The closure receives
-/// `(worker_index, job_index)`.
-///
-/// # Panics
-///
-/// Panics if `threads == 0` or if any worker panics.
-pub fn map_ordered<T, F>(threads: usize, jobs: usize, f: F) -> (Vec<T>, Vec<WorkerTiming>)
-where
-    T: Send,
-    F: Fn(usize, usize) -> T + Sync,
-{
-    let (parts, timings) =
-        run_partitioned(threads, jobs, |w, range| range.map(|job| f(w, job)).collect::<Vec<T>>());
-    let mut out = Vec::with_capacity(jobs);
-    for part in parts {
-        out.extend(part);
-    }
-    (out, timings)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -144,32 +117,5 @@ mod tests {
     #[should_panic]
     fn zero_threads_panics() {
         let _ = run_partitioned(0, 10, |_, _| ());
-    }
-
-    #[test]
-    fn map_ordered_preserves_job_order_for_every_pool_size() {
-        for threads in [1, 2, 3, 5, 8] {
-            let (out, timings) = map_ordered(threads, 23, |_, job| job * job);
-            assert_eq!(out, (0..23).map(|j| j * j).collect::<Vec<_>>(), "threads={threads}");
-            assert_eq!(timings.len(), threads);
-        }
-    }
-
-    #[test]
-    fn map_ordered_reports_worker_indices() {
-        let (out, _) = map_ordered(4, 12, |w, job| (w, job));
-        // Contiguous partition: jobs 0..3 on worker 0, 3..6 on 1, ...
-        for (slot, (w, job)) in out.iter().enumerate() {
-            assert_eq!(*job, slot);
-            assert_eq!(*w, slot / 3);
-        }
-    }
-
-    #[test]
-    fn map_ordered_empty_and_fewer_jobs_than_workers() {
-        let (out, _) = map_ordered(4, 0, |_, job| job);
-        assert!(out.is_empty());
-        let (out, _) = map_ordered(8, 3, |_, job| job + 1);
-        assert_eq!(out, vec![1, 2, 3]);
     }
 }

@@ -1,11 +1,10 @@
 //! A long-lived work queue over OS worker threads — the substrate of
 //! `bemcap-core`'s execution subsystem.
 //!
-//! [`run_partitioned`](crate::pool::run_partitioned) and
-//! [`map_ordered`](crate::pool::map_ordered) are *scoped*: they spawn
-//! workers for one parallel region and join them before returning, which
-//! is exactly Algorithm 1's fork/join shape but useless for a daemon that
-//! must keep one bounded pool alive across requests. [`WorkQueue`] is the
+//! [`run_partitioned`](crate::pool::run_partitioned) is *scoped*: it
+//! spawns workers for one parallel region and joins them before
+//! returning, which is exactly Algorithm 1's fork/join shape but useless
+//! for a daemon that must keep one bounded pool alive across requests. [`WorkQueue`] is the
 //! persistent counterpart: a fixed set of worker threads popping boxed
 //! tasks from one FIFO queue, with
 //!

@@ -11,10 +11,14 @@
 //!   bit-identical results without running a single job;
 //! * an ECO touching one net re-extracts exactly the windows whose halo
 //!   sees the change, and the incremental result is bit-identical to a
-//!   from-scratch extraction of the revision.
+//!   from-scratch extraction of the revision;
+//! * a run's window-cache counters are exactly what it did to the cache,
+//!   evictions included.
 
-use bemcap_core::chip::{ChipCapacitance, ChipExtractor};
-use bemcap_core::Extractor;
+use std::sync::Arc;
+
+use bemcap_core::chip::{ChipCapacitance, ChipExtractor, WindowCache};
+use bemcap_core::{CacheStats, Extractor};
 use bemcap_geom::structures::{self, BusParams};
 use bemcap_geom::{Conductor, Geometry, GeometryDiff, Point3};
 use proptest::prelude::*;
@@ -198,4 +202,36 @@ fn eco_reextracts_only_touched_windows_and_matches_from_scratch() {
         .expect("from-scratch extraction of the revision");
     assert_eq!(scratch.report().extracted, scratch.report().windows, "scratch run is cold");
     assert_chip_bits_equal(eco.capacitance(), scratch.capacitance(), "incremental vs scratch");
+}
+
+/// `ChipReport::window_cache` is the run's own share of the window
+/// cache's lifetime counters: over a cold extract plus an ECO on a cache
+/// bounded to one result per shard, the two reports sum to the cache's
+/// lifetime delta on all four counters.
+#[test]
+fn run_window_counters_sum_to_the_cache_lifetime_delta() {
+    let geo = bus(3, 3);
+    let cache = Arc::new(WindowCache::with_max_bytes(1));
+    let chip = ChipExtractor::new(Extractor::new())
+        .windows(3, 3)
+        .halo(1.0e-6)
+        .window_cache(Arc::clone(&cache));
+    let before = cache.lifetime();
+    let cold = chip.extract(&geo).expect("cold extraction");
+    let revised = nudge(&geo, "mx0", Point3::new(0.0, 0.0, 0.02e-6));
+    let diff = GeometryDiff::between(&geo, &revised);
+    let eco = chip.reextract(&revised, &diff).expect("incremental reextraction");
+    let after = cache.lifetime();
+
+    let mut runs = cold.report().window_cache;
+    runs.absorb(eco.report().window_cache);
+    let delta = CacheStats {
+        hits: after.hits - before.hits,
+        misses: after.misses - before.misses,
+        evictions: after.evictions - before.evictions,
+        inserted_bytes: after.inserted_bytes - before.inserted_bytes,
+    };
+    assert_eq!(runs, delta);
+    assert!(delta.evictions > 0, "a one-result-per-shard bound must evict: {delta:?}");
+    assert!(delta.hits > 0, "the ECO must reuse a window: {delta:?}");
 }
