@@ -35,7 +35,8 @@
 //! daemon's configuration), where [`CoreError::Busy`] backpressure
 //! applies.
 //!
-//! [`crate::sweep::sweep`] is a thin wrapper over this module.
+//! A parameter sweep is [`BatchExtractor::extract_family`] followed by
+//! [`BatchResult::entry_curve`].
 //!
 //! ```
 //! use bemcap_core::batch::BatchExtractor;
@@ -316,7 +317,7 @@ impl BatchExtractor {
     }
 
     /// Runs the batch over `build(p)` for every parameter in `params` —
-    /// the family form behind [`crate::sweep::sweep`].
+    /// a parameter sweep, with results in `params` order.
     ///
     /// # Errors
     ///
@@ -504,6 +505,22 @@ mod tests {
         let result = BatchExtractor::new(Extractor::new()).extract_all(&[]).expect("empty");
         assert!(result.points().is_empty());
         assert_eq!(result.report().jobs, 0);
+    }
+
+    #[test]
+    fn coupling_decreases_with_separation() {
+        let hs = [0.4e-6, 0.8e-6, 1.6e-6];
+        let result = BatchExtractor::new(Extractor::new())
+            .extract_family(&hs, |h| {
+                structures::crossing_wires(CrossingParams { separation: h, ..Default::default() })
+            })
+            .expect("family");
+        let curve = result.entry_curve(0, 1);
+        assert_eq!(curve.iter().map(|p| p.0).collect::<Vec<_>>(), hs);
+        // Coupling magnitude decreases monotonically with h.
+        for w in curve.windows(2) {
+            assert!(w[0].1.abs() > w[1].1.abs(), "coupling must fall with h: {curve:?}");
+        }
     }
 
     #[test]

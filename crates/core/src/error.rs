@@ -34,8 +34,8 @@ pub enum CoreError {
     },
     /// A batch job failed. Carries the failing job's index in the input
     /// order, the swept parameter value when the job came from a
-    /// parameterized family ([`crate::sweep::sweep`] /
-    /// [`crate::batch::BatchExtractor::extract_family`]), and the
+    /// parameterized family
+    /// ([`crate::batch::BatchExtractor::extract_family`]), and the
     /// underlying error.
     BatchJob {
         /// Index of the failing job in the batch input order.

@@ -1,6 +1,6 @@
 //! The shared execution core: one admission-controlled, coalescing
-//! work-queue executor that batch extraction, [`crate::sweep::sweep`],
-//! and the `bemcap-serve` daemon all run on.
+//! work-queue executor that batch extraction (parameter sweeps
+//! included), chip extraction and the `bemcap-serve` daemon all run on.
 //!
 //! The paper's economics (conf_dac_HsiaoD11) say throughput comes from
 //! amortizing engine and template work across many similar structures.

@@ -13,8 +13,9 @@
 //!
 //! For families of similar structures (sweeps, multi-net corners), the
 //! [`batch`] module schedules many extractions across a worker pool and
-//! shares pair integrals between them — see [`BatchExtractor`]. Batch,
-//! [`sweep`], and the `bemcap-serve` daemon all execute on the same
+//! shares pair integrals between them — see [`BatchExtractor`], whose
+//! [`BatchExtractor::extract_family`] runs a parameter sweep. Batch, chip
+//! and the `bemcap-serve` daemon all execute on the same
 //! shared execution core ([`exec::Executor`]): a bounded work queue with
 //! admission control ([`CoreError::Busy`] backpressure) and request
 //! coalescing (same-configuration jobs share a micro-batch and its
@@ -43,7 +44,6 @@ pub mod extraction;
 pub mod metrics;
 pub mod report;
 pub mod solver;
-pub mod sweep;
 
 pub use backend::{
     AutoBackend, Backend, DensePwcBackend, FmmBackend, InstantiableBackend, PfftBackend,

@@ -33,9 +33,11 @@ use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use bemcap_core::metrics::{Metric, Registry};
-use bemcap_serve::protocol::{self, codes, error_response, ok_response, Request, PROTOCOL_VERSION};
+use bemcap_serve::protocol::{
+    self, codes, error_response, ok_response, MetricsReply, PingReply, ReplicaStats, Request,
+    RouteStatsReply, ShutdownReply, PROTOCOL_VERSION,
+};
 use bemcap_serve::{Client, Listener, Shutdown};
-use serde_json::{json, Value};
 
 use crate::balance::{routing_key, Balancer};
 use crate::replica::Replica;
@@ -313,50 +315,35 @@ fn dispatch(state: &RouterState, line: &str) -> Vec<u8> {
         Ok(request) => request,
         Err(e) => return error_response(e.id, e.code, &e.message).into_bytes(),
     };
+    let id = request.id();
     if let Some(key) = routing_key(&request) {
-        let id = match &request {
-            Request::Extract { id, .. } | Request::Batch { id, .. } | Request::Chip { id, .. } => {
-                *id
-            }
-            _ => None,
-        };
         return forward_payload(state, key, line.as_bytes(), id);
     }
+    let refuse = |message: &str| error_response(id, codes::BAD_REQUEST, message);
     match request {
-        Request::Ping { id } => ok_response(
-            id,
-            json!({
-                "pong": true,
-                "proto": PROTOCOL_VERSION,
-                "version": env!("CARGO_PKG_VERSION"),
-                "router": true,
-            }),
-        )
-        .into_bytes(),
-        Request::Metrics { id } => ok_response(id, metrics_scrape(state)).into_bytes(),
-        Request::RouteStats { id } => ok_response(id, route_stats_value(state)).into_bytes(),
-        Request::Shutdown { id } => {
-            state.shutdown.trigger();
-            ok_response(id, json!({ "stopping": true })).into_bytes()
+        Request::Ping { .. } => {
+            let version = env!("CARGO_PKG_VERSION").into();
+            ok_response(id, PingReply { proto: PROTOCOL_VERSION, version, router: true }.encode())
         }
-        Request::Stats { id } => error_response(
-            id,
-            codes::BAD_REQUEST,
+        Request::Metrics { .. } => ok_response(id, metrics_scrape(state).encode()),
+        Request::RouteStats { .. } => ok_response(id, route_stats(state).encode()),
+        Request::Shutdown { .. } => {
+            state.shutdown.trigger();
+            ok_response(id, ShutdownReply.encode())
+        }
+        Request::Stats { .. } => refuse(
             "stats describes one daemon's private state; \
              ask a replica directly or use route_stats here",
-        )
-        .into_bytes(),
-        Request::Snapshot { id, .. } => error_response(
-            id,
-            codes::BAD_REQUEST,
+        ),
+        Request::Snapshot { .. } => refuse(
             "snapshot writes one daemon's cache to its filesystem; \
              address the replica directly",
-        )
-        .into_bytes(),
+        ),
         Request::Extract { .. } | Request::Batch { .. } | Request::Chip { .. } => {
             unreachable!("payload ops always have a routing key")
         }
     }
+    .into_bytes()
 }
 
 /// Relays a payload frame along the rendezvous preference order:
@@ -404,48 +391,47 @@ fn forward_payload(state: &RouterState, key: u64, line: &[u8], id: Option<u64>) 
     .into_bytes()
 }
 
-/// Builds the v6 `route_stats` result from the live state.
-fn route_stats_value(state: &RouterState) -> Value {
-    let replicas: Vec<Value> = state
-        .replicas
-        .iter()
-        .map(|r| {
-            json!({
-                "addr": r.addr(),
-                "healthy": r.is_healthy(),
-                "consecutive_failures": r.failure_streak() as f64,
-                "requests": r.request_count() as f64,
-                "errors": r.error_count() as f64,
-                "pooled": r.pooled(),
+/// The v6 `route_stats` result, read from the live state.
+fn route_stats(state: &RouterState) -> RouteStatsReply {
+    let count = |n: &AtomicU64| n.load(Ordering::Relaxed);
+    RouteStatsReply {
+        replicas: state
+            .replicas
+            .iter()
+            .map(|r| ReplicaStats {
+                addr: r.addr().to_string(),
+                healthy: r.is_healthy(),
+                consecutive_failures: r.failure_streak(),
+                requests: r.request_count(),
+                errors: r.error_count(),
+                pooled: r.pooled(),
             })
-        })
-        .collect();
-    json!({
-        "replicas": Value::Array(replicas),
-        "healthy": state.healthy_count(),
-        "proxied": state.proxied.load(Ordering::Relaxed) as f64,
-        "failovers": state.failovers.load(Ordering::Relaxed) as f64,
-        "upstream_errors": state.upstream_errors.load(Ordering::Relaxed) as f64,
-        "ejections": state.ejections.load(Ordering::Relaxed) as f64,
-        "readmissions": state.readmissions.load(Ordering::Relaxed) as f64,
-        "uptime_seconds": state.started.elapsed().as_secs_f64(),
-        "requests": state.requests.load(Ordering::Relaxed) as f64,
-    })
+            .collect(),
+        healthy: state.healthy_count(),
+        proxied: count(&state.proxied),
+        failovers: count(&state.failovers),
+        upstream_errors: count(&state.upstream_errors),
+        ejections: count(&state.ejections),
+        readmissions: count(&state.readmissions),
+        uptime_seconds: state.started.elapsed().as_secs_f64(),
+        requests: count(&state.requests),
+    }
 }
 
 /// Builds the `metrics` result: refreshes the router gauges, then
 /// snapshots the global registry (shared with any in-process daemons —
 /// the registry is process-wide by design).
-fn metrics_scrape(state: &RouterState) -> Value {
+fn metrics_scrape(state: &RouterState) -> MetricsReply {
     let m = router_metrics();
     m.replicas.set(state.replicas.len() as u64);
     m.healthy_replicas.set(state.healthy_count() as u64);
-    protocol::metrics_value()
+    MetricsReply::from_registry(Registry::global())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde_json::Value;
 
     fn test_state(replicas: Vec<String>) -> RouterState {
         let cfg = RouterConfig {

@@ -2,22 +2,25 @@
 //!
 //! One [`Client`] wraps one TCP connection and issues requests in order
 //! (the protocol has no pipelining; correlation ids exist so callers can
-//! still verify pairing). All numeric payloads decode to the exact `f64`
-//! bits the daemon computed — see [`crate::protocol`].
+//! still verify pairing). Each method sends one request and decodes the
+//! reply with its [`crate::protocol`] codec, so all numeric payloads
+//! decode to the exact `f64` bits the daemon computed.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
-use bemcap_core::{CacheStats, ExecStats, SolverStats};
 use bemcap_geom::io::write_geometry;
 use bemcap_geom::Geometry;
-use serde_json::Value;
 
 use crate::error::ServeError;
 use crate::protocol::{
-    self, cache_stats_from_value, encode_request, exec_stats_from_value, solver_stats_from_value,
-    ExtractOptions, Request,
+    encode_request, open_response, ExtractOptions, PingReply, Request, ShutdownReply, Value,
+    PROTOCOL_VERSION,
+};
+pub use crate::protocol::{
+    ChipReply, DaemonStats, ExtractReply, MetricsReply, ReplicaStats, RouteStatsReply,
+    SnapshotReply,
 };
 
 /// A blocking connection to a running `bemcapd`.
@@ -38,56 +41,6 @@ pub struct Client {
     next_id: u64,
 }
 
-/// A decoded `extract` response.
-#[derive(Debug, Clone)]
-pub struct ExtractReply {
-    /// Conductor net names, in matrix index order.
-    pub names: Vec<String>,
-    /// Row-major capacitance matrix (farad), bit-identical to the
-    /// daemon-side computation.
-    pub matrix: Vec<Vec<f64>>,
-    /// Solver backend that ran ("instantiable", "pwc-dense", ...) — for
-    /// `auto` requests, the backend the daemon resolved to.
-    pub method: String,
-    /// System dimension N.
-    pub n: usize,
-    /// Workers the daemon's setup step used (1 when a pre-v3 daemon
-    /// omitted the field — tolerated only for requests that carry no
-    /// typed backend options; see [`Client::extract`]).
-    pub workers: usize,
-    /// Daemon-side setup seconds.
-    pub setup_seconds: f64,
-    /// Daemon-side solve seconds.
-    pub solve_seconds: f64,
-    /// Iterative-solver counters (iterations, restarts, residual) for
-    /// Krylov backends; `None` for direct solves and pre-v3 daemons.
-    pub solver: Option<SolverStats>,
-    /// Pair-integral cache counters of this request.
-    pub cache: CacheStats,
-    /// Seconds the request waited in the daemon's admission queue before
-    /// its micro-batch started (0 when the daemon predates the field).
-    pub queue_seconds: f64,
-    /// Whether the daemon coalesced this request into a micro-batch
-    /// opened by an earlier concurrent request.
-    pub coalesced: bool,
-}
-
-impl ExtractReply {
-    /// Entry C_ij.
-    ///
-    /// # Panics
-    ///
-    /// Panics on out-of-range indices.
-    pub fn get(&self, i: usize, j: usize) -> f64 {
-        self.matrix[i][j]
-    }
-
-    /// Number of conductors.
-    pub fn dim(&self) -> usize {
-        self.matrix.len()
-    }
-}
-
 /// Options of a full-chip windowed `chip` request (protocol v4).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChipOptions {
@@ -105,356 +58,6 @@ pub struct ChipOptions {
 impl Default for ChipOptions {
     fn default() -> ChipOptions {
         ChipOptions { extract: ExtractOptions::default(), nx: 2, ny: 2, halo: None }
-    }
-}
-
-/// A decoded `chip` response: the stitched sparse chip capacitance
-/// matrix plus the daemon-side windowing report.
-#[derive(Debug, Clone)]
-pub struct ChipReply {
-    /// Conductor net names, in matrix index order.
-    pub names: Vec<String>,
-    /// Matrix dimension (number of conductors).
-    pub dim: usize,
-    /// Stored sparse entries `(i, j, c_ij)` in row-major order,
-    /// bit-identical to the daemon-side computation.
-    pub entries: Vec<(usize, usize, f64)>,
-    /// Windows in the daemon's partition.
-    pub windows: usize,
-    /// Windows extracted for this request (window-cache misses).
-    pub extracted: usize,
-    /// Windows reused from the daemon's window cache.
-    pub reused: usize,
-    /// Worker threads the windows ran on.
-    pub workers: usize,
-    /// Daemon-side wall-clock seconds of the chip extraction.
-    pub wall_seconds: f64,
-    /// Pair-integral cache counters aggregated over extracted windows.
-    pub cache: CacheStats,
-    /// Window-cache counters of this request (hits = reused windows).
-    pub window_cache: CacheStats,
-}
-
-impl ChipReply {
-    /// Entry C_ij in farad; `0.0` for net pairs sharing no window.
-    pub fn get(&self, i: usize, j: usize) -> f64 {
-        self.entries
-            .binary_search_by_key(&(i, j), |&(ei, ej, _)| (ei, ej))
-            .map_or(0.0, |at| self.entries[at].2)
-    }
-
-    /// Stored entries (the sparse matrix's nonzero pattern size).
-    pub fn nnz(&self) -> usize {
-        self.entries.len()
-    }
-}
-
-/// A decoded `stats` response.
-#[derive(Debug, Clone)]
-pub struct DaemonStats {
-    /// Lifetime cache counters across all connections.
-    pub cache: CacheStats,
-    /// Resident cache entries right now.
-    pub cache_entries: usize,
-    /// Approximate resident cache bytes right now.
-    pub cache_resident_bytes: usize,
-    /// Configured cache bound (`None` = unbounded).
-    pub cache_max_bytes: Option<usize>,
-    /// Seconds since the daemon started.
-    pub uptime_seconds: f64,
-    /// Requests handled since start (all ops, all connections).
-    pub requests: u64,
-    /// Connections accepted since start.
-    pub connections: u64,
-    /// Worker pool size of the daemon's shared executor.
-    pub workers: usize,
-    /// Admission queue depth (most jobs that may wait at once).
-    pub queue_depth: usize,
-    /// Coalescing window (most jobs one micro-batch may hold).
-    pub coalesce_limit: usize,
-    /// Jobs waiting in the queue right now.
-    pub queued: usize,
-    /// Jobs executing on workers right now.
-    pub running: usize,
-    /// Lifetime executor counters (admission, rejections, coalescing).
-    pub exec: ExecStats,
-    /// Lifetime window-cache counters of the `chip` op (v4; all zero
-    /// when the daemon predates the field).
-    pub window_cache: CacheStats,
-    /// Resident window-cache entries right now (v4; 0 for older
-    /// daemons).
-    pub window_cache_entries: usize,
-}
-
-/// A decoded `snapshot` response (protocol v6): what the daemon wrote
-/// to its filesystem.
-#[derive(Debug, Clone)]
-pub struct SnapshotReply {
-    /// Daemon-side path the snapshot landed at (echoed from the request).
-    pub path: String,
-    /// Pair-integral cache entries serialized.
-    pub entries: usize,
-    /// Snapshot file size in bytes.
-    pub bytes: u64,
-}
-
-/// One replica's row in a `route_stats` response (protocol v6).
-#[derive(Debug, Clone)]
-pub struct ReplicaStats {
-    /// The replica's daemon address as the router dials it.
-    pub addr: String,
-    /// Whether the router currently routes to this replica.
-    pub healthy: bool,
-    /// Consecutive health-check failures (resets to 0 on any success).
-    pub consecutive_failures: u64,
-    /// Requests the router sent to this replica since start.
-    pub requests: u64,
-    /// Connection-level failures talking to this replica since start
-    /// (structured backend errors are *not* counted — they are answers).
-    pub errors: u64,
-}
-
-/// A decoded `route_stats` response (protocol v6) from the `bemcaprd`
-/// front tier. A plain daemon answers the op with `bad-request`, so a
-/// successful decode also tells the caller it is talking to a router.
-#[derive(Debug, Clone)]
-pub struct RouteStatsReply {
-    /// Per-replica health and traffic counters, in configuration order.
-    pub replicas: Vec<ReplicaStats>,
-    /// Replicas currently routable.
-    pub healthy: usize,
-    /// Payload requests proxied to replicas since start.
-    pub proxied: u64,
-    /// Requests retried on another replica after a connection-level
-    /// failure.
-    pub failovers: u64,
-    /// Requests answered with the `upstream` error (every replica
-    /// unreachable).
-    pub upstream_errors: u64,
-    /// Health-check ejections since start.
-    pub ejections: u64,
-    /// Re-admissions of previously ejected replicas since start.
-    pub readmissions: u64,
-}
-
-/// A decoded `metrics` response (protocol v5): one scrape of the
-/// daemon's process-lifetime observability registry.
-#[derive(Debug, Clone)]
-pub struct MetricsReply {
-    /// Prometheus-style text exposition — ready to serve to a scraper
-    /// or dump to a log verbatim.
-    pub text: String,
-    /// Monotonic counters as `(name, value)`, sorted by name.
-    pub counters: Vec<(String, u64)>,
-    /// Point-in-time gauges as `(name, value)`, sorted by name.
-    pub gauges: Vec<(String, u64)>,
-}
-
-impl MetricsReply {
-    /// Value of the counter `name`, or `None` if the daemon did not
-    /// expose it.
-    pub fn counter(&self, name: &str) -> Option<u64> {
-        lookup(&self.counters, name)
-    }
-
-    /// Value of the gauge `name`, or `None` if the daemon did not
-    /// expose it.
-    pub fn gauge(&self, name: &str) -> Option<u64> {
-        lookup(&self.gauges, name)
-    }
-}
-
-fn lookup(samples: &[(String, u64)], name: &str) -> Option<u64> {
-    samples.iter().find(|(n, _)| n == name).map(|&(_, v)| v)
-}
-
-fn proto_err(msg: impl Into<String>) -> ServeError {
-    ServeError::Protocol(msg.into())
-}
-
-/// Decodes one extraction result object (the `extract` result, or one
-/// entry of a `batch` result's `results` array).
-fn decode_extract_result(result: &Value) -> Result<ExtractReply, ServeError> {
-    let names: Vec<String> = result
-        .get("names")
-        .and_then(Value::as_array)
-        .ok_or_else(|| proto_err("extract response missing 'names'"))?
-        .iter()
-        .map(|v| v.as_str().map(str::to_string))
-        .collect::<Option<_>>()
-        .ok_or_else(|| proto_err("non-string conductor name"))?;
-    let rows = result
-        .get("matrix")
-        .and_then(Value::as_array)
-        .ok_or_else(|| proto_err("extract response missing 'matrix'"))?;
-    let mut matrix: Vec<Vec<f64>> = Vec::with_capacity(rows.len());
-    for row in rows {
-        let cells = row.as_array().ok_or_else(|| proto_err("matrix row is not an array"))?;
-        matrix.push(
-            cells
-                .iter()
-                .map(Value::as_f64)
-                .collect::<Option<Vec<f64>>>()
-                .ok_or_else(|| proto_err("non-numeric matrix entry"))?,
-        );
-    }
-    if matrix.len() != names.len() || matrix.iter().any(|r| r.len() != names.len()) {
-        return Err(proto_err("matrix shape does not match conductor names"));
-    }
-    let report = result.get("report").ok_or_else(|| proto_err("missing 'report'"))?;
-    let cache =
-        cache_stats_from_value(result.get("cache").ok_or_else(|| proto_err("missing 'cache'"))?)
-            .map_err(|e| proto_err(e.message))?;
-    Ok(ExtractReply {
-        names,
-        matrix,
-        method: report
-            .get("method")
-            .and_then(Value::as_str)
-            .ok_or_else(|| proto_err("report missing 'method'"))?
-            .to_string(),
-        n: report.get("n").and_then(Value::as_u64).ok_or_else(|| proto_err("report missing 'n'"))?
-            as usize,
-        // Additive v3 fields: lenient decode so older daemons still work.
-        workers: report.get("workers").and_then(Value::as_u64).unwrap_or(1) as usize,
-        setup_seconds: report.get("setup_seconds").and_then(Value::as_f64).unwrap_or(0.0),
-        solve_seconds: report.get("solve_seconds").and_then(Value::as_f64).unwrap_or(0.0),
-        solver: match report.get("solver") {
-            None | Some(Value::Null) => None,
-            Some(v) => Some(solver_stats_from_value(v).map_err(|e| proto_err(e.message))?),
-        },
-        cache,
-        queue_seconds: 0.0,
-        coalesced: false,
-    })
-}
-
-/// Decodes a `chip` result object into a [`ChipReply`].
-fn decode_chip_result(result: &Value) -> Result<ChipReply, ServeError> {
-    let names: Vec<String> = result
-        .get("names")
-        .and_then(Value::as_array)
-        .ok_or_else(|| proto_err("chip response missing 'names'"))?
-        .iter()
-        .map(|v| v.as_str().map(str::to_string))
-        .collect::<Option<_>>()
-        .ok_or_else(|| proto_err("non-string conductor name"))?;
-    let dim = result
-        .get("dim")
-        .and_then(Value::as_u64)
-        .ok_or_else(|| proto_err("chip response missing 'dim'"))? as usize;
-    if dim != names.len() {
-        return Err(proto_err("chip dimension does not match conductor names"));
-    }
-    let mut entries: Vec<(usize, usize, f64)> = Vec::new();
-    for e in result
-        .get("entries")
-        .and_then(Value::as_array)
-        .ok_or_else(|| proto_err("chip response missing 'entries'"))?
-    {
-        let triplet = e
-            .as_array()
-            .filter(|t| t.len() == 3)
-            .ok_or_else(|| proto_err("chip entries must be [i, j, value] triplets"))?;
-        let i = triplet[0].as_u64().ok_or_else(|| proto_err("non-integer chip row index"))?;
-        let j = triplet[1].as_u64().ok_or_else(|| proto_err("non-integer chip column index"))?;
-        let v = triplet[2].as_f64().ok_or_else(|| proto_err("non-numeric chip entry"))?;
-        if i as usize >= dim || j as usize >= dim {
-            return Err(proto_err("chip entry index out of range"));
-        }
-        entries.push((i as usize, j as usize, v));
-    }
-    // The daemon emits CSR row-major order already; sort defensively so
-    // `ChipReply::get`'s binary search never depends on wire order.
-    entries.sort_by_key(|&(i, j, _)| (i, j));
-    let report = result.get("report").ok_or_else(|| proto_err("chip missing 'report'"))?;
-    let ruint = |name: &str| {
-        report
-            .get(name)
-            .and_then(Value::as_u64)
-            .map(|n| n as usize)
-            .ok_or_else(|| proto_err(format!("chip report missing '{name}'")))
-    };
-    Ok(ChipReply {
-        names,
-        dim,
-        entries,
-        windows: ruint("windows")?,
-        extracted: ruint("extracted")?,
-        reused: ruint("reused")?,
-        workers: ruint("workers")?,
-        wall_seconds: report.get("wall_seconds").and_then(Value::as_f64).unwrap_or(0.0),
-        cache: cache_stats_from_value(
-            result.get("cache").ok_or_else(|| proto_err("chip missing 'cache'"))?,
-        )
-        .map_err(|e| proto_err(e.message))?,
-        window_cache: cache_stats_from_value(
-            result.get("window_cache").ok_or_else(|| proto_err("chip missing 'window_cache'"))?,
-        )
-        .map_err(|e| proto_err(e.message))?,
-    })
-}
-
-/// Reads one unsigned field of the `stats` response's `queue` section.
-fn queue_uint(result: &Value, name: &str) -> Result<usize, ServeError> {
-    result
-        .get("queue")
-        .and_then(|q| q.get(name))
-        .and_then(Value::as_u64)
-        .map(|n| n as usize)
-        .ok_or_else(|| proto_err(format!("stats queue section missing '{name}'")))
-}
-
-/// Fills the per-submission executor record into a reply (lenient: a
-/// missing record leaves the defaults, for older daemons).
-fn apply_exec_info(reply: &mut ExtractReply, exec: Option<&Value>) {
-    if let Some(exec) = exec {
-        reply.queue_seconds = exec.get("queue_seconds").and_then(Value::as_f64).unwrap_or(0.0);
-        reply.coalesced = exec.get("coalesced").and_then(Value::as_bool).unwrap_or(false);
-    }
-}
-
-/// Moves the value of `key` out of an owned JSON object.
-fn take_field(v: Value, key: &str) -> Option<Value> {
-    match v {
-        Value::Object(entries) => entries.into_iter().find(|(k, _)| k == key).map(|(_, val)| val),
-        _ => None,
-    }
-}
-
-/// Whether the request relies on protocol-v3 typed backend fields that a
-/// pre-v3 daemon would silently ignore. (`method: auto` needs no guard —
-/// older daemons reject the unknown method name outright.)
-fn uses_typed_backend_options(options: &ExtractOptions) -> bool {
-    options.fmm.is_some()
-        || options.pfft.is_some()
-        || options.krylov.is_some()
-        || options.precond.is_some()
-        || options.auto_budget.is_some()
-}
-
-/// Guards typed-option requests against pre-v3 daemons: such a daemon
-/// ignores the unknown config fields and solves with its defaults, which
-/// would hand back a matrix computed under a *different* configuration
-/// with no error. v3 daemons always emit `report.workers`, so its absence
-/// identifies the downgrade deterministically.
-///
-/// # Errors
-///
-/// [`ServeError::Protocol`] when the report lacks the v3 marker.
-fn require_v3_report(result: &Value, options: &ExtractOptions) -> Result<(), ServeError> {
-    if !uses_typed_backend_options(options) {
-        return Ok(());
-    }
-    let has_marker = result.get("report").and_then(|r| r.get("workers")).is_some();
-    if has_marker {
-        Ok(())
-    } else {
-        Err(proto_err(
-            "daemon predates protocol v3 and would silently ignore the typed backend \
-             options (fmm/pfft/krylov/precond/auto_budget) — upgrade the daemon or \
-             drop the typed fields",
-        ))
     }
 }
 
@@ -548,16 +151,9 @@ impl Client {
         geometry: &str,
         options: &ExtractOptions,
     ) -> Result<ExtractReply, ServeError> {
-        let id = self.fresh_id();
-        let result = self.roundtrip(&Request::Extract {
-            id: Some(id),
-            geometry: geometry.to_string(),
-            options: *options,
-        })?;
-        require_v3_report(&result, options)?;
-        let mut reply = decode_extract_result(&result)?;
-        apply_exec_info(&mut reply, result.get("exec"));
-        Ok(reply)
+        let id = Some(self.fresh_id());
+        let request = Request::Extract { id, geometry: geometry.to_string(), options: *options };
+        Ok(ExtractReply::decode(&self.roundtrip(&request)?, options)?)
     }
 
     /// Extracts many geometries in one `batch` frame: all of them run as
@@ -577,26 +173,12 @@ impl Client {
         geometries: &[Geometry],
         options: &ExtractOptions,
     ) -> Result<Vec<ExtractReply>, ServeError> {
-        let id = self.fresh_id();
-        let result = self.roundtrip(&Request::Batch {
-            id: Some(id),
-            geometries: geometries.iter().map(write_geometry).collect(),
-            options: *options,
-        })?;
-        let entries = result
-            .get("results")
-            .and_then(Value::as_array)
-            .ok_or_else(|| proto_err("batch response missing 'results'"))?;
-        let mut replies = Vec::with_capacity(entries.len());
-        for entry in entries {
-            require_v3_report(entry, options)?;
-            let mut reply = decode_extract_result(entry)?;
-            // The executor record is per submission: shared by the frame.
-            apply_exec_info(&mut reply, result.get("exec"));
-            replies.push(reply);
-        }
+        let id = Some(self.fresh_id());
+        let geometries_text = geometries.iter().map(write_geometry).collect();
+        let request = Request::Batch { id, geometries: geometries_text, options: *options };
+        let replies = ExtractReply::decode_batch(&self.roundtrip(&request)?, options)?;
         if replies.len() != geometries.len() {
-            return Err(proto_err("batch response count does not match request"));
+            return Err(ServeError::Protocol("batch response count does not match request".into()));
         }
         Ok(replies)
     }
@@ -630,16 +212,15 @@ impl Client {
         geometry: &str,
         options: &ChipOptions,
     ) -> Result<ChipReply, ServeError> {
-        let id = self.fresh_id();
-        let result = self.roundtrip(&Request::Chip {
-            id: Some(id),
+        let request = Request::Chip {
+            id: Some(self.fresh_id()),
             geometry: geometry.to_string(),
             options: options.extract,
             nx: options.nx,
             ny: options.ny,
             halo: options.halo,
-        })?;
-        decode_chip_result(&result)
+        };
+        Ok(ChipReply::decode(&self.roundtrip(&request)?)?)
     }
 
     /// Liveness probe; checks the daemon speaks at least this client's
@@ -651,16 +232,15 @@ impl Client {
     /// [`ServeError::Protocol`] when the daemon's version is older than
     /// the client's; transport errors as usual.
     pub fn ping(&mut self) -> Result<(), ServeError> {
-        let id = self.fresh_id();
-        let result = self.roundtrip(&Request::Ping { id: Some(id) })?;
-        match result.get("proto").and_then(Value::as_u64) {
-            Some(v) if v >= protocol::PROTOCOL_VERSION => Ok(()),
-            Some(v) => Err(proto_err(format!(
-                "protocol version mismatch: daemon speaks {v}, client needs {}",
-                protocol::PROTOCOL_VERSION
-            ))),
-            None => Err(proto_err("ping response missing 'proto'")),
+        let request = Request::Ping { id: Some(self.fresh_id()) };
+        let pong = PingReply::decode(&self.roundtrip(&request)?)?;
+        if pong.proto < PROTOCOL_VERSION {
+            return Err(ServeError::Protocol(format!(
+                "protocol version mismatch: daemon speaks {}, client needs {PROTOCOL_VERSION}",
+                pong.proto
+            )));
         }
+        Ok(())
     }
 
     /// Daemon-level statistics.
@@ -669,49 +249,8 @@ impl Client {
     ///
     /// As [`Client::extract`].
     pub fn stats(&mut self) -> Result<DaemonStats, ServeError> {
-        let id = self.fresh_id();
-        let result = self.roundtrip(&Request::Stats { id: Some(id) })?;
-        let uint = |name: &str| {
-            result
-                .get(name)
-                .and_then(Value::as_u64)
-                .ok_or_else(|| proto_err(format!("stats response missing '{name}'")))
-        };
-        Ok(DaemonStats {
-            cache: cache_stats_from_value(
-                result.get("cache").ok_or_else(|| proto_err("stats missing 'cache'"))?,
-            )
-            .map_err(|e| proto_err(e.message))?,
-            cache_entries: uint("cache_entries")? as usize,
-            cache_resident_bytes: uint("cache_resident_bytes")? as usize,
-            cache_max_bytes: match result.get("cache_max_bytes") {
-                None | Some(Value::Null) => None,
-                Some(v) => {
-                    Some(v.as_u64().ok_or_else(|| proto_err("bad 'cache_max_bytes'"))? as usize)
-                }
-            },
-            uptime_seconds: result.get("uptime_seconds").and_then(Value::as_f64).unwrap_or(0.0),
-            requests: uint("requests")?,
-            connections: uint("connections")?,
-            workers: uint("workers")? as usize,
-            queue_depth: queue_uint(&result, "depth")?,
-            coalesce_limit: queue_uint(&result, "coalesce_limit")?,
-            queued: queue_uint(&result, "queued")?,
-            running: queue_uint(&result, "running")?,
-            exec: exec_stats_from_value(
-                result.get("exec").ok_or_else(|| proto_err("stats missing 'exec'"))?,
-            )
-            .map_err(|e| proto_err(e.message))?,
-            // Additive v4 fields: lenient decode so older daemons work.
-            window_cache: result
-                .get("window_cache")
-                .and_then(|v| cache_stats_from_value(v).ok())
-                .unwrap_or_default(),
-            window_cache_entries: result
-                .get("window_cache_entries")
-                .and_then(Value::as_u64)
-                .unwrap_or(0) as usize,
-        })
+        let request = Request::Stats { id: Some(self.fresh_id()) };
+        Ok(DaemonStats::decode(&self.roundtrip(&request)?)?)
     }
 
     /// Scrapes the daemon's observability registry (protocol v5): the
@@ -723,30 +262,8 @@ impl Client {
     ///
     /// As [`Client::extract`].
     pub fn metrics(&mut self) -> Result<MetricsReply, ServeError> {
-        let id = self.fresh_id();
-        let result = self.roundtrip(&Request::Metrics { id: Some(id) })?;
-        let samples = |field: &str| -> Result<Vec<(String, u64)>, ServeError> {
-            match result.get(field) {
-                Some(Value::Object(entries)) => entries
-                    .iter()
-                    .map(|(name, v)| {
-                        v.as_u64().map(|n| (name.clone(), n)).ok_or_else(|| {
-                            proto_err(format!("non-integer metric '{name}' in '{field}'"))
-                        })
-                    })
-                    .collect(),
-                _ => Err(proto_err(format!("metrics response missing '{field}' object"))),
-            }
-        };
-        Ok(MetricsReply {
-            text: result
-                .get("text")
-                .and_then(Value::as_str)
-                .ok_or_else(|| proto_err("metrics response missing 'text'"))?
-                .to_string(),
-            counters: samples("counters")?,
-            gauges: samples("gauges")?,
-        })
+        let request = Request::Metrics { id: Some(self.fresh_id()) };
+        Ok(MetricsReply::decode(&self.roundtrip(&request)?)?)
     }
 
     /// Asks the daemon to write its pair-integral cache to `path` on
@@ -760,24 +277,8 @@ impl Client {
     /// [`ServeError::Remote`] with code `bad-request` when the daemon
     /// cannot write the file; transport errors as [`Client::extract`].
     pub fn snapshot(&mut self, path: &str) -> Result<SnapshotReply, ServeError> {
-        let id = self.fresh_id();
-        let result = self.roundtrip(&Request::Snapshot { id: Some(id), path: path.to_string() })?;
-        Ok(SnapshotReply {
-            path: result
-                .get("path")
-                .and_then(Value::as_str)
-                .ok_or_else(|| proto_err("snapshot response missing 'path'"))?
-                .to_string(),
-            entries: result
-                .get("entries")
-                .and_then(Value::as_u64)
-                .ok_or_else(|| proto_err("snapshot response missing 'entries'"))?
-                as usize,
-            bytes: result
-                .get("bytes")
-                .and_then(Value::as_u64)
-                .ok_or_else(|| proto_err("snapshot response missing 'bytes'"))?,
-        })
+        let request = Request::Snapshot { id: Some(self.fresh_id()), path: path.to_string() };
+        Ok(SnapshotReply::decode(&self.roundtrip(&request)?)?)
     }
 
     /// Router-level statistics (protocol v6): replica health and the
@@ -789,49 +290,8 @@ impl Client {
     ///
     /// As [`Client::extract`].
     pub fn route_stats(&mut self) -> Result<RouteStatsReply, ServeError> {
-        let id = self.fresh_id();
-        let result = self.roundtrip(&Request::RouteStats { id: Some(id) })?;
-        let uint = |name: &str| {
-            result
-                .get(name)
-                .and_then(Value::as_u64)
-                .ok_or_else(|| proto_err(format!("route_stats response missing '{name}'")))
-        };
-        let mut replicas = Vec::new();
-        for r in result
-            .get("replicas")
-            .and_then(Value::as_array)
-            .ok_or_else(|| proto_err("route_stats response missing 'replicas'"))?
-        {
-            let runit = |name: &str| {
-                r.get(name)
-                    .and_then(Value::as_u64)
-                    .ok_or_else(|| proto_err(format!("replica entry missing '{name}'")))
-            };
-            replicas.push(ReplicaStats {
-                addr: r
-                    .get("addr")
-                    .and_then(Value::as_str)
-                    .ok_or_else(|| proto_err("replica entry missing 'addr'"))?
-                    .to_string(),
-                healthy: r
-                    .get("healthy")
-                    .and_then(Value::as_bool)
-                    .ok_or_else(|| proto_err("replica entry missing 'healthy'"))?,
-                consecutive_failures: runit("consecutive_failures")?,
-                requests: runit("requests")?,
-                errors: runit("errors")?,
-            });
-        }
-        Ok(RouteStatsReply {
-            replicas,
-            healthy: uint("healthy")? as usize,
-            proxied: uint("proxied")?,
-            failovers: uint("failovers")?,
-            upstream_errors: uint("upstream_errors")?,
-            ejections: uint("ejections")?,
-            readmissions: uint("readmissions")?,
-        })
+        let request = Request::RouteStats { id: Some(self.fresh_id()) };
+        Ok(RouteStatsReply::decode(&self.roundtrip(&request)?)?)
     }
 
     /// Asks the daemon to shut down cleanly.
@@ -840,12 +300,9 @@ impl Client {
     ///
     /// As [`Client::extract`].
     pub fn shutdown(&mut self) -> Result<(), ServeError> {
-        let id = self.fresh_id();
-        let result = self.roundtrip(&Request::Shutdown { id: Some(id) })?;
-        match result.get("stopping").and_then(Value::as_bool) {
-            Some(true) => Ok(()),
-            _ => Err(proto_err("daemon did not acknowledge shutdown")),
-        }
+        let request = Request::Shutdown { id: Some(self.fresh_id()) };
+        ShutdownReply::decode(&self.roundtrip(&request)?)?;
+        Ok(())
     }
 
     /// Sends one raw frame line (no newline) and returns the full decoded
@@ -867,64 +324,18 @@ impl Client {
     }
 
     /// Sends a request and returns its `result`, enforcing the response
-    /// envelope (`ok`, echoed id, `error` on failure).
+    /// envelope ([`open_response`]).
     fn roundtrip(&mut self, request: &Request) -> Result<Value, ServeError> {
-        let response = self.send_raw(&encode_request(request))?;
-        match response.get("ok").and_then(Value::as_bool) {
-            Some(true) => {
-                // Success responses must echo the request id; error
-                // responses may carry null (the daemon cannot always
-                // recover an id from a malformed frame).
-                let expected = match request {
-                    Request::Ping { id }
-                    | Request::Stats { id }
-                    | Request::Metrics { id }
-                    | Request::RouteStats { id }
-                    | Request::Shutdown { id }
-                    | Request::Extract { id, .. }
-                    | Request::Batch { id, .. }
-                    | Request::Chip { id, .. }
-                    | Request::Snapshot { id, .. } => *id,
-                };
-                if let Some(want) = expected {
-                    let got = response.get("id").and_then(Value::as_u64);
-                    if got != Some(want) {
-                        return Err(proto_err(format!(
-                            "response id {got:?} does not match request {want}"
-                        )));
-                    }
-                }
-                // Move the result subtree out of the owned response — an
-                // extract result holds the full matrix, not worth cloning.
-                take_field(response, "result")
-                    .ok_or_else(|| proto_err("ok response missing 'result'"))
-            }
-            Some(false) => {
-                let error = response.get("error");
-                Err(ServeError::Remote {
-                    code: error
-                        .and_then(|e| e.get("code"))
-                        .and_then(Value::as_str)
-                        .unwrap_or("unknown")
-                        .to_string(),
-                    message: error
-                        .and_then(|e| e.get("message"))
-                        .and_then(Value::as_str)
-                        .unwrap_or("daemon reported an error without a message")
-                        .to_string(),
-                })
-            }
-            _ => Err(proto_err("response missing boolean 'ok'")),
-        }
+        open_response(self.send_raw(&encode_request(request))?, request.id())
     }
 
     fn read_response(&mut self) -> Result<Value, ServeError> {
         let mut line = String::new();
         let n = self.reader.read_line(&mut line)?;
         if n == 0 {
-            return Err(proto_err("daemon closed the connection"));
+            return Err(ServeError::Protocol("daemon closed the connection".into()));
         }
         serde_json::from_str(line.trim_end_matches(['\n', '\r']))
-            .map_err(|e| proto_err(format!("invalid response JSON: {e}")))
+            .map_err(|e| ServeError::Protocol(format!("invalid response JSON: {e}")))
     }
 }

@@ -4,6 +4,8 @@ use std::error::Error;
 use std::fmt;
 use std::io;
 
+use crate::protocol::WireError;
+
 /// Errors surfaced by the `bemcap-serve` client library and server.
 #[derive(Debug)]
 pub enum ServeError {
@@ -45,6 +47,14 @@ impl Error for ServeError {
 impl From<io::Error> for ServeError {
     fn from(e: io::Error) -> ServeError {
         ServeError::Io(e)
+    }
+}
+
+/// A reply that failed its [`crate::protocol`] decoder is a malformed
+/// frame from the client's point of view.
+impl From<WireError> for ServeError {
+    fn from(e: WireError) -> ServeError {
+        ServeError::Protocol(e.message)
     }
 }
 

@@ -17,8 +17,9 @@
 //!   [`bemcap_core::TemplateCache`] is shared across every request;
 //! * [`Client`] — the matching blocking client library (single
 //!   [`Client::extract`] and many-geometry [`Client::extract_batch`]);
-//! * [`protocol`] — the single encode/decode implementation both sides
-//!   use (reference: `docs/WIRE_PROTOCOL.md`).
+//! * [`protocol`] — the single encode/decode implementation of every
+//!   request and response frame, used by the daemon, the client and the
+//!   `bemcaprd` router alike (reference: `docs/WIRE_PROTOCOL.md`).
 //!
 //! Results over the wire are **bit-identical** to in-process extraction:
 //! matrices serialize with Rust's shortest-round-trip `f64` formatting,

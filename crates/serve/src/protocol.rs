@@ -5,8 +5,18 @@
 //! socket and a JSON parser) and cheap to parse with the vendored
 //! `serde_json` stub. The full field reference lives in
 //! `docs/WIRE_PROTOCOL.md`; this module is the single implementation of
-//! encode and decode, used by both the daemon and the client library so
-//! the two cannot drift.
+//! encode and decode for every frame, requests and responses alike. The
+//! daemon, the `bemcaprd` router and the client library all go through
+//! it, so the three cannot drift.
+//!
+//! Each response shape has one encoder and one decoder, side by side.
+//! The `extract`, `batch` and `chip` results are encoded straight from
+//! the engine's [`Extraction`] / [`ChipExtraction`] and decode into
+//! [`ExtractReply`] / [`ChipReply`]. The control replies
+//! ([`PingReply`], [`DaemonStats`], [`SnapshotReply`],
+//! [`RouteStatsReply`], [`MetricsReply`], [`ShutdownReply`]) encode from
+//! and decode to the same struct. Decoders fail with a [`WireError`],
+//! which a client surfaces as [`ServeError::Protocol`].
 //!
 //! Requests carry geometry in the `bemcap_geom::io` text format (embedded
 //! as one JSON string). Responses carry capacitance matrices as `f64`
@@ -16,55 +26,21 @@
 
 use bemcap_core::metrics::{MetricKind, Registry};
 use bemcap_core::{
-    CacheStats, ExecStats, Extractor, FmmConfig, KrylovConfig, Method, PfftConfig, PrecondKind,
-    SolverStats,
+    CacheStats, ChipExtraction, ExecStats, Extraction, Extractor, FmmConfig, KrylovConfig, Method,
+    PfftConfig, PrecondKind, SolverStats, Submission,
 };
-use serde_json::{json, Value};
+use serde_json::json;
+/// The JSON value tree every frame is built from and parsed into.
+pub use serde_json::Value;
+
+use crate::error::ServeError;
 
 /// Protocol revision, reported by the `ping` op. Bump on any change to
-/// the frame shapes. Version 2 added the `batch` op, the `busy` error
-/// code, the per-request `exec` record, and the executor-queue `stats`
-/// fields — all additive, so version-1 frames still decode. Note the
-/// version-1 client library's `ping` probe enforced exact equality and
-/// therefore refuses a v2 daemon; from v2 on, clients accept any daemon
-/// speaking at least their own version.
-///
-/// Version 3 (additive): `extract`/`batch` accept the `auto` method and
-/// typed backend configuration fields (`fmm`, `pfft`, `krylov`,
-/// `precond`, `auto_budget`); result `report`s carry `workers` and, for
-/// iterative backends, a `solver` record (iterations, restarts,
-/// residual). Version-2 frames still decode unchanged.
-///
-/// Version 4 (additive): the `chip` op — full-chip windowed extraction.
-/// A `chip` request carries one geometry, the shared solver-option
-/// fields, an optional `windows` `[nx, ny]` grid (default `[2, 2]`) and
-/// an optional `halo` margin; the result is a *sparse* chip matrix
-/// (`entries` triplets instead of a dense `matrix`), a windowing
-/// `report`, and the daemon's window-cache counters. The daemon `stats`
-/// response gains a `window_cache` section. Version-3 frames still
-/// decode unchanged; pre-v4 daemons answer `chip` with a `bad-request`
-/// error, so clients fail loudly instead of degrading.
-///
-/// Version 5 (additive): the `metrics` op — a scrape of the daemon's
-/// process-lifetime observability counters. The result carries the
-/// Prometheus text exposition (`text`) plus the same samples as
-/// structured JSON (`counters` / `gauges` objects mapping metric name
-/// to value). Also adds the `internal` error code for daemon-side
-/// invariant violations that previously killed the connection thread.
-/// Version-4 frames still decode unchanged; pre-v5 daemons answer
-/// `metrics` with a `bad-request` error.
-///
-/// Version 6 (additive): the front-tier revision. Adds the `snapshot`
-/// op (the daemon writes its pair-integral cache to a file the
-/// `--cache-restore` flag reads back at the next start), the
-/// `route_stats` op (answered by the `bemcaprd` router with replica
-/// health and shard distribution; plain daemons answer `bad-request`),
-/// and the `upstream` error code (the router exhausted every replica
-/// for a request — connection-level failures only, structured backend
-/// errors always pass through verbatim). Version-5 frames still decode
-/// unchanged; pre-v6 daemons answer `snapshot` with a `bad-request`
-/// error, so deploy tooling fails loudly instead of skipping the warm
-/// handoff silently.
+/// the frame shapes. Every revision so far is additive — v2 `batch`, v3
+/// typed backend options, v4 `chip`, v5 `metrics`, v6 `snapshot`,
+/// `route_stats` and the front tier — so older frames still decode, and
+/// clients accept any daemon speaking at least their own version. The
+/// revision history is in `docs/WIRE_PROTOCOL.md`.
 pub const PROTOCOL_VERSION: u64 = 6;
 
 /// Machine-readable error codes of structured error responses.
@@ -183,6 +159,23 @@ pub enum Request {
     },
 }
 
+impl Request {
+    /// The client-chosen correlation id, echoed in the response.
+    pub fn id(&self) -> Option<u64> {
+        match self {
+            Request::Extract { id, .. }
+            | Request::Batch { id, .. }
+            | Request::Chip { id, .. }
+            | Request::Ping { id }
+            | Request::Stats { id }
+            | Request::Snapshot { id, .. }
+            | Request::RouteStats { id }
+            | Request::Metrics { id }
+            | Request::Shutdown { id } => *id,
+        }
+    }
+}
+
 /// Solver configuration of an `extract` request. Every field has a
 /// server-side default, so `{"op":"extract","geometry":"..."}` is a
 /// complete request. The typed backend fields (v3) are optional and
@@ -254,9 +247,11 @@ pub fn build_extractor(options: &ExtractOptions) -> Extractor {
     extractor
 }
 
-/// A request decode failure, carrying the error code the daemon should
-/// answer with and the request id when it was recoverable (so error
-/// responses can still echo it for client-side correlation).
+/// A decode failure. For a request it carries the error code the daemon
+/// should answer with and the request id when it was recoverable (so
+/// error responses can still echo it for client-side correlation). For a
+/// reply only the message matters: the client surfaces it as
+/// [`ServeError::Protocol`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WireError {
     /// One of the [`codes`] constants.
@@ -304,15 +299,52 @@ pub fn parse_method(name: &str) -> Option<Method> {
     }
 }
 
-fn id_of(v: &Value) -> Result<Option<u64>, WireError> {
-    match v.get("id") {
-        None => Ok(None),
-        Some(Value::Null) => Ok(None),
-        Some(id) => id
-            .as_u64()
-            .map(Some)
-            .ok_or_else(|| WireError::bad("'id' must be a non-negative integer")),
+/// A JSON field's value type, read by [`req`] and [`opt`] — the field
+/// readers every decoder in this module shares.
+trait Field<'a>: Sized {
+    /// The expected kind, for error messages.
+    const WHAT: &'static str;
+    fn read(v: &'a Value) -> Option<Self>;
+}
+
+macro_rules! field {
+    ($($t:ty: $what:literal => $read:expr;)*) => {$(
+        impl<'a> Field<'a> for $t {
+            const WHAT: &'static str = $what;
+            fn read(v: &'a Value) -> Option<$t> {
+                $read(v)
+            }
+        }
+    )*};
+}
+
+field! {
+    u64: "a non-negative integer" => Value::as_u64;
+    usize: "a non-negative integer" => |v: &Value| v.as_u64().map(|n| n as usize);
+    f64: "a number" => Value::as_f64;
+    bool: "a boolean" => Value::as_bool;
+    &'a str: "a string" => Value::as_str;
+    &'a [Value]: "an array" => Value::as_array;
+    &'a Value: "an object" => |v: &'a Value| matches!(v, Value::Object(_)).then_some(v);
+}
+
+/// Reads the required field `name` of the object `v` (called `ctx` in
+/// error messages).
+fn req<'a, T: Field<'a>>(v: &'a Value, ctx: &str, name: &str) -> Result<T, WireError> {
+    opt(v, ctx, name)?.ok_or_else(|| needs::<T>(ctx, name))
+}
+
+/// Reads the optional field `name` of the object `v`: absent and null
+/// both mean `None`, any other value must have the field's type.
+fn opt<'a, T: Field<'a>>(v: &'a Value, ctx: &str, name: &str) -> Result<Option<T>, WireError> {
+    match v.get(name) {
+        None | Some(Value::Null) => Ok(None),
+        Some(x) => T::read(x).map(Some).ok_or_else(|| needs::<T>(ctx, name)),
     }
+}
+
+fn needs<'a, T: Field<'a>>(ctx: &str, name: &str) -> WireError {
+    WireError::bad(format!("'{ctx}' needs {} '{name}' field", T::WHAT))
 }
 
 /// Decodes one request line. Unknown top-level fields are ignored for
@@ -328,16 +360,12 @@ pub fn decode_request(line: &str) -> Result<Request, WireError> {
         message: e.to_string(),
         id: None,
     })?;
-    let id = id_of(&v)?;
+    let id = opt(&v, "request", "id")?;
     decode_op(&v, id).map_err(|e| e.with_id(id))
 }
 
 fn decode_op(v: &Value, id: Option<u64>) -> Result<Request, WireError> {
-    let op = v
-        .get("op")
-        .and_then(Value::as_str)
-        .ok_or_else(|| WireError::bad("request needs a string 'op' field"))?;
-    match op {
+    match req::<&str>(v, "request", "op")? {
         "ping" => Ok(Request::Ping { id }),
         "stats" => Ok(Request::Stats { id }),
         "metrics" => Ok(Request::Metrics { id }),
@@ -353,19 +381,11 @@ fn decode_op(v: &Value, id: Option<u64>) -> Result<Request, WireError> {
             Ok(Request::Snapshot { id, path })
         }
         "extract" => {
-            let geometry = v
-                .get("geometry")
-                .and_then(Value::as_str)
-                .ok_or_else(|| WireError::bad("'extract' needs a string 'geometry' field"))?
-                .to_string();
+            let geometry = req::<&str>(v, "extract", "geometry")?.to_string();
             Ok(Request::Extract { id, geometry, options: decode_options(v)? })
         }
         "batch" => {
-            let entries = v
-                .get("geometries")
-                .and_then(Value::as_array)
-                .ok_or_else(|| WireError::bad("'batch' needs a 'geometries' array field"))?;
-            let geometries: Vec<String> = entries
+            let geometries: Vec<String> = req::<&[Value]>(v, "batch", "geometries")?
                 .iter()
                 .map(|g| g.as_str().map(str::to_string))
                 .collect::<Option<_>>()
@@ -373,11 +393,7 @@ fn decode_op(v: &Value, id: Option<u64>) -> Result<Request, WireError> {
             Ok(Request::Batch { id, geometries, options: decode_options(v)? })
         }
         "chip" => {
-            let geometry = v
-                .get("geometry")
-                .and_then(Value::as_str)
-                .ok_or_else(|| WireError::bad("'chip' needs a string 'geometry' field"))?
-                .to_string();
+            let geometry = req::<&str>(v, "chip", "geometry")?.to_string();
             let (nx, ny) = decode_window_grid(v)?;
             let halo =
                 match v.get("halo").filter(|h| !h.is_null()) {
@@ -413,19 +429,6 @@ fn decode_window_grid(v: &Value) -> Result<(usize, usize), WireError> {
     Ok((grid[0], grid[1]))
 }
 
-fn obj_f64(v: &Value, ctx: &str, name: &str) -> Result<f64, WireError> {
-    v.get(name)
-        .and_then(Value::as_f64)
-        .ok_or_else(|| WireError::bad(format!("'{ctx}' needs a number '{name}' field")))
-}
-
-fn obj_uint(v: &Value, ctx: &str, name: &str) -> Result<usize, WireError> {
-    v.get(name)
-        .and_then(Value::as_u64)
-        .map(|n| n as usize)
-        .ok_or_else(|| WireError::bad(format!("'{ctx}' needs a non-negative integer '{name}'")))
-}
-
 /// Decodes the shared solver-option fields of `extract` and `batch`
 /// requests. Optional fields: absent and null both mean "use the
 /// default" (the encoder emits null for unset options).
@@ -440,10 +443,7 @@ fn decode_options(v: &Value) -> Result<ExtractOptions, WireError> {
             ))
         })?;
     }
-    if let Some(a) = v.get("accelerated").filter(|a| !a.is_null()) {
-        options.accelerated =
-            a.as_bool().ok_or_else(|| WireError::bad("'accelerated' must be a boolean"))?;
-    }
+    options.accelerated = opt(v, "request", "accelerated")?.unwrap_or(false);
     if let Some(d) = v.get("mesh_divisions").filter(|d| !d.is_null()) {
         let n = d
             .as_u64()
@@ -453,22 +453,22 @@ fn decode_options(v: &Value) -> Result<ExtractOptions, WireError> {
     }
     if let Some(f) = v.get("fmm").filter(|f| !f.is_null()) {
         options.fmm = Some(FmmConfig {
-            theta: obj_f64(f, "fmm", "theta")?,
-            leaf_size: obj_uint(f, "fmm", "leaf_size")?,
+            theta: req(f, "fmm", "theta")?,
+            leaf_size: req(f, "fmm", "leaf_size")?,
         });
     }
     if let Some(p) = v.get("pfft").filter(|p| !p.is_null()) {
         options.pfft = Some(PfftConfig {
-            spacing_factor: obj_f64(p, "pfft", "spacing_factor")?,
-            near_cells: obj_uint(p, "pfft", "near_cells")?,
-            max_grid_points: obj_uint(p, "pfft", "max_grid_points")?,
+            spacing_factor: req(p, "pfft", "spacing_factor")?,
+            near_cells: req(p, "pfft", "near_cells")?,
+            max_grid_points: req(p, "pfft", "max_grid_points")?,
         });
     }
     if let Some(k) = v.get("krylov").filter(|k| !k.is_null()) {
         options.krylov = Some(KrylovConfig {
-            tol: obj_f64(k, "krylov", "tol")?,
-            restart: obj_uint(k, "krylov", "restart")?,
-            max_iters: obj_uint(k, "krylov", "max_iters")?,
+            tol: req(k, "krylov", "tol")?,
+            restart: req(k, "krylov", "restart")?,
+            max_iters: req(k, "krylov", "max_iters")?,
         });
     }
     if let Some(p) = v.get("precond").filter(|p| !p.is_null()) {
@@ -505,33 +505,28 @@ fn precond_value(precond: Option<PrecondKind>) -> Value {
     }
 }
 
-/// Appends the v3 typed backend option fields to an encoded request
-/// object (null when unset, mirroring the decoder's "absent = default").
-fn push_backend_options(v: &mut Value, options: &ExtractOptions) {
-    let Value::Object(entries) = v else { return };
-    entries.push((
-        "fmm".into(),
-        options.fmm.map_or(Value::Null, |f| json!({ "theta": f.theta, "leaf_size": f.leaf_size })),
-    ));
-    entries.push((
-        "pfft".into(),
-        options.pfft.map_or(Value::Null, |p| {
-            json!({
-                "spacing_factor": p.spacing_factor,
-                "near_cells": p.near_cells,
-                "max_grid_points": p.max_grid_points,
-            })
-        }),
-    ));
-    entries.push((
-        "krylov".into(),
-        options.krylov.map_or(
-            Value::Null,
-            |k| json!({ "tol": k.tol, "restart": k.restart, "max_iters": k.max_iters }),
-        ),
-    ));
-    entries.push(("precond".into(), precond_value(options.precond)));
-    entries.push(("auto_budget".into(), options.auto_budget.map_or(Value::Null, |b| json!(b))));
+/// Appends the shared solver-option fields to an encoded request object
+/// (null when unset, mirroring the decoder's "absent = default").
+fn push_options(v: &mut Value, options: &ExtractOptions) {
+    push(v, "method", json!(method_name(options.method)));
+    push(v, "accelerated", json!(options.accelerated));
+    push(v, "mesh_divisions", json!(options.mesh_divisions));
+    let fmm = options.fmm.map(|f| json!({ "theta": f.theta, "leaf_size": f.leaf_size }));
+    push(v, "fmm", json!(fmm));
+    let pfft = options.pfft.map(|p| {
+        json!({
+            "spacing_factor": p.spacing_factor,
+            "near_cells": p.near_cells,
+            "max_grid_points": p.max_grid_points,
+        })
+    });
+    push(v, "pfft", json!(pfft));
+    let krylov = options
+        .krylov
+        .map(|k| json!({ "tol": k.tol, "restart": k.restart, "max_iters": k.max_iters }));
+    push(v, "krylov", json!(krylov));
+    push(v, "precond", precond_value(options.precond));
+    push(v, "auto_budget", json!(options.auto_budget));
 }
 
 /// Encodes a request as one frame line (no trailing newline).
@@ -546,29 +541,13 @@ pub fn encode_request(req: &Request) -> String {
             json!({ "op": "snapshot", "id": *id, "path": path.as_str() })
         }
         Request::Extract { id, geometry, options } => {
-            let mut v = json!({
-                "op": "extract",
-                "id": *id,
-                "geometry": geometry.as_str(),
-                "method": method_name(options.method),
-                "accelerated": options.accelerated,
-                "mesh_divisions": options.mesh_divisions,
-            });
-            push_backend_options(&mut v, options);
+            let mut v = json!({ "op": "extract", "id": *id, "geometry": geometry.as_str() });
+            push_options(&mut v, options);
             v
         }
         Request::Batch { id, geometries, options } => {
-            let mut v = json!({
-                "op": "batch",
-                "id": *id,
-                "geometries": Value::Array(
-                    geometries.iter().map(|g| Value::String(g.clone())).collect()
-                ),
-                "method": method_name(options.method),
-                "accelerated": options.accelerated,
-                "mesh_divisions": options.mesh_divisions,
-            });
-            push_backend_options(&mut v, options);
+            let mut v = json!({ "op": "batch", "id": *id, "geometries": geometries.as_slice() });
+            push_options(&mut v, options);
             v
         }
         Request::Chip { id, geometry, options, nx, ny, halo } => {
@@ -576,16 +555,10 @@ pub fn encode_request(req: &Request) -> String {
                 "op": "chip",
                 "id": *id,
                 "geometry": geometry.as_str(),
-                "windows": Value::Array(vec![
-                    Value::Number(*nx as f64),
-                    Value::Number(*ny as f64),
-                ]),
-                "halo": halo.map_or(Value::Null, Value::Number),
-                "method": method_name(options.method),
-                "accelerated": options.accelerated,
-                "mesh_divisions": options.mesh_divisions,
+                "windows": json!([*nx, *ny]),
+                "halo": *halo,
             });
-            push_backend_options(&mut v, options);
+            push_options(&mut v, options);
             v
         }
     };
@@ -612,8 +585,63 @@ pub fn error_response(id: Option<u64>, code: &str, message: &str) -> String {
     serde_json::to_string(&v).expect("stub serializer is infallible")
 }
 
-/// Serializes cache counters for a response body.
-pub fn cache_stats_value(stats: &CacheStats) -> Value {
+/// Opens a parsed response frame: the `result` of a success frame, which
+/// must echo `id` when the request carried one. An error frame becomes
+/// [`ServeError::Remote`], anything else [`ServeError::Protocol`].
+pub fn open_response(response: Value, id: Option<u64>) -> Result<Value, ServeError> {
+    if !req::<bool>(&response, "response", "ok")? {
+        let text = |name: &str| {
+            response
+                .get("error")
+                .and_then(|e| e.get(name))
+                .and_then(Value::as_str)
+                .map(String::from)
+        };
+        return Err(ServeError::Remote {
+            code: text("code").unwrap_or_else(|| "unknown".into()),
+            message: text("message")
+                .unwrap_or_else(|| "daemon reported an error without a message".into()),
+        });
+    }
+    // Success responses must echo the request id; error responses may
+    // carry null (the daemon cannot always recover an id from a
+    // malformed frame).
+    if let Some(want) = id {
+        let got = response.get("id").and_then(Value::as_u64);
+        if got != Some(want) {
+            return Err(ServeError::Protocol(format!(
+                "response id {got:?} does not match request {want}"
+            )));
+        }
+    }
+    // Move the result subtree out of the owned response — an extract
+    // result holds the full matrix, not worth cloning.
+    match response {
+        Value::Object(entries) => {
+            entries.into_iter().find_map(|(k, v)| (k == "result").then_some(v))
+        }
+        _ => None,
+    }
+    .ok_or_else(|| ServeError::Protocol("ok response missing 'result'".into()))
+}
+
+/// Appends `key: value` to an encoded object.
+fn push(v: &mut Value, key: &str, value: Value) {
+    if let Value::Object(entries) = v {
+        entries.push((key.into(), value));
+    }
+}
+
+/// Reads a `names` array of conductor net names.
+fn names(v: &Value, ctx: &str) -> Result<Vec<String>, WireError> {
+    req::<&[Value]>(v, ctx, "names")?
+        .iter()
+        .map(|n| n.as_str().map(String::from))
+        .collect::<Option<_>>()
+        .ok_or_else(|| WireError::bad("non-string conductor name"))
+}
+
+fn cache_stats_value(stats: &CacheStats) -> Value {
     json!({
         "hits": stats.hits,
         "misses": stats.misses,
@@ -623,29 +651,16 @@ pub fn cache_stats_value(stats: &CacheStats) -> Value {
     })
 }
 
-/// Decodes cache counters from a response body.
-///
-/// # Errors
-///
-/// [`WireError`] with [`codes::BAD_REQUEST`] when a field is missing or
-/// mistyped.
-pub fn cache_stats_from_value(v: &Value) -> Result<CacheStats, WireError> {
-    let field = |name: &str| {
-        v.get(name)
-            .and_then(Value::as_u64)
-            .map(|n| n as usize)
-            .ok_or_else(|| WireError::bad(format!("cache stats missing '{name}'")))
-    };
+fn cache_stats_from_value(v: &Value) -> Result<CacheStats, WireError> {
     Ok(CacheStats {
-        hits: field("hits")?,
-        misses: field("misses")?,
-        evictions: field("evictions")?,
-        inserted_bytes: field("inserted_bytes")?,
+        hits: req(v, "cache", "hits")?,
+        misses: req(v, "cache", "misses")?,
+        evictions: req(v, "cache", "evictions")?,
+        inserted_bytes: req(v, "cache", "inserted_bytes")?,
     })
 }
 
-/// Serializes iterative-solver counters for a response `report` (v3).
-pub fn solver_stats_value(stats: &SolverStats) -> Value {
+fn solver_stats_value(stats: &SolverStats) -> Value {
     json!({
         "iterations": stats.iterations,
         "restarts": stats.restarts,
@@ -653,42 +668,15 @@ pub fn solver_stats_value(stats: &SolverStats) -> Value {
     })
 }
 
-/// Decodes iterative-solver counters from a response `report`.
-///
-/// # Errors
-///
-/// [`WireError`] with [`codes::BAD_REQUEST`] when a field is missing or
-/// mistyped.
-pub fn solver_stats_from_value(v: &Value) -> Result<SolverStats, WireError> {
+fn solver_stats_from_value(v: &Value) -> Result<SolverStats, WireError> {
     Ok(SolverStats {
-        iterations: obj_uint(v, "solver", "iterations")?,
-        restarts: obj_uint(v, "solver", "restarts")?,
-        residual: obj_f64(v, "solver", "residual")?,
+        iterations: req(v, "solver", "iterations")?,
+        restarts: req(v, "solver", "restarts")?,
+        residual: req(v, "solver", "residual")?,
     })
 }
 
-/// The v5 `metrics` result: the whole global registry as the Prometheus
-/// text exposition plus structured counter and gauge maps.
-pub fn metrics_value() -> Value {
-    let registry = Registry::global();
-    let mut counters: Vec<(String, Value)> = Vec::new();
-    let mut gauges: Vec<(String, Value)> = Vec::new();
-    for s in registry.snapshot() {
-        let pair = (s.name.to_string(), Value::Number(s.value as f64));
-        match s.kind {
-            MetricKind::Counter => counters.push(pair),
-            MetricKind::Gauge => gauges.push(pair),
-        }
-    }
-    json!({
-        "text": registry.render_prometheus(),
-        "counters": Value::Object(counters),
-        "gauges": Value::Object(gauges),
-    })
-}
-
-/// Serializes executor counters for a response body.
-pub fn exec_stats_value(stats: &ExecStats) -> Value {
+fn exec_stats_value(stats: &ExecStats) -> Value {
     json!({
         "submitted": stats.submitted,
         "rejected": stats.rejected,
@@ -700,30 +688,681 @@ pub fn exec_stats_value(stats: &ExecStats) -> Value {
     })
 }
 
-/// Decodes executor counters from a response body.
-///
-/// # Errors
-///
-/// [`WireError`] with [`codes::BAD_REQUEST`] when a field is missing or
-/// mistyped.
-pub fn exec_stats_from_value(v: &Value) -> Result<ExecStats, WireError> {
-    let field = |name: &str| {
-        v.get(name)
-            .and_then(Value::as_u64)
-            .map(|n| n as usize)
-            .ok_or_else(|| WireError::bad(format!("exec stats missing '{name}'")))
-    };
+fn exec_stats_from_value(v: &Value) -> Result<ExecStats, WireError> {
     Ok(ExecStats {
-        submitted: field("submitted")?,
-        rejected: field("rejected")?,
-        coalesced: field("coalesced")?,
-        micro_batches: field("micro_batches")?,
-        jobs: field("jobs")?,
-        queue_seconds: v
-            .get("queue_seconds")
-            .and_then(Value::as_f64)
-            .ok_or_else(|| WireError::bad("exec stats missing 'queue_seconds'"))?,
+        submitted: req(v, "exec", "submitted")?,
+        rejected: req(v, "exec", "rejected")?,
+        coalesced: req(v, "exec", "coalesced")?,
+        micro_batches: req(v, "exec", "micro_batches")?,
+        jobs: req(v, "exec", "jobs")?,
+        queue_seconds: req(v, "exec", "queue_seconds")?,
     })
+}
+
+/// A decoded `extract` result, or one entry of a `batch` result.
+#[derive(Debug, Clone)]
+pub struct ExtractReply {
+    /// Conductor net names, in matrix index order.
+    pub names: Vec<String>,
+    /// Row-major capacitance matrix (farad), bit-identical to the
+    /// daemon-side computation.
+    pub matrix: Vec<Vec<f64>>,
+    /// Solver backend that ran ("instantiable", "pwc-dense", ...) — for
+    /// `auto` requests, the backend the daemon resolved to.
+    pub method: String,
+    /// System dimension N.
+    pub n: usize,
+    /// Template count M (instantiable method only).
+    pub m_templates: Option<usize>,
+    /// Workers the daemon's setup step used (1 when a pre-v3 daemon
+    /// omitted the field — tolerated only for requests that carry no
+    /// typed backend options; see [`ExtractReply::decode`]).
+    pub workers: usize,
+    /// Daemon-side setup seconds.
+    pub setup_seconds: f64,
+    /// Daemon-side solve seconds.
+    pub solve_seconds: f64,
+    /// Daemon-side estimate of peak solver memory in bytes.
+    pub memory_bytes: usize,
+    /// Iterative-solver counters (iterations, restarts, residual) for
+    /// Krylov backends; `None` for direct solves and pre-v3 daemons.
+    pub solver: Option<SolverStats>,
+    /// Pair-integral cache counters of this request.
+    pub cache: CacheStats,
+    /// Seconds the request waited in the daemon's admission queue before
+    /// its micro-batch started (0 when the daemon predates the field).
+    pub queue_seconds: f64,
+    /// Whether the daemon coalesced this request into a micro-batch
+    /// opened by an earlier concurrent request.
+    pub coalesced: bool,
+    /// Jobs in the micro-batch that ran this request, across every
+    /// submission coalesced into it (0 when the daemon predates the
+    /// field).
+    pub micro_batch_jobs: usize,
+}
+
+impl ExtractReply {
+    /// Entry C_ij; panics on out-of-range indices.
+    pub fn get(&self, i: usize, j: usize) -> f64 {
+        self.matrix[i][j]
+    }
+
+    /// Number of conductors.
+    pub fn dim(&self) -> usize {
+        self.matrix.len()
+    }
+
+    /// Encodes an `extract` result straight from the engine's output: the
+    /// extraction, its cache counters, and the executor record of the
+    /// submission that ran it.
+    pub fn encode(extraction: &Extraction, cache: &CacheStats, sub: &Submission) -> Value {
+        let mut result = extraction_value(extraction, cache);
+        push(&mut result, "exec", submission_value(sub));
+        result
+    }
+
+    /// Encodes a `batch` result: one entry per job in input order, then
+    /// the executor record they share (absent for an empty frame, which
+    /// never reaches the queue).
+    pub fn encode_batch(results: &[&(Extraction, CacheStats)], sub: Option<&Submission>) -> Value {
+        let entries = results.iter().map(|(e, c)| extraction_value(e, c)).collect();
+        let mut result = json!({ "results": Value::Array(entries) });
+        if let Some(sub) = sub {
+            push(&mut result, "exec", submission_value(sub));
+        }
+        result
+    }
+
+    /// Decodes an `extract` result; fails on a missing or mistyped field
+    /// or a matrix whose shape does not match the names. `options` are
+    /// the request's: when they carry typed backend options (v3) the
+    /// report must carry the v3 `workers` marker, because a pre-v3 daemon
+    /// ignores those options and would hand back a matrix solved under
+    /// its own defaults with no error. Other fields a pre-v3 daemon omits
+    /// decode to defaults.
+    pub fn decode(v: &Value, options: &ExtractOptions) -> Result<ExtractReply, WireError> {
+        decode_extraction(v, opt(v, "extract", "exec")?, options)
+    }
+
+    /// Decodes a `batch` result into one reply per entry, each carrying
+    /// the frame's shared executor record; fails as
+    /// [`ExtractReply::decode`] does, for any entry.
+    pub fn decode_batch(v: &Value, options: &ExtractOptions) -> Result<Vec<Self>, WireError> {
+        let exec = opt(v, "batch", "exec")?;
+        req::<&[Value]>(v, "batch", "results")?
+            .iter()
+            .map(|entry| decode_extraction(entry, exec, options))
+            .collect()
+    }
+}
+
+/// One job's extraction as a result object (the `extract` result without
+/// its `exec` record, or one `batch` entry).
+fn extraction_value(extraction: &Extraction, cache: &CacheStats) -> Value {
+    let c = extraction.capacitance();
+    let report = extraction.report();
+    let matrix: Vec<Value> = (0..c.dim())
+        .map(|i| Value::Array((0..c.dim()).map(|j| Value::Number(c.get(i, j))).collect()))
+        .collect();
+    json!({
+        "names": c.names().to_vec(),
+        "matrix": Value::Array(matrix),
+        "report": json!({
+            "method": report.method.as_str(),
+            "n": report.n,
+            "m_templates": report.m_templates,
+            "workers": report.workers,
+            "setup_seconds": report.setup_seconds,
+            "solve_seconds": report.solve_seconds,
+            "memory_bytes": report.memory_bytes,
+            "solver": report.krylov.as_ref().map_or(Value::Null, solver_stats_value),
+        }),
+        "cache": cache_stats_value(cache),
+    })
+}
+
+/// The per-submission executor record of `extract` and `batch` results.
+fn submission_value(sub: &Submission) -> Value {
+    json!({
+        "queue_seconds": sub.queue_seconds,
+        "coalesced": sub.coalesced,
+        "micro_batch_jobs": sub.micro_batch_jobs,
+    })
+}
+
+/// Whether the request relies on protocol-v3 typed backend fields that a
+/// pre-v3 daemon would silently ignore. (`method: auto` needs no guard —
+/// older daemons reject the unknown method name outright.)
+fn uses_typed_backend_options(options: &ExtractOptions) -> bool {
+    options.fmm.is_some()
+        || options.pfft.is_some()
+        || options.krylov.is_some()
+        || options.precond.is_some()
+        || options.auto_budget.is_some()
+}
+
+fn decode_extraction(
+    v: &Value,
+    exec: Option<&Value>,
+    options: &ExtractOptions,
+) -> Result<ExtractReply, WireError> {
+    let report: &Value = req(v, "extract", "report")?;
+    // v3 daemons always emit `report.workers`, so its absence identifies
+    // the downgrade deterministically.
+    let workers = opt(report, "report", "workers")?;
+    if workers.is_none() && uses_typed_backend_options(options) {
+        return Err(WireError::bad(
+            "daemon predates protocol v3 and would silently ignore the typed backend \
+             options (fmm/pfft/krylov/precond/auto_budget) — upgrade the daemon or \
+             drop the typed fields",
+        ));
+    }
+    let names = names(v, "extract")?;
+    let matrix: Vec<Vec<f64>> = req::<&[Value]>(v, "extract", "matrix")?
+        .iter()
+        .map(|row| row.as_array()?.iter().map(Value::as_f64).collect())
+        .collect::<Option<_>>()
+        .ok_or_else(|| WireError::bad("matrix rows must be arrays of numbers"))?;
+    if matrix.len() != names.len() || matrix.iter().any(|r| r.len() != names.len()) {
+        return Err(WireError::bad("matrix shape does not match conductor names"));
+    }
+    // The executor record and the v3 report fields are additive: lenient
+    // decode so older daemons still work.
+    let lenient = |name: &str| opt::<f64>(report, "report", name).map(Option::unwrap_or_default);
+    let none = Value::Null;
+    let exec = exec.unwrap_or(&none);
+    Ok(ExtractReply {
+        names,
+        matrix,
+        method: req::<&str>(report, "report", "method")?.to_string(),
+        n: req(report, "report", "n")?,
+        m_templates: opt(report, "report", "m_templates")?,
+        workers: workers.unwrap_or(1),
+        setup_seconds: lenient("setup_seconds")?,
+        solve_seconds: lenient("solve_seconds")?,
+        memory_bytes: req(report, "report", "memory_bytes")?,
+        solver: opt(report, "report", "solver")?.map(solver_stats_from_value).transpose()?,
+        cache: cache_stats_from_value(req(v, "extract", "cache")?)?,
+        queue_seconds: opt(exec, "exec", "queue_seconds")?.unwrap_or(0.0),
+        coalesced: opt(exec, "exec", "coalesced")?.unwrap_or(false),
+        micro_batch_jobs: opt(exec, "exec", "micro_batch_jobs")?.unwrap_or(0),
+    })
+}
+
+/// A decoded `chip` result: the stitched sparse chip capacitance
+/// matrix plus the daemon-side windowing report.
+#[derive(Debug, Clone)]
+pub struct ChipReply {
+    /// Conductor net names, in matrix index order.
+    pub names: Vec<String>,
+    /// Matrix dimension (number of conductors).
+    pub dim: usize,
+    /// Stored sparse entries `(i, j, c_ij)` in row-major order,
+    /// bit-identical to the daemon-side computation.
+    pub entries: Vec<(usize, usize, f64)>,
+    /// Windows in the daemon's partition.
+    pub windows: usize,
+    /// Windows extracted for this request (window-cache misses).
+    pub extracted: usize,
+    /// Windows reused from the daemon's window cache.
+    pub reused: usize,
+    /// Worker threads the windows ran on.
+    pub workers: usize,
+    /// Daemon-side wall-clock seconds of the chip extraction.
+    pub wall_seconds: f64,
+    /// Sum of the per-window job seconds on the daemon.
+    pub busy_seconds: f64,
+    /// Seconds the window submissions waited in the daemon's queue.
+    pub queue_seconds: f64,
+    /// Pair-integral cache counters aggregated over extracted windows.
+    pub cache: CacheStats,
+    /// Window-cache counters of this request (hits = reused windows).
+    pub window_cache: CacheStats,
+}
+
+impl ChipReply {
+    /// Entry C_ij in farad; `0.0` for net pairs sharing no window.
+    pub fn get(&self, i: usize, j: usize) -> f64 {
+        self.entries
+            .binary_search_by_key(&(i, j), |&(ei, ej, _)| (ei, ej))
+            .map_or(0.0, |at| self.entries[at].2)
+    }
+
+    /// Stored entries (the sparse matrix's nonzero pattern size).
+    pub fn nnz(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// Encodes a `chip` result straight from the engine's output.
+    pub fn encode(full: &ChipExtraction) -> Value {
+        let c = full.capacitance();
+        let report = full.report();
+        let entries: Vec<Value> = c.matrix().iter().map(|(i, j, v)| json!([i, j, v])).collect();
+        json!({
+            "names": c.names().to_vec(),
+            "dim": c.dim(),
+            "entries": Value::Array(entries),
+            "report": json!({
+                "windows": report.windows,
+                "extracted": report.extracted,
+                "reused": report.reused,
+                "nnz": report.nnz,
+                "workers": report.workers,
+                "wall_seconds": report.wall_seconds,
+                "busy_seconds": report.busy_seconds,
+                "queue_seconds": report.queue_seconds,
+            }),
+            "cache": cache_stats_value(&report.template_cache),
+            "window_cache": cache_stats_value(&report.window_cache),
+        })
+    }
+
+    /// Decodes a `chip` result, sorting the entries by `(i, j)` so
+    /// [`ChipReply::get`] can binary-search them. Fails on a missing or
+    /// mistyped field, names that do not match `dim`, an entry that is not
+    /// an `[i, j, value]` triplet with indices below `dim`, or a
+    /// `report.nnz` that does not count the entries.
+    pub fn decode(v: &Value) -> Result<ChipReply, WireError> {
+        let names = names(v, "chip")?;
+        let dim: usize = req(v, "chip", "dim")?;
+        if dim != names.len() {
+            return Err(WireError::bad("chip dimension does not match conductor names"));
+        }
+        let mut entries = req::<&[Value]>(v, "chip", "entries")?
+            .iter()
+            .map(|e| {
+                let triplet = e.as_array().and_then(|t| <&[Value; 3]>::try_from(t).ok());
+                match triplet.map(|[i, j, c]| (i.as_u64(), j.as_u64(), c.as_f64())) {
+                    Some((Some(i), Some(j), Some(c))) if i < dim as u64 && j < dim as u64 => {
+                        Ok((i as usize, j as usize, c))
+                    }
+                    _ => Err(WireError::bad(
+                        "chip entries must be [i, j, value] triplets with indices below 'dim'",
+                    )),
+                }
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        entries.sort_by_key(|&(i, j, _)| (i, j));
+        let report: &Value = req(v, "chip", "report")?;
+        if req::<usize>(report, "report", "nnz")? != entries.len() {
+            return Err(WireError::bad("chip report 'nnz' does not count the entries"));
+        }
+        let lenient =
+            |name: &str| opt::<f64>(report, "report", name).map(Option::unwrap_or_default);
+        Ok(ChipReply {
+            names,
+            dim,
+            entries,
+            windows: req(report, "report", "windows")?,
+            extracted: req(report, "report", "extracted")?,
+            reused: req(report, "report", "reused")?,
+            workers: req(report, "report", "workers")?,
+            wall_seconds: lenient("wall_seconds")?,
+            busy_seconds: lenient("busy_seconds")?,
+            queue_seconds: lenient("queue_seconds")?,
+            cache: cache_stats_from_value(req(v, "chip", "cache")?)?,
+            window_cache: cache_stats_from_value(req(v, "chip", "window_cache")?)?,
+        })
+    }
+}
+
+/// A `ping` result: liveness plus the peer's protocol revision.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PingReply {
+    /// The peer's [`PROTOCOL_VERSION`].
+    pub proto: u64,
+    /// The peer's crate version.
+    pub version: String,
+    /// Whether the peer is the `bemcaprd` front tier rather than a daemon.
+    pub router: bool,
+}
+
+impl PingReply {
+    /// Encodes the result; `router` appears on the wire only when set.
+    pub fn encode(&self) -> Value {
+        let mut v = json!({ "pong": true, "proto": self.proto, "version": self.version.as_str() });
+        if self.router {
+            push(&mut v, "router", Value::Bool(true));
+        }
+        v
+    }
+
+    /// Decodes the result; fails on a missing or mistyped field, or
+    /// `pong` not true.
+    pub fn decode(v: &Value) -> Result<PingReply, WireError> {
+        if !req::<bool>(v, "ping", "pong")? {
+            return Err(WireError::bad("'ping' answered without 'pong': true"));
+        }
+        Ok(PingReply {
+            proto: req(v, "ping", "proto")?,
+            version: req::<&str>(v, "ping", "version")?.to_string(),
+            router: opt(v, "ping", "router")?.unwrap_or(false),
+        })
+    }
+}
+
+/// A `stats` result: the daemon's caches, traffic and executor.
+#[derive(Debug, Clone, PartialEq)]
+pub struct DaemonStats {
+    /// Lifetime cache counters across all connections.
+    pub cache: CacheStats,
+    /// Resident cache entries right now.
+    pub cache_entries: usize,
+    /// Approximate resident cache bytes right now.
+    pub cache_resident_bytes: usize,
+    /// Configured cache bound (`None` = unbounded).
+    pub cache_max_bytes: Option<usize>,
+    /// Seconds since the daemon started.
+    pub uptime_seconds: f64,
+    /// Requests handled since start (all ops, all connections).
+    pub requests: u64,
+    /// Connections accepted since start.
+    pub connections: u64,
+    /// Worker pool size of the daemon's shared executor.
+    pub workers: usize,
+    /// Admission queue depth (most jobs that may wait at once).
+    pub queue_depth: usize,
+    /// Coalescing window (most jobs one micro-batch may hold).
+    pub coalesce_limit: usize,
+    /// Jobs waiting in the queue right now.
+    pub queued: usize,
+    /// Jobs executing on workers right now.
+    pub running: usize,
+    /// Lifetime executor counters (admission, rejections, coalescing).
+    pub exec: ExecStats,
+    /// Lifetime window-cache counters of the `chip` op (v4; all zero
+    /// when the daemon predates the field).
+    pub window_cache: CacheStats,
+    /// Resident window-cache entries right now (v4; 0 for older
+    /// daemons).
+    pub window_cache_entries: usize,
+    /// Approximate resident window-cache bytes right now (v4; 0 for
+    /// older daemons).
+    pub window_cache_resident_bytes: usize,
+    /// Configured window-cache bound (`None` = unbounded, or a daemon
+    /// older than v4).
+    pub window_cache_max_bytes: Option<usize>,
+}
+
+impl DaemonStats {
+    /// Encodes the result.
+    pub fn encode(&self) -> Value {
+        json!({
+            "cache": cache_stats_value(&self.cache),
+            "cache_entries": self.cache_entries,
+            "cache_resident_bytes": self.cache_resident_bytes,
+            "cache_max_bytes": self.cache_max_bytes,
+            "window_cache": cache_stats_value(&self.window_cache),
+            "window_cache_entries": self.window_cache_entries,
+            "window_cache_resident_bytes": self.window_cache_resident_bytes,
+            "window_cache_max_bytes": self.window_cache_max_bytes,
+            "uptime_seconds": self.uptime_seconds,
+            "requests": self.requests,
+            "connections": self.connections,
+            "workers": self.workers,
+            "queue": json!({
+                "depth": self.queue_depth,
+                "coalesce_limit": self.coalesce_limit,
+                "queued": self.queued,
+                "running": self.running,
+            }),
+            "exec": exec_stats_value(&self.exec),
+        })
+    }
+
+    /// Decodes the result; fails on a missing or mistyped field. The v4
+    /// window-cache fields and the uptime default when absent.
+    pub fn decode(v: &Value) -> Result<DaemonStats, WireError> {
+        let queue: &Value = req(v, "stats", "queue")?;
+        Ok(DaemonStats {
+            cache: cache_stats_from_value(req(v, "stats", "cache")?)?,
+            cache_entries: req(v, "stats", "cache_entries")?,
+            cache_resident_bytes: req(v, "stats", "cache_resident_bytes")?,
+            cache_max_bytes: opt(v, "stats", "cache_max_bytes")?,
+            uptime_seconds: opt(v, "stats", "uptime_seconds")?.unwrap_or(0.0),
+            requests: req(v, "stats", "requests")?,
+            connections: req(v, "stats", "connections")?,
+            workers: req(v, "stats", "workers")?,
+            queue_depth: req(queue, "queue", "depth")?,
+            coalesce_limit: req(queue, "queue", "coalesce_limit")?,
+            queued: req(queue, "queue", "queued")?,
+            running: req(queue, "queue", "running")?,
+            exec: exec_stats_from_value(req(v, "stats", "exec")?)?,
+            window_cache: opt(v, "stats", "window_cache")?
+                .map(cache_stats_from_value)
+                .transpose()?
+                .unwrap_or_default(),
+            window_cache_entries: opt(v, "stats", "window_cache_entries")?.unwrap_or(0),
+            window_cache_resident_bytes: opt(v, "stats", "window_cache_resident_bytes")?
+                .unwrap_or(0),
+            window_cache_max_bytes: opt(v, "stats", "window_cache_max_bytes")?,
+        })
+    }
+}
+
+/// A `snapshot` result (protocol v6): what the daemon wrote to its
+/// filesystem.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SnapshotReply {
+    /// Daemon-side path the snapshot landed at (echoed from the request).
+    pub path: String,
+    /// Pair-integral cache entries serialized.
+    pub entries: usize,
+    /// Snapshot file size in bytes.
+    pub bytes: u64,
+}
+
+impl SnapshotReply {
+    /// Encodes the result.
+    pub fn encode(&self) -> Value {
+        json!({ "path": self.path.as_str(), "entries": self.entries, "bytes": self.bytes })
+    }
+
+    /// Decodes the result; fails on a missing or mistyped field.
+    pub fn decode(v: &Value) -> Result<SnapshotReply, WireError> {
+        Ok(SnapshotReply {
+            path: req::<&str>(v, "snapshot", "path")?.to_string(),
+            entries: req(v, "snapshot", "entries")?,
+            bytes: req(v, "snapshot", "bytes")?,
+        })
+    }
+}
+
+/// One replica's row in a `route_stats` result (protocol v6).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ReplicaStats {
+    /// The replica's daemon address as the router dials it.
+    pub addr: String,
+    /// Whether the router currently routes to this replica.
+    pub healthy: bool,
+    /// Consecutive health-check failures (resets to 0 on any success).
+    pub consecutive_failures: u64,
+    /// Requests the router sent to this replica since start.
+    pub requests: u64,
+    /// Connection-level failures talking to this replica since start
+    /// (structured backend errors are *not* counted — they are answers).
+    pub errors: u64,
+    /// Idle connections to this replica in the router's pool right now.
+    pub pooled: usize,
+}
+
+impl ReplicaStats {
+    fn encode(&self) -> Value {
+        json!({
+            "addr": self.addr.as_str(),
+            "healthy": self.healthy,
+            "consecutive_failures": self.consecutive_failures,
+            "requests": self.requests,
+            "errors": self.errors,
+            "pooled": self.pooled,
+        })
+    }
+
+    fn decode(v: &Value) -> Result<ReplicaStats, WireError> {
+        Ok(ReplicaStats {
+            addr: req::<&str>(v, "replica", "addr")?.to_string(),
+            healthy: req(v, "replica", "healthy")?,
+            consecutive_failures: req(v, "replica", "consecutive_failures")?,
+            requests: req(v, "replica", "requests")?,
+            errors: req(v, "replica", "errors")?,
+            pooled: req(v, "replica", "pooled")?,
+        })
+    }
+}
+
+/// A `route_stats` result (protocol v6) from the `bemcaprd` front tier.
+/// A plain daemon answers the op with `bad-request`, so a successful
+/// decode also tells the caller it is talking to a router.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RouteStatsReply {
+    /// Per-replica health and traffic counters, in configuration order.
+    pub replicas: Vec<ReplicaStats>,
+    /// Replicas currently routable.
+    pub healthy: usize,
+    /// Payload requests proxied to replicas since start.
+    pub proxied: u64,
+    /// Requests retried on another replica after a connection-level
+    /// failure.
+    pub failovers: u64,
+    /// Requests answered with the `upstream` error (every replica
+    /// unreachable).
+    pub upstream_errors: u64,
+    /// Health-check ejections since start.
+    pub ejections: u64,
+    /// Re-admissions of previously ejected replicas since start.
+    pub readmissions: u64,
+    /// Seconds since the router started.
+    pub uptime_seconds: f64,
+    /// Requests the router accepted since start (all ops).
+    pub requests: u64,
+}
+
+impl RouteStatsReply {
+    /// Encodes the result.
+    pub fn encode(&self) -> Value {
+        json!({
+            "replicas": Value::Array(self.replicas.iter().map(ReplicaStats::encode).collect()),
+            "healthy": self.healthy,
+            "proxied": self.proxied,
+            "failovers": self.failovers,
+            "upstream_errors": self.upstream_errors,
+            "ejections": self.ejections,
+            "readmissions": self.readmissions,
+            "uptime_seconds": self.uptime_seconds,
+            "requests": self.requests,
+        })
+    }
+
+    /// Decodes the result; fails on a missing or mistyped field.
+    pub fn decode(v: &Value) -> Result<RouteStatsReply, WireError> {
+        Ok(RouteStatsReply {
+            replicas: req::<&[Value]>(v, "route_stats", "replicas")?
+                .iter()
+                .map(ReplicaStats::decode)
+                .collect::<Result<_, _>>()?,
+            healthy: req(v, "route_stats", "healthy")?,
+            proxied: req(v, "route_stats", "proxied")?,
+            failovers: req(v, "route_stats", "failovers")?,
+            upstream_errors: req(v, "route_stats", "upstream_errors")?,
+            ejections: req(v, "route_stats", "ejections")?,
+            readmissions: req(v, "route_stats", "readmissions")?,
+            uptime_seconds: req(v, "route_stats", "uptime_seconds")?,
+            requests: req(v, "route_stats", "requests")?,
+        })
+    }
+}
+
+/// A `metrics` result (protocol v5): one scrape of the process-lifetime
+/// observability registry.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct MetricsReply {
+    /// Prometheus-style text exposition — ready to serve to a scraper
+    /// or dump to a log verbatim.
+    pub text: String,
+    /// Monotonic counters as `(name, value)`, sorted by name.
+    pub counters: Vec<(String, u64)>,
+    /// Point-in-time gauges as `(name, value)`, sorted by name.
+    pub gauges: Vec<(String, u64)>,
+}
+
+impl MetricsReply {
+    /// Scrapes `registry`: its samples split into counters and gauges,
+    /// then its text exposition.
+    pub fn from_registry(registry: &Registry) -> MetricsReply {
+        let (mut counters, mut gauges) = (Vec::new(), Vec::new());
+        for s in registry.snapshot() {
+            let sample = (s.name.to_string(), s.value);
+            match s.kind {
+                MetricKind::Counter => counters.push(sample),
+                MetricKind::Gauge => gauges.push(sample),
+            }
+        }
+        MetricsReply { text: registry.render_prometheus(), counters, gauges }
+    }
+
+    /// Value of the counter `name`, or `None` if the daemon did not
+    /// expose it.
+    pub fn counter(&self, name: &str) -> Option<u64> {
+        self.counters.iter().find_map(|(n, v)| (n == name).then_some(*v))
+    }
+
+    /// Value of the gauge `name`, or `None` if the daemon did not
+    /// expose it.
+    pub fn gauge(&self, name: &str) -> Option<u64> {
+        self.gauges.iter().find_map(|(n, v)| (n == name).then_some(*v))
+    }
+
+    /// Encodes the result; the samples become `name: value` objects.
+    pub fn encode(&self) -> Value {
+        let map = |samples: &[(String, u64)]| {
+            Value::Object(samples.iter().map(|(n, v)| (n.clone(), json!(*v))).collect())
+        };
+        json!({
+            "text": self.text.as_str(),
+            "counters": map(&self.counters),
+            "gauges": map(&self.gauges),
+        })
+    }
+
+    /// Decodes the result; fails on a missing or mistyped field or sample.
+    pub fn decode(v: &Value) -> Result<MetricsReply, WireError> {
+        let samples = |field: &str| match v.get(field) {
+            Some(Value::Object(entries)) => entries
+                .iter()
+                .map(|(name, n)| {
+                    let bad =
+                        || WireError::bad(format!("non-integer metric '{name}' in '{field}'"));
+                    n.as_u64().map(|n| (name.clone(), n)).ok_or_else(bad)
+                })
+                .collect(),
+            _ => Err(needs::<&Value>("metrics", field)),
+        };
+        Ok(MetricsReply {
+            text: req::<&str>(v, "metrics", "text")?.to_string(),
+            counters: samples("counters")?,
+            gauges: samples("gauges")?,
+        })
+    }
+}
+
+/// The `shutdown` result: the peer acknowledges it is stopping.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ShutdownReply;
+
+impl ShutdownReply {
+    /// Encodes the result.
+    pub fn encode(&self) -> Value {
+        json!({ "stopping": true })
+    }
+
+    /// Decodes the result; fails unless `stopping` is true.
+    pub fn decode(v: &Value) -> Result<ShutdownReply, WireError> {
+        if req::<bool>(v, "shutdown", "stopping")? {
+            Ok(ShutdownReply)
+        } else {
+            Err(WireError::bad("daemon did not acknowledge shutdown"))
+        }
+    }
 }
 
 #[cfg(test)]

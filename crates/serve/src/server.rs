@@ -50,15 +50,15 @@ use bemcap_core::cache::TemplateCache;
 use bemcap_core::chip::{ChipExtractor, WindowCache};
 use bemcap_core::exec::{default_queue_depth, ExecConfig, Executor, DEFAULT_COALESCE_LIMIT};
 use bemcap_core::metrics::{metrics as core_metrics, Registry};
-use bemcap_core::{BatchJob, CoreError, Extractor, JobOutcome, Submission};
+use bemcap_core::{BatchJob, CacheStats, CoreError, Extraction, Extractor, JobOutcome, Submission};
 use bemcap_geom::io::parse_geometry;
 use bemcap_geom::Geometry;
-use serde_json::{json, Value};
 
 use crate::listener::{Listener, Shutdown};
 use crate::protocol::{
-    self, build_extractor, cache_stats_value, codes, error_response, exec_stats_value, ok_response,
-    ExtractOptions, Request, PROTOCOL_VERSION,
+    self, build_extractor, codes, error_response, ok_response, ChipReply, DaemonStats,
+    ExtractOptions, ExtractReply, MetricsReply, PingReply, Request, ShutdownReply, SnapshotReply,
+    Value, PROTOCOL_VERSION,
 };
 
 /// Configuration of a [`Server`].
@@ -270,68 +270,34 @@ fn dispatch(state: &ServerState, line: &str) -> String {
         // when the frame never parsed far enough to have an id).
         Err(e) => return error_response(e.id, e.code, &e.message),
     };
-    match request {
-        Request::Ping { id } => ok_response(
-            id,
-            json!({ "pong": true, "proto": PROTOCOL_VERSION, "version": env!("CARGO_PKG_VERSION") }),
-        ),
-        Request::Stats { id } => {
-            let cache = &state.cache;
-            let exec = &state.executor;
-            ok_response(
-                id,
-                json!({
-                    "cache": cache_stats_value(&cache.lifetime()),
-                    "cache_entries": cache.len(),
-                    "cache_resident_bytes": cache.resident_bytes(),
-                    "cache_max_bytes": cache.max_bytes(),
-                    "window_cache": cache_stats_value(&state.window_cache.lifetime()),
-                    "window_cache_entries": state.window_cache.len(),
-                    "window_cache_resident_bytes": state.window_cache.resident_bytes(),
-                    "window_cache_max_bytes": state.window_cache.max_bytes(),
-                    "uptime_seconds": state.started.elapsed().as_secs_f64(),
-                    "requests": state.requests.load(Ordering::Relaxed) as f64,
-                    "connections": state.shutdown.accepted() as f64,
-                    "workers": state.cfg.workers,
-                    "queue": json!({
-                        "depth": state.cfg.queue_depth,
-                        "coalesce_limit": state.cfg.coalesce_limit,
-                        "queued": exec.queued_jobs(),
-                        "running": exec.running_jobs(),
-                    }),
-                    "exec": exec_stats_value(&exec.stats()),
-                }),
-            )
+    let id = request.id();
+    let result = match request {
+        Request::Ping { .. } => {
+            let version = env!("CARGO_PKG_VERSION").into();
+            Ok(PingReply { proto: PROTOCOL_VERSION, version, router: false }.encode())
         }
-        Request::Metrics { id } => ok_response(id, metrics_scrape(state)),
-        Request::RouteStats { id } => error_response(
-            id,
-            codes::BAD_REQUEST,
-            "route_stats is answered by the bemcaprd front tier; \
-             a daemon serves stats and metrics",
-        ),
-        Request::Snapshot { id, path } => match snapshot_cache(state, &path) {
-            Ok(result) => ok_response(id, result),
-            Err(e) => error_response(id, e.code, &e.message),
-        },
-        Request::Shutdown { id } => {
+        Request::Stats { .. } => Ok(daemon_stats(state).encode()),
+        Request::Metrics { .. } => Ok(metrics_scrape(state).encode()),
+        Request::RouteStats { .. } => Err(DispatchError {
+            code: codes::BAD_REQUEST,
+            message: "route_stats is answered by the bemcaprd front tier; \
+                      a daemon serves stats and metrics"
+                .into(),
+        }),
+        Request::Snapshot { path, .. } => snapshot_cache(state, &path),
+        Request::Shutdown { .. } => {
             state.shutdown.trigger();
-            ok_response(id, json!({ "stopping": true }))
+            Ok(ShutdownReply.encode())
         }
-        Request::Extract { id, geometry, options } => match extract(state, &geometry, options) {
-            Ok(result) => ok_response(id, result),
-            Err(e) => error_response(id, e.code, &e.message),
-        },
-        Request::Batch { id, geometries, options } => match batch(state, &geometries, options) {
-            Ok(result) => ok_response(id, result),
-            Err(e) => error_response(id, e.code, &e.message),
-        },
-        Request::Chip { id, geometry, options, nx, ny, halo } => {
-            match chip(state, &geometry, options, nx, ny, halo) {
-                Ok(result) => ok_response(id, result),
-                Err(e) => error_response(id, e.code, &e.message),
-            }
+        Request::Extract { geometry, options, .. } => extract(state, &geometry, options),
+        Request::Batch { geometries, options, .. } => batch(state, &geometries, options),
+        Request::Chip { geometry, options, nx, ny, halo, .. } => {
+            chip(state, &geometry, options, nx, ny, halo)
         }
+    };
+    match result {
+        Ok(result) => ok_response(id, result),
+        Err(e) => error_response(id, e.code, &e.message),
     }
 }
 
@@ -341,9 +307,32 @@ struct DispatchError {
     message: String,
 }
 
+/// The `stats` result, read from the live state.
+fn daemon_stats(state: &ServerState) -> DaemonStats {
+    let (cache, windows, exec) = (&state.cache, &state.window_cache, &state.executor);
+    DaemonStats {
+        cache: cache.lifetime(),
+        cache_entries: cache.len(),
+        cache_resident_bytes: cache.resident_bytes(),
+        cache_max_bytes: cache.max_bytes(),
+        uptime_seconds: state.started.elapsed().as_secs_f64(),
+        requests: state.requests.load(Ordering::Relaxed),
+        connections: state.shutdown.accepted(),
+        workers: state.cfg.workers,
+        queue_depth: state.cfg.queue_depth,
+        coalesce_limit: state.cfg.coalesce_limit,
+        queued: exec.queued_jobs(),
+        running: exec.running_jobs(),
+        exec: exec.stats(),
+        window_cache: windows.lifetime(),
+        window_cache_entries: windows.len(),
+        window_cache_resident_bytes: windows.resident_bytes(),
+        window_cache_max_bytes: windows.max_bytes(),
+    }
+}
+
 /// Builds the v5 `metrics` result: refreshes the daemon gauges from the
-/// live state, then snapshots the global registry
-/// ([`protocol::metrics_value`]).
+/// live state, then scrapes the global registry.
 ///
 /// Counters are incremented by the hot layers themselves
 /// (`bemcap_core::metrics`); gauges describe *instantaneous* state the
@@ -352,7 +341,7 @@ struct DispatchError {
 /// keeps every scrape honest (no stale values from instances that no
 /// longer exist) and keeps gauge updates entirely off the request hot
 /// path.
-fn metrics_scrape(state: &ServerState) -> Value {
+fn metrics_scrape(state: &ServerState) -> MetricsReply {
     // Touch the core handles so a scrape of an idle daemon still exposes
     // every counter (at zero) instead of a set that grows as code paths
     // first run.
@@ -408,7 +397,7 @@ fn metrics_scrape(state: &ServerState) -> Value {
     for (name, help, value) in gauges {
         Registry::global().gauge(name, help).set(value);
     }
-    protocol::metrics_value()
+    MetricsReply::from_registry(Registry::global())
 }
 
 /// Writes the daemon's pair-integral cache to `path` (v6 `snapshot` op)
@@ -426,7 +415,7 @@ fn snapshot_cache(state: &ServerState, path: &str) -> Result<Value, DispatchErro
         code: codes::BAD_REQUEST,
         message: format!("cannot write cache snapshot to '{path}': {e}"),
     })?;
-    Ok(json!({ "path": path, "entries": entries, "bytes": bytes as f64 }))
+    Ok(SnapshotReply { path: path.to_string(), entries, bytes }.encode())
 }
 
 /// Parses one embedded geometry, labeling errors with the job index for
@@ -457,37 +446,7 @@ fn run_on_executor(
     Ok(ticket.wait())
 }
 
-/// Serializes one job's extraction as a result object.
-fn extraction_value(
-    extraction: &bemcap_core::Extraction,
-    cache: &bemcap_core::CacheStats,
-) -> Value {
-    let c = extraction.capacitance();
-    let report = extraction.report();
-    let matrix: Vec<Value> = (0..c.dim())
-        .map(|i| Value::Array((0..c.dim()).map(|j| Value::Number(c.get(i, j))).collect()))
-        .collect();
-    json!({
-        "names": c.names().to_vec(),
-        "matrix": Value::Array(matrix),
-        "report": json!({
-            "method": report.method.as_str(),
-            "n": report.n,
-            "m_templates": report.m_templates,
-            "workers": report.workers,
-            "setup_seconds": report.setup_seconds,
-            "solve_seconds": report.solve_seconds,
-            "memory_bytes": report.memory_bytes,
-            "solver": report
-                .krylov
-                .as_ref()
-                .map_or(Value::Null, protocol::solver_stats_value),
-        }),
-        "cache": cache_stats_value(cache),
-    })
-}
-
-/// Serializes a batch submission's outcomes after failure screening.
+/// A batch submission's results after failure screening.
 ///
 /// `batch()` maps any failed outcome to a frame-level error before this
 /// runs, so every outcome should carry a result. If one does not, that is
@@ -495,12 +454,12 @@ fn extraction_value(
 /// failed) — report it as a structured `internal` error on this frame
 /// instead of panicking the connection thread, so the client gets a
 /// diagnosable reply and the daemon keeps serving.
-fn batch_results(outcomes: &[JobOutcome]) -> Result<Vec<Value>, DispatchError> {
+fn batch_results(outcomes: &[JobOutcome]) -> Result<Vec<&(Extraction, CacheStats)>, DispatchError> {
     outcomes
         .iter()
         .enumerate()
         .map(|(index, o)| match &o.result {
-            Ok((extraction, cache)) => Ok(extraction_value(extraction, cache)),
+            Ok(result) => Ok(result),
             Err(e) => Err(DispatchError {
                 code: codes::INTERNAL,
                 message: format!(
@@ -510,15 +469,6 @@ fn batch_results(outcomes: &[JobOutcome]) -> Result<Vec<Value>, DispatchError> {
             }),
         })
         .collect()
-}
-
-/// Per-submission executor record, attached to every extraction result.
-fn submission_exec_value(sub: &Submission) -> Value {
-    json!({
-        "queue_seconds": sub.queue_seconds,
-        "coalesced": sub.coalesced,
-        "micro_batch_jobs": sub.micro_batch_jobs,
-    })
 }
 
 fn extract(
@@ -534,11 +484,7 @@ fn extract(
         .result
         .as_ref()
         .map_err(|e| DispatchError { code: codes::EXTRACTION, message: e.to_string() })?;
-    let mut result = extraction_value(extraction, cache);
-    if let Value::Object(entries) = &mut result {
-        entries.push(("exec".to_string(), submission_exec_value(&sub)));
-    }
-    Ok(result)
+    Ok(ExtractReply::encode(extraction, cache, &sub))
 }
 
 fn batch(
@@ -552,7 +498,7 @@ fn batch(
         .map(|(i, text)| Ok(BatchJob::new(format!("job{i}"), parse_job(text, Some(i))?)))
         .collect::<Result<_, DispatchError>>()?;
     if jobs.is_empty() {
-        return Ok(json!({ "results": Value::Array(Vec::new()) }));
+        return Ok(ExtractReply::encode_batch(&[], None));
     }
     let extractor = build_extractor(&options);
     let sub = run_on_executor(state, &extractor, jobs)?;
@@ -564,11 +510,7 @@ fn batch(
             message: format!("geometry {index}: {e}"),
         });
     }
-    let results = batch_results(&sub.outcomes)?;
-    Ok(json!({
-        "results": Value::Array(results),
-        "exec": submission_exec_value(&sub),
-    }))
+    Ok(ExtractReply::encode_batch(&batch_results(&sub.outcomes)?, Some(&sub)))
 }
 
 /// Runs a full-chip windowed extraction (v4 `chip` op) on the daemon's
@@ -597,32 +539,7 @@ fn chip(
         CoreError::Geometry(_) => DispatchError { code: codes::GEOMETRY, message: e.to_string() },
         other => DispatchError { code: codes::EXTRACTION, message: other.to_string() },
     })?;
-    let c = full.capacitance();
-    let report = full.report();
-    let entries: Vec<Value> = c
-        .matrix()
-        .iter()
-        .map(|(i, j, v)| {
-            Value::Array(vec![Value::Number(i as f64), Value::Number(j as f64), Value::Number(v)])
-        })
-        .collect();
-    Ok(json!({
-        "names": c.names().to_vec(),
-        "dim": c.dim(),
-        "entries": Value::Array(entries),
-        "report": json!({
-            "windows": report.windows,
-            "extracted": report.extracted,
-            "reused": report.reused,
-            "nnz": report.nnz,
-            "workers": report.workers,
-            "wall_seconds": report.wall_seconds,
-            "busy_seconds": report.busy_seconds,
-            "queue_seconds": report.queue_seconds,
-        }),
-        "cache": cache_stats_value(&report.template_cache),
-        "window_cache": cache_stats_value(&report.window_cache),
-    }))
+    Ok(ChipReply::encode(&full))
 }
 
 #[cfg(test)]
@@ -820,7 +737,7 @@ mod tests {
 
         let ok = batch_results(std::slice::from_ref(&good)).unwrap();
         assert_eq!(ok.len(), 1);
-        assert!(ok[0].get("matrix").is_some());
+        assert_eq!(ok[0].0.capacitance().dim(), 1);
 
         let err = batch_results(&[good, bad]).unwrap_err();
         assert_eq!(err.code, codes::INTERNAL);

@@ -1,20 +1,19 @@
 //! Coupling capacitance vs wire separation h on the Fig. 1 crossing pair:
 //! the engineering curve behind the paper's h-parameterized arch templates
-//! (§2.2, Fig. 2's a(h), b(h) laws), produced with the sweep API.
+//! (§2.2, Fig. 2's a(h), b(h) laws), produced as a batch family run
+//! (`BatchExtractor::extract_family` + `BatchResult::entry_curve`).
 //!
 //! Run with: `cargo run --release --example coupling_sweep`
 
-use bemcap_core::sweep::{entry_curve, sweep};
-use bemcap_core::Extractor;
+use bemcap_core::{BatchExtractor, Extractor};
 use bemcap_geom::structures::{self, CrossingParams};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let extractor = Extractor::new();
     let hs: Vec<f64> = (1..=8).map(|i| 0.25e-6 * i as f64).collect();
-    let points = sweep(&extractor, &hs, |h| {
+    let family = BatchExtractor::new(Extractor::new()).extract_family(&hs, |h| {
         structures::crossing_wires(CrossingParams { separation: h, ..Default::default() })
     })?;
-    let curve = entry_curve(&points, 0, 1);
+    let curve = family.entry_curve(0, 1);
     println!("crossing-wire coupling capacitance vs separation h\n");
     println!("{:>10} {:>14} {:>10}", "h (µm)", "C01 (aF)", "");
     let max = curve.iter().map(|(_, c)| c.abs()).fold(0.0_f64, f64::max);

@@ -177,10 +177,10 @@ proptest! {
     }
 }
 
-/// The `BEMCAP_POOL`-sized default executor (what `sweep()` and default
-/// batch runs use, and what CI's pool matrix varies): results must be
-/// bit-identical to direct extraction at whatever size the environment
-/// picked.
+/// The `BEMCAP_POOL`-sized default executor (what default batch runs,
+/// parameter sweeps included, use, and what CI's pool matrix varies):
+/// results must be bit-identical to direct extraction at whatever size
+/// the environment picked.
 #[test]
 fn default_sized_executor_matches_direct_extraction() {
     let exec = Executor::new(ExecConfig::default());
