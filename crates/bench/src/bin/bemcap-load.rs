@@ -29,12 +29,10 @@
 //! run and prints each counter's delta plus the final Prometheus text
 //! exposition — the greppable proof that the instrumentation moved.
 //!
-//! With `--router N`, the generator instead stands up N in-process
-//! daemons behind an in-process `bemcaprd` front tier, replays the same
-//! scenario family through the router, and reports the per-replica
-//! request distribution, the repeat-affinity fraction (how much of the
-//! warm pass landed back on the shard that served it cold), failovers,
-//! and the router-path warm speedup next to a single-daemon baseline.
+//! It drives the CI serving smokes: release binaries over real sockets,
+//! a router included via `--addr`. Timed serving numbers, the router
+//! tier's affinity and relay cost among them, come from the benchmark's
+//! `serve_*` workloads (`benchmark/README.md`).
 
 use std::process::ExitCode;
 use std::time::Instant;
@@ -42,12 +40,11 @@ use std::time::Instant;
 use bemcap_bench::fmt_seconds;
 use bemcap_geom::structures::{self, BusParams, CrossingParams};
 use bemcap_geom::Geometry;
-use bemcap_router::{Router, RouterConfig};
 use bemcap_serve::{Client, ExtractOptions, MetricsReply, ServeError, Server, ServerConfig};
 
 const USAGE: &str = "usage: bemcap-load [--addr HOST:PORT] [--clients N] [--passes N] \
                      [--workers N] [--cache-mb N] [--queue N] [--coalesce N] \
-                     [--overload] [--requests N] [--router N] [--metrics] [--shutdown]";
+                     [--overload] [--requests N] [--metrics] [--shutdown]";
 
 struct Args {
     addr: Option<String>,
@@ -59,7 +56,6 @@ struct Args {
     coalesce: usize,
     overload: bool,
     requests: usize,
-    router: Option<usize>,
     metrics: bool,
     shutdown: bool,
 }
@@ -76,7 +72,6 @@ impl Default for Args {
             coalesce: 16,
             overload: false,
             requests: 40,
-            router: None,
             metrics: false,
             shutdown: false,
         }
@@ -105,7 +100,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             "--coalesce" => args.coalesce = positive("--coalesce", value("--coalesce")?)?,
             "--overload" => args.overload = true,
             "--requests" => args.requests = positive("--requests", value("--requests")?)?,
-            "--router" => args.router = Some(positive("--router", value("--router")?)?),
             "--metrics" => args.metrics = true,
             "--shutdown" => args.shutdown = true,
             "--help" | "-h" => return Err(USAGE.to_string()),
@@ -205,9 +199,9 @@ fn print_pass_header() {
     );
 }
 
-/// Prints one row of the standard pass table; returns the pass's
-/// (mean latency seconds, cache hit-rate percent).
-fn print_pass_row(pass: usize, stats: &PassStats, wall: f64) -> (f64, f64) {
+/// Prints one row of the standard pass table; returns the pass's mean
+/// latency in seconds.
+fn print_pass_row(pass: usize, stats: &PassStats, wall: f64) -> f64 {
     let mut sorted = stats.latencies.clone();
     sorted.sort_by(f64::total_cmp);
     let mean = sorted.iter().sum::<f64>() / sorted.len() as f64;
@@ -222,18 +216,17 @@ fn print_pass_row(pass: usize, stats: &PassStats, wall: f64) -> (f64, f64) {
         fmt_seconds(percentile(&sorted, 0.95)),
         fmt_seconds(percentile(&sorted, 0.99)),
     );
-    (mean, hit_rate)
+    mean
 }
 
 /// Prints the warm-vs-cold mean speedup when there is a warm pass.
-/// `label` prefixes the line ("" for the plain single-daemon run).
-fn print_warm_speedup(label: &str, passes: &[(f64, f64)]) {
-    if passes.len() > 1 {
-        let warm = passes[1..].iter().map(|p| p.0).sum::<f64>() / (passes.len() - 1) as f64;
+fn print_warm_speedup(means: &[f64]) {
+    if means.len() > 1 {
+        let warm = means[1..].iter().sum::<f64>() / (means.len() - 1) as f64;
         println!(
-            "{label}warm-cache speedup: {:.2}x (cold mean {} -> warm mean {})",
-            passes[0].0 / warm,
-            fmt_seconds(passes[0].0),
+            "warm-cache speedup: {:.2}x (cold mean {} -> warm mean {})",
+            means[0] / warm,
+            fmt_seconds(means[0]),
             fmt_seconds(warm)
         );
     }
@@ -407,126 +400,6 @@ fn overload_main(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// The `--router N` scenario: the same mixed workload replayed twice —
-/// once against a single daemon (the baseline warm path) and once
-/// through an in-process `bemcaprd` front tier sharding over N fresh
-/// replicas. Digest affinity should route every warm-pass repeat back
-/// to the shard that served it cold, so each replica's cache warms for
-/// its own slice and the router-path warm hit-rate matches the
-/// single-daemon warm path. The report makes all of that greppable:
-/// per-replica distribution, repeat-affinity percent, failover and
-/// upstream-error counts, and both tiers' warm speedups.
-fn router_main(args: &Args) -> Result<(), String> {
-    let n = args.router.expect("router mode");
-    let family = scenarios();
-    println!(
-        "bemcap-load: router mode: {} clients x {} scenarios x {} passes, \
-         {n} replicas (workers={} each)",
-        args.clients,
-        family.len(),
-        args.passes,
-        args.workers
-    );
-
-    // Baseline: the same workload against one daemon.
-    let baseline = spawn_local_daemon(args, args.coalesce)?;
-    let addr = baseline.addr().to_string();
-    println!("single-daemon baseline on {addr}:");
-    print_pass_header();
-    let mut base_passes = Vec::new();
-    for pass in 0..args.passes {
-        let (stats, wall) = run_pass(&addr, args.clients, &family)?;
-        base_passes.push(print_pass_row(pass, &stats, wall));
-    }
-    print_warm_speedup("baseline ", &base_passes);
-    let mut c = Client::connect(addr.as_str()).map_err(|e| e.to_string())?;
-    c.shutdown().map_err(|e| e.to_string())?;
-    baseline.join().map_err(|e| format!("baseline daemon exit: {e}"))?;
-
-    // The sharded tier: N fresh replicas behind an in-process router.
-    let replicas: Vec<_> =
-        (0..n).map(|_| spawn_local_daemon(args, args.coalesce)).collect::<Result<_, _>>()?;
-    let replica_addrs: Vec<String> = replicas.iter().map(|d| d.addr().to_string()).collect();
-    let router =
-        Router::bind(RouterConfig { replicas: replica_addrs.clone(), ..RouterConfig::default() })
-            .map_err(|e| format!("cannot bind router: {e}"))?
-            .spawn()
-            .map_err(|e| format!("cannot spawn router: {e}"))?;
-    let router_addr = router.addr().to_string();
-    println!("router on {router_addr} sharding over [{}]:", replica_addrs.join(", "));
-    let mut probe = Client::connect(router_addr.as_str()).map_err(|e| e.to_string())?;
-
-    // Cumulative per-replica forward counts before the run and after
-    // every pass — the raw material of the distribution and affinity
-    // numbers.
-    let counts = |probe: &mut Client| -> Result<Vec<u64>, String> {
-        Ok(probe
-            .route_stats()
-            .map_err(|e| e.to_string())?
-            .replicas
-            .iter()
-            .map(|r| r.requests)
-            .collect())
-    };
-    let mut marks = vec![counts(&mut probe)?];
-    print_pass_header();
-    let mut router_passes = Vec::new();
-    for pass in 0..args.passes {
-        let (stats, wall) = run_pass(&router_addr, args.clients, &family)?;
-        router_passes.push(print_pass_row(pass, &stats, wall));
-        marks.push(counts(&mut probe)?);
-    }
-    print_warm_speedup("router ", &router_passes);
-
-    // Distribution and repeat affinity. Pass 0 fixes each key's shard;
-    // a warm-pass request is "affine" when its shard's warm traffic is
-    // covered by the cold-pass traffic that warmed it.
-    let delta = |p: usize, i: usize| marks[p + 1][i] - marks[p][i];
-    for (i, a) in replica_addrs.iter().enumerate() {
-        let per_pass: Vec<String> = (0..args.passes).map(|p| delta(p, i).to_string()).collect();
-        println!("  replica {i} ({a}): forwards per pass [{}]", per_pass.join(", "));
-    }
-    let mut affine = 0u64;
-    let mut warm_total = 0u64;
-    for p in 1..args.passes {
-        for i in 0..replica_addrs.len() {
-            affine += delta(0, i).min(delta(p, i));
-            warm_total += delta(p, i);
-        }
-    }
-    if warm_total > 0 {
-        println!(
-            "repeat affinity: {:.1} % of warm-pass requests landed on their cold-pass shard",
-            100.0 * affine as f64 / warm_total as f64
-        );
-    }
-    let stats = probe.route_stats().map_err(|e| e.to_string())?;
-    println!(
-        "router: proxied {}, failovers {}, upstream errors {}, ejections {}, healthy {}/{}",
-        stats.proxied,
-        stats.failovers,
-        stats.upstream_errors,
-        stats.ejections,
-        stats.healthy,
-        stats.replicas.len()
-    );
-    if let (Some(router_warm), Some(base_warm)) = (router_passes.get(1), base_passes.get(1)) {
-        println!(
-            "router warm hit-rate: {:.1} % (single-daemon warm: {:.1} %)",
-            router_warm.1, base_warm.1
-        );
-    }
-
-    probe.shutdown().map_err(|e| format!("router shutdown: {e}"))?;
-    router.join().map_err(|e| format!("router exit: {e}"))?;
-    for (i, handle) in replicas.into_iter().enumerate() {
-        let mut c = Client::connect(handle.addr()).map_err(|e| e.to_string())?;
-        c.shutdown().map_err(|e| format!("replica {i} shutdown: {e}"))?;
-        handle.join().map_err(|e| format!("replica {i} exit: {e}"))?;
-    }
-    Ok(())
-}
-
 /// Prints each counter's movement over the run, then the full scrape —
 /// output a CI job can grep both for metric names and for motion.
 fn print_metrics_delta(before: &MetricsReply, after: &MetricsReply) {
@@ -536,7 +409,7 @@ fn print_metrics_delta(before: &MetricsReply, after: &MetricsReply) {
         println!("  {name} {was} -> {value} (+{})", value.saturating_sub(was));
     }
     // Derived per-extraction phase costs, so kernel-level wins show up in
-    // the daemon report without a criterion run.
+    // the daemon report.
     let delta = |name: &str| {
         after.counter(name).unwrap_or(0).saturating_sub(before.counter(name).unwrap_or(0))
     };
@@ -561,24 +434,6 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    if args.router.is_some() {
-        if args.addr.is_some() || args.overload {
-            eprintln!(
-                "bemcap-load: --router is self-contained (no --addr, no --overload)\n{USAGE}"
-            );
-            return ExitCode::FAILURE;
-        }
-        if args.metrics {
-            eprintln!("bemcap-load: note: --metrics is ignored with --router");
-        }
-        return match router_main(&args) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("bemcap-load: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
     if args.overload {
         if args.metrics {
             eprintln!("bemcap-load: note: --metrics is ignored with --overload");
@@ -666,7 +521,7 @@ fn main() -> ExitCode {
         };
         pass_stats.push(print_pass_row(pass, &stats, wall));
     }
-    print_warm_speedup("", &pass_stats);
+    print_warm_speedup(&pass_stats);
 
     // Daemon-side totals, then optional clean shutdown.
     let report_and_stop = |stop: bool| -> Result<(), String> {

@@ -117,21 +117,40 @@ pub(crate) fn assemble(
 ) -> (Assembly, Vec<WorkerTiming>, CacheStats) {
     let start = Instant::now();
     let plan = PairPlan::new(index);
-    let slice = |range: Range<usize>| values_through(&plan, eng, cache, range);
-    let (parts, timings): (Vec<(Vec<f64>, CacheStats)>, _) = match parallelism {
-        Parallelism::Sequential => pool::run_partitioned(1, plan.distinct(), |_, r| slice(r)),
-        Parallelism::Threads(t) => pool::run_partitioned(t, plan.distinct(), |_, r| slice(r)),
-        Parallelism::MessagePassing(r) => gather_to_rank0(r, plan.distinct(), slice),
+    let (values, stats, timings) = evaluate_in_mode(parallelism, plan.distinct(), |range| {
+        values_through(&plan, eng, cache, range)
+    });
+    let p = plan.accumulate(&values, kernel_scale(eps_rel));
+    let phi = assemble_phi(eng, set, n_cond);
+    (Assembly { p, phi, seconds: start.elapsed().as_secs_f64() }, timings, stats)
+}
+
+/// The one [`Parallelism`] dispatch of the setup step: `slice` evaluates
+/// the values of one contiguous range of `0..total`, and the modes differ
+/// only in who runs which range (one thread, a static partition over
+/// threads, or the ranks of [`gather_to_rank0`]). Returns all `total`
+/// values in index order, the summed counters, and one timing per worker
+/// or rank. The dense piecewise-constant fill runs through here too.
+pub(crate) fn evaluate_in_mode(
+    parallelism: Parallelism,
+    total: usize,
+    slice: impl Fn(Range<usize>) -> (Vec<f64>, CacheStats) + Sync,
+) -> (Vec<f64>, CacheStats, Vec<WorkerTiming>) {
+    let (parts, timings) = match parallelism {
+        Parallelism::Sequential => pool::run_partitioned(1, total, |_, r| slice(r)),
+        Parallelism::Threads(t) => pool::run_partitioned(t, total, |_, r| slice(r)),
+        Parallelism::MessagePassing(r) => gather_to_rank0(r, total, slice),
     };
-    let mut values = Vec::with_capacity(plan.distinct());
-    let mut stats = CacheStats::default();
+    // The first part is kept rather than copied, so a single block (one
+    // thread, or rank 0's gathered list) costs no second buffer.
+    let mut parts = parts.into_iter();
+    let (mut values, mut stats) = parts.next().unwrap_or_default();
+    values.reserve_exact(total - values.len());
     for (part, part_stats) in parts {
         values.extend(part);
         stats.absorb(part_stats);
     }
-    let p = plan.accumulate(&values, kernel_scale(eps_rel));
-    let phi = assemble_phi(eng, set, n_cond);
-    (Assembly { p, phi, seconds: start.elapsed().as_secs_f64() }, timings, stats)
+    (values, stats, timings)
 }
 
 /// The values of the distinct keys in `range`, each obtained through

@@ -13,8 +13,8 @@
 //! * [`InstantiableBackend`] — the paper's method: instantiate templates,
 //!   fill P and Φ (Algorithm 1, sequential/threaded/message-passing),
 //!   dense LU solve;
-//! * [`DensePwcBackend`] — piecewise-constant Galerkin, dense assembly on
-//!   the `BEMCAP_POOL` worker pool, direct solve;
+//! * [`DensePwcBackend`] — piecewise-constant Galerkin, dense assembly in
+//!   the extractor's [`Parallelism`] mode, direct solve;
 //! * [`FmmBackend`] — multipole-accelerated matvec + preconditioned GMRES
 //!   through the shared `bemcap_linalg::gmres_grouped` driver;
 //! * [`PfftBackend`] — precorrected-FFT matvec + the same driver; the
@@ -42,7 +42,6 @@ use bemcap_pfft::{PfftConfig, PfftOperator};
 use bemcap_quad::galerkin::{GalerkinEngine, PanelShape};
 
 use crate::assembly;
-use crate::batch::default_pool_size;
 use crate::cache::TemplateCache;
 use crate::error::CoreError;
 use crate::extraction::{Method, Parallelism};
@@ -277,20 +276,21 @@ impl Backend for InstantiableBackend {
 }
 
 /// Piecewise-constant Galerkin with a dense direct solve — the exact
-/// reference for small problems. Assembly runs on the `BEMCAP_POOL`
-/// worker pool and reports the worker count it actually used.
+/// reference for small problems. The fill runs in the extractor's
+/// [`Parallelism`] mode and reports the worker count it actually used.
 #[derive(Debug, Clone, Copy)]
 pub struct DensePwcBackend {
     /// Mesh resolution (uniform divisions per box edge).
     pub mesh_divisions: usize,
+    /// How the dense fill executes.
+    pub parallelism: Parallelism,
 }
 
 impl DensePwcBackend {
     /// [`Backend::prepare`] on an already-built mesh (how
     /// [`AutoBackend`] hands over the mesh it sized during resolution).
     fn prepare_on(&self, geo: &Geometry, mesh: Mesh) -> Result<Box<dyn PreparedSystem>, CoreError> {
-        let workers = default_pool_size();
-        let (p, phi) = DensePwcSolver.assemble_system(geo, &mesh, workers);
+        let (p, phi, workers) = DensePwcSolver.assemble_in_mode(geo, &mesh, self.parallelism);
         Ok(Box::new(PreparedDirect {
             name: "pwc-dense",
             n: mesh.panel_count(),
@@ -306,7 +306,8 @@ impl DensePwcBackend {
 
 impl Backend for DensePwcBackend {
     fn digest(&self, _words: &mut Vec<u64>) {
-        // Fully covered by the common digest words (mesh divisions).
+        // Fully covered by the common digest words (mesh divisions,
+        // parallelism).
     }
 
     fn prepare(
@@ -490,6 +491,8 @@ pub struct AutoBackend {
     pub krylov: KrylovConfig,
     /// Preconditioner for either iterative candidate.
     pub precond: PrecondKind,
+    /// How the dense fill executes, if dense is picked.
+    pub parallelism: Parallelism,
 }
 
 impl AutoBackend {
@@ -550,9 +553,11 @@ impl Backend for AutoBackend {
         // consumes it.
         let mesh = Mesh::uniform(geo, self.mesh_divisions);
         match self.resolve_on(geo, &mesh) {
-            Method::PwcDense => {
-                DensePwcBackend { mesh_divisions: self.mesh_divisions }.prepare_on(geo, mesh)
+            Method::PwcDense => DensePwcBackend {
+                mesh_divisions: self.mesh_divisions,
+                parallelism: self.parallelism,
             }
+            .prepare_on(geo, mesh),
             Method::PwcPfft => PfftBackend {
                 mesh_divisions: self.mesh_divisions,
                 config: self.pfft,
@@ -585,6 +590,7 @@ mod tests {
             pfft: PfftConfig::default(),
             krylov: KrylovConfig::default(),
             precond: PrecondKind::default(),
+            parallelism: Parallelism::Sequential,
         }
     }
 

@@ -106,7 +106,10 @@ impl Extractor {
         self
     }
 
-    /// Selects the setup-step execution mode (instantiable method only).
+    /// Selects the setup-step execution mode: the Algorithm-1 fill of the
+    /// instantiable method and the dense piecewise-constant fill (also
+    /// when [`Method::Auto`] picks dense). The iterative backends ignore
+    /// it.
     pub fn parallelism(mut self, parallelism: Parallelism) -> Extractor {
         self.parallelism = parallelism;
         self
@@ -201,7 +204,10 @@ impl Extractor {
                 instantiate: self.instantiate_cfg,
                 parallelism: self.parallelism,
             }),
-            Method::PwcDense => Box::new(DensePwcBackend { mesh_divisions: self.mesh_divisions }),
+            Method::PwcDense => Box::new(DensePwcBackend {
+                mesh_divisions: self.mesh_divisions,
+                parallelism: self.parallelism,
+            }),
             Method::PwcFmm => Box::new(FmmBackend {
                 mesh_divisions: self.mesh_divisions,
                 config: self.fmm_cfg,
@@ -226,6 +232,7 @@ impl Extractor {
             pfft: self.pfft_cfg,
             krylov: self.krylov_cfg,
             precond: self.precond,
+            parallelism: self.parallelism,
         }
     }
 
@@ -482,6 +489,24 @@ mod tests {
         }
         assert_eq!(thr.report().workers, 3);
         assert_eq!(mp.report().workers, 3);
+    }
+
+    #[test]
+    fn dense_fill_honours_parallelism() {
+        let geo = structures::crossing_wires(CrossingParams::default());
+        let dense = || Extractor::new().method(Method::PwcDense).mesh_divisions(6);
+        let seq = dense().extract(&geo).unwrap();
+        let thr = dense().parallelism(Parallelism::Threads(3)).extract(&geo).unwrap();
+        let mp = dense().parallelism(Parallelism::MessagePassing(2)).extract(&geo).unwrap();
+        let bits = |e: &Extraction| {
+            e.capacitance().matrix().as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+        };
+        for other in [&thr, &mp] {
+            assert_eq!(bits(other), bits(&seq));
+        }
+        assert_eq!(seq.report().workers, 1);
+        assert_eq!(thr.report().workers, 3);
+        assert_eq!(mp.report().workers, 2);
     }
 
     #[test]

@@ -1,14 +1,17 @@
 //! The system-solving step and the piecewise-constant dense reference.
 
+use std::ops::Range;
 use std::time::Instant;
 
 use bemcap_geom::{Geometry, Mesh, EPS0};
 use bemcap_linalg::{LuFactor, Matrix};
-use bemcap_par::{k_to_ij, partition_ranges, pool, triangle_size};
+use bemcap_par::{k_to_ij, triangle_size};
 use bemcap_quad::galerkin::{GalerkinEngine, PanelShape};
 
-use crate::batch::default_pool_size;
+use crate::assembly::evaluate_in_mode;
 use crate::error::CoreError;
+use crate::extraction::Parallelism;
+use crate::report::CacheStats;
 
 /// Solves P ρ = Φ by LU (the "standard direct method" of §3) and forms
 /// C = Φᵀ ρ. Returns (C, solve seconds).
@@ -28,73 +31,59 @@ pub fn solve_capacitance(p: Matrix, phi: &Matrix) -> Result<(Matrix, f64), CoreE
 /// panel matrix with exact closed forms and solves directly. Exact up to
 /// discretization error; O(N²) memory, so only for modest meshes.
 ///
-/// The O(N²) upper-triangle assembly runs over the same contiguous
-/// static partition of the flat triangle index `k` that the Algorithm-1
-/// drivers use ([`bemcap_par::partition_ranges`]): each worker fills a
-/// private list of `(k, value)` entries that the main thread merges, so
-/// the parallel result is **bit-identical** to the serial double loop at
-/// any worker count — every entry is an independent closed-form
-/// evaluation of the same inputs.
+/// The O(N²) upper-triangle fill runs through the same [`Parallelism`]
+/// dispatch as the Algorithm-1 drivers ([`crate::assembly`]): each worker
+/// or rank evaluates one contiguous range of the flat triangle index `k`,
+/// and the values are scattered in k order, so every mode and worker
+/// count is **bit-identical** to the serial double loop — every entry is
+/// an independent closed-form evaluation of the same inputs.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DensePwcSolver;
 
 impl DensePwcSolver {
     /// Extracts the capacitance matrix of `geo` discretized by `mesh`,
-    /// assembling on the `BEMCAP_POOL`-sized worker pool
-    /// ([`default_pool_size`]).
+    /// assembling on one thread.
     ///
     /// # Errors
     ///
     /// * [`CoreError::Linalg`] if the panel matrix is singular.
     pub fn solve(&self, geo: &Geometry, mesh: &Mesh) -> Result<Matrix, CoreError> {
-        self.solve_with_workers(geo, mesh, default_pool_size())
-    }
-
-    /// Like [`DensePwcSolver::solve`] with an explicit worker count.
-    ///
-    /// # Errors
-    ///
-    /// * [`CoreError::Linalg`] if the panel matrix is singular.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `workers == 0`.
-    pub fn solve_with_workers(
-        &self,
-        geo: &Geometry,
-        mesh: &Mesh,
-        workers: usize,
-    ) -> Result<Matrix, CoreError> {
-        let (p, phi) = self.assemble_system(geo, mesh, workers);
+        let (p, phi) = self.assemble_system(geo, mesh, 1);
         let (c, _) = solve_capacitance(p, &phi)?;
         Ok(c)
     }
 
-    /// The system-setup step alone: assembles the dense panel matrix `P`
-    /// (upper triangle over the Algorithm-1 static partition, merged in
-    /// worker order — bit-identical to the serial loop at any worker
-    /// count) and the conductor incidence matrix `Φ`. The backend layer
-    /// prepares here and solves later.
+    /// The system-setup step alone on `workers` threads: assembles the
+    /// dense panel matrix `P` (bit-identical to the serial loop at any
+    /// worker count) and the conductor incidence matrix `Φ`.
     ///
     /// # Panics
     ///
     /// Panics if `workers == 0`.
     pub fn assemble_system(&self, geo: &Geometry, mesh: &Mesh, workers: usize) -> (Matrix, Matrix) {
+        let (p, phi, _) = self.assemble_in_mode(geo, mesh, Parallelism::Threads(workers));
+        (p, phi)
+    }
+
+    /// [`DensePwcSolver::assemble_system`] in `parallelism`'s mode; also
+    /// returns the number of workers or ranks that ran. The backend layer
+    /// prepares here and solves later.
+    pub(crate) fn assemble_in_mode(
+        &self,
+        geo: &Geometry,
+        mesh: &Mesh,
+        parallelism: Parallelism,
+    ) -> (Matrix, Matrix, usize) {
         let eng = GalerkinEngine::default();
         let scale = 1.0 / (4.0 * std::f64::consts::PI * geo.eps());
         let n = mesh.panel_count();
         let panels = mesh.panels();
         // Fills one contiguous range of the flat upper-triangle index with
-        // closed-form pair integrals, into a dense value block. The (i, j)
-        // coordinates advance incrementally — one sqrt-based [`k_to_ij`]
-        // per range instead of two per entry — and every value is the same
-        // independent evaluation the serial double loop performs, so the
-        // worker count cannot change bits.
-        let fill = |range: std::ops::Range<usize>| -> Vec<f64> {
+        // closed-form pair integrals. The (i, j) coordinates advance
+        // incrementally — one sqrt-based [`k_to_ij`] per range instead of
+        // two per entry.
+        let fill = |range: Range<usize>| {
             let mut vals = Vec::with_capacity(range.len());
-            if range.is_empty() {
-                return vals;
-            }
             let (mut i, mut j) = k_to_ij(range.start);
             for _ in range {
                 vals.push(
@@ -106,44 +95,33 @@ impl DensePwcSolver {
                             PanelShape::Flat,
                         ),
                 );
-                i += 1;
-                if i > j {
-                    i = 0;
-                    j += 1;
-                }
+                (i, j) = next_ij(i, j);
             }
-            vals
+            (vals, CacheStats::default())
         };
-        let total = triangle_size(n);
+        let (values, _, timings) = evaluate_in_mode(parallelism, triangle_size(n), fill);
         let mut p = Matrix::zeros(n, n);
-        let blocks = if workers == 1 {
-            vec![fill(0..total)]
-        } else {
-            pool::run_partitioned(workers, total, |_, range| fill(range)).0
-        };
-        // Scatter each worker's contiguous block, walking (i, j) the same
-        // incremental way from the block's starting index.
-        for (range, vals) in partition_ranges(total, workers.max(1)).into_iter().zip(blocks) {
-            if range.is_empty() {
-                continue;
-            }
-            let (mut i, mut j) = k_to_ij(range.start);
-            for v in vals {
-                p.set(i, j, v);
-                p.set(j, i, v);
-                i += 1;
-                if i > j {
-                    i = 0;
-                    j += 1;
-                }
-            }
+        let (mut i, mut j) = (0, 0);
+        for v in values {
+            p.set(i, j, v);
+            p.set(j, i, v);
+            (i, j) = next_ij(i, j);
         }
         let n_cond = geo.conductor_count();
         let mut phi = Matrix::zeros(n, n_cond);
         for (i, mp) in mesh.panels().iter().enumerate() {
             phi.set(i, mp.conductor, mp.panel.area());
         }
-        (p, phi)
+        (p, phi, timings.len())
+    }
+}
+
+/// The upper-triangle coordinates after (i, j) in flat k order.
+fn next_ij(i: usize, j: usize) -> (usize, usize) {
+    if i < j {
+        (i + 1, j)
+    } else {
+        (0, j + 1)
     }
 }
 
@@ -193,10 +171,10 @@ mod tests {
     fn parallel_dense_assembly_is_bit_identical_to_serial() {
         let geo = structures::crossing_wires(structures::CrossingParams::default());
         let mesh = Mesh::uniform(&geo, 6);
-        let serial = DensePwcSolver.solve_with_workers(&geo, &mesh, 1).unwrap();
+        let serial = DensePwcSolver.assemble_system(&geo, &mesh, 1);
         for workers in [2, 3, 5] {
-            let parallel = DensePwcSolver.solve_with_workers(&geo, &mesh, workers).unwrap();
-            assert_eq!(serial.as_slice(), parallel.as_slice(), "workers={workers}");
+            let parallel = DensePwcSolver.assemble_system(&geo, &mesh, workers);
+            assert_eq!(serial, parallel, "workers={workers}");
         }
     }
 

@@ -3,7 +3,7 @@
 //! Implements `bemcap_linalg::LinearOperator` for the piecewise-constant
 //! Galerkin system: near-field entries are exact closed-form Galerkin
 //! integrals (precomputed, sparse), far-field interactions go through the
-//! octree's multipole expansions with a Barnes–Hut acceptance criterion
+//! octree's multipole expansions with a Barnes–Hut acceptance test
 //! `size/distance < θ`. Every matvec runs an upward pass (moments) and a
 //! per-target traversal — the very phase structure whose barriers ruin
 //! parallel scalability in Fig. 8.
@@ -227,12 +227,6 @@ impl LinearOperator for FmmOperator {
         t.count += 1;
         self.timings.set(t);
     }
-
-    fn precondition(&self, x: &[f64], y: &mut [f64]) {
-        for i in 0..x.len() {
-            y[i] = x[i] * self.inv_diag[i];
-        }
-    }
 }
 
 #[cfg(test)]
@@ -314,12 +308,9 @@ mod tests {
         let geo = structures::cube(1.0e-6);
         let mesh = Mesh::uniform(&geo, 3);
         let op = FmmOperator::new(&mesh, 1.0, FmmConfig::default()).unwrap();
-        let n = op.dim();
-        let x = vec![1.0; n];
-        let mut y = vec![0.0; n];
-        op.precondition(&x, &mut y);
+        assert_eq!(op.inv_diag().len(), op.dim());
         // All entries positive and finite (diagonal of an SPD matrix).
-        assert!(y.iter().all(|v| v.is_finite() && *v > 0.0));
+        assert!(op.inv_diag().iter().all(|v| v.is_finite() && *v > 0.0));
     }
 
     #[test]

@@ -1,6 +1,6 @@
-//! Krylov subspace iterative solvers (GMRES, CG).
+//! The Krylov subspace solver (restarted, right-preconditioned GMRES).
 //!
-//! These power the FASTCAP-style baselines: multipole- and FFT-accelerated
+//! It powers the FASTCAP-style baselines: multipole- and FFT-accelerated
 //! solvers replace the dense matrix by a fast approximate matvec operator
 //! and iterate. The paper's §1 observes that precisely this structure — a
 //! large residual vector shared across compute nodes every iteration — is
@@ -17,8 +17,8 @@ use crate::lu::LuFactor;
 use crate::matrix::Matrix;
 use crate::{axpy, dot, norm2};
 
-/// Abstract matrix-vector product, the interface between Krylov solvers and
-/// the dense/FMM/pFFT backends.
+/// Abstract matrix-vector product, the interface between GMRES and the
+/// FMM/pFFT backends.
 pub trait LinearOperator {
     /// Dimension of the (square) operator.
     fn dim(&self) -> usize;
@@ -30,12 +30,6 @@ pub trait LinearOperator {
     /// Implementations may panic when `x.len() != dim()` or
     /// `y.len() != dim()`.
     fn apply(&self, x: &[f64], y: &mut [f64]);
-
-    /// Applies an approximate inverse for preconditioning, `y = M⁻¹ x`.
-    /// The default is the identity (no preconditioning).
-    fn precondition(&self, x: &[f64], y: &mut [f64]) {
-        y.copy_from_slice(x);
-    }
 }
 
 /// An approximate inverse `y = M⁻¹ x` applied on the right of GMRES.
@@ -151,17 +145,6 @@ impl Preconditioner for BlockJacobiPrecond {
     }
 }
 
-/// Adapter: an operator's own [`LinearOperator::precondition`] viewed as a
-/// [`Preconditioner`] (the historical behavior of [`gmres`]).
-#[derive(Clone, Copy)]
-pub struct OperatorPrecond<'a>(pub &'a dyn LinearOperator);
-
-impl Preconditioner for OperatorPrecond<'_> {
-    fn apply_inv(&self, x: &[f64], y: &mut [f64]) {
-        self.0.precondition(x, y);
-    }
-}
-
 /// Which preconditioner an iterative backend builds — the typed,
 /// digestible description that travels through solver configs and the
 /// wire protocol (the actual [`Preconditioner`] is built at prepare
@@ -197,63 +180,6 @@ impl Default for KrylovConfig {
     }
 }
 
-/// A dense matrix viewed as a [`LinearOperator`] with Jacobi (diagonal)
-/// preconditioning.
-#[derive(Debug, Clone)]
-pub struct DenseOperator {
-    a: Matrix,
-    inv_diag: Vec<f64>,
-}
-
-impl DenseOperator {
-    /// Wraps a square matrix.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] if `a` is not square.
-    pub fn new(a: Matrix) -> Result<DenseOperator, LinalgError> {
-        if a.rows() != a.cols() {
-            return Err(LinalgError::DimensionMismatch {
-                op: "dense_operator",
-                detail: format!("{}x{}", a.rows(), a.cols()),
-            });
-        }
-        let inv_diag = (0..a.rows())
-            .map(|i| {
-                let d = a.get(i, i);
-                if d != 0.0 {
-                    1.0 / d
-                } else {
-                    1.0
-                }
-            })
-            .collect();
-        Ok(DenseOperator { a, inv_diag })
-    }
-
-    /// The wrapped matrix.
-    pub fn matrix(&self) -> &Matrix {
-        &self.a
-    }
-}
-
-impl LinearOperator for DenseOperator {
-    fn dim(&self) -> usize {
-        self.a.rows()
-    }
-
-    fn apply(&self, x: &[f64], y: &mut [f64]) {
-        let r = self.a.matvec(x);
-        y.copy_from_slice(&r);
-    }
-
-    fn precondition(&self, x: &[f64], y: &mut [f64]) {
-        for i in 0..x.len() {
-            y[i] = x[i] * self.inv_diag[i];
-        }
-    }
-}
-
 /// Statistics returned by the Krylov solvers.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct KrylovStats {
@@ -274,24 +200,6 @@ impl KrylovStats {
         self.restarts += other.restarts;
         self.residual = self.residual.max(other.residual);
     }
-}
-
-/// Restarted, right-preconditioned GMRES(m) with the operator's own
-/// [`LinearOperator::precondition`] as `M⁻¹`.
-///
-/// # Errors
-///
-/// * [`LinalgError::DimensionMismatch`] if `b.len() != op.dim()`;
-/// * [`LinalgError::NoConvergence`] if the residual has not dropped below
-///   `tol` after `max_iters` total inner iterations.
-pub fn gmres(
-    op: &dyn LinearOperator,
-    b: &[f64],
-    restart: usize,
-    tol: f64,
-    max_iters: usize,
-) -> Result<(Vec<f64>, KrylovStats), LinalgError> {
-    gmres_with(op, &OperatorPrecond(op), b, &KrylovConfig { tol, restart, max_iters })
 }
 
 /// Restarted, right-preconditioned GMRES(m) with an explicit
@@ -466,61 +374,36 @@ pub fn gmres_grouped(
     Ok((c, stats))
 }
 
-/// Conjugate gradients for symmetric positive-definite operators.
-///
-/// # Errors
-///
-/// * [`LinalgError::DimensionMismatch`] if `b.len() != op.dim()`;
-/// * [`LinalgError::NoConvergence`] after `max_iters` iterations.
-pub fn cg(
-    op: &dyn LinearOperator,
-    b: &[f64],
-    tol: f64,
-    max_iters: usize,
-) -> Result<(Vec<f64>, KrylovStats), LinalgError> {
-    let n = op.dim();
-    if b.len() != n {
-        return Err(LinalgError::DimensionMismatch {
-            op: "cg",
-            detail: format!("rhs length {} != {n}", b.len()),
-        });
-    }
-    let bnorm = norm2(b);
-    if bnorm == 0.0 {
-        return Ok((vec![0.0; n], KrylovStats::default()));
-    }
-    let mut x = vec![0.0; n];
-    let mut r = b.to_vec();
-    let mut z = vec![0.0; n];
-    op.precondition(&r, &mut z);
-    let mut p = z.clone();
-    let mut rz = dot(&r, &z);
-    let mut ap = vec![0.0; n];
-    let mut matvecs = 0;
-    for _ in 0..max_iters {
-        op.apply(&p, &mut ap);
-        matvecs += 1;
-        let alpha = rz / dot(&p, &ap);
-        axpy(alpha, &p, &mut x);
-        axpy(-alpha, &ap, &mut r);
-        let res = norm2(&r) / bnorm;
-        if res < tol {
-            return Ok((x, KrylovStats { matvecs, restarts: 0, residual: res }));
-        }
-        op.precondition(&r, &mut z);
-        let rz_new = dot(&r, &z);
-        let beta = rz_new / rz;
-        rz = rz_new;
-        for i in 0..n {
-            p[i] = z[i] + beta * p[i];
-        }
-    }
-    Err(LinalgError::NoConvergence { iterations: matvecs, residual: norm2(&r) / bnorm })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A dense matrix viewed as a [`LinearOperator`].
+    struct DenseOperator {
+        a: Matrix,
+    }
+
+    impl DenseOperator {
+        fn new(a: Matrix) -> Result<DenseOperator, LinalgError> {
+            if a.rows() != a.cols() {
+                return Err(LinalgError::DimensionMismatch {
+                    op: "dense_operator",
+                    detail: format!("{}x{}", a.rows(), a.cols()),
+                });
+            }
+            Ok(DenseOperator { a })
+        }
+    }
+
+    impl LinearOperator for DenseOperator {
+        fn dim(&self) -> usize {
+            self.a.rows()
+        }
+
+        fn apply(&self, x: &[f64], y: &mut [f64]) {
+            y.copy_from_slice(&self.a.matvec(x));
+        }
+    }
 
     fn spd(n: usize) -> Matrix {
         Matrix::from_fn(n, n, |i, j| {
@@ -532,14 +415,25 @@ mod tests {
         })
     }
 
+    /// Jacobi preconditioning from `a`'s own diagonal.
+    fn jacobi(a: &Matrix) -> DiagonalPrecond {
+        let diag: Vec<f64> = (0..a.rows()).map(|i| a.get(i, i)).collect();
+        DiagonalPrecond::from_diagonal(&diag)
+    }
+
+    fn cfg(restart: usize, tol: f64, max_iters: usize) -> KrylovConfig {
+        KrylovConfig { tol, restart, max_iters }
+    }
+
     #[test]
     fn gmres_solves_spd() {
         let n = 30;
         let a = spd(n);
         let x_true: Vec<f64> = (0..n).map(|i| ((i * i) as f64 * 0.01).sin()).collect();
         let b = a.matvec(&x_true);
+        let pre = jacobi(&a);
         let op = DenseOperator::new(a).unwrap();
-        let (x, stats) = gmres(&op, &b, 20, 1e-12, 500).unwrap();
+        let (x, stats) = gmres_with(&op, &pre, &b, &cfg(20, 1e-12, 500)).unwrap();
         assert!(stats.residual < 1e-12);
         for (xi, ti) in x.iter().zip(&x_true) {
             assert!((xi - ti).abs() < 1e-8);
@@ -552,7 +446,7 @@ mod tests {
             Matrix::from_rows(&[&[2.0, 1.0, 0.0], &[0.1, 3.0, -1.0], &[0.0, 0.5, 4.0]]).unwrap();
         let b = vec![1.0, 2.0, 3.0];
         let op = DenseOperator::new(a.clone()).unwrap();
-        let (x, _) = gmres(&op, &b, 3, 1e-13, 200).unwrap();
+        let (x, _) = gmres_with(&op, &jacobi(&a), &b, &cfg(3, 1e-13, 200)).unwrap();
         let ax = a.matvec(&x);
         for (ai, bi) in ax.iter().zip(&b) {
             assert!((ai - bi).abs() < 1e-10);
@@ -564,62 +458,35 @@ mod tests {
         let n = 25;
         let a = spd(n);
         let b = vec![1.0; n];
+        let pre = jacobi(&a);
         let op = DenseOperator::new(a).unwrap();
-        let (x, stats) = gmres(&op, &b, 5, 1e-10, 2000).unwrap();
+        let (x, stats) = gmres_with(&op, &pre, &b, &cfg(5, 1e-10, 2000)).unwrap();
         assert!(stats.residual < 1e-10);
         assert!(!x.iter().any(|v| v.is_nan()));
     }
 
     #[test]
-    fn cg_solves_spd() {
-        let n = 40;
-        let a = spd(n);
-        let x_true: Vec<f64> = (0..n).map(|i| (i as f64 * 0.2).cos()).collect();
-        let b = a.matvec(&x_true);
-        let op = DenseOperator::new(a).unwrap();
-        let (x, stats) = cg(&op, &b, 1e-12, 500).unwrap();
-        assert!(stats.residual < 1e-12);
-        for (xi, ti) in x.iter().zip(&x_true) {
-            assert!((xi - ti).abs() < 1e-8);
-        }
-    }
-
-    #[test]
     fn zero_rhs_short_circuits() {
         let op = DenseOperator::new(Matrix::identity(4)).unwrap();
-        let (x, stats) = gmres(&op, &[0.0; 4], 4, 1e-12, 10).unwrap();
+        let (x, stats) = gmres_with(&op, &IdentityPrecond, &[0.0; 4], &cfg(4, 1e-12, 10)).unwrap();
         assert_eq!(x, vec![0.0; 4]);
         assert_eq!(stats.matvecs, 0);
-        let (x, _) = cg(&op, &[0.0; 4], 1e-12, 10).unwrap();
-        assert_eq!(x, vec![0.0; 4]);
     }
 
     #[test]
     fn no_convergence_reported() {
-        let op = DenseOperator::new(spd(20)).unwrap();
-        let err = gmres(&op, &[1.0; 20], 2, 1e-30, 3);
+        let a = spd(20);
+        let pre = jacobi(&a);
+        let op = DenseOperator::new(a).unwrap();
+        let err = gmres_with(&op, &pre, &[1.0; 20], &cfg(2, 1e-30, 3));
         assert!(matches!(err, Err(LinalgError::NoConvergence { .. })));
     }
 
     #[test]
     fn dimension_checked() {
         let op = DenseOperator::new(Matrix::identity(3)).unwrap();
-        assert!(gmres(&op, &[1.0; 2], 2, 1e-10, 10).is_err());
-        assert!(cg(&op, &[1.0; 2], 1e-10, 10).is_err());
+        assert!(gmres_with(&op, &IdentityPrecond, &[1.0; 2], &cfg(2, 1e-10, 10)).is_err());
         assert!(DenseOperator::new(Matrix::zeros(2, 3)).is_err());
-    }
-
-    #[test]
-    fn gmres_wrapper_is_bit_identical_to_explicit_operator_precond() {
-        let n = 25;
-        let a = spd(n);
-        let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.3).cos()).collect();
-        let op = DenseOperator::new(a).unwrap();
-        let (x1, s1) = gmres(&op, &b, 7, 1e-11, 1000).unwrap();
-        let cfg = KrylovConfig { tol: 1e-11, restart: 7, max_iters: 1000 };
-        let (x2, s2) = gmres_with(&op, &OperatorPrecond(&op), &b, &cfg).unwrap();
-        assert_eq!(x1, x2);
-        assert_eq!((s1.matvecs, s1.residual.to_bits()), (s2.matvecs, s2.residual.to_bits()));
     }
 
     #[test]
@@ -627,26 +494,31 @@ mod tests {
         let n = 25;
         let a = spd(n);
         let b = vec![1.0; n];
+        let pre = jacobi(&a);
         let op = DenseOperator::new(a).unwrap();
         // A restart length far below the dimension forces several cycles.
-        let (_, tight) = gmres(&op, &b, 3, 1e-12, 2000).unwrap();
+        let (_, tight) = gmres_with(&op, &pre, &b, &cfg(3, 1e-12, 2000)).unwrap();
         assert!(tight.restarts > 0, "restart 3 on n=25 must cycle: {tight:?}");
         // Full-length GMRES converges inside the first cycle.
-        let (_, full) = gmres(&op, &b, n, 1e-12, 2000).unwrap();
+        let (_, full) = gmres_with(&op, &pre, &b, &cfg(n, 1e-12, 2000)).unwrap();
         assert_eq!(full.restarts, 0, "{full:?}");
     }
 
+    /// The backends precondition with `DiagonalPrecond::new` over the
+    /// operator's own inverse diagonal; building from the raw diagonal
+    /// must give the same preconditioner, bit for bit.
     #[test]
     fn diagonal_precond_matches_operator_precondition() {
         let n = 20;
         let a = spd(n);
-        let diag: Vec<f64> = (0..n).map(|i| a.get(i, i)).collect();
+        let inv_diag: Vec<f64> = (0..n).map(|i| 1.0 / a.get(i, i)).collect();
+        let from_diagonal = jacobi(&a);
+        assert_eq!(from_diagonal.inv_diag(), &inv_diag[..]);
         let op = DenseOperator::new(a).unwrap();
         let b: Vec<f64> = (0..n).map(|i| (i as f64).sin()).collect();
-        let cfg = KrylovConfig { tol: 1e-12, restart: 10, max_iters: 1000 };
-        let (x1, _) = gmres_with(&op, &OperatorPrecond(&op), &b, &cfg).unwrap();
-        let (x2, _) = gmres_with(&op, &DiagonalPrecond::from_diagonal(&diag), &b, &cfg).unwrap();
-        // DenseOperator's internal precondition is exactly the diagonal.
+        let cfg = cfg(10, 1e-12, 1000);
+        let (x1, _) = gmres_with(&op, &DiagonalPrecond::new(inv_diag), &b, &cfg).unwrap();
+        let (x2, _) = gmres_with(&op, &from_diagonal, &b, &cfg).unwrap();
         assert_eq!(x1, x2);
     }
 
@@ -663,7 +535,7 @@ mod tests {
         assert_eq!(bj.dim(), n);
         assert_eq!(bj.block_count(), 6);
         let op = DenseOperator::new(a).unwrap();
-        let cfg = KrylovConfig { tol: 1e-12, restart: 12, max_iters: 2000 };
+        let cfg = cfg(12, 1e-12, 2000);
         for pre in [&IdentityPrecond as &dyn Preconditioner, &bj] {
             let (x, stats) = gmres_with(&op, pre, &b, &cfg).unwrap();
             assert!(stats.residual < 1e-12);
@@ -686,9 +558,9 @@ mod tests {
         let a = spd(n);
         let weights: Vec<f64> = (0..n).map(|i| 1.0 + 0.1 * i as f64).collect();
         let group_of = [0, 0, 1, 1, 0, 1, 0, 1];
+        let pre = jacobi(&a);
         let op = DenseOperator::new(a).unwrap();
-        let cfg = KrylovConfig { tol: 1e-12, restart: 8, max_iters: 500 };
-        let pre = OperatorPrecond(&op);
+        let cfg = cfg(8, 1e-12, 500);
         let (c, stats) = gmres_grouped(&op, &pre, &weights, &group_of, 2, &cfg).unwrap();
         let mut want = Matrix::zeros(2, 2);
         let mut matvecs = 0;

@@ -4,7 +4,7 @@
 //! matrices, cache-blocked products, LU with partial pivoting (the "standard
 //! direct method" the paper relies on for the tiny instantiable-basis
 //! system), Cholesky, Householder QR / least squares (used by the rational
-//! fitting of §4.2.4), and Krylov solvers (GMRES, CG) for the FASTCAP-style
+//! fitting of §4.2.4), and preconditioned GMRES for the FASTCAP-style
 //! baselines.
 //!
 //! ```
@@ -33,9 +33,8 @@ pub mod sparse;
 pub use cholesky::CholeskyFactor;
 pub use error::LinalgError;
 pub use krylov::{
-    cg, gmres, gmres_grouped, gmres_with, BlockJacobiPrecond, DenseOperator, DiagonalPrecond,
-    IdentityPrecond, KrylovConfig, KrylovStats, LinearOperator, OperatorPrecond, PrecondKind,
-    Preconditioner,
+    gmres_grouped, gmres_with, BlockJacobiPrecond, DiagonalPrecond, IdentityPrecond, KrylovConfig,
+    KrylovStats, LinearOperator, PrecondKind, Preconditioner,
 };
 pub use lu::LuFactor;
 pub use matrix::Matrix;

@@ -278,12 +278,6 @@ impl LinearOperator for PfftOperator {
         t.count += 1;
         self.timings.set(t);
     }
-
-    fn precondition(&self, x: &[f64], y: &mut [f64]) {
-        for i in 0..x.len() {
-            y[i] = x[i] * self.inv_diag[i];
-        }
-    }
 }
 
 /// The solve step on an already-built operator — one conductor RHS per

@@ -126,7 +126,7 @@ impl RouterState {
 
 /// Router-level counters in the global metrics registry. The registry
 /// is process-wide, so these aggregate across router instances in one
-/// process (tests, `bemcap-load --router`); the per-instance numbers
+/// process (tests, the benchmark's `serve_*` workloads); the per-instance numbers
 /// live in `route_stats`.
 struct RouterMetrics {
     requests: &'static Metric,
