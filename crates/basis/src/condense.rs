@@ -15,8 +15,10 @@
 //! test confirms).
 //!
 //! [`PairPlan`] is the one form of Algorithm 1's k-loop every assembly
-//! routine runs: it walks the triangle once, maps each pair to its
-//! translation-canonical [`PairKey`], evaluates every *distinct* key once
+//! routine runs — the instantiable basis and the dense piecewise-constant
+//! reference (one flat template per panel) alike: it walks the triangle
+//! once, maps each pair to its [`PairKey`], canonical under translation
+//! and mirroring, evaluates every *distinct* key once
 //! (on worker threads if asked, or through a cache), then accumulates P in
 //! k order. Because a value depends only on its key and the accumulation
 //! order is fixed, the result is bit-identical however the evaluation was
@@ -146,7 +148,8 @@ pub fn pair_integrals_metric() -> &'static Metric {
 }
 
 /// Algorithm 1's k-loop, planned: every pair (i ≤ j) of the triangle
-/// mapped to its distinct translation-canonical [`PairKey`].
+/// mapped to its distinct [`PairKey`], canonical under translation and
+/// mirroring.
 ///
 /// The plan holds one representative (i, j) per distinct key and the
 /// distinct-key id of every pair in k order. Keys are found through a

@@ -1,14 +1,17 @@
 //! Templates: the atomic shapes of instantiable basis functions, and the
-//! translation-canonical identity of a template pair.
+//! symmetry-canonical identity of a template pair.
 //!
 //! A pair integral depends only on the two templates' shapes and their
-//! relative position, never on where the pair sits in space. [`PairKey`]
-//! captures exactly that: both shapes plus b's offset from a's lower
-//! corner, every length rounded to a fixed 2⁻⁶⁰ m grid. The pair's value
-//! is evaluated from the key alone ([`pair_integral`]), so a key is a
-//! complete, reusable unit of setup work: every translated copy of a pair
-//! — across one structure's regular placements or across requests —
-//! shares one evaluation, bit for bit.
+//! relative position, never on where the pair sits in space, and the
+//! Laplace kernel does not change when space is mirrored about a plane
+//! normal to an axis. [`PairKey`] captures exactly that: both shapes plus
+//! b's offset from a's lower corner, every length rounded to a fixed
+//! 2⁻⁶⁰ m grid, with the pair mirrored along each axis into one fixed
+//! orientation. The pair's value is evaluated from the key alone
+//! ([`pair_integral`]), so a key is a complete, reusable unit of setup
+//! work: every translated or mirrored copy of a pair — across one
+//! structure's regular placements or across requests — shares one
+//! evaluation, bit for bit.
 
 use bemcap_geom::{Axis, Panel, Point3};
 use bemcap_quad::galerkin::{GalerkinEngine, PanelShape, ShapeDir};
@@ -55,7 +58,7 @@ impl Template {
     /// iff their support panels and shapes are **bit-identical**, at the
     /// same absolute placement. The instantiation pass uses keys to drop
     /// duplicate induced functions; pair integrals are identified by the
-    /// translation-canonical [`PairKey`] instead.
+    /// symmetry-canonical [`PairKey`] instead.
     pub fn key(&self) -> TemplateKey {
         let p = &self.panel;
         let mut k = [0u64; 9];
@@ -102,11 +105,36 @@ pub const PAIR_KEY_WORDS: usize = 12;
 /// power of two, so scaling by it and back is exact.
 const QUANTA_PER_METER: f64 = (1u64 << 60) as f64;
 
-/// A length as its bits on the quantum grid: the rounded quantum count as
-/// an `f64` (exact below 2⁵³ quanta, ≈7.8 mm; beyond that the value is its
-/// own coarser grid), `-0` folded into `+0`.
+/// 2⁵²: adding and then subtracting it (with the sign of the operand)
+/// rounds an `f64` of smaller magnitude to an integer, ties to even.
+const ROUNDER: f64 = (1u64 << 52) as f64;
+
+/// A length as its count of quanta, rounded to an integer, ties to even
+/// (exact below 2⁵³ quanta, ≈7.8 mm; beyond that the value is its own
+/// coarser grid). The rounding is odd-symmetric: −len gives the negated
+/// count.
+///
+/// It rounds by adding and subtracting [`ROUNDER`] rather than through
+/// `f64::round`, which baseline x86-64 lowers to a libm call: a key takes
+/// six of these, and the plan computes two keys per pair it walks.
+fn quanta(len: f64) -> f64 {
+    let count = len * QUANTA_PER_METER;
+    if count.abs() < ROUNDER {
+        let shift = ROUNDER.copysign(count);
+        (count + shift) - shift
+    } else {
+        count
+    }
+}
+
+/// A [`quanta`] count as a key word: its bits, `-0` folded into `+0`.
+fn word(count: f64) -> u64 {
+    (count + 0.0).to_bits()
+}
+
+/// A length as its word on the quantum grid.
 fn quantise(len: f64) -> u64 {
-    ((len * QUANTA_PER_METER).round() + 0.0).to_bits()
+    word(quanta(len))
 }
 
 /// The length a [`quantise`]d word stands for.
@@ -114,11 +142,19 @@ fn dequantise(word: u64) -> f64 {
     f64::from_bits(word) / QUANTA_PER_METER
 }
 
+/// A point's x, y and z, indexable by axis.
+fn xyz(p: Point3) -> [f64; 3] {
+    [p.x, p.y, p.z]
+}
+
 /// One template in translation-free form: its tag (normal index in bits
 /// 0–1, shape in bits 2–3: 0 flat, 1 arch along u, 2 arch along v), its
 /// quantised shape words (u and v extents, arch centre relative to the
-/// panel's lower corner, arch width), and the absolute lower corner the
-/// pair offset is measured between.
+/// panel's lower edge, arch width), and the absolute lower and upper
+/// corners the pair offsets are measured between. For the mirror step of
+/// [`PairKey`] it also keeps the arch centre measured from the upper edge
+/// — the lower-edge word of its mirror image — and the axis the arch
+/// varies along.
 ///
 /// The arch width is quantised too although no translation moves it: the
 /// instantiation pass derives it from a difference of absolute
@@ -127,26 +163,53 @@ fn dequantise(word: u64) -> f64 {
 pub(crate) struct CanonicalTemplate {
     tag: u64,
     shape: [u64; 4],
-    corner: Point3,
+    /// The lower and upper corners' x, y and z.
+    lower: [f64; 3],
+    upper: [f64; 3],
+    mirrored_centre: u64,
+    /// The index of the axis an arch varies along; 3 when flat.
+    arch_axis: usize,
 }
 
 impl CanonicalTemplate {
     pub(crate) fn of(t: &Template) -> CanonicalTemplate {
         let p = &t.panel;
-        let (u0, v0) = (p.u_range().0, p.v_range().0);
-        let (kind, centre, width) = match &t.kind {
-            TemplateKind::Flat => (0, 0, 0),
-            TemplateKind::Arch { dir: ShapeDir::U, shape } => {
-                (1, quantise(shape.center - u0), quantise(shape.width))
-            }
-            TemplateKind::Arch { dir: ShapeDir::V, shape } => {
-                (2, quantise(shape.center - v0), quantise(shape.width))
-            }
+        let (ua, va) = p.normal().tangents();
+        let ((u0, u1), (v0, v1)) = (p.u_range(), p.v_range());
+        let (kind, centre, mirrored_centre, width, arch_axis) = match &t.kind {
+            TemplateKind::Flat => (0, 0, 0, 0, 3),
+            TemplateKind::Arch { dir: ShapeDir::U, shape } => (
+                1,
+                quantise(shape.center - u0),
+                quantise(u1 - shape.center),
+                quantise(shape.width),
+                ua.index(),
+            ),
+            TemplateKind::Arch { dir: ShapeDir::V, shape } => (
+                2,
+                quantise(shape.center - v0),
+                quantise(v1 - shape.center),
+                quantise(shape.width),
+                va.index(),
+            ),
         };
         CanonicalTemplate {
             tag: p.normal().index() as u64 | kind << 2,
             shape: [quantise(p.u_len()), quantise(p.v_len()), centre, width],
-            corner: p.point_at(u0, v0),
+            lower: xyz(p.point_at(u0, v0)),
+            upper: xyz(p.point_at(u1, v1)),
+            mirrored_centre,
+            arch_axis,
+        }
+    }
+
+    /// The arch-centre word, measured from the upper edge when `mirrored`
+    /// (the word of the template's mirror image along the arch's axis).
+    fn centre(&self, mirrored: bool) -> u64 {
+        if mirrored {
+            self.mirrored_centre
+        } else {
+            self.shape[2]
         }
     }
 
@@ -173,15 +236,34 @@ impl CanonicalTemplate {
     }
 }
 
-/// The translation-canonical identity of an ordered template pair (a, b):
+/// The symmetry-canonical identity of an ordered template pair (a, b):
 /// both templates' normals, shapes, extents and arch parameters, plus b's
 /// offset from a's lower corner — every length quantised to a 2⁻⁶⁰ m
-/// grid. Translating both templates by a multiple of the quantum (with
-/// every moved coordinate exact in `f64`) leaves the key unchanged; any
-/// other translation can move a word by about one quantum.
+/// grid — in one fixed mirror orientation.
 ///
-/// The order is part of the identity and is not symmetrised: swapping
-/// the roles changes which panel carries the outer quadrature.
+/// *Translation.* Translating both templates by a multiple of the quantum
+/// (with every moved coordinate exact in `f64`) leaves the key unchanged;
+/// any other translation can move a word by about one quantum.
+///
+/// *Reflection.* Mirroring both templates about a plane normal to axis k
+/// turns b's lower-corner offset d = b.lower − a.lower into
+/// d′ = a.upper − b.upper, and the lower-edge centre c of an arch varying
+/// along k into its upper-edge centre c′ = upper − c. The key measures
+/// both orientations from the absolute coordinates and keeps, per axis,
+/// the one with the larger quantised offset — the one where b's centre
+/// lies at or beyond a's, since d − d′ is twice the centre offset. When
+/// the two offsets quantise equal, the orientation with the smaller
+/// (a, b) arch-centre words wins. Rounding is odd-symmetric, so mirror
+/// images — about any plane, exact like the translations above — share
+/// one key. Flipping the quantised words instead (d′ = −(d + e_b − e_a),
+/// c′ = e − c) would not: the rounding of a difference is not the
+/// difference of the roundings, and on a µm bus that splits mirror images
+/// whose lengths fall on different sides of a half quantum.
+///
+/// The order is part of the identity and is not symmetrised: for
+/// perpendicular, shaped and touching pairs, swapping the roles changes
+/// which panel carries the outer quadrature, and so the value by more than
+/// rounding.
 ///
 /// Word layout: `[tags, a.u_len, a.v_len, a.centre, a.width, b.u_len,
 /// b.v_len, b.centre, b.width, dx, dy, dz]`, tags = a's tag | b's tag << 8.
@@ -195,21 +277,21 @@ impl PairKey {
     }
 
     pub(crate) fn of(a: &CanonicalTemplate, b: &CanonicalTemplate) -> PairKey {
-        let d = b.corner - a.corner;
+        let (offset, [ma, mb]) = orient(a, b);
         let (sa, sb) = (a.shape, b.shape);
         PairKey([
             a.tag | b.tag << 8,
             sa[0],
             sa[1],
-            sa[2],
+            a.centre(ma),
             sa[3],
             sb[0],
             sb[1],
-            sb[2],
+            b.centre(mb),
             sb[3],
-            quantise(d.x),
-            quantise(d.y),
-            quantise(d.z),
+            offset[0],
+            offset[1],
+            offset[2],
         ])
     }
 
@@ -238,6 +320,27 @@ impl PairKey {
     }
 }
 
+/// The canonical mirror orientation of the pair (a, b) (see [`PairKey`]):
+/// b's offset words along x, y and z, and whether a's and b's arch centres
+/// are measured from the upper edge.
+fn orient(a: &CanonicalTemplate, b: &CanonicalTemplate) -> ([u64; 3], [bool; 2]) {
+    let mut offset = [0; 3];
+    let mut mirrored = [false; 2];
+    for (k, word_k) in offset.iter_mut().enumerate() {
+        let here = quanta(b.lower[k] - a.lower[k]);
+        let there = quanta(a.upper[k] - b.upper[k]);
+        // Mirroring along k moves only the centres of arches varying along k.
+        let turned = [mirrored[0] || a.arch_axis == k, mirrored[1] || b.arch_axis == k];
+        let centres = |[ma, mb]: [bool; 2]| (a.centre(ma), b.centre(mb));
+        let flip = here < there || here == there && centres(turned) < centres(mirrored);
+        *word_k = word(if flip { there } else { here });
+        if flip {
+            mirrored = turned;
+        }
+    }
+    (offset, mirrored)
+}
+
 impl From<[u64; PAIR_KEY_WORDS]> for PairKey {
     /// Rebuilds a key from its raw words — cache snapshot restore and
     /// synthetic identities for cache tests. Only keys made by
@@ -249,7 +352,8 @@ impl From<[u64; PAIR_KEY_WORDS]> for PairKey {
 
 /// The Galerkin integral of a template pair (equation (5) entry, raw
 /// kernel — the caller divides by 4πε), evaluated from the pair's
-/// [`PairKey`], so every translated copy of the pair gets the same bits.
+/// [`PairKey`], so every translated or mirrored copy of the pair gets the
+/// same bits.
 pub fn pair_integral(eng: &GalerkinEngine, a: &Template, b: &Template) -> f64 {
     PairKey::new(a, b).integral(eng)
 }
@@ -279,6 +383,19 @@ mod tests {
         let expect =
             analytic::galerkin_parallel((0.0, 1.0), (0.0, 1.0), (0.0, 1.0), (0.0, 1.0), 1.5);
         assert!((got - expect).abs() < 1e-13 * expect);
+    }
+
+    #[test]
+    fn quantise_rounds_ties_to_even_and_is_odd_symmetric() {
+        let quantum = 1.0 / QUANTA_PER_METER;
+        for quanta in [0.0, 0.3, 0.5, 1.5, 2.5, 7.49, 1e6 + 0.5, 4.2e15, 9.1e15, 3.0e18] {
+            let len = quanta * quantum;
+            let want = (len * QUANTA_PER_METER).round_ties_even();
+            assert_eq!(f64::from_bits(quantise(len)), want, "{quanta} quanta");
+            assert_eq!(f64::from_bits(quantise(-len)), -want + 0.0, "-{quanta} quanta");
+        }
+        assert_eq!(quantise(-0.0), quantise(0.0));
+        assert_eq!(quantise(1.2e-6), quantise(1.2e-6 + 0.1 * quantum));
     }
 
     #[test]
@@ -369,6 +486,65 @@ mod tests {
         let along_v = Template::arch(panel(0.75), ShapeDir::V, shape);
         assert_ne!(key, PairKey::new(&a, &along_v));
         assert_eq!(PairKey::from(key.words()), key);
+    }
+
+    /// `t` mirrored about the plane normal to `axis` at coordinate
+    /// `plane` (arch centres mirror with their panel; the arch direction
+    /// stays).
+    fn mirrored(t: &Template, axis: Axis, plane: f64) -> Template {
+        let p = &t.panel;
+        let flip = |r: (f64, f64)| (2.0 * plane - r.1, 2.0 * plane - r.0);
+        let (ua, va) = p.normal().tangents();
+        let (mut w, mut u, mut v) = (p.w(), p.u_range(), p.v_range());
+        match axis {
+            a if a == p.normal() => w = 2.0 * plane - w,
+            a if a == ua => u = flip(u),
+            _ => v = flip(v),
+        }
+        let panel = Panel::new(p.normal(), w, u, v).unwrap();
+        match t.kind {
+            TemplateKind::Flat => Template::flat(panel),
+            TemplateKind::Arch { dir, shape } => {
+                let along = if dir == ShapeDir::U { ua } else { va };
+                let center = if along == axis { 2.0 * plane - shape.center } else { shape.center };
+                Template::arch(panel, dir, ArchShape { center, ..shape })
+            }
+        }
+    }
+
+    #[test]
+    fn pair_keys_ignore_mirroring_about_every_axis() {
+        let eng = GalerkinEngine::default();
+        let shape = ArchShape { center: 0.375, width: 0.3 };
+        let on = |normal: Axis, w: f64, u0: f64, v0: f64, eu: f64| {
+            Panel::new(normal, w, (u0, u0 + eu), (v0, v0 + 0.5)).unwrap()
+        };
+        let kinds = |p: Panel| {
+            let (u0, v0) = (p.u_range().0, p.v_range().0);
+            [
+                Template::flat(p),
+                Template::arch(p, ShapeDir::U, ArchShape { center: u0 + shape.center, ..shape }),
+                Template::arch(p, ShapeDir::V, ArchShape { center: v0 + shape.center, ..shape }),
+            ]
+        };
+        // b sits off a's centre along z and x but level with it along y
+        // (both span y ∈ [0.25, 0.75]): y is a zero-offset tie axis, where
+        // only the arch-centre words decide the orientation.
+        let a_panel = on(Axis::Z, 0.0, 0.0, 0.25, 1.0);
+        let b_panels = [on(Axis::Z, 0.75, 1.25, 0.25, 0.75), on(Axis::X, 2.5, 0.25, -1.0, 1.5)];
+        for a in kinds(a_panel) {
+            for b in b_panels.iter().flat_map(|&p| kinds(p)) {
+                let key = PairKey::new(&a, &b);
+                let value = pair_integral(&eng, &a, &b);
+                assert_ne!(key, PairKey::new(&b, &a), "roles stay part of the identity");
+                for axis in Axis::ALL {
+                    let (ma, mb) = (mirrored(&a, axis, 0.625), mirrored(&b, axis, 0.625));
+                    assert_eq!(key, PairKey::new(&ma, &mb), "{a:?}, {b:?} along {axis:?}");
+                    let moved = pair_integral(&eng, &ma, &mb);
+                    assert!((moved - value).abs() <= 1e-12 * value, "{value} vs {moved}");
+                }
+            }
+        }
     }
 
     #[test]

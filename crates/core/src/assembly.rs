@@ -1,10 +1,12 @@
 //! System setup: filling P and Φ from the template index.
 //!
 //! Algorithm 1's k-loop exists once, in the crate-private driver behind
-//! every function here: the triangle is walked once into a [`PairPlan`]
-//! of distinct translation-canonical pair keys, each key's value is
-//! obtained once (probed in a [`TemplateCache`] when one is given), and P
-//! is accumulated from those values in k order by
+//! every function here and behind the dense piecewise-constant reference
+//! ([`crate::solver::DensePwcSolver`], one flat template per panel): the
+//! triangle is walked once into a [`PairPlan`] of distinct
+//! symmetry-canonical pair keys, each key's value is obtained once
+//! (probed in a [`TemplateCache`] when one is given), and P is
+//! accumulated from those values in k order by
 //! [`PairPlan::accumulate`]. The three [`Parallelism`] modes differ only
 //! in who evaluates which slice of the distinct list and how the values
 //! reach the accumulation:
@@ -12,7 +14,8 @@
 //! * [`assemble_sequential`] — one thread evaluates the whole list, the
 //!   D = 1 reference;
 //! * [`assemble_threaded`] — the shared-memory flow of Fig. 4: workers
-//!   evaluate the static partition of the list;
+//!   take equal chunks of the list from a shared counter until none is
+//!   left (self-scheduled, so a worker the host slows takes fewer);
 //! * [`assemble_distributed`] — the message-passing flow of Figs. 5–6:
 //!   every rank evaluates its contiguous slice of the list, and ranks
 //!   1…r−1 send their values to rank 0.
@@ -21,6 +24,7 @@
 //! so every mode, with or without a cache, yields bit-identical P.
 
 use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 use bemcap_basis::{template_moment, BasisSet, PairPlan, TemplateIndex};
@@ -127,18 +131,19 @@ pub(crate) fn assemble(
 
 /// The one [`Parallelism`] dispatch of the setup step: `slice` evaluates
 /// the values of one contiguous range of `0..total`, and the modes differ
-/// only in who runs which range (one thread, a static partition over
-/// threads, or the ranks of [`gather_to_rank0`]). Returns all `total`
-/// values in index order, the summed counters, and one timing per worker
-/// or rank. The dense piecewise-constant fill runs through here too.
-pub(crate) fn evaluate_in_mode(
+/// only in who runs which range (one thread, [`self_scheduled`] threads,
+/// or the ranks of [`gather_to_rank0`]). Returns all `total` values in
+/// index order, the summed counters, and one timing per worker or rank.
+fn evaluate_in_mode(
     parallelism: Parallelism,
     total: usize,
     slice: impl Fn(Range<usize>) -> (Vec<f64>, CacheStats) + Sync,
 ) -> (Vec<f64>, CacheStats, Vec<WorkerTiming>) {
     let (parts, timings) = match parallelism {
-        Parallelism::Sequential => pool::run_partitioned(1, total, |_, r| slice(r)),
-        Parallelism::Threads(t) => pool::run_partitioned(t, total, |_, r| slice(r)),
+        Parallelism::Sequential | Parallelism::Threads(1) => {
+            pool::run_partitioned(1, total, |_, r| slice(r))
+        }
+        Parallelism::Threads(t) => self_scheduled(t, total, slice),
         Parallelism::MessagePassing(r) => gather_to_rank0(r, total, slice),
     };
     // The first part is kept rather than copied, so a single block (one
@@ -151,6 +156,44 @@ pub(crate) fn evaluate_in_mode(
         stats.absorb(part_stats);
     }
     (values, stats, timings)
+}
+
+/// Chunks of a self-scheduled region per thread.
+const CHUNKS_PER_THREAD: usize = 16;
+
+/// Fig. 4's workers on `threads` threads, each taking the next of
+/// `CHUNKS_PER_THREAD · threads` equal chunks of `0..total` until none is
+/// left: a worker the host slows takes fewer chunks instead of holding up
+/// the others. Returns the chunks' parts in index order and one timing
+/// per worker, whose range spans the first to the last chunk it took.
+fn self_scheduled(
+    threads: usize,
+    total: usize,
+    slice: impl Fn(Range<usize>) -> (Vec<f64>, CacheStats) + Sync,
+) -> (Vec<(Vec<f64>, CacheStats)>, Vec<WorkerTiming>) {
+    let chunks = partition_ranges(total, CHUNKS_PER_THREAD * threads);
+    let next = AtomicUsize::new(0);
+    let (taken, timings) = pool::run_partitioned(threads, threads, |_, _| {
+        let take = || {
+            let c = next.fetch_add(1, Ordering::Relaxed);
+            chunks.get(c).map(|range| (c, slice(range.clone())))
+        };
+        std::iter::from_fn(take).collect::<Vec<_>>()
+    });
+    let timings = timings
+        .into_iter()
+        .zip(&taken)
+        .map(|(timing, taken)| {
+            let range = match (taken.first(), taken.last()) {
+                (Some(&(first, _)), Some(&(last, _))) => chunks[first].start..chunks[last].end,
+                _ => 0..0,
+            };
+            WorkerTiming { range, ..timing }
+        })
+        .collect();
+    let mut parts: Vec<_> = taken.into_iter().flatten().collect();
+    parts.sort_unstable_by_key(|&(c, _)| c);
+    (parts.into_iter().map(|(_, part)| part).collect(), timings)
 }
 
 /// The values of the distinct keys in `range`, each obtained through

@@ -13,8 +13,9 @@
 //! * [`InstantiableBackend`] — the paper's method: instantiate templates,
 //!   fill P and Φ (Algorithm 1, sequential/threaded/message-passing),
 //!   dense LU solve;
-//! * [`DensePwcBackend`] — piecewise-constant Galerkin, dense assembly in
-//!   the extractor's [`Parallelism`] mode, direct solve;
+//! * [`DensePwcBackend`] — piecewise-constant Galerkin, dense assembly
+//!   (Algorithm 1 on one flat template per panel) in the extractor's
+//!   [`Parallelism`] mode, direct solve;
 //! * [`FmmBackend`] — multipole-accelerated matvec + preconditioned GMRES
 //!   through the shared `bemcap_linalg::gmres_grouped` driver;
 //! * [`PfftBackend`] — precorrected-FFT matvec + the same driver; the

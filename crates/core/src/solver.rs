@@ -1,17 +1,15 @@
 //! The system-solving step and the piecewise-constant dense reference.
 
-use std::ops::Range;
 use std::time::Instant;
 
-use bemcap_geom::{Geometry, Mesh, EPS0};
+use bemcap_basis::{BasisFunction, BasisSet, Template, TemplateIndex};
+use bemcap_geom::{Geometry, Mesh, MeshPanel, EPS0};
 use bemcap_linalg::{LuFactor, Matrix};
-use bemcap_par::{k_to_ij, triangle_size};
-use bemcap_quad::galerkin::{GalerkinEngine, PanelShape};
+use bemcap_quad::galerkin::GalerkinEngine;
 
-use crate::assembly::evaluate_in_mode;
+use crate::assembly::assemble;
 use crate::error::CoreError;
 use crate::extraction::Parallelism;
-use crate::report::CacheStats;
 
 /// Solves P ρ = Φ by LU (the "standard direct method" of §3) and forms
 /// C = Φᵀ ρ. Returns (C, solve seconds).
@@ -31,12 +29,13 @@ pub fn solve_capacitance(p: Matrix, phi: &Matrix) -> Result<(Matrix, f64), CoreE
 /// panel matrix with exact closed forms and solves directly. Exact up to
 /// discretization error; O(N²) memory, so only for modest meshes.
 ///
-/// The O(N²) upper-triangle fill runs through the same [`Parallelism`]
-/// dispatch as the Algorithm-1 drivers ([`crate::assembly`]): each worker
-/// or rank evaluates one contiguous range of the flat triangle index `k`,
-/// and the values are scattered in k order, so every mode and worker
-/// count is **bit-identical** to the serial double loop — every entry is
-/// an independent closed-form evaluation of the same inputs.
+/// The fill is Algorithm 1 on a basis of one flat template per panel:
+/// the labels are the identity, so the [`PairPlan`](bemcap_basis::PairPlan)
+/// of [`crate::assembly`] evaluates each distinct panel pair — up to
+/// translation and mirroring — once, on the exact default engine and
+/// without a cache, and scatters the values in k order. Every
+/// [`Parallelism`] mode and worker count is therefore **bit-identical** to
+/// the serial fill.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DensePwcSolver;
 
@@ -54,7 +53,7 @@ impl DensePwcSolver {
     }
 
     /// The system-setup step alone on `workers` threads: assembles the
-    /// dense panel matrix `P` (bit-identical to the serial loop at any
+    /// dense panel matrix `P` (bit-identical to the serial fill at any
     /// worker count) and the conductor incidence matrix `Φ`.
     ///
     /// # Panics
@@ -74,54 +73,15 @@ impl DensePwcSolver {
         mesh: &Mesh,
         parallelism: Parallelism,
     ) -> (Matrix, Matrix, usize) {
+        let flat =
+            |mp: &MeshPanel| BasisFunction::new(mp.conductor, vec![Template::flat(mp.panel)]);
+        let set = BasisSet::new(mesh.panels().iter().map(flat).collect());
+        let index = TemplateIndex::new(&set);
         let eng = GalerkinEngine::default();
-        let scale = 1.0 / (4.0 * std::f64::consts::PI * geo.eps());
-        let n = mesh.panel_count();
-        let panels = mesh.panels();
-        // Fills one contiguous range of the flat upper-triangle index with
-        // closed-form pair integrals. The (i, j) coordinates advance
-        // incrementally — one sqrt-based [`k_to_ij`] per range instead of
-        // two per entry.
-        let fill = |range: Range<usize>| {
-            let mut vals = Vec::with_capacity(range.len());
-            let (mut i, mut j) = k_to_ij(range.start);
-            for _ in range {
-                vals.push(
-                    scale
-                        * eng.panel_pair(
-                            &panels[i].panel,
-                            PanelShape::Flat,
-                            &panels[j].panel,
-                            PanelShape::Flat,
-                        ),
-                );
-                (i, j) = next_ij(i, j);
-            }
-            (vals, CacheStats::default())
-        };
-        let (values, _, timings) = evaluate_in_mode(parallelism, triangle_size(n), fill);
-        let mut p = Matrix::zeros(n, n);
-        let (mut i, mut j) = (0, 0);
-        for v in values {
-            p.set(i, j, v);
-            p.set(j, i, v);
-            (i, j) = next_ij(i, j);
-        }
         let n_cond = geo.conductor_count();
-        let mut phi = Matrix::zeros(n, n_cond);
-        for (i, mp) in mesh.panels().iter().enumerate() {
-            phi.set(i, mp.conductor, mp.panel.area());
-        }
-        (p, phi, timings.len())
-    }
-}
-
-/// The upper-triangle coordinates after (i, j) in flat k order.
-fn next_ij(i: usize, j: usize) -> (usize, usize) {
-    if i < j {
-        (i + 1, j)
-    } else {
-        (0, j + 1)
+        let (asm, timings, _) =
+            assemble(&eng, &index, &set, n_cond, geo.eps_rel(), parallelism, None);
+        (asm.p, asm.phi, timings.len())
     }
 }
 
@@ -135,6 +95,7 @@ pub fn ideal_plate_capacitance(area: f64, gap: f64, eps_rel: f64) -> f64 {
 mod tests {
     use super::*;
     use bemcap_geom::structures;
+    use bemcap_quad::galerkin::PanelShape;
 
     #[test]
     fn dense_pwc_parallel_plates() {
@@ -175,6 +136,36 @@ mod tests {
         for workers in [2, 3, 5] {
             let parallel = DensePwcSolver.assemble_system(&geo, &mesh, workers);
             assert_eq!(serial, parallel, "workers={workers}");
+        }
+    }
+
+    #[test]
+    fn planned_dense_fill_matches_the_direct_closed_form() {
+        let eng = GalerkinEngine::default();
+        let crossing = structures::crossing_wires(structures::CrossingParams::default());
+        let bus = structures::bus_crossing(3, 3, structures::BusParams::default());
+        for geo in [crossing, bus] {
+            let mesh = Mesh::uniform(&geo, 8);
+            let (planned, phi) = DensePwcSolver.assemble_system(&geo, &mesh, 1);
+            // The direct fill: every panel pair i ≤ j, evaluated where it
+            // sits, mirrored into the lower triangle.
+            let panels = mesh.panels();
+            let scale = 1.0 / (4.0 * std::f64::consts::PI * geo.eps());
+            let mut direct = Matrix::zeros(panels.len(), panels.len());
+            for (j, b) in panels.iter().enumerate() {
+                for (i, a) in panels[..=j].iter().enumerate() {
+                    let v = eng.panel_pair(&a.panel, PanelShape::Flat, &b.panel, PanelShape::Flat);
+                    direct.set(i, j, scale * v);
+                    direct.set(j, i, scale * v);
+                }
+            }
+            for (got, want) in planned.as_slice().iter().zip(direct.as_slice()) {
+                assert!((got - want).abs() <= 1e-7 * want.abs(), "P entry {got} vs {want}");
+            }
+            let (c_planned, _) = solve_capacitance(planned, &phi).unwrap();
+            let (c_direct, _) = solve_capacitance(direct, &phi).unwrap();
+            let worst = (&c_planned - &c_direct).max_abs();
+            assert!(worst <= 1e-10 * c_direct.max_abs(), "C moved by {worst:e}");
         }
     }
 

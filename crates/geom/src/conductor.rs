@@ -92,7 +92,13 @@ pub struct Geometry {
 
 impl Geometry {
     /// Creates a geometry in vacuum (ε_r = 1).
-    pub fn new(conductors: Vec<Conductor>) -> Geometry {
+    pub fn new(mut conductors: Vec<Conductor>) -> Geometry {
+        // Conductors are built one box at a time, and a vector's first
+        // allocation holds four: trim the spare slots a geometry would
+        // otherwise carry for as long as it lives.
+        for c in &mut conductors {
+            c.boxes.shrink_to_fit();
+        }
         Geometry { conductors, eps_rel: 1.0 }
     }
 
@@ -177,6 +183,12 @@ mod tests {
         let pairs = g.faces_with_conductor();
         assert_eq!(pairs.len(), 12);
         assert_eq!(pairs.iter().filter(|(c, _)| *c == 0).count(), 6);
+    }
+
+    #[test]
+    fn geometries_hold_no_spare_box_slots() {
+        let g = two_wires();
+        assert!(g.conductors().iter().all(|c| c.boxes.capacity() == c.boxes.len()));
     }
 
     #[test]

@@ -16,7 +16,9 @@ use crate::partition::partition_ranges;
 pub struct WorkerTiming {
     /// Worker index (0 = the main thread's share).
     pub worker: usize,
-    /// The half-open range of `k` indices this worker processed.
+    /// The half-open range of `k` indices this worker processed (for a
+    /// worker that took chunks from a shared counter: the span from its
+    /// first to its last chunk).
     pub range: std::ops::Range<usize>,
     /// Wall-clock seconds spent inside the worker body.
     pub seconds: f64,

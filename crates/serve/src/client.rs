@@ -39,6 +39,8 @@ pub struct Client {
     reader: BufReader<TcpStream>,
     stream: TcpStream,
     next_id: u64,
+    /// The response line buffer, kept across calls.
+    line: String,
 }
 
 /// Options of a full-chip windowed `chip` request (protocol v4).
@@ -105,7 +107,7 @@ impl Client {
     fn from_stream(stream: TcpStream) -> Result<Client, ServeError> {
         stream.set_nodelay(true)?;
         let reader = BufReader::new(stream.try_clone()?);
-        Ok(Client { reader, stream, next_id: 0 })
+        Ok(Client { reader, stream, next_id: 0, line: String::new() })
     }
 
     /// Bounds every subsequent read and write on this connection
@@ -330,12 +332,12 @@ impl Client {
     }
 
     fn read_response(&mut self) -> Result<Value, ServeError> {
-        let mut line = String::new();
-        let n = self.reader.read_line(&mut line)?;
+        self.line.clear();
+        let n = self.reader.read_line(&mut self.line)?;
         if n == 0 {
             return Err(ServeError::Protocol("daemon closed the connection".into()));
         }
-        serde_json::from_str(line.trim_end_matches(['\n', '\r']))
+        serde_json::from_str(self.line.trim_end_matches(['\n', '\r']))
             .map_err(|e| ServeError::Protocol(format!("invalid response JSON: {e}")))
     }
 }

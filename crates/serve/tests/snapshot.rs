@@ -57,7 +57,7 @@ fn a_snapshot_warm_starts_a_second_daemon() {
 #[test]
 fn a_truncated_snapshot_fails_startup() {
     let path = temp_path("corrupt");
-    std::fs::write(&path, "bemcap-template-cache v2 3\ndeadbeef\n").expect("write corrupt file");
+    std::fs::write(&path, "bemcap-template-cache v3 3\ndeadbeef\n").expect("write corrupt file");
     let err = Server::bind(ServerConfig {
         addr: "127.0.0.1:0".into(),
         cache_restore: Some(path.clone()),
@@ -69,23 +69,40 @@ fn a_truncated_snapshot_fails_startup() {
     std::fs::remove_file(&path).ok();
 }
 
-/// A v1 snapshot keys absolute template placements; its values are not
-/// what the translation-canonical evaluation computes, so restoring it
-/// would break cached ≡ uncached. Startup refuses it.
-#[test]
-fn a_v1_snapshot_fails_startup() {
-    let path = temp_path("v1");
-    let words = ["1"; 19].join(" ");
-    std::fs::write(&path, format!("bemcap-template-cache v1 1\n{words}\n")).expect("write v1 file");
+/// Daemon startup from a snapshot of the older `version`, one entry of
+/// `words` words: the bind error.
+fn bind_from_old_snapshot(version: &str, words: usize) -> String {
+    let path = temp_path(version);
+    let words = vec!["1"; words].join(" ");
+    let text = format!("bemcap-template-cache {version} 1\n{words}\n");
+    std::fs::write(&path, text).expect("write old snapshot");
     let err = Server::bind(ServerConfig {
         addr: "127.0.0.1:0".into(),
         cache_restore: Some(path.clone()),
         ..Default::default()
     })
     .map(|_| ())
-    .expect_err("v1 snapshot must fail bind");
-    assert!(err.to_string().contains("version"), "{err}");
+    .expect_err("an old snapshot must fail bind");
     std::fs::remove_file(&path).ok();
+    err.to_string()
+}
+
+/// A v1 snapshot keys absolute template placements; its values are not
+/// what the canonical evaluation computes, so restoring it would break
+/// cached ≡ uncached. Startup refuses it.
+#[test]
+fn a_v1_snapshot_fails_startup() {
+    let err = bind_from_old_snapshot("v1", 19);
+    assert!(err.contains("version"), "{err}");
+}
+
+/// A v2 snapshot keys pairs in the translation-only orientation: a
+/// mirrored pair stored there is not the representative the current keys
+/// evaluate. Startup refuses it.
+#[test]
+fn a_v2_snapshot_fails_startup() {
+    let err = bind_from_old_snapshot("v2", 13);
+    assert!(err.contains("version"), "{err}");
 }
 
 /// `set_io_timeout` bounds a read against a peer that never answers;

@@ -1,6 +1,8 @@
-//! Exact work counts of the instantiable setup: how many template pairs
-//! Algorithm 1 walks, how many of them are distinct under translation,
-//! and how many integrals one extraction actually evaluates.
+//! Exact work counts of the setup: how many template pairs Algorithm 1
+//! walks, how many of them are distinct under translation and mirroring,
+//! and how many integrals one extraction actually evaluates — for the
+//! instantiable basis and for the dense piecewise-constant reference,
+//! which runs the same pair plan on one flat template per panel.
 //!
 //! Counts repeat exactly, so a change that silently evaluates more pairs
 //! fails here without any timing. This file holds a single test: the
@@ -8,11 +10,14 @@
 //! may move it while the deltas are read.
 
 use bemcap_basis::instantiate::{instantiate, InstantiateConfig};
-use bemcap_basis::{pair_integrals_metric, PairPlan, TemplateIndex};
+use bemcap_basis::{
+    pair_integrals_metric, BasisFunction, BasisSet, PairPlan, Template, TemplateIndex,
+};
 use bemcap_core::extraction::Parallelism;
 use bemcap_core::metrics::Registry;
-use bemcap_core::Extractor;
+use bemcap_core::{Extractor, Method};
 use bemcap_geom::structures::{self, BusParams};
+use bemcap_geom::{Geometry, Mesh};
 
 /// The counter as the `metrics` op exposes it: by name, from the global
 /// registry.
@@ -24,30 +29,51 @@ fn pair_integrals_total() -> u64 {
         .map_or(0, |s| s.value)
 }
 
+/// The template index `method` assembles `geo` from: the instantiated
+/// basis, or one flat template per panel of the 8-division mesh.
+fn index_of(method: Method, geo: &Geometry) -> TemplateIndex {
+    let set = match method {
+        Method::InstantiableBasis => instantiate(geo, &InstantiateConfig::default()).unwrap(),
+        _ => BasisSet::new(
+            Mesh::uniform(geo, 8)
+                .panels()
+                .iter()
+                .map(|mp| BasisFunction::new(mp.conductor, vec![Template::flat(mp.panel)]))
+                .collect(),
+        ),
+    };
+    TemplateIndex::new(&set)
+}
+
 #[test]
 fn bus_pair_counts_and_one_evaluation_per_distinct_key() {
     // Register the counter up front, so every read below sees the live cell.
     pair_integrals_metric();
-    // (side, templates M, distinct keys) for the default bus side × side.
-    for (side, m, distinct) in [(4, 144, 6_096), (8, 480, 29_868)] {
+    // (method, side, templates M, distinct keys) for the default bus
+    // side × side.
+    for (method, side, m, distinct) in [
+        (Method::InstantiableBasis, 4, 144, 2_234),
+        (Method::InstantiableBasis, 8, 480, 9_072),
+        (Method::PwcDense, 4, 272, 5_168),
+        (Method::PwcDense, 8, 544, 19_184),
+    ] {
+        let what = format!("{method:?} bus {side}x{side}");
         let geo = structures::bus_crossing(side, side, BusParams::default());
-        let index = TemplateIndex::new(&instantiate(&geo, &InstantiateConfig::default()).unwrap());
-        assert_eq!(index.template_count(), m, "bus {side}x{side}");
+        let index = index_of(method, &geo);
+        assert_eq!(index.template_count(), m, "{what}");
         let plan = PairPlan::new(&index);
-        assert_eq!(plan.pairs(), m * (m + 1) / 2, "bus {side}x{side}: pairs walked");
-        assert_eq!(plan.distinct(), distinct, "bus {side}x{side}: distinct keys");
+        assert_eq!(plan.pairs(), m * (m + 1) / 2, "{what}: pairs walked");
+        assert_eq!(plan.distinct(), distinct, "{what}: distinct keys");
 
         // Every setup mode evaluates each distinct key exactly once.
         for parallelism in
             [Parallelism::Sequential, Parallelism::Threads(2), Parallelism::MessagePassing(3)]
         {
             let before = pair_integrals_total();
-            Extractor::new().parallelism(parallelism).extract(&geo).expect("extraction");
+            let extractor = Extractor::new().method(method).mesh_divisions(8);
+            extractor.parallelism(parallelism).extract(&geo).expect("extraction");
             let evaluated = pair_integrals_total() - before;
-            assert_eq!(
-                evaluated, distinct as u64,
-                "bus {side}x{side}, {parallelism:?}: integrals evaluated"
-            );
+            assert_eq!(evaluated, distinct as u64, "{what}, {parallelism:?}: integrals evaluated");
         }
     }
 }

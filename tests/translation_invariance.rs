@@ -1,11 +1,13 @@
-//! Translation invariance of the pair integrals: a pair's value depends
-//! on its shapes and relative position only, so translated structures
-//! reuse each other's cached integrals and extract to the same matrix.
+//! Translation and mirror invariance of the pair integrals: a pair's value
+//! depends on its shapes and relative position only, up to mirroring about
+//! a plane normal to an axis, so translated structures reuse each other's
+//! cached integrals and extract to the same matrix, and mirror images of a
+//! pair share one key.
 
 use std::sync::Arc;
 
 use bemcap_basis::arch::ArchShape;
-use bemcap_basis::{pair_integral, PairKey, Template};
+use bemcap_basis::{pair_integral, PairKey, Template, TemplateKind};
 use bemcap_core::batch::{BatchExtractor, BatchJob};
 use bemcap_core::{Extractor, TemplateCache};
 use bemcap_geom::structures::{self, BusParams};
@@ -27,6 +29,40 @@ fn template(normal: usize, kind: usize, corner: Point3, eu: f64, ev: f64) -> Tem
         1 => Template::arch(panel, ShapeDir::U, arch(u0, eu)),
         _ => Template::arch(panel, ShapeDir::V, arch(v0, ev)),
     }
+}
+
+/// `t` mirrored about the plane normal to `axis` at coordinate `plane`
+/// (an arch centre mirrors with its panel; the arch direction stays).
+fn mirrored(t: &Template, axis: Axis, plane: f64) -> Template {
+    let p = &t.panel;
+    let flip = |r: (f64, f64)| (2.0 * plane - r.1, 2.0 * plane - r.0);
+    let (ua, va) = p.normal().tangents();
+    let (mut w, mut u, mut v) = (p.w(), p.u_range(), p.v_range());
+    match axis {
+        a if a == p.normal() => w = 2.0 * plane - w,
+        a if a == ua => u = flip(u),
+        _ => v = flip(v),
+    }
+    let panel = Panel::new(p.normal(), w, u, v).expect("panel");
+    match t.kind {
+        TemplateKind::Flat => Template::flat(panel),
+        TemplateKind::Arch { dir, shape } => {
+            let along = if dir == ShapeDir::U { ua } else { va };
+            let center = if along == axis { 2.0 * plane - shape.center } else { shape.center };
+            Template::arch(panel, dir, ArchShape { center, ..shape })
+        }
+    }
+}
+
+/// The centre of `t`'s support along `axis`.
+fn centre(t: &Template, axis: Axis) -> f64 {
+    let p = &t.panel;
+    let range = match axis {
+        a if a == p.normal() => return p.w(),
+        a if a == p.normal().tangents().0 => p.u_range(),
+        _ => p.v_range(),
+    };
+    0.5 * (range.0 + range.1)
 }
 
 /// Nanometre-lattice coordinates on the 2⁻³⁰ m grid: sums with shifts on
@@ -82,6 +118,37 @@ proptest! {
             PairKey::new(&a, &b)
         };
         prop_assert_eq!(key(Point3::ZERO), key(t));
+    }
+
+    /// Mirroring both templates about a plane normal to any axis keeps the
+    /// key — hence the value. With `tie` < 3, b's centre is moved level
+    /// with a's along that axis, where only the arch-centre words decide
+    /// the key's orientation.
+    #[test]
+    fn mirroring_both_templates_keeps_the_key(
+        na in 0usize..3, ka in 0usize..3, nb in 0usize..3, kb in 0usize..3,
+        ax in -2000i64..2000, ay in -2000i64..2000, az in -2000i64..2000,
+        bx in -2000i64..2000, by in -2000i64..2000, bz in -2000i64..2000,
+        eu in 300i64..2000, ev in 300i64..2000,
+        normal in 0usize..3, plane in -4000i64..4000, tie in 0usize..4,
+    ) {
+        let eng = GalerkinEngine::default();
+        let corner = |x, y, z| Point3::new(lattice(x), lattice(y), lattice(z));
+        let a = template(na, ka, corner(ax, ay, az), lattice(eu), lattice(ev));
+        let b_at = |b0: Point3| template(nb, kb, b0, lattice(ev), lattice(eu));
+        let mut b0 = corner(bx, by, bz);
+        if tie < 3 {
+            let axis = Axis::from_index(tie);
+            let level = centre(&a, axis) - centre(&b_at(b0), axis);
+            b0 = b0.with_component(axis, b0.component(axis) + level);
+        }
+        let b = b_at(b0);
+        let (axis, plane) = (Axis::from_index(normal), lattice(plane));
+        let (ma, mb) = (mirrored(&a, axis, plane), mirrored(&b, axis, plane));
+        prop_assert_eq!(PairKey::new(&a, &b), PairKey::new(&ma, &mb));
+        let (here, moved) = (pair_integral(&eng, &a, &b), pair_integral(&eng, &ma, &mb));
+        prop_assert!(here.is_finite() && here > 0.0, "{here}");
+        prop_assert!((moved - here).abs() <= 1e-12 * here, "{here} moved to {moved}");
     }
 }
 
