@@ -2,20 +2,18 @@
 
 use bemcap_basis::instantiate::InstantiateConfig;
 use bemcap_fmm::FmmConfig;
-use bemcap_geom::Geometry;
+use bemcap_geom::{Geometry, Mesh};
 use bemcap_linalg::{KrylovConfig, Matrix, PrecondKind};
 use bemcap_pfft::PfftConfig;
 use bemcap_quad::galerkin::{GalerkinConfig, GalerkinEngine};
 
-use crate::backend::{
-    AutoBackend, Backend, DensePwcBackend, FmmBackend, InstantiableBackend, PfftBackend,
-    DEFAULT_AUTO_BUDGET,
-};
+use crate::backend::{Prepared, DEFAULT_AUTO_BUDGET};
 use crate::cache::TemplateCache;
 use crate::error::CoreError;
 use crate::report::{CacheStats, ExtractionReport};
 
-/// Which solver backend to run.
+/// Which solver to run. The declaration order is the method's word in
+/// [`Extractor::config_digest`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Method {
     /// The paper's method: instantiable basis functions + direct solve.
@@ -28,11 +26,39 @@ pub enum Method {
     PwcFmm,
     /// Piecewise-constant Galerkin with the precorrected-FFT matvec.
     PwcPfft,
-    /// Pick a piecewise-constant backend per geometry from the panel
+    /// Pick a piecewise-constant method per geometry from the panel
     /// count and the configured memory budget
     /// ([`Extractor::auto_memory_budget`]); see
-    /// [`crate::backend::AutoBackend::resolve`] for the policy.
+    /// [`Extractor::resolved_method`] for the policy.
     Auto,
+}
+
+impl Method {
+    /// Every method, in declaration order.
+    const ALL: [Method; 5] = [
+        Method::InstantiableBasis,
+        Method::PwcDense,
+        Method::PwcFmm,
+        Method::PwcPfft,
+        Method::Auto,
+    ];
+
+    /// The method's name in extraction reports and on the wire (`auto`
+    /// resolves before a report is written, so reports never carry it).
+    pub fn name(self) -> &'static str {
+        match self {
+            Method::InstantiableBasis => "instantiable",
+            Method::PwcDense => "pwc-dense",
+            Method::PwcFmm => "pwc-fmm",
+            Method::PwcPfft => "pwc-pfft",
+            Method::Auto => "auto",
+        }
+    }
+
+    /// The method named `name` ([`Method::name`]'s inverse).
+    pub fn from_name(name: &str) -> Option<Method> {
+        Method::ALL.into_iter().find(|m| m.name() == name)
+    }
 }
 
 /// How the setup step executes (§5).
@@ -62,17 +88,17 @@ pub enum Parallelism {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Extractor {
-    method: Method,
-    parallelism: Parallelism,
+    pub(crate) method: Method,
+    pub(crate) parallelism: Parallelism,
     accelerated: bool,
-    instantiate_cfg: InstantiateConfig,
+    pub(crate) instantiate_cfg: InstantiateConfig,
     galerkin_cfg: GalerkinConfig,
-    mesh_divisions: usize,
-    fmm_cfg: FmmConfig,
-    pfft_cfg: PfftConfig,
-    krylov_cfg: KrylovConfig,
-    precond: PrecondKind,
-    auto_budget: usize,
+    pub(crate) mesh_divisions: usize,
+    pub(crate) fmm_cfg: FmmConfig,
+    pub(crate) pfft_cfg: PfftConfig,
+    pub(crate) krylov_cfg: KrylovConfig,
+    pub(crate) precond: PrecondKind,
+    pub(crate) auto_budget: usize,
 }
 
 impl Default for Extractor {
@@ -193,67 +219,29 @@ impl Extractor {
         self.accelerated
     }
 
-    /// The [`Backend`] this configuration dispatches to — the typed
-    /// description of what [`Extractor::extract`] will run.
-    /// [`Method::Auto`] returns the resolving backend
-    /// ([`crate::backend::AutoBackend`]); the concrete choice is made per
-    /// geometry at prepare time.
-    pub fn backend(&self) -> Box<dyn Backend> {
-        match self.method {
-            Method::InstantiableBasis => Box::new(InstantiableBackend {
-                instantiate: self.instantiate_cfg,
-                parallelism: self.parallelism,
-            }),
-            Method::PwcDense => Box::new(DensePwcBackend {
-                mesh_divisions: self.mesh_divisions,
-                parallelism: self.parallelism,
-            }),
-            Method::PwcFmm => Box::new(FmmBackend {
-                mesh_divisions: self.mesh_divisions,
-                config: self.fmm_cfg,
-                krylov: self.krylov_cfg,
-                precond: self.precond,
-            }),
-            Method::PwcPfft => Box::new(PfftBackend {
-                mesh_divisions: self.mesh_divisions,
-                config: self.pfft_cfg,
-                krylov: self.krylov_cfg,
-                precond: self.precond,
-            }),
-            Method::Auto => Box::new(self.auto_backend()),
-        }
-    }
-
-    fn auto_backend(&self) -> AutoBackend {
-        AutoBackend {
-            mesh_divisions: self.mesh_divisions,
-            memory_budget: self.auto_budget,
-            fmm: self.fmm_cfg,
-            pfft: self.pfft_cfg,
-            krylov: self.krylov_cfg,
-            precond: self.precond,
-            parallelism: self.parallelism,
-        }
-    }
-
     /// The [`Method`] that will actually run on `geo`: the configured one,
-    /// with [`Method::Auto`] resolved through its panel-count/memory
-    /// policy (deterministic per geometry and configuration).
+    /// with [`Method::Auto`] resolved by its policy: **dense** when the
+    /// mesh has at most [`crate::backend::DENSE_AUTO_PANEL_CAP`] panels
+    /// and the N×N system fits the [`Extractor::auto_memory_budget`],
+    /// else **pFFT** when its grid fits the budget, else **FMM**.
+    /// Deterministic per geometry and configuration; it sizes the mesh
+    /// and grid but computes no integrals.
     pub fn resolved_method(&self, geo: &Geometry) -> Method {
         match self.method {
-            Method::Auto => self.auto_backend().resolve(geo),
+            Method::Auto => self.resolve_auto(geo, &Mesh::uniform(geo, self.mesh_divisions)),
             m => m,
         }
     }
 
     /// Bit-exact identity of the full solver configuration, including the
-    /// active backend's typed config ([`Backend::digest`]). Two
-    /// extractors with equal digests produce bit-identical results on the
-    /// same geometry, which is what licenses the executor to coalesce
-    /// their jobs into one shared micro-batch (`f64` fields compare by
-    /// bit pattern, so even `-0.0` vs `0.0` keeps configs apart);
-    /// extractors differing in any behavior-affecting knob — a pFFT grid
-    /// spacing, an FMM tolerance, a preconditioner — can never share one.
+    /// active method's own knobs. Two extractors with equal digests
+    /// produce bit-identical results on the same geometry, which is what
+    /// licenses the executor to coalesce their jobs into one shared
+    /// micro-batch (`f64` fields compare by bit pattern, so even `-0.0`
+    /// vs `0.0` keeps configs apart); extractors differing in any
+    /// behavior-affecting knob — a pFFT grid spacing, an FMM tolerance, a
+    /// preconditioner — can never share one. Knobs of methods that will
+    /// not run are left out, so they never block coalescing.
     pub fn config_digest(&self) -> Vec<u64> {
         let g = &self.galerkin_cfg;
         let ic = &self.instantiate_cfg;
@@ -263,13 +251,7 @@ impl Extractor {
             Parallelism::MessagePassing(n) => (2 << 32) | n as u64,
         };
         let mut words = vec![
-            match self.method {
-                Method::InstantiableBasis => 0,
-                Method::PwcDense => 1,
-                Method::PwcFmm => 2,
-                Method::PwcPfft => 3,
-                Method::Auto => 4,
-            },
+            self.method as u64,
             parallelism,
             u64::from(self.accelerated),
             self.mesh_divisions as u64,
@@ -284,28 +266,53 @@ impl Extractor {
             g.touch_subdiv as u64,
             g.shape_order as u64,
         ];
-        self.backend().digest(&mut words);
+        let fmm = [self.fmm_cfg.theta.to_bits(), self.fmm_cfg.leaf_size as u64];
+        let pfft = [
+            self.pfft_cfg.spacing_factor.to_bits(),
+            self.pfft_cfg.near_cells as u64,
+            self.pfft_cfg.max_grid_points as u64,
+        ];
+        let krylov = [
+            self.krylov_cfg.tol.to_bits(),
+            self.krylov_cfg.restart as u64,
+            self.krylov_cfg.max_iters as u64,
+            match self.precond {
+                PrecondKind::Identity => 0,
+                PrecondKind::Diagonal => 1,
+                PrecondKind::BlockJacobi { block } => (2 << 32) | block as u64,
+            },
+        ];
+        // Auto's resolution is geometry-dependent, so every candidate's
+        // knobs take part: two Auto extractors may only coalesce when
+        // they would resolve identically on *any* geometry.
+        let tail: &[&[u64]] = match self.method {
+            Method::InstantiableBasis | Method::PwcDense => &[],
+            Method::PwcFmm => &[&fmm, &krylov],
+            Method::PwcPfft => &[&pfft, &krylov],
+            Method::Auto => &[&[self.auto_budget as u64], &fmm, &pfft, &krylov],
+        };
+        words.extend(tail.concat());
         words
     }
 
-    /// Runs the extraction: resolves the backend, times its prepare
-    /// (system setup) and solve (system solving) steps, and reports what
-    /// actually ran (resolved method name, real worker count, Krylov
-    /// stats for iterative backends).
+    /// Runs the extraction: prepares the resolved method's system, times
+    /// its setup and solve steps, and reports what actually ran (resolved
+    /// method name, real worker count, Krylov stats for the iterative
+    /// methods).
     ///
     /// # Errors
     ///
     /// * [`CoreError::EmptyGeometry`] for conductor-less geometries;
-    /// * backend errors ([`CoreError::Basis`], [`CoreError::Linalg`],
+    /// * solver errors ([`CoreError::Basis`], [`CoreError::Linalg`],
     ///   [`CoreError::Fmm`], [`CoreError::Pfft`]).
     pub fn extract(&self, geo: &Geometry) -> Result<Extraction, CoreError> {
         Ok(self.extract_with(&self.engine(), None, geo)?.0)
     }
 
     /// [`Extractor::extract`] on a caller-provided `engine` (built by
-    /// [`Extractor::engine`]), with the backend's pair integrals probed in
-    /// `cache` when given; also returns the job's cache counters. The
-    /// executor runs every job through here, so a job is bit-identical to
+    /// [`Extractor::engine`]), with the pair integrals probed in `cache`
+    /// when given; also returns the job's cache counters. The executor
+    /// runs every job through here, so a job is bit-identical to
     /// `extract` with or without the cache.
     pub(crate) fn extract_with(
         &self,
@@ -317,39 +324,30 @@ impl Extractor {
             return Err(CoreError::EmptyGeometry);
         }
         let names: Vec<String> = geo.conductors().iter().map(|c| c.name().to_string()).collect();
-        let backend = self.backend();
         let t = std::time::Instant::now();
-        let prepared = {
+        let Prepared { method, n, m_templates, workers, memory, cache: cache_stats, system } = {
             let _span = crate::metrics::Span::enter(crate::metrics::metrics().extract_setup_nanos);
-            backend.prepare(engine, geo, cache)?
+            self.prepare(engine, geo, cache)?
         };
         let setup_seconds = t.elapsed().as_secs_f64();
-        let (method, n, m_templates, workers, memory_bytes, cache_stats) = (
-            prepared.method_name().to_string(),
-            prepared.n(),
-            prepared.m_templates(),
-            prepared.workers(),
-            prepared.memory_bytes(),
-            prepared.cache_stats(),
-        );
         let t = std::time::Instant::now();
-        let out = {
+        let (c, krylov) = {
             let _span = crate::metrics::Span::enter(crate::metrics::metrics().extract_solve_nanos);
-            prepared.solve()?
+            system.solve()?
         };
         let solve_seconds = t.elapsed().as_secs_f64();
         crate::metrics::metrics().extractions.inc();
         let extraction = Extraction {
-            capacitance: CapacitanceMatrix { names, c: out.capacitance },
+            capacitance: CapacitanceMatrix { names, c },
             report: ExtractionReport {
-                method,
+                method: method.name().to_string(),
                 n,
                 m_templates,
                 workers,
                 setup_seconds,
                 solve_seconds,
-                memory_bytes,
-                krylov: out.krylov.map(Into::into),
+                memory_bytes: memory,
+                krylov: krylov.map(Into::into),
             },
         };
         Ok((extraction, cache_stats))
@@ -441,6 +439,16 @@ impl Extraction {
 mod tests {
     use super::*;
     use bemcap_geom::structures::{self, CrossingParams};
+
+    #[test]
+    fn method_names_round_trip() {
+        let names: Vec<_> = Method::ALL.iter().map(|m| m.name()).collect();
+        assert_eq!(names, ["instantiable", "pwc-dense", "pwc-fmm", "pwc-pfft", "auto"]);
+        for m in Method::ALL {
+            assert_eq!(Method::from_name(m.name()), Some(m));
+        }
+        assert_eq!(Method::from_name("fastcap"), None);
+    }
 
     #[test]
     fn instantiable_extraction_end_to_end() {

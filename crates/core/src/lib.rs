@@ -45,10 +45,6 @@ pub mod metrics;
 pub mod report;
 pub mod solver;
 
-pub use backend::{
-    AutoBackend, Backend, DensePwcBackend, FmmBackend, InstantiableBackend, PfftBackend,
-    PreparedSystem, SolveOutput,
-};
 pub use batch::{BatchExtractor, BatchJob, BatchPoint, BatchResult};
 pub use cache::TemplateCache;
 pub use chip::{
@@ -60,8 +56,8 @@ pub use exec::{ExecConfig, Executor, JobOutcome, Submission, Ticket};
 pub use extraction::{CapacitanceMatrix, Extraction, Extractor, Method};
 pub use report::{BatchReport, CacheStats, ExecStats, ExtractionReport, JobReport, SolverStats};
 
-// The typed backend configurations, re-exported so downstream layers
-// (`bemcap-serve`, benches, applications) configure backends without
+// The typed solver configurations, re-exported so downstream layers
+// (`bemcap-serve`, benches, applications) configure solvers without
 // depending on the solver crates directly.
 pub use bemcap_fmm::FmmConfig;
 pub use bemcap_geom::Geometry;

@@ -159,10 +159,15 @@ impl FmmOperator {
     /// Approximate operator memory: near-field entries, traversal lists,
     /// tree nodes — the "Memory" column of Table 2.
     pub fn memory_bytes(&self) -> usize {
-        let near: usize = self.near.iter().map(|r| r.len() * 12).sum();
         let far: usize = self.far_nodes.iter().map(|r| r.len() * 4).sum();
         let tree = self.tree.len() * std::mem::size_of::<crate::octree::Node>();
-        near + far + tree + self.centers.len() * 40
+        self.near_memory_bytes() + far + tree + self.centers.len() * 40
+    }
+
+    /// The near-field part of [`FmmOperator::memory_bytes`]: one padded
+    /// `(u32, f64)` per entry.
+    fn near_memory_bytes(&self) -> usize {
+        self.near.iter().map(Vec::len).sum::<usize>() * std::mem::size_of::<(u32, f64)>()
     }
 
     /// Average number of near-field entries per target row.
@@ -321,5 +326,16 @@ mod tests {
         assert!(op.memory_bytes() > 0);
         assert!(op.near_density() >= 1.0); // at least the self entry
         assert!(op.near_density() < mesh.panel_count() as f64); // actually sparse
+    }
+
+    #[test]
+    fn near_memory_counts_sixteen_bytes_per_entry() {
+        // A `(u32, f64)` entry is padded to 16 bytes, not 4 + 8.
+        let geo = structures::bus_crossing(2, 2, structures::BusParams::default());
+        let mesh = Mesh::uniform(&geo, 5);
+        let op = FmmOperator::new(&mesh, 1.0, FmmConfig::default()).unwrap();
+        let entries: usize = op.near.iter().map(Vec::len).sum();
+        assert!(entries > 0);
+        assert_eq!(op.near_memory_bytes(), entries * 16);
     }
 }

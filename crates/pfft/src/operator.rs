@@ -212,7 +212,8 @@ impl PfftOperator {
 
     /// Approximate memory footprint in bytes.
     pub fn memory_bytes(&self) -> usize {
-        self.grid_memory_bytes() + self.near.iter().map(|r| r.len() * 12).sum::<usize>()
+        let near: usize = self.near.iter().map(Vec::len).sum();
+        self.grid_memory_bytes() + near * std::mem::size_of::<(u32, f64)>()
     }
 
     /// The grid part of [`PfftOperator::memory_bytes`]: the kernel
@@ -389,8 +390,18 @@ mod tests {
     }
 
     #[test]
+    fn near_memory_counts_sixteen_bytes_per_entry() {
+        // A `(u32, f64)` entry is padded to 16 bytes, not 4 + 8.
+        let mesh = Mesh::uniform(&structures::cube(1.0), 4);
+        let op = PfftOperator::new(&mesh, 1.0, PfftConfig::default()).unwrap();
+        let entries: usize = op.near.iter().map(Vec::len).sum();
+        assert!(entries > 0);
+        assert_eq!(op.memory_bytes() - op.grid_memory_bytes(), entries * 16);
+    }
+
+    #[test]
     fn grid_memory_within_auto_estimate() {
-        // `AutoBackend` sizes pFFT as fft_points·32 + n·128 bytes, near
+        // `Method::Auto` sizes pFFT as fft_points·32 + n·128 bytes, near
         // field excluded; the half-spectrum layout must stay inside it.
         for (geo, div) in
             [(structures::cube(1.0), 4), (structures::parallel_plates(1.0, 1.0, 0.3), 5)]

@@ -274,31 +274,6 @@ impl WireError {
     }
 }
 
-/// The wire name of a [`Method`] (matches the `method` strings of
-/// extraction reports; `auto` resolves server-side, so reports never
-/// carry it back).
-pub fn method_name(method: Method) -> &'static str {
-    match method {
-        Method::InstantiableBasis => "instantiable",
-        Method::PwcDense => "pwc-dense",
-        Method::PwcFmm => "pwc-fmm",
-        Method::PwcPfft => "pwc-pfft",
-        Method::Auto => "auto",
-    }
-}
-
-/// Parses a wire method name.
-pub fn parse_method(name: &str) -> Option<Method> {
-    match name {
-        "instantiable" => Some(Method::InstantiableBasis),
-        "pwc-dense" => Some(Method::PwcDense),
-        "pwc-fmm" => Some(Method::PwcFmm),
-        "pwc-pfft" => Some(Method::PwcPfft),
-        "auto" => Some(Method::Auto),
-        _ => None,
-    }
-}
-
 /// A JSON field's value type, read by [`req`] and [`opt`] — the field
 /// readers every decoder in this module shares.
 trait Field<'a>: Sized {
@@ -436,7 +411,7 @@ fn decode_options(v: &Value) -> Result<ExtractOptions, WireError> {
     let mut options = ExtractOptions::default();
     if let Some(m) = v.get("method").filter(|m| !m.is_null()) {
         let name = m.as_str().ok_or_else(|| WireError::bad("'method' must be a string"))?;
-        options.method = parse_method(name).ok_or_else(|| {
+        options.method = Method::from_name(name).ok_or_else(|| {
             WireError::bad(format!(
                 "unknown method '{name}' \
                  (expected instantiable, pwc-dense, pwc-fmm, pwc-pfft or auto)"
@@ -508,7 +483,7 @@ fn precond_value(precond: Option<PrecondKind>) -> Value {
 /// Appends the shared solver-option fields to an encoded request object
 /// (null when unset, mirroring the decoder's "absent = default").
 fn push_options(v: &mut Value, options: &ExtractOptions) {
-    push(v, "method", json!(method_name(options.method)));
+    push(v, "method", json!(options.method.name()));
     push(v, "accelerated", json!(options.accelerated));
     push(v, "mesh_divisions", json!(options.mesh_divisions));
     let fmm = options.fmm.map(|f| json!({ "theta": f.theta, "leaf_size": f.leaf_size }));
@@ -1607,20 +1582,6 @@ mod tests {
             Request::Extract { options, .. } => assert_eq!(options, ExtractOptions::default()),
             other => panic!("expected extract, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn method_names_round_trip() {
-        for m in [
-            Method::InstantiableBasis,
-            Method::PwcDense,
-            Method::PwcFmm,
-            Method::PwcPfft,
-            Method::Auto,
-        ] {
-            assert_eq!(parse_method(method_name(m)), Some(m));
-        }
-        assert_eq!(parse_method("fastcap"), None);
     }
 
     #[test]

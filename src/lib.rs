@@ -46,7 +46,7 @@ pub use bemcap_serve as serve;
 /// Convenient glob-import surface for applications.
 pub mod prelude {
     pub use bemcap_core::{
-        Backend, BatchExtractor, BatchJob, BatchPoint, BatchReport, BatchResult, CacheStats,
+        BatchExtractor, BatchJob, BatchPoint, BatchReport, BatchResult, CacheStats,
         CapacitanceMatrix, ChipCapacitance, ChipExtraction, ChipExtractor, ChipReport, ExecConfig,
         ExecStats, Executor, Extraction, ExtractionReport, Extractor, FmmConfig, JobReport,
         KrylovConfig, Method, PfftConfig, PrecondKind, SolverStats, TemplateCache, WindowCache,

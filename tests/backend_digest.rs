@@ -23,6 +23,89 @@ fn crossing_job() -> BatchJob {
     BatchJob::new("probe", structures::crossing_wires(CrossingParams::default()))
 }
 
+/// The digest words shared by every default extractor after the method
+/// word: sequential, exact primitives, 8 mesh divisions, then the
+/// instantiation laws and quadrature settings.
+const COMMON: [u64; 13] = [
+    0x0000000000000000,
+    0x0000000000000000,
+    0x0000000000000008,
+    0x3ff0000000000000,
+    0x4008000000000000,
+    0x4039000000000000,
+    0x4008000000000000,
+    0x4020000000000000,
+    0x4004000000000000,
+    0x0000000000000006,
+    0x0000000000000003,
+    0x0000000000000003,
+    0x0000000000000006,
+];
+
+/// Default FMM words: θ = 0.45, leaf size 12.
+const FMM: [u64; 2] = [0x3fdccccccccccccd, 0x000000000000000c];
+/// Default pFFT words: spacing 1.0, 2 near cells, 2²⁴ grid points.
+const PFFT: [u64; 3] = [0x3ff0000000000000, 0x0000000000000002, 0x0000000001000000];
+/// Default Krylov words: tol 1e-6, restart 40, 600 matvecs, diagonal.
+const KRYLOV: [u64; 4] =
+    [0x3eb0c6f7a0b5ed8d, 0x0000000000000028, 0x0000000000000258, 0x0000000000000001];
+
+fn digest(method_word: u64, tail: &[&[u64]]) -> Vec<u64> {
+    let mut words = vec![method_word];
+    words.extend(COMMON);
+    words.extend(tail.concat());
+    words
+}
+
+/// `config_digest` is the key the executor coalesces on and the router
+/// shards by, so its words are pinned literally: a refactor that moves
+/// one word splits caches and affinity across a rolling upgrade.
+#[test]
+fn config_digest_words_are_pinned() {
+    let budget_256_mib = [0x0000000010000000];
+    let cases = [
+        (Extractor::new().method(Method::InstantiableBasis), digest(0, &[])),
+        (Extractor::new().method(Method::PwcDense), digest(1, &[])),
+        (Extractor::new().method(Method::PwcFmm), digest(2, &[&FMM, &KRYLOV])),
+        (Extractor::new().method(Method::PwcPfft), digest(3, &[&PFFT, &KRYLOV])),
+        (
+            Extractor::new().method(Method::Auto),
+            digest(4, &[&budget_256_mib, &FMM, &PFFT, &KRYLOV]),
+        ),
+        (
+            Extractor::new()
+                .method(Method::PwcFmm)
+                .fmm_config(FmmConfig { theta: 0.4, ..Default::default() }),
+            digest(2, &[&[0x3fd999999999999a, FMM[1]], &KRYLOV]),
+        ),
+        (
+            Extractor::new()
+                .method(Method::PwcPfft)
+                .pfft_config(PfftConfig { spacing_factor: 1.25, ..Default::default() }),
+            digest(3, &[&[0x3ff4000000000000, PFFT[1], PFFT[2]], &KRYLOV]),
+        ),
+        (
+            Extractor::new()
+                .method(Method::PwcFmm)
+                .krylov_config(KrylovConfig { tol: 1e-8, ..Default::default() }),
+            digest(2, &[&FMM, &[0x3e45798ee2308c3a, KRYLOV[1], KRYLOV[2], KRYLOV[3]]]),
+        ),
+        (
+            Extractor::new()
+                .method(Method::PwcPfft)
+                .preconditioner(PrecondKind::BlockJacobi { block: 8 }),
+            digest(3, &[&PFFT, &KRYLOV[..3], &[0x0000000200000008]]),
+        ),
+        (
+            Extractor::new().method(Method::Auto).auto_memory_budget(64 << 20),
+            digest(4, &[&[0x0000000004000000], &FMM, &PFFT, &KRYLOV]),
+        ),
+    ];
+    for (extractor, words) in cases {
+        assert_eq!(extractor.config_digest(), words, "{extractor:?}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
