@@ -660,7 +660,7 @@ mod tests {
 
     #[test]
     fn backend_config_differences_never_coalesce_but_equal_configs_do() {
-        use bemcap_linalg::{KrylovConfig, PrecondKind};
+        use bemcap_linalg::KrylovConfig;
         // Same method, same geometry, deliberately concurrent: only the
         // *backend* configuration differs. Tiny mesh keeps the jobs cheap.
         let exec = Executor::new(ExecConfig { workers: 1, queue_depth: 16, coalesce_limit: 16 });
@@ -670,22 +670,20 @@ mod tests {
             .clone()
             .pfft_config(bemcap_pfft::PfftConfig { spacing_factor: 1.3, ..Default::default() });
         let tol = base.clone().krylov_config(KrylovConfig { tol: 1e-8, ..Default::default() });
-        let precond = base.clone().preconditioner(PrecondKind::Identity);
         let twin = base.clone();
-        let tickets: Vec<Ticket> = [&base, &spacing, &tol, &precond, &twin]
+        let tickets: Vec<Ticket> = [&base, &spacing, &tol, &twin]
             .iter()
             .map(|ex| exec.submit(ex, None, vec![job(0.5e-6)]).expect("admitted"))
             .collect();
         release(1, &gate);
         let subs: Vec<Submission> = tickets.into_iter().map(Ticket::wait).collect();
-        // The three tweaked configs each ran their own micro-batch...
+        // The two tweaked configs each ran their own micro-batch...
         assert_ne!(subs[0].micro_batch, subs[1].micro_batch, "pfft spacing must split");
         assert_ne!(subs[0].micro_batch, subs[2].micro_batch, "krylov tol must split");
-        assert_ne!(subs[0].micro_batch, subs[3].micro_batch, "preconditioner must split");
         // ...while the bit-identical twin coalesced with the base.
-        assert_eq!(subs[0].micro_batch, subs[4].micro_batch, "equal configs must coalesce");
-        assert!(subs[4].coalesced);
-        assert_eq!(exec.stats().micro_batches, 4);
+        assert_eq!(subs[0].micro_batch, subs[3].micro_batch, "equal configs must coalesce");
+        assert!(subs[3].coalesced);
+        assert_eq!(exec.stats().micro_batches, 3);
         assert_eq!(exec.stats().coalesced, 1);
         for sub in &subs {
             assert!(sub.first_failure().is_none());

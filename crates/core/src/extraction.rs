@@ -3,7 +3,7 @@
 use bemcap_basis::instantiate::InstantiateConfig;
 use bemcap_fmm::FmmConfig;
 use bemcap_geom::{Geometry, Mesh};
-use bemcap_linalg::{KrylovConfig, Matrix, PrecondKind};
+use bemcap_linalg::{KrylovConfig, Matrix};
 use bemcap_pfft::PfftConfig;
 use bemcap_quad::galerkin::{GalerkinConfig, GalerkinEngine};
 
@@ -97,7 +97,6 @@ pub struct Extractor {
     pub(crate) fmm_cfg: FmmConfig,
     pub(crate) pfft_cfg: PfftConfig,
     pub(crate) krylov_cfg: KrylovConfig,
-    pub(crate) precond: PrecondKind,
     pub(crate) auto_budget: usize,
 }
 
@@ -121,7 +120,6 @@ impl Extractor {
             fmm_cfg: FmmConfig::default(),
             pfft_cfg: PfftConfig::default(),
             krylov_cfg: KrylovConfig::default(),
-            precond: PrecondKind::default(),
             auto_budget: DEFAULT_AUTO_BUDGET,
         }
     }
@@ -188,13 +186,6 @@ impl Extractor {
         self
     }
 
-    /// Picks the preconditioner the Krylov-backed backends build at
-    /// prepare time (default: Jacobi from the exact system diagonal).
-    pub fn preconditioner(mut self, kind: PrecondKind) -> Extractor {
-        self.precond = kind;
-        self
-    }
-
     /// Sets the [`Method::Auto`] memory budget in bytes (default
     /// [`DEFAULT_AUTO_BUDGET`]).
     pub fn auto_memory_budget(mut self, bytes: usize) -> Extractor {
@@ -239,9 +230,9 @@ impl Extractor {
     /// licenses the executor to coalesce their jobs into one shared
     /// micro-batch (`f64` fields compare by bit pattern, so even `-0.0`
     /// vs `0.0` keeps configs apart); extractors differing in any
-    /// behavior-affecting knob — a pFFT grid spacing, an FMM tolerance, a
-    /// preconditioner — can never share one. Knobs of methods that will
-    /// not run are left out, so they never block coalescing.
+    /// behavior-affecting knob — a pFFT grid spacing, an FMM tolerance —
+    /// can never share one. Knobs of methods that will not run are left
+    /// out, so they never block coalescing.
     pub fn config_digest(&self) -> Vec<u64> {
         let g = &self.galerkin_cfg;
         let ic = &self.instantiate_cfg;
@@ -276,11 +267,7 @@ impl Extractor {
             self.krylov_cfg.tol.to_bits(),
             self.krylov_cfg.restart as u64,
             self.krylov_cfg.max_iters as u64,
-            match self.precond {
-                PrecondKind::Identity => 0,
-                PrecondKind::Diagonal => 1,
-                PrecondKind::BlockJacobi { block } => (2 << 32) | block as u64,
-            },
+            1, // the retired preconditioner word (Jacobi): coalescing and affinity key on it
         ];
         // Auto's resolution is geometry-dependent, so every candidate's
         // knobs take part: two Auto extractors may only coalesce when

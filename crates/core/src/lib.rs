@@ -61,5 +61,5 @@ pub use report::{BatchReport, CacheStats, ExecStats, ExtractionReport, JobReport
 // depending on the solver crates directly.
 pub use bemcap_fmm::FmmConfig;
 pub use bemcap_geom::Geometry;
-pub use bemcap_linalg::{KrylovConfig, PrecondKind};
+pub use bemcap_linalg::KrylovConfig;
 pub use bemcap_pfft::PfftConfig;

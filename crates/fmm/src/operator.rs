@@ -140,8 +140,8 @@ impl FmmOperator {
         &self.areas
     }
 
-    /// Inverse of the exact system diagonal — the Jacobi preconditioner
-    /// the solver builds by default.
+    /// Inverse of the exact system diagonal — what the solver's Jacobi
+    /// preconditioner is built from.
     pub fn inv_diag(&self) -> &[f64] {
         &self.inv_diag
     }

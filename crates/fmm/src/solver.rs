@@ -4,9 +4,7 @@
 use std::time::Instant;
 
 use bemcap_geom::{Geometry, Mesh};
-use bemcap_linalg::{
-    gmres_grouped, DiagonalPrecond, KrylovConfig, KrylovStats, Matrix, Preconditioner,
-};
+use bemcap_linalg::{gmres_grouped, DiagonalPrecond, KrylovConfig, KrylovStats, Matrix};
 
 use crate::error::FmmError;
 use crate::operator::{FmmConfig, FmmOperator, MatvecTimings};
@@ -84,9 +82,10 @@ impl FmmSolver {
 
     /// The solve step on an already-built operator — one conductor RHS per
     /// GMRES solve through the shared [`gmres_grouped`] driver
-    /// (`bemcap_linalg`). Lets callers that prepared the operator
-    /// themselves (the `bemcap-core` backend layer) reuse it instead of
-    /// rebuilding, and pick the preconditioner.
+    /// (`bemcap_linalg`) under the Jacobi preconditioner `pre` (built
+    /// from [`FmmOperator::inv_diag`]). Lets callers that prepared the
+    /// operator themselves (the `bemcap-core` backend layer) reuse it
+    /// instead of rebuilding.
     ///
     /// # Errors
     ///
@@ -96,7 +95,7 @@ impl FmmSolver {
         op: &FmmOperator,
         mesh: &Mesh,
         n_cond: usize,
-        pre: &dyn Preconditioner,
+        pre: &DiagonalPrecond,
     ) -> Result<(Matrix, KrylovStats), FmmError> {
         // Galerkin RHS: ∫ψ_i φ ds = A_i on conductor k, 0 elsewhere;
         // C_lk = Σ_{i on l} A_i ρ_i — the grouped quadratic form.

@@ -13,7 +13,6 @@
 //! reductions without this module knowing about blocking.
 
 use crate::error::LinalgError;
-use crate::lu::LuFactor;
 use crate::matrix::Matrix;
 use crate::{axpy, dot, norm2};
 
@@ -32,33 +31,9 @@ pub trait LinearOperator {
     fn apply(&self, x: &[f64], y: &mut [f64]);
 }
 
-/// An approximate inverse `y = M⁻¹ x` applied on the right of GMRES.
-///
-/// Splitting the preconditioner from the [`LinearOperator`] lets one
-/// operator (an FMM or pFFT matvec) run under different preconditioners —
-/// the identity, its own diagonal, or a block-Jacobi built from exact
-/// near-field entries — without rebuilding anything.
-pub trait Preconditioner {
-    /// Computes `y = M⁻¹ x`.
-    ///
-    /// # Panics
-    ///
-    /// Implementations may panic when `x.len() != y.len()` or when the
-    /// length does not match the preconditioner's dimension.
-    fn apply_inv(&self, x: &[f64], y: &mut [f64]);
-}
-
-/// No preconditioning: `M = I`.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct IdentityPrecond;
-
-impl Preconditioner for IdentityPrecond {
-    fn apply_inv(&self, x: &[f64], y: &mut [f64]) {
-        y.copy_from_slice(x);
-    }
-}
-
-/// Jacobi (diagonal) preconditioning from a stored inverse diagonal.
+/// Jacobi (diagonal) preconditioning from a stored inverse diagonal —
+/// the one preconditioner, applied on the right of GMRES. The FMM and
+/// pFFT operators supply their exact system diagonal's inverse.
 #[derive(Debug, Clone)]
 pub struct DiagonalPrecond {
     inv_diag: Vec<f64>,
@@ -70,97 +45,16 @@ impl DiagonalPrecond {
         DiagonalPrecond { inv_diag }
     }
 
-    /// Builds from the raw diagonal; exact zeros fall back to 1 so the
-    /// preconditioner stays well-defined.
-    pub fn from_diagonal(diag: &[f64]) -> DiagonalPrecond {
-        DiagonalPrecond {
-            inv_diag: diag.iter().map(|&d| if d != 0.0 { 1.0 / d } else { 1.0 }).collect(),
-        }
-    }
-
-    /// The stored inverse diagonal.
-    pub fn inv_diag(&self) -> &[f64] {
-        &self.inv_diag
-    }
-}
-
-impl Preconditioner for DiagonalPrecond {
-    fn apply_inv(&self, x: &[f64], y: &mut [f64]) {
+    /// Computes `y = M⁻¹ x`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `x` or `y` is longer than the stored diagonal.
+    pub fn apply_inv(&self, x: &[f64], y: &mut [f64]) {
         for i in 0..x.len() {
             y[i] = x[i] * self.inv_diag[i];
         }
     }
-}
-
-/// Block-Jacobi preconditioning: the operator's diagonal blocks (over
-/// contiguous index ranges) are LU-factored once and back-substituted on
-/// every application.
-#[derive(Debug, Clone)]
-pub struct BlockJacobiPrecond {
-    /// Start index of each block (blocks are contiguous and in order).
-    starts: Vec<usize>,
-    factors: Vec<LuFactor>,
-    dim: usize,
-}
-
-impl BlockJacobiPrecond {
-    /// Factors the given contiguous diagonal blocks, consuming them.
-    ///
-    /// # Errors
-    ///
-    /// * [`LinalgError::DimensionMismatch`] for a non-square block;
-    /// * [`LinalgError::Singular`] when a block is singular.
-    pub fn new(blocks: Vec<Matrix>) -> Result<BlockJacobiPrecond, LinalgError> {
-        let mut starts = Vec::with_capacity(blocks.len());
-        let mut factors = Vec::with_capacity(blocks.len());
-        let mut dim = 0;
-        for block in blocks {
-            starts.push(dim);
-            dim += block.rows();
-            factors.push(LuFactor::new(block)?);
-        }
-        Ok(BlockJacobiPrecond { starts, factors, dim })
-    }
-
-    /// Total dimension covered by the blocks.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
-    /// Number of diagonal blocks.
-    pub fn block_count(&self) -> usize {
-        self.factors.len()
-    }
-}
-
-impl Preconditioner for BlockJacobiPrecond {
-    fn apply_inv(&self, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), self.dim, "block-jacobi dimension mismatch");
-        for (start, factor) in self.starts.iter().zip(&self.factors) {
-            let end = start + factor.dim();
-            let sol =
-                factor.solve_vec(&x[*start..end]).expect("block shape fixed at factorization");
-            y[*start..end].copy_from_slice(&sol);
-        }
-    }
-}
-
-/// Which preconditioner an iterative backend builds — the typed,
-/// digestible description that travels through solver configs and the
-/// wire protocol (the actual [`Preconditioner`] is built at prepare
-/// time from the operator's entries).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum PrecondKind {
-    /// No preconditioning.
-    Identity,
-    /// Jacobi from the operator's exact diagonal (the default).
-    #[default]
-    Diagonal,
-    /// Block-Jacobi over contiguous index blocks of the given size.
-    BlockJacobi {
-        /// Panels per diagonal block (clamped to at least 1).
-        block: usize,
-    },
 }
 
 /// Iterative-solver caps shared by every Krylov-backed backend.
@@ -202,9 +96,9 @@ impl KrylovStats {
     }
 }
 
-/// Restarted, right-preconditioned GMRES(m) with an explicit
-/// [`Preconditioner`] — the one Krylov driver behind every iterative
-/// backend (FMM and pFFT both solve through here).
+/// Restarted, right-preconditioned GMRES(m) under Jacobi preconditioning
+/// — the one Krylov driver behind every iterative backend (FMM and pFFT
+/// both solve through here).
 ///
 /// # Errors
 ///
@@ -213,7 +107,7 @@ impl KrylovStats {
 ///   `cfg.tol` after `cfg.max_iters` total inner iterations.
 pub fn gmres_with(
     op: &dyn LinearOperator,
-    pre: &dyn Preconditioner,
+    pre: &DiagonalPrecond,
     b: &[f64],
     cfg: &KrylovConfig,
 ) -> Result<(Vec<f64>, KrylovStats), LinalgError> {
@@ -341,7 +235,7 @@ pub fn gmres_with(
 /// * any GMRES failure ([`LinalgError::NoConvergence`]).
 pub fn gmres_grouped(
     op: &dyn LinearOperator,
-    pre: &dyn Preconditioner,
+    pre: &DiagonalPrecond,
     weights: &[f64],
     group_of: &[usize],
     groups: usize,
@@ -417,8 +311,7 @@ mod tests {
 
     /// Jacobi preconditioning from `a`'s own diagonal.
     fn jacobi(a: &Matrix) -> DiagonalPrecond {
-        let diag: Vec<f64> = (0..a.rows()).map(|i| a.get(i, i)).collect();
-        DiagonalPrecond::from_diagonal(&diag)
+        DiagonalPrecond::new((0..a.rows()).map(|i| 1.0 / a.get(i, i)).collect())
     }
 
     fn cfg(restart: usize, tol: f64, max_iters: usize) -> KrylovConfig {
@@ -467,8 +360,10 @@ mod tests {
 
     #[test]
     fn zero_rhs_short_circuits() {
-        let op = DenseOperator::new(Matrix::identity(4)).unwrap();
-        let (x, stats) = gmres_with(&op, &IdentityPrecond, &[0.0; 4], &cfg(4, 1e-12, 10)).unwrap();
+        let a = Matrix::identity(4);
+        let pre = jacobi(&a);
+        let op = DenseOperator::new(a).unwrap();
+        let (x, stats) = gmres_with(&op, &pre, &[0.0; 4], &cfg(4, 1e-12, 10)).unwrap();
         assert_eq!(x, vec![0.0; 4]);
         assert_eq!(stats.matvecs, 0);
     }
@@ -484,8 +379,10 @@ mod tests {
 
     #[test]
     fn dimension_checked() {
-        let op = DenseOperator::new(Matrix::identity(3)).unwrap();
-        assert!(gmres_with(&op, &IdentityPrecond, &[1.0; 2], &cfg(2, 1e-10, 10)).is_err());
+        let a = Matrix::identity(3);
+        let pre = jacobi(&a);
+        let op = DenseOperator::new(a).unwrap();
+        assert!(gmres_with(&op, &pre, &[1.0; 2], &cfg(2, 1e-10, 10)).is_err());
         assert!(DenseOperator::new(Matrix::zeros(2, 3)).is_err());
     }
 
@@ -502,52 +399,6 @@ mod tests {
         // Full-length GMRES converges inside the first cycle.
         let (_, full) = gmres_with(&op, &pre, &b, &cfg(n, 1e-12, 2000)).unwrap();
         assert_eq!(full.restarts, 0, "{full:?}");
-    }
-
-    /// The backends precondition with `DiagonalPrecond::new` over the
-    /// operator's own inverse diagonal; building from the raw diagonal
-    /// must give the same preconditioner, bit for bit.
-    #[test]
-    fn diagonal_precond_matches_operator_precondition() {
-        let n = 20;
-        let a = spd(n);
-        let inv_diag: Vec<f64> = (0..n).map(|i| 1.0 / a.get(i, i)).collect();
-        let from_diagonal = jacobi(&a);
-        assert_eq!(from_diagonal.inv_diag(), &inv_diag[..]);
-        let op = DenseOperator::new(a).unwrap();
-        let b: Vec<f64> = (0..n).map(|i| (i as f64).sin()).collect();
-        let cfg = cfg(10, 1e-12, 1000);
-        let (x1, _) = gmres_with(&op, &DiagonalPrecond::new(inv_diag), &b, &cfg).unwrap();
-        let (x2, _) = gmres_with(&op, &from_diagonal, &b, &cfg).unwrap();
-        assert_eq!(x1, x2);
-    }
-
-    #[test]
-    fn identity_and_block_jacobi_preconds_still_converge() {
-        let n = 24;
-        let a = spd(n);
-        let x_true: Vec<f64> = (0..n).map(|i| ((i * 3) as f64 * 0.05).sin()).collect();
-        let b = a.matvec(&x_true);
-        let blocks: Vec<Matrix> = (0..n / 4)
-            .map(|blk| Matrix::from_fn(4, 4, |i, j| a.get(blk * 4 + i, blk * 4 + j)))
-            .collect();
-        let bj = BlockJacobiPrecond::new(blocks).unwrap();
-        assert_eq!(bj.dim(), n);
-        assert_eq!(bj.block_count(), 6);
-        let op = DenseOperator::new(a).unwrap();
-        let cfg = cfg(12, 1e-12, 2000);
-        for pre in [&IdentityPrecond as &dyn Preconditioner, &bj] {
-            let (x, stats) = gmres_with(&op, pre, &b, &cfg).unwrap();
-            assert!(stats.residual < 1e-12);
-            for (xi, ti) in x.iter().zip(&x_true) {
-                assert!((xi - ti).abs() < 1e-8);
-            }
-        }
-    }
-
-    #[test]
-    fn block_jacobi_rejects_singular_blocks() {
-        assert!(BlockJacobiPrecond::new(vec![Matrix::zeros(2, 2)]).is_err());
     }
 
     #[test]
@@ -585,9 +436,10 @@ mod tests {
 
     #[test]
     fn grouped_driver_checks_shapes() {
-        let op = DenseOperator::new(Matrix::identity(3)).unwrap();
+        let a = Matrix::identity(3);
+        let pre = jacobi(&a);
+        let op = DenseOperator::new(a).unwrap();
         let cfg = KrylovConfig::default();
-        let pre = IdentityPrecond;
         assert!(gmres_grouped(&op, &pre, &[1.0; 2], &[0, 0, 0], 1, &cfg).is_err());
         assert!(gmres_grouped(&op, &pre, &[1.0; 3], &[0, 2, 0], 2, &cfg).is_err());
     }

@@ -33,8 +33,7 @@ pub mod sparse;
 pub use cholesky::CholeskyFactor;
 pub use error::LinalgError;
 pub use krylov::{
-    gmres_grouped, gmres_with, BlockJacobiPrecond, DiagonalPrecond, IdentityPrecond, KrylovConfig,
-    KrylovStats, LinearOperator, PrecondKind, Preconditioner,
+    gmres_grouped, gmres_with, DiagonalPrecond, KrylovConfig, KrylovStats, LinearOperator,
 };
 pub use lu::LuFactor;
 pub use matrix::Matrix;

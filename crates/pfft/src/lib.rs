@@ -39,4 +39,4 @@ pub mod operator;
 pub mod parallel;
 
 pub use error::PfftError;
-pub use operator::{solve_capacitance, solve_prepared, PfftConfig, PfftOperator};
+pub use operator::{solve_prepared, PfftConfig, PfftOperator};

@@ -4,10 +4,9 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::time::Instant;
 
-use bemcap_geom::{Geometry, Mesh, Point3, EPS0};
+use bemcap_geom::{Mesh, Point3, EPS0};
 use bemcap_linalg::{
     gmres_grouped, kernels, DiagonalPrecond, KrylovConfig, KrylovStats, LinearOperator, Matrix,
-    Preconditioner,
 };
 use bemcap_quad::galerkin::{GalerkinEngine, PanelShape};
 
@@ -194,8 +193,8 @@ impl PfftOperator {
         &self.areas
     }
 
-    /// Inverse of the exact system diagonal — the Jacobi preconditioner
-    /// the solver builds by default.
+    /// Inverse of the exact system diagonal — what the solver's Jacobi
+    /// preconditioner is built from.
     pub fn inv_diag(&self) -> &[f64] {
         &self.inv_diag
     }
@@ -283,8 +282,10 @@ impl LinearOperator for PfftOperator {
 
 /// The solve step on an already-built operator — one conductor RHS per
 /// GMRES solve through the shared [`gmres_grouped`] driver
-/// (`bemcap_linalg`). The `bemcap-core` backend layer prepares the
-/// operator once and solves here, so construction is never duplicated.
+/// (`bemcap_linalg`) under the Jacobi preconditioner `pre` (built from
+/// [`PfftOperator::inv_diag`]). The `bemcap-core` backend layer prepares
+/// the operator once and solves here, so construction is never
+/// duplicated.
 ///
 /// # Errors
 ///
@@ -293,34 +294,12 @@ pub fn solve_prepared(
     op: &PfftOperator,
     mesh: &Mesh,
     n_cond: usize,
-    pre: &dyn Preconditioner,
+    pre: &DiagonalPrecond,
     krylov: &KrylovConfig,
 ) -> Result<(Matrix, KrylovStats), PfftError> {
     let conductor_of: Vec<usize> = mesh.panels().iter().map(|p| p.conductor).collect();
     let (c, stats) = gmres_grouped(op, pre, op.areas(), &conductor_of, n_cond, krylov)?;
     Ok((c, stats))
-}
-
-/// Full capacitance extraction with the pFFT operator and GMRES: builds
-/// the operator, then runs [`solve_prepared`] under the operator's Jacobi
-/// (diagonal) preconditioner.
-///
-/// # Errors
-///
-/// Propagates operator construction and Krylov errors.
-pub fn solve_capacitance(
-    geo: &Geometry,
-    mesh: &Mesh,
-    cfg: PfftConfig,
-    tol: f64,
-    restart: usize,
-    max_iters: usize,
-) -> Result<Matrix, PfftError> {
-    let op = PfftOperator::new(mesh, geo.eps_rel(), cfg)?;
-    let pre = DiagonalPrecond::new(op.inv_diag().to_vec());
-    let krylov = KrylovConfig { tol, restart, max_iters };
-    let (c, _) = solve_prepared(&op, mesh, geo.conductor_count(), &pre, &krylov)?;
-    Ok(c)
 }
 
 #[cfg(test)]
@@ -374,7 +353,10 @@ mod tests {
         let d = 0.25e-6;
         let geo = structures::parallel_plates(w, w, d);
         let mesh = Mesh::uniform(&geo, 8);
-        let c = solve_capacitance(&geo, &mesh, PfftConfig::default(), 1e-6, 40, 600).unwrap();
+        let op = PfftOperator::new(&mesh, geo.eps_rel(), PfftConfig::default()).unwrap();
+        let pre = DiagonalPrecond::new(op.inv_diag().to_vec());
+        let krylov = KrylovConfig::default();
+        let (c, _) = solve_prepared(&op, &mesh, geo.conductor_count(), &pre, &krylov).unwrap();
         let ideal = EPS0 * w * w / d;
         let c01 = -c.get(0, 1);
         assert!(c01 > ideal && c01 < 3.0 * ideal, "coupling {c01} vs ideal {ideal}");

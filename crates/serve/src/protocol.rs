@@ -27,7 +27,7 @@
 use bemcap_core::metrics::{MetricKind, Registry};
 use bemcap_core::{
     CacheStats, ChipExtraction, ExecStats, Extraction, Extractor, FmmConfig, KrylovConfig, Method,
-    PfftConfig, PrecondKind, SolverStats, Submission,
+    PfftConfig, SolverStats, Submission,
 };
 use serde_json::json;
 /// The JSON value tree every frame is built from and parsed into.
@@ -36,12 +36,13 @@ pub use serde_json::Value;
 use crate::error::ServeError;
 
 /// Protocol revision, reported by the `ping` op. Bump on any change to
-/// the frame shapes. Every revision so far is additive — v2 `batch`, v3
+/// the frame shapes. Revisions v2–v6 are additive — v2 `batch`, v3
 /// typed backend options, v4 `chip`, v5 `metrics`, v6 `snapshot`,
-/// `route_stats` and the front tier — so older frames still decode, and
-/// clients accept any daemon speaking at least their own version. The
-/// revision history is in `docs/WIRE_PROTOCOL.md`.
-pub const PROTOCOL_VERSION: u64 = 6;
+/// `route_stats` and the front tier; v7 removes the `precond` option
+/// (a non-null value is refused). Clients accept any daemon speaking at
+/// least their own version. The revision history is in
+/// `docs/WIRE_PROTOCOL.md`.
+pub const PROTOCOL_VERSION: u64 = 7;
 
 /// Machine-readable error codes of structured error responses.
 pub mod codes {
@@ -196,8 +197,6 @@ pub struct ExtractOptions {
     pub pfft: Option<PfftConfig>,
     /// Iterative caps shared by the Krylov backends (v3).
     pub krylov: Option<KrylovConfig>,
-    /// Preconditioner choice for the Krylov backends (v3).
-    pub precond: Option<PrecondKind>,
     /// `auto` method memory budget in bytes (v3).
     pub auto_budget: Option<usize>,
 }
@@ -211,7 +210,6 @@ impl Default for ExtractOptions {
             fmm: None,
             pfft: None,
             krylov: None,
-            precond: None,
             auto_budget: None,
         }
     }
@@ -237,9 +235,6 @@ pub fn build_extractor(options: &ExtractOptions) -> Extractor {
     }
     if let Some(k) = options.krylov {
         extractor = extractor.krylov_config(k);
-    }
-    if let Some(p) = options.precond {
-        extractor = extractor.preconditioner(p);
     }
     if let Some(b) = options.auto_budget {
         extractor = extractor.auto_memory_budget(b);
@@ -426,15 +421,23 @@ fn decode_options(v: &Value) -> Result<ExtractOptions, WireError> {
             .ok_or_else(|| WireError::bad("'mesh_divisions' must be a positive integer"))?;
         options.mesh_divisions = Some(n as usize);
     }
+    // Operator knobs are range-checked here: a zero leaf size would
+    // panic inside an executor worker, a zero spacing would solve on NaN.
+    let positive = |x: f64| x.is_finite() && x > 0.0;
     if let Some(f) = v.get("fmm").filter(|f| !f.is_null()) {
-        options.fmm = Some(FmmConfig {
-            theta: req(f, "fmm", "theta")?,
-            leaf_size: req(f, "fmm", "leaf_size")?,
-        });
+        let (theta, leaf_size) = (req(f, "fmm", "theta")?, req(f, "fmm", "leaf_size")?);
+        if !positive(theta) || leaf_size == 0 {
+            return Err(WireError::bad("'fmm' needs a positive 'theta' and 'leaf_size'"));
+        }
+        options.fmm = Some(FmmConfig { theta, leaf_size });
     }
     if let Some(p) = v.get("pfft").filter(|p| !p.is_null()) {
+        let spacing_factor = req(p, "pfft", "spacing_factor")?;
+        if !positive(spacing_factor) {
+            return Err(WireError::bad("'pfft' needs a positive 'spacing_factor'"));
+        }
         options.pfft = Some(PfftConfig {
-            spacing_factor: req(p, "pfft", "spacing_factor")?,
+            spacing_factor,
             near_cells: req(p, "pfft", "near_cells")?,
             max_grid_points: req(p, "pfft", "max_grid_points")?,
         });
@@ -446,20 +449,10 @@ fn decode_options(v: &Value) -> Result<ExtractOptions, WireError> {
             max_iters: req(k, "krylov", "max_iters")?,
         });
     }
-    if let Some(p) = v.get("precond").filter(|p| !p.is_null()) {
-        options.precond = Some(match p {
-            Value::String(s) if s == "identity" => PrecondKind::Identity,
-            Value::String(s) if s == "diagonal" => PrecondKind::Diagonal,
-            obj => match obj.get("block_jacobi").and_then(Value::as_u64) {
-                Some(block) if block > 0 => PrecondKind::BlockJacobi { block: block as usize },
-                _ => {
-                    return Err(WireError::bad(
-                        "'precond' must be \"identity\", \"diagonal\" \
-                         or {\"block_jacobi\": <positive block size>}",
-                    ))
-                }
-            },
-        });
+    // v7 removed the option; a client that sets it must not be solved
+    // silently under Jacobi.
+    if v.get("precond").is_some_and(|p| !p.is_null()) {
+        return Err(WireError::bad("'precond' was removed in protocol v7 (Jacobi is fixed)"));
     }
     if let Some(b) = v.get("auto_budget").filter(|b| !b.is_null()) {
         let bytes = b
@@ -469,15 +462,6 @@ fn decode_options(v: &Value) -> Result<ExtractOptions, WireError> {
         options.auto_budget = Some(bytes as usize);
     }
     Ok(options)
-}
-
-fn precond_value(precond: Option<PrecondKind>) -> Value {
-    match precond {
-        None => Value::Null,
-        Some(PrecondKind::Identity) => Value::String("identity".into()),
-        Some(PrecondKind::Diagonal) => Value::String("diagonal".into()),
-        Some(PrecondKind::BlockJacobi { block }) => json!({ "block_jacobi": block }),
-    }
 }
 
 /// Appends the shared solver-option fields to an encoded request object
@@ -500,7 +484,6 @@ fn push_options(v: &mut Value, options: &ExtractOptions) {
         .krylov
         .map(|k| json!({ "tol": k.tol, "restart": k.restart, "max_iters": k.max_iters }));
     push(v, "krylov", json!(krylov));
-    push(v, "precond", precond_value(options.precond));
     push(v, "auto_budget", json!(options.auto_budget));
 }
 
@@ -812,7 +795,6 @@ fn uses_typed_backend_options(options: &ExtractOptions) -> bool {
     options.fmm.is_some()
         || options.pfft.is_some()
         || options.krylov.is_some()
-        || options.precond.is_some()
         || options.auto_budget.is_some()
 }
 
@@ -828,7 +810,7 @@ fn decode_extraction(
     if workers.is_none() && uses_typed_backend_options(options) {
         return Err(WireError::bad(
             "daemon predates protocol v3 and would silently ignore the typed backend \
-             options (fmm/pfft/krylov/precond/auto_budget) — upgrade the daemon or \
+             options (fmm/pfft/krylov/auto_budget) — upgrade the daemon or \
              drop the typed fields",
         ));
     }
@@ -1379,7 +1361,6 @@ mod tests {
                         max_grid_points: 1 << 20,
                     }),
                     krylov: Some(KrylovConfig { tol: 1e-8, restart: 25, max_iters: 900 }),
-                    precond: Some(PrecondKind::BlockJacobi { block: 12 }),
                     auto_budget: Some(64 << 20),
                     ..Default::default()
                 },
@@ -1393,7 +1374,6 @@ mod tests {
                 options: ExtractOptions {
                     method: Method::PwcPfft,
                     krylov: Some(KrylovConfig { tol: 1e-7, restart: 30, max_iters: 500 }),
-                    precond: Some(PrecondKind::Identity),
                     ..Default::default()
                 },
             },
@@ -1457,8 +1437,14 @@ mod tests {
             r#"{"op":"extract","geometry":"g","fmm":{"theta":0.4}}"#,
             r#"{"op":"extract","geometry":"g","pfft":{"spacing_factor":1.0}}"#,
             r#"{"op":"extract","geometry":"g","krylov":{"tol":1e-6,"restart":40}}"#,
-            r#"{"op":"extract","geometry":"g","precond":"magic"}"#,
-            r#"{"op":"extract","geometry":"g","precond":{"block_jacobi":0}}"#,
+            r#"{"op":"extract","geometry":"g","fmm":{"theta":0.45,"leaf_size":0}}"#,
+            r#"{"op":"extract","geometry":"g","fmm":{"theta":0,"leaf_size":12}}"#,
+            r#"{"op":"extract","geometry":"g","fmm":{"theta":-1,"leaf_size":12}}"#,
+            r#"{"op":"extract","geometry":"g","fmm":{"theta":1e999,"leaf_size":12}}"#,
+            r#"{"op":"extract","geometry":"g","pfft":{"spacing_factor":0,"near_cells":2,"max_grid_points":4096}}"#,
+            r#"{"op":"extract","geometry":"g","pfft":{"spacing_factor":-1,"near_cells":2,"max_grid_points":4096}}"#,
+            r#"{"op":"extract","geometry":"g","precond":"diagonal"}"#,
+            r#"{"op":"extract","geometry":"g","precond":{"block_jacobi":8}}"#,
             r#"{"op":"extract","geometry":"g","auto_budget":0}"#,
             r#"{"op":"extract","geometry":"g","method":"auto","auto_budget":-5}"#,
         ];

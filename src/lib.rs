@@ -49,7 +49,7 @@ pub mod prelude {
         BatchExtractor, BatchJob, BatchPoint, BatchReport, BatchResult, CacheStats,
         CapacitanceMatrix, ChipCapacitance, ChipExtraction, ChipExtractor, ChipReport, ExecConfig,
         ExecStats, Executor, Extraction, ExtractionReport, Extractor, FmmConfig, JobReport,
-        KrylovConfig, Method, PfftConfig, PrecondKind, SolverStats, TemplateCache, WindowCache,
+        KrylovConfig, Method, PfftConfig, SolverStats, TemplateCache, WindowCache,
     };
     pub use bemcap_geom::{
         structures, Box3, Conductor, Geometry, GeometryDiff, Layout, Mesh, Panel, Partition,

@@ -3,8 +3,8 @@
 //! coalesces on. The contract pinned here:
 //!
 //! * two extractors differing in **any** knob of the *active* backend's
-//!   typed config (pFFT grid spacing, FMM tolerance, Krylov caps,
-//!   preconditioner, Auto budget) can never share a digest, so the
+//!   typed config (pFFT grid spacing, FMM tolerance, Krylov caps, Auto
+//!   budget) can never share a digest, so the
 //!   executor can never merge them into one micro-batch — coalescing
 //!   across differing backend configs is impossible *by construction*;
 //! * equal configurations always share a digest, so legitimate
@@ -15,7 +15,7 @@
 use std::sync::Arc;
 
 use bemcap_core::exec::{ExecConfig, Executor};
-use bemcap_core::{BatchJob, Extractor, FmmConfig, KrylovConfig, Method, PfftConfig, PrecondKind};
+use bemcap_core::{BatchJob, Extractor, FmmConfig, KrylovConfig, Method, PfftConfig};
 use bemcap_geom::structures::{self, CrossingParams};
 use proptest::prelude::*;
 
@@ -46,7 +46,8 @@ const COMMON: [u64; 13] = [
 const FMM: [u64; 2] = [0x3fdccccccccccccd, 0x000000000000000c];
 /// Default pFFT words: spacing 1.0, 2 near cells, 2²⁴ grid points.
 const PFFT: [u64; 3] = [0x3ff0000000000000, 0x0000000000000002, 0x0000000001000000];
-/// Default Krylov words: tol 1e-6, restart 40, 600 matvecs, diagonal.
+/// Default Krylov words: tol 1e-6, restart 40, 600 matvecs, and the
+/// retired preconditioner word, fixed at Jacobi's 1.
 const KRYLOV: [u64; 4] =
     [0x3eb0c6f7a0b5ed8d, 0x0000000000000028, 0x0000000000000258, 0x0000000000000001];
 
@@ -91,12 +92,6 @@ fn config_digest_words_are_pinned() {
             digest(2, &[&FMM, &[0x3e45798ee2308c3a, KRYLOV[1], KRYLOV[2], KRYLOV[3]]]),
         ),
         (
-            Extractor::new()
-                .method(Method::PwcPfft)
-                .preconditioner(PrecondKind::BlockJacobi { block: 8 }),
-            digest(3, &[&PFFT, &KRYLOV[..3], &[0x0000000200000008]]),
-        ),
-        (
             Extractor::new().method(Method::Auto).auto_memory_budget(64 << 20),
             digest(4, &[&[0x0000000004000000], &FMM, &PFFT, &KRYLOV]),
         ),
@@ -118,11 +113,10 @@ proptest! {
         spacing in 0.8..1.6f64,
         dspacing in 0.01..0.5f64,
         tol_exp in 4i32..10,
-        block in 2usize..32,
         budget_mib in 1usize..1024,
     ) {
         let tol = 10f64.powi(-tol_exp);
-        // FMM: theta, krylov tolerance, preconditioner.
+        // FMM: theta, krylov tolerance.
         let fmm = Extractor::new()
             .method(Method::PwcFmm)
             .fmm_config(FmmConfig { theta, ..Default::default() })
@@ -136,8 +130,6 @@ proptest! {
             .clone()
             .krylov_config(KrylovConfig { tol: tol * 0.5, ..Default::default() });
         prop_assert_ne!(fmm.config_digest(), fmm_tol.config_digest(), "krylov tol");
-        let fmm_pre = fmm.clone().preconditioner(PrecondKind::BlockJacobi { block });
-        prop_assert_ne!(fmm.config_digest(), fmm_pre.config_digest(), "preconditioner");
 
         // pFFT: grid spacing.
         let pfft = Extractor::new()
@@ -207,7 +199,6 @@ fn differing_backend_configs_never_coalesce_on_an_executor() {
         base.clone(),
         base.clone().pfft_config(PfftConfig { spacing_factor: 1.2, ..Default::default() }),
         base.clone().krylov_config(KrylovConfig { tol: 1e-8, ..Default::default() }),
-        base.clone().preconditioner(PrecondKind::Identity),
     ];
     let tickets: Vec<_> = variants
         .iter()
@@ -221,7 +212,7 @@ fn differing_backend_configs_never_coalesce_on_an_executor() {
         batches.push(sub.micro_batch);
     }
     assert_eq!(exec.stats().coalesced, 0);
-    assert_eq!(exec.stats().micro_batches, 4);
+    assert_eq!(exec.stats().micro_batches, 3);
 
     // Control: bit-identical configs on one shared cache are allowed to
     // coalesce (and always produce correct results either way).

@@ -72,7 +72,6 @@ fn typed_backend_configs_compose_through_the_prelude() {
         .fmm_config(FmmConfig { theta: 0.4, leaf_size: 10 })
         .pfft_config(PfftConfig::default())
         .krylov_config(KrylovConfig { tol: 1e-7, restart: 30, max_iters: 500 })
-        .preconditioner(PrecondKind::Diagonal)
         .auto_memory_budget(128 << 20)
         .extract(&geo)
         .expect("typed-config extraction");

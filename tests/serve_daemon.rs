@@ -306,15 +306,13 @@ fn every_method_variant_with_typed_configs_is_bit_identical_via_the_daemon() {
                 mesh_divisions: Some(5),
                 fmm: Some(fmm),
                 krylov: Some(krylov),
-                precond: Some(PrecondKind::BlockJacobi { block: 8 }),
                 ..Default::default()
             },
             Extractor::new()
                 .method(Method::PwcFmm)
                 .mesh_divisions(5)
                 .fmm_config(fmm)
-                .krylov_config(krylov)
-                .preconditioner(PrecondKind::BlockJacobi { block: 8 }),
+                .krylov_config(krylov),
             "pwc-fmm",
             true,
         ),
@@ -475,6 +473,26 @@ fn malformed_requests_get_structured_errors_and_the_connection_survives() {
     }
     client.ping().expect("still alive");
 
+    client.shutdown().expect("shutdown");
+    server.join().expect("clean daemon exit");
+}
+
+#[test]
+fn hostile_operator_config_is_refused_and_the_single_worker_survives() {
+    // A zero FMM leaf size used to reach `Octree::build` and kill the
+    // daemon's only executor worker, wedging every later request.
+    let server = spawn_server(ServerConfig { workers: 1, ..ServerConfig::default() });
+    let mut client = Client::connect(server.addr()).expect("connect");
+    client.set_io_timeout(Some(std::time::Duration::from_secs(30))).expect("timeout");
+    let v = client
+        .send_raw(
+            r#"{"op":"extract","id":1,"geometry":"conductor a\nbox 0 0 0 1 1 1\n","method":"pwc-fmm","fmm":{"theta":0.45,"leaf_size":0}}"#,
+        )
+        .expect("response");
+    assert_eq!(v["error"]["code"].as_str(), Some("bad-request"), "{v:?}");
+    let geo = structures::crossing_wires(structures::CrossingParams::default());
+    let reply = client.extract(&geo, &ExtractOptions::default()).expect("healthy extract");
+    assert_bit_identical(&reply, &Extractor::new().extract(&geo).expect("local"), "after");
     client.shutdown().expect("shutdown");
     server.join().expect("clean daemon exit");
 }

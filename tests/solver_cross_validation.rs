@@ -7,7 +7,8 @@ use bemcap_core::{BatchExtractor, Extractor, Method};
 use bemcap_fmm::FmmSolver;
 use bemcap_geom::structures::{self, CrossingParams};
 use bemcap_geom::{Geometry, Mesh, EPS0};
-use bemcap_pfft::{operator::solve_capacitance as pfft_solve, PfftConfig};
+use bemcap_linalg::DiagonalPrecond;
+use bemcap_pfft::{PfftConfig, PfftOperator};
 
 #[test]
 fn four_solvers_agree_on_crossing_wires() {
@@ -16,7 +17,11 @@ fn four_solvers_agree_on_crossing_wires() {
 
     let dense = DensePwcSolver.solve(&geo, &mesh).expect("dense");
     let fmm = FmmSolver::default().solve(&geo, &mesh).expect("fmm").capacitance;
-    let pfft = pfft_solve(&geo, &mesh, PfftConfig::default(), 1e-6, 40, 600).expect("pfft");
+    let op = PfftOperator::new(&mesh, geo.eps_rel(), PfftConfig::default()).expect("pfft operator");
+    let pre = DiagonalPrecond::new(op.inv_diag().to_vec());
+    let (pfft, _) =
+        bemcap_pfft::solve_prepared(&op, &mesh, geo.conductor_count(), &pre, &Default::default())
+            .expect("pfft");
     let inst = Extractor::new()
         .method(Method::InstantiableBasis)
         .extract(&geo)
