@@ -37,10 +37,22 @@
 use std::process::ExitCode;
 use std::time::Instant;
 
-use bemcap_bench::fmt_seconds;
 use bemcap_geom::structures::{self, BusParams, CrossingParams};
 use bemcap_geom::Geometry;
 use bemcap_serve::{Client, ExtractOptions, MetricsReply, ServeError, Server, ServerConfig};
+
+/// Formats seconds adaptively (ns/µs/ms/s).
+fn fmt_seconds(s: f64) -> String {
+    if s < 1e-6 {
+        format!("{:.0} ns", s * 1e9)
+    } else if s < 1e-3 {
+        format!("{:.2} µs", s * 1e6)
+    } else if s < 1.0 {
+        format!("{:.2} ms", s * 1e3)
+    } else {
+        format!("{s:.2} s")
+    }
+}
 
 const USAGE: &str = "usage: bemcap-load [--addr HOST:PORT] [--clients N] [--passes N] \
                      [--workers N] [--cache-mb N] [--queue N] [--coalesce N] \
@@ -578,4 +590,17 @@ fn main() -> ExitCode {
         }
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn formatting() {
+        assert_eq!(fmt_seconds(3.2e-7), "320 ns");
+        assert_eq!(fmt_seconds(3.2e-5), "32.00 µs");
+        assert_eq!(fmt_seconds(3.2e-2), "32.00 ms");
+        assert_eq!(fmt_seconds(3.2), "3.20 s");
+    }
 }

@@ -159,7 +159,7 @@ fn evaluate_in_mode(
 }
 
 /// Chunks of a self-scheduled region per thread.
-const CHUNKS_PER_THREAD: usize = 16;
+pub const CHUNKS_PER_THREAD: usize = 16;
 
 /// Fig. 4's workers on `threads` threads, each taking the next of
 /// `CHUNKS_PER_THREAD · threads` equal chunks of `0..total` until none is

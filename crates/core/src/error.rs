@@ -57,6 +57,10 @@ pub enum CoreError {
         /// What went wrong inside the window's extraction.
         source: Box<CoreError>,
     },
+    /// A job panicked inside an executor worker. The panic was contained:
+    /// only this job failed, and the worker went on with the next one.
+    /// Carries the panic message.
+    JobPanicked(String),
 }
 
 impl fmt::Display for CoreError {
@@ -80,6 +84,7 @@ impl fmt::Display for CoreError {
             CoreError::ChipWindow { window, source } => {
                 write!(f, "chip window {window} failed: {source}")
             }
+            CoreError::JobPanicked(message) => write!(f, "job panicked: {message}"),
         }
     }
 }
@@ -91,7 +96,7 @@ impl Error for CoreError {
             CoreError::Linalg(e) => Some(e),
             CoreError::Fmm(e) => Some(e),
             CoreError::Pfft(e) => Some(e),
-            CoreError::EmptyGeometry | CoreError::Busy { .. } => None,
+            CoreError::EmptyGeometry | CoreError::Busy { .. } | CoreError::JobPanicked(_) => None,
             CoreError::BatchJob { source, .. } => Some(source.as_ref()),
             CoreError::Geometry(e) => Some(e),
             CoreError::ChipWindow { source, .. } => Some(source.as_ref()),

@@ -33,8 +33,9 @@
 //! it.
 
 use std::collections::HashMap;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use bemcap_par::WorkQueue;
@@ -235,7 +236,7 @@ impl Executor {
 
     /// Jobs admitted but not yet started.
     pub fn queued_jobs(&self) -> usize {
-        self.shared.pending.lock().expect("executor poisoned").waiting_jobs
+        self.shared.pending().waiting_jobs
     }
 
     /// Jobs currently executing on workers.
@@ -295,7 +296,7 @@ impl Executor {
             cache: cache.as_ref().map_or(0, |c| Arc::as_ptr(c) as usize),
         };
         let cfg = self.shared.cfg;
-        let mut pending = self.shared.pending.lock().expect("executor poisoned");
+        let mut pending = self.shared.pending();
         if pending.waiting_jobs + n > cfg.queue_depth {
             let queued = pending.waiting_jobs;
             drop(pending);
@@ -412,6 +413,12 @@ pub(crate) fn fan_out(
 }
 
 impl Shared {
+    /// The queue state. Every critical section leaves it consistent, so a
+    /// lock poisoned by a panicking thread is recovered, not propagated.
+    fn pending(&self) -> MutexGuard<'_, Pending> {
+        self.pending.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     fn new(cfg: ExecConfig) -> Shared {
         Shared {
             cfg,
@@ -439,7 +446,7 @@ impl Shared {
 /// still visible as waiting work and still hold their queue slots.
 fn run_micro_batch(shared: &Arc<Shared>, seq: u64, worker: usize) {
     let batch = {
-        let mut pending = shared.pending.lock().expect("executor poisoned");
+        let mut pending = shared.pending();
         let batch = pending.batches.remove(&seq).expect("queued micro-batch exists");
         if pending.open.get(&batch.key) == Some(&seq) {
             pending.open.remove(&batch.key);
@@ -460,11 +467,15 @@ fn run_micro_batch(shared: &Arc<Shared>, seq: u64, worker: usize) {
         metrics().exec_queue_wait_nanos.add((queue_seconds * 1e9) as u64);
         let mut outcomes = Vec::with_capacity(sub.jobs.len());
         for job in &sub.jobs {
-            shared.pending.lock().expect("executor poisoned").waiting_jobs -= 1;
+            shared.pending().waiting_jobs -= 1;
             shared.running.fetch_add(1, Ordering::SeqCst);
             let t = Instant::now();
-            let result =
-                batch.extractor.extract_with(&engine, batch.cache.as_deref(), &job.geometry);
+            // A panicking job answers its own submission; the worker and
+            // the rest of the micro-batch carry on.
+            let result = panic::catch_unwind(AssertUnwindSafe(|| {
+                batch.extractor.extract_with(&engine, batch.cache.as_deref(), &job.geometry)
+            }))
+            .unwrap_or_else(|payload| Err(CoreError::JobPanicked(panic_message(payload.as_ref()))));
             let seconds = t.elapsed().as_secs_f64();
             shared.jobs_run.fetch_add(1, Ordering::Relaxed);
             metrics().exec_jobs.inc();
@@ -479,6 +490,15 @@ fn run_micro_batch(shared: &Arc<Shared>, seq: u64, worker: usize) {
             micro_batch: seq,
             micro_batch_jobs: total_jobs,
         });
+    }
+}
+
+/// The message a panic was raised with, when it carries one.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    match (payload.downcast_ref::<&str>(), payload.downcast_ref::<String>()) {
+        (Some(s), _) => (*s).to_string(),
+        (_, Some(s)) => s.clone(),
+        _ => "non-string panic payload".to_string(),
     }
 }
 
@@ -751,6 +771,29 @@ mod tests {
             Some((1, CoreError::EmptyGeometry)) => {}
             other => panic!("expected lowest failing index 1, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn panicking_job_is_contained_and_the_worker_serves_on() {
+        let exec = Executor::new(ExecConfig { workers: 1, queue_depth: 128, coalesce_limit: 1 });
+        // A zero leaf size still asserts inside `Octree::build`.
+        let fmm = crate::FmmConfig { leaf_size: 0, ..Default::default() };
+        let bad = Extractor::new().method(Method::PwcFmm).mesh_divisions(2).fmm_config(fmm);
+        let bad = exec.submit(&bad, None, vec![job(0.5e-6)]).expect("admitted");
+        let ex = Extractor::new();
+        let healthy: Vec<Ticket> = (0..100)
+            .map(|i| exec.submit(&ex, None, vec![job((0.4 + 0.01 * i as f64) * 1e-6)]))
+            .collect::<Result<_, _>>()
+            .expect("admitted");
+        match bad.wait().first_failure() {
+            Some((0, CoreError::JobPanicked(message))) => assert!(!message.is_empty()),
+            other => panic!("expected a contained panic, got {other:?}"),
+        }
+        for ticket in healthy {
+            assert!(ticket.wait().first_failure().is_none());
+        }
+        assert_eq!((exec.running_jobs(), exec.queued_jobs()), (0, 0));
+        assert_eq!(exec.stats().jobs, 101);
     }
 
     #[test]

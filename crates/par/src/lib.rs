@@ -19,8 +19,7 @@
 //!   the substrate of `bemcap-core`'s admission-controlled executor (the
 //!   scoped pool forks and joins per region; the queue stays alive for a
 //!   daemon's lifetime);
-//! * [`trace`] — workload-balance statistics for the static partition,
-//!   plus the process-lifetime metrics layer: atomic counter/gauge
+//! * [`trace`] — the process-lifetime metrics layer: atomic counter/gauge
 //!   [`trace::Metric`]s in a global [`trace::Registry`] and
 //!   [`trace::Span`] timing scopes, scrapable as a Prometheus-style
 //!   text exposition.
@@ -44,7 +43,7 @@ pub mod queue;
 pub mod trace;
 
 pub use error::ParError;
-pub use machine::{CommModel, MachineSim, Phase, SimReport};
+pub use machine::{CommModel, MachineSim, Phase, Schedule, SimReport};
 pub use mpi::{Comm, Universe};
 pub use partition::{ij_to_k, k_to_ij, partition_ranges, triangle_size};
 pub use queue::WorkQueue;

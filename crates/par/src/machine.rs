@@ -11,14 +11,18 @@
 //!   the *actual byte counts* of the message-passing runtime;
 //! * barriers and serial sections model the algorithms' dependency
 //!   structure (tree levels for FMM, transposes for FFT, the final gather
-//!   of partial matrices for Algorithm 1).
+//!   of pair values for Algorithm 1).
 //!
 //! Because every input is measured and the schedule is deterministic, the
 //! resulting speedup/efficiency reflect the *algorithms'* scalability —
 //! load balance, serial fraction, communication volume — rather than the
 //! host's core count.
 
+use std::ops::Range;
+
 use serde::{Deserialize, Serialize};
+
+use crate::partition::partition_ranges;
 
 /// α–β communication cost model: a message of `b` bytes costs
 /// `latency + b · inv_bandwidth` seconds.
@@ -75,7 +79,7 @@ pub enum Phase {
         bytes: usize,
     },
     /// Every node sends its payload to node 0, which receives serially —
-    /// the partial-matrix gather of Fig. 6.
+    /// the value gather of Figs. 5–6.
     GatherTo0 {
         /// Bytes sent by each node (length must equal the node count;
         /// entry 0 is ignored).
@@ -208,22 +212,48 @@ impl MachineSim {
         SimReport { nodes: d, makespan, total_work, comm_seconds }
     }
 
-    /// Convenience: simulate Algorithm 1's setup on this machine from the
-    /// per-task costs. Tasks are split into D contiguous ranges (the static
-    /// partition); the per-node partial matrices of `partial_bytes` are
-    /// gathered to node 0; `serial_pre`/`serial_post` model the sequential
-    /// sections (input parsing + allocation, and the dense solve).
+    /// Algorithm 1's setup step on this machine: `serial_pre`, the
+    /// evaluation of the `distinct` pair-key list split as `schedule`
+    /// splits it, then `serial_post`. `task_costs` are the measured
+    /// seconds of equal consecutive slices of that list (the slices of
+    /// `assembly::measure_chunk_costs_best_of`); a node's share of a
+    /// slice costs its share of the slice's values.
     pub fn simulate_setup(
         &self,
+        schedule: Schedule,
         task_costs: &[f64],
-        partial_bytes: usize,
+        distinct: usize,
         serial_pre: f64,
         serial_post: f64,
     ) -> SimReport {
-        let ranges = crate::partition::partition_ranges(task_costs.len(), self.nodes);
-        let costs: Vec<f64> = ranges.iter().map(|r| task_costs[r.clone()].iter().sum()).collect();
-        let mut bytes = vec![partial_bytes; self.nodes];
-        bytes[0] = 0;
+        let tasks = partition_ranges(distinct, task_costs.len().max(1));
+        let cost_of = |r: &Range<usize>| -> f64 {
+            tasks
+                .iter()
+                .zip(task_costs)
+                .filter(|(t, _)| !t.is_empty())
+                .map(|(t, c)| {
+                    let overlap = r.end.min(t.end).saturating_sub(r.start.max(t.start));
+                    c * overlap as f64 / t.len() as f64
+                })
+                .sum()
+        };
+        let d = self.nodes;
+        let (costs, bytes) = match schedule {
+            Schedule::Gathered => {
+                let slices = partition_ranges(distinct, d);
+                let bytes = slices.iter().enumerate().map(|(n, r)| (n > 0) as usize * 8 * r.len());
+                (slices.iter().map(cost_of).collect(), bytes.collect())
+            }
+            Schedule::SelfScheduled { chunks_per_node } => {
+                let mut clock = vec![0.0f64; d];
+                for chunk in partition_ranges(distinct, chunks_per_node.max(1) * d) {
+                    let idle = (0..d).min_by(|&a, &b| clock[a].total_cmp(&clock[b]));
+                    clock[idle.unwrap_or(0)] += cost_of(&chunk);
+                }
+                (clock, vec![0; d])
+            }
+        };
         self.simulate(&[
             Phase::Serial { seconds: serial_pre },
             Phase::Broadcast { bytes: 1024 }, // template definitions
@@ -232,6 +262,24 @@ impl MachineSim {
             Phase::Serial { seconds: serial_post },
         ])
     }
+}
+
+/// Who evaluates which slice of the distinct pair-key list in
+/// [`MachineSim::simulate_setup`], as the two parallel modes of
+/// `bemcap_core::assembly` split it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum Schedule {
+    /// Message passing (`assemble_distributed`): node d evaluates the
+    /// d-th contiguous slice, and nodes 1…D−1 send 8 B per value to
+    /// node 0.
+    Gathered,
+    /// Shared memory (`assemble_threaded`): `chunks_per_node · D` equal
+    /// chunks, each taken by the first node to fall idle; the values
+    /// stay in shared memory.
+    SelfScheduled {
+        /// Chunks per node (`assembly::CHUNKS_PER_THREAD`).
+        chunks_per_node: usize,
+    },
 }
 
 #[cfg(test)]
@@ -317,12 +365,39 @@ mod tests {
         // the tiny serial and gather overheads — the paper's ~90 %.
         // 0.1 s of parallel work, 0.2 % serial: eff@10 ≈ 0.98 (Amdahl).
         let tasks = vec![1e-5; 10_000];
-        let t1 = machine(1).simulate_setup(&tasks, 0, 1e-4, 1e-4).makespan;
-        for d in [2, 4, 8, 10] {
-            let r = machine(d).simulate_setup(&tasks, 80_000, 1e-4, 1e-4);
-            let eff = r.efficiency(t1);
-            assert!(eff > 0.9 && eff <= 1.0, "d={d}: eff={eff}");
+        let values = 100_000;
+        for schedule in [Schedule::Gathered, Schedule::SelfScheduled { chunks_per_node: 16 }] {
+            let t1 = machine(1).simulate_setup(schedule, &tasks, values, 1e-4, 1e-4).makespan;
+            for d in [2, 4, 8, 10] {
+                let r = machine(d).simulate_setup(schedule, &tasks, values, 1e-4, 1e-4);
+                let eff = r.efficiency(t1);
+                assert!(eff > 0.9 && eff <= 1.0, "{schedule:?} d={d}: eff={eff}");
+            }
         }
+    }
+
+    #[test]
+    fn gathered_setup_charges_eight_bytes_per_value() {
+        // No compute: the makespan is the broadcast plus node 1's slice of
+        // 500 000 values (4 MB at 1 GB/s) arriving after one latency.
+        let m = MachineSim::new(2, CommModel::cluster());
+        let r = m.simulate_setup(Schedule::Gathered, &[0.0; 8], 1_000_000, 0.0, 0.0);
+        let expect = CommModel::cluster().message_cost(1024) + 1.0e-5 + 4.0e-3;
+        assert!((r.makespan - expect).abs() < 1e-12, "{}", r.makespan);
+    }
+
+    #[test]
+    fn self_scheduling_absorbs_skew() {
+        // All the cost in the first quarter of the list: the static split
+        // leaves one of four nodes with everything, the chunks spread it.
+        let mut tasks = vec![0.0; 64];
+        tasks[..16].fill(1.0);
+        let m = machine(4);
+        let gathered = m.simulate_setup(Schedule::Gathered, &tasks, 6400, 0.0, 0.0);
+        let chunked = Schedule::SelfScheduled { chunks_per_node: 16 };
+        let scheduled = m.simulate_setup(chunked, &tasks, 6400, 0.0, 0.0);
+        assert!((gathered.makespan - 16.0).abs() < 1e-3, "{}", gathered.makespan);
+        assert!((scheduled.makespan - 4.0).abs() < 1e-3, "{}", scheduled.makespan);
     }
 
     #[test]

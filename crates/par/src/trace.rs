@@ -1,59 +1,17 @@
-//! Workload-balance statistics and the process-lifetime metrics layer.
+//! The process-lifetime metrics layer.
 //!
-//! Two independent facilities share this module:
-//!
-//! * [`BalanceStats`] / [`balance_of_partition`] — §3 argues that
-//!   dividing work by *entries of P̃* is "sufficiently balanced" even
-//!   though individual integral costs vary with template type and
-//!   orientation. These statistics quantify that claim for Table 3's
-//!   commentary.
-//! * [`Metric`] / [`Registry`] / [`Span`] — a lightweight observability
-//!   substrate: monotonic counters and point-in-time gauges over a
-//!   single `AtomicU64` each, registered once in a process-lifetime
-//!   [`Registry`] and scraped as a Prometheus-style text exposition or a
-//!   structured snapshot. The hot path costs one relaxed atomic add and
-//!   never allocates; registration (cold, once per metric name) leaks
-//!   one small allocation so handles are `&'static` and free to copy
-//!   into any thread.
+//! [`Metric`] / [`Registry`] / [`Span`] are a lightweight observability
+//! substrate: monotonic counters and point-in-time gauges over a single
+//! `AtomicU64` each, registered once in a process-lifetime [`Registry`]
+//! and scraped as a Prometheus-style text exposition or a structured
+//! snapshot. The hot path costs one relaxed atomic add and never
+//! allocates; registration (cold, once per metric name) leaks one small
+//! allocation so handles are `&'static` and free to copy into any
+//! thread.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
-
-use serde::{Deserialize, Serialize};
-
-use crate::partition::partition_ranges;
-
-/// Balance statistics of one partitioned workload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct BalanceStats {
-    /// Per-node total cost.
-    pub per_node: Vec<f64>,
-    /// Largest per-node cost.
-    pub max: f64,
-    /// Mean per-node cost.
-    pub mean: f64,
-    /// `max / mean` — 1.0 is perfect balance; the parallel efficiency of a
-    /// pure compute phase is bounded by `mean / max`.
-    pub imbalance: f64,
-}
-
-/// Computes balance statistics for `task_costs` split into `d` contiguous
-/// ranges (Algorithm 1's partition).
-///
-/// # Panics
-///
-/// Panics if `d == 0`.
-pub fn balance_of_partition(task_costs: &[f64], d: usize) -> BalanceStats {
-    let per_node: Vec<f64> = partition_ranges(task_costs.len(), d)
-        .into_iter()
-        .map(|r| task_costs[r].iter().sum())
-        .collect();
-    let max = per_node.iter().cloned().fold(0.0, f64::max);
-    let mean = per_node.iter().sum::<f64>() / d as f64;
-    let imbalance = if mean > 0.0 { max / mean } else { 1.0 };
-    BalanceStats { per_node, max, mean, imbalance }
-}
 
 /// What a [`Metric`] measures, mirroring the two Prometheus families the
 /// text exposition can express.
@@ -273,32 +231,6 @@ impl Drop for Span<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn uniform_costs_are_balanced() {
-        let costs = vec![1.0; 1000];
-        let s = balance_of_partition(&costs, 8);
-        assert!(s.imbalance < 1.01, "imbalance {}", s.imbalance);
-        assert_eq!(s.per_node.len(), 8);
-    }
-
-    #[test]
-    fn skewed_costs_show_imbalance() {
-        // All cost concentrated in the first range.
-        let mut costs = vec![0.0; 100];
-        for c in costs.iter_mut().take(25) {
-            *c = 1.0;
-        }
-        let s = balance_of_partition(&costs, 4);
-        assert!((s.imbalance - 4.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empty_workload() {
-        let s = balance_of_partition(&[], 4);
-        assert_eq!(s.imbalance, 1.0);
-        assert_eq!(s.max, 0.0);
-    }
 
     #[test]
     fn counters_accumulate_and_registration_is_idempotent() {

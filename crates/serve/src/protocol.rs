@@ -186,7 +186,8 @@ impl Request {
 pub struct ExtractOptions {
     /// Solver backend (default [`Method::InstantiableBasis`]).
     pub method: Method,
-    /// §4.2.3 tabulated-primitive acceleration (default off).
+    /// §4.2.3 tabulated-primitive acceleration (default off). Only the
+    /// instantiable method reads it ([`Extractor::accelerated`]).
     pub accelerated: bool,
     /// Mesh resolution for the piecewise-constant backends
     /// (`None` = the extractor's default).
@@ -422,7 +423,9 @@ fn decode_options(v: &Value) -> Result<ExtractOptions, WireError> {
         options.mesh_divisions = Some(n as usize);
     }
     // Operator knobs are range-checked here: a zero leaf size would
-    // panic inside an executor worker, a zero spacing would solve on NaN.
+    // panic inside an executor worker, a zero spacing would solve on NaN,
+    // and a raised grid cap would let a fine spacing allocate a grid of
+    // any size (an out-of-memory kill no `catch_unwind` contains).
     let positive = |x: f64| x.is_finite() && x > 0.0;
     if let Some(f) = v.get("fmm").filter(|f| !f.is_null()) {
         let (theta, leaf_size) = (req(f, "fmm", "theta")?, req(f, "fmm", "leaf_size")?);
@@ -436,10 +439,15 @@ fn decode_options(v: &Value) -> Result<ExtractOptions, WireError> {
         if !positive(spacing_factor) {
             return Err(WireError::bad("'pfft' needs a positive 'spacing_factor'"));
         }
+        let max_grid_points = req(p, "pfft", "max_grid_points")?;
+        let cap = PfftConfig::default().max_grid_points;
+        if max_grid_points > cap {
+            return Err(WireError::bad(format!("'pfft' 'max_grid_points' may not exceed {cap}")));
+        }
         options.pfft = Some(PfftConfig {
             spacing_factor,
             near_cells: req(p, "pfft", "near_cells")?,
-            max_grid_points: req(p, "pfft", "max_grid_points")?,
+            max_grid_points,
         });
     }
     if let Some(k) = v.get("krylov").filter(|k| !k.is_null()) {
@@ -1443,6 +1451,7 @@ mod tests {
             r#"{"op":"extract","geometry":"g","fmm":{"theta":1e999,"leaf_size":12}}"#,
             r#"{"op":"extract","geometry":"g","pfft":{"spacing_factor":0,"near_cells":2,"max_grid_points":4096}}"#,
             r#"{"op":"extract","geometry":"g","pfft":{"spacing_factor":-1,"near_cells":2,"max_grid_points":4096}}"#,
+            r#"{"op":"extract","geometry":"g","pfft":{"spacing_factor":0.01,"near_cells":2,"max_grid_points":16777217}}"#,
             r#"{"op":"extract","geometry":"g","precond":"diagonal"}"#,
             r#"{"op":"extract","geometry":"g","precond":{"block_jacobi":8}}"#,
             r#"{"op":"extract","geometry":"g","auto_budget":0}"#,
@@ -1451,6 +1460,8 @@ mod tests {
         for line in bad {
             assert_eq!(decode_request(line).unwrap_err().code, codes::BAD_REQUEST, "{line}");
         }
+        let at_cap = r#"{"op":"extract","geometry":"g","pfft":{"spacing_factor":1,"near_cells":2,"max_grid_points":16777216}}"#;
+        assert!(decode_request(at_cap).is_ok(), "the default cap itself is allowed");
     }
 
     #[test]

@@ -480,10 +480,8 @@ fn extract(
     let extractor = build_extractor(&options);
     let sub = run_on_executor(state, &extractor, vec![BatchJob::new("request", geo)])?;
     let outcome = &sub.outcomes[0];
-    let (extraction, cache) = outcome
-        .result
-        .as_ref()
-        .map_err(|e| DispatchError { code: codes::EXTRACTION, message: e.to_string() })?;
+    let (extraction, cache) =
+        outcome.result.as_ref().map_err(|e| extraction_error(e, e.to_string()))?;
     Ok(ExtractReply::encode(extraction, cache, &sub))
 }
 
@@ -505,10 +503,7 @@ fn batch(
     // Lowest-failing-index semantics, mirroring `CoreError::BatchJob`:
     // the whole frame fails with the first failing geometry's error.
     if let Some((index, e)) = sub.first_failure() {
-        return Err(DispatchError {
-            code: codes::EXTRACTION,
-            message: format!("geometry {index}: {e}"),
-        });
+        return Err(extraction_error(e, format!("geometry {index}: {e}")));
     }
     Ok(ExtractReply::encode_batch(&batch_results(&sub.outcomes)?, Some(&sub)))
 }
@@ -537,14 +532,43 @@ fn chip(
     let full = chip.extract(&geo).map_err(|e| match e {
         CoreError::Busy { .. } => DispatchError { code: codes::BUSY, message: e.to_string() },
         CoreError::Geometry(_) => DispatchError { code: codes::GEOMETRY, message: e.to_string() },
-        other => DispatchError { code: codes::EXTRACTION, message: other.to_string() },
+        other => extraction_error(&other, other.to_string()),
     })?;
     Ok(ChipReply::encode(&full))
+}
+
+/// A failed job's reply: `extraction`, or `internal` when the executor
+/// contained a panic of the job, which is a daemon bug rather than a
+/// fault of the request.
+fn extraction_error(e: &CoreError, message: String) -> DispatchError {
+    fn panicked(e: &CoreError) -> bool {
+        match e {
+            CoreError::JobPanicked(_) => true,
+            CoreError::BatchJob { source, .. } | CoreError::ChipWindow { source, .. } => {
+                panicked(source)
+            }
+            _ => false,
+        }
+    }
+    let code = if panicked(e) { codes::INTERNAL } else { codes::EXTRACTION };
+    DispatchError { code, message }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn contained_panics_answer_internal() {
+        let code = |e: &CoreError| extraction_error(e, e.to_string()).code;
+        let panic = CoreError::JobPanicked("boom".into());
+        assert_eq!(code(&panic), codes::INTERNAL);
+        assert_eq!(
+            code(&CoreError::ChipWindow { window: 3, source: Box::new(panic) }),
+            codes::INTERNAL
+        );
+        assert_eq!(code(&CoreError::EmptyGeometry), codes::EXTRACTION);
+    }
 
     fn test_state() -> ServerState {
         let cfg = ServerConfig { workers: 1, ..ServerConfig::default() };

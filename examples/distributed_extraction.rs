@@ -3,16 +3,18 @@
 //! 1…r−1 send their values to rank 0 over the message-passing runtime, and
 //! rank 0 accumulates P exactly as the sequential assembly does (the
 //! printed diff is 0). The simulated parallel machine then projects the
-//! measured costs onto a 10-node cluster — how the Table 3
-//! distributed-memory column is produced.
+//! measured costs onto a 10-node cluster, charging each rank 8 B per
+//! value it sends — the model behind the distributed-memory rows of the
+//! `scoreboard` bin's Table 3 (`cargo run --release -p bemcap-bench
+//! --bin scoreboard`).
 //!
 //! Run with: `cargo run --release --example distributed_extraction`
 
 use bemcap_basis::instantiate::{instantiate, InstantiateConfig};
-use bemcap_basis::TemplateIndex;
+use bemcap_basis::{PairPlan, TemplateIndex};
 use bemcap_core::assembly;
 use bemcap_geom::structures;
-use bemcap_par::{CommModel, MachineSim};
+use bemcap_par::{CommModel, MachineSim, Schedule};
 use bemcap_quad::galerkin::GalerkinEngine;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -36,21 +38,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Measured per-chunk costs → simulated 1..10-node distributed machine.
     let costs = assembly::measure_chunk_costs_best_of(&eng, &index, 512, 1);
-    let n = index.basis_count();
-    let partial_bytes = n * n * 8; // the paper's per-node partial matrix, an upper bound
+    let distinct = PairPlan::new(&index).distinct();
     let serial = 0.02 * costs.iter().sum::<f64>(); // parse+allocate+solve share
-    let t1 = MachineSim::new(1, CommModel::cluster())
-        .simulate_setup(&costs, 0, serial / 2.0, serial / 2.0)
-        .makespan;
+    let simulate = |d| {
+        MachineSim::new(d, CommModel::cluster()).simulate_setup(
+            Schedule::Gathered,
+            &costs,
+            distinct,
+            serial / 2.0,
+            serial / 2.0,
+        )
+    };
+    let t1 = simulate(1).makespan;
     println!("\nsimulated distributed-memory scaling (cluster comm model):");
     println!("{:>6} {:>10} {:>9} {:>6}", "nodes", "time", "speedup", "eff");
     for d in [1usize, 2, 4, 8, 10] {
-        let r = MachineSim::new(d, CommModel::cluster()).simulate_setup(
-            &costs,
-            partial_bytes,
-            serial / 2.0,
-            serial / 2.0,
-        );
+        let r = simulate(d);
         println!(
             "{d:>6} {:>9.4}s {:>8.2}x {:>5.1}%",
             r.makespan,

@@ -29,7 +29,8 @@
 //! ```
 //!
 //! See the `examples/` directory for the paper's workloads and the
-//! `bemcap-bench` crate for the table/figure reproduction harnesses.
+//! `scoreboard` bin of the `bemcap-bench` crate, which reruns every table
+//! and figure claim of the paper and prints one verdict per claim.
 
 pub use bemcap_accel as accel;
 pub use bemcap_basis as basis;
