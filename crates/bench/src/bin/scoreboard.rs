@@ -21,7 +21,7 @@ use bemcap_accel::{table3d::IndefiniteTable, technique::AnalyticIntegrator};
 use bemcap_basis::calibrate::{calibrate_crossing, fit_laws};
 use bemcap_basis::instantiate::{instantiate, InstantiateConfig};
 use bemcap_basis::{PairPlan, TemplateIndex};
-use bemcap_core::assembly::{self, CHUNKS_PER_THREAD};
+use bemcap_core::assembly::{self, Assembly};
 use bemcap_core::solver::solve_capacitance;
 use bemcap_core::{ExtractionReport, Extractor, Method};
 use bemcap_fmm::parallel::{efficiency_curve as fmm_curve, FmmCostModel};
@@ -54,30 +54,95 @@ struct Claim {
 
 use Cmp::{AtLeast, AtMost};
 
-#[rustfmt::skip]
 const CLAIMS: [Claim; 11] = [
-    Claim { id: "t1-faster", section: "Table 1", paper: "all 4 techniques beat analytic: 136/240/128/224 vs 280 ns",
-        measure: "slowest speedup over analytic", cmp: AtLeast(1.0), paraphrase: false },
-    Claim { id: "t1-fastest", section: "Table 1", paper: "fast-math (128 ns) is the fastest",
-        measure: "fast-math speedup / best other", cmp: AtLeast(1.0), paraphrase: false },
-    Claim { id: "t2-speedup", section: "Table 2", paper: "accel. instantiable 6.2× faster than FASTCAP",
-        measure: "FASTCAP total / accel. total", cmp: AtLeast(6.2), paraphrase: false },
-    Claim { id: "t2-accel", section: "Table 2", paper: "setup 94.1 → 50.7 ms (1.86×)",
-        measure: "setup w/o / w/ accel.", cmp: AtLeast(1.86), paraphrase: false },
-    Claim { id: "t2-error", section: "Table 2", paper: "2.8 % error vs the refined reference",
-        measure: "worst instantiable coupling error %", cmp: AtMost(2.8), paraphrase: false },
-    Claim { id: "t2-memory", section: "Table 2", paper: "0.8–2.5 MB vs FASTCAP's 24 MB",
-        measure: "instantiable MB", cmp: AtMost(2.5), paraphrase: false },
-    Claim { id: "t3-shared", section: "Table 3", paper: "91 % at 4 shared-memory nodes, bus 24×24",
-        measure: "model efficiency % at D=4", cmp: AtLeast(91.0), paraphrase: false },
-    Claim { id: "t3-dist", section: "Table 3", paper: "89 % at 10 distributed nodes, bus 24×24",
-        measure: "model efficiency % at D=10", cmp: AtLeast(89.0), paraphrase: false },
-    Claim { id: "f8-order", section: "Fig. 8", paper: "at 8: this work > FMM (65 %) > pFFT (42 %)",
-        measure: "min(this work / FMM, FMM / pFFT)", cmp: AtLeast(1.0), paraphrase: false },
-    Claim { id: "f2-linear", section: "Fig. 2", paper: "arch width b and extension e linear in h",
-        measure: "max/min of b/h and of e/h", cmp: AtMost(1.25), paraphrase: true },
-    Claim { id: "abl-default", section: "§4.1 (repo)", paper: "default engine within 1 % of tight",
-        measure: "coupling error % vs tight", cmp: AtMost(1.0), paraphrase: false },
+    Claim {
+        id: "t1-faster",
+        section: "Table 1",
+        paper: "all 4 techniques beat analytic: 136/240/128/224 vs 280 ns",
+        measure: "slowest speedup over analytic",
+        cmp: AtLeast(1.0),
+        paraphrase: false,
+    },
+    Claim {
+        id: "t1-fastest",
+        section: "Table 1",
+        paper: "fast-math (128 ns) is the fastest",
+        measure: "fast-math speedup / best other",
+        cmp: AtLeast(1.0),
+        paraphrase: false,
+    },
+    Claim {
+        id: "t2-speedup",
+        section: "Table 2",
+        paper: "accel. instantiable 6.2× faster than FASTCAP",
+        measure: "FASTCAP total / accel. total",
+        cmp: AtLeast(6.2),
+        paraphrase: false,
+    },
+    Claim {
+        id: "t2-accel",
+        section: "Table 2",
+        paper: "setup 94.1 → 50.7 ms (1.86×)",
+        measure: "setup w/o / w/ accel.",
+        cmp: AtLeast(1.86),
+        paraphrase: false,
+    },
+    Claim {
+        id: "t2-error",
+        section: "Table 2",
+        paper: "2.8 % error vs the refined reference",
+        measure: "worst instantiable coupling error %",
+        cmp: AtMost(2.8),
+        paraphrase: false,
+    },
+    Claim {
+        id: "t2-memory",
+        section: "Table 2",
+        paper: "0.8–2.5 MB vs FASTCAP's 24 MB",
+        measure: "instantiable MB",
+        cmp: AtMost(2.5),
+        paraphrase: false,
+    },
+    Claim {
+        id: "t3-shared",
+        section: "Table 3",
+        paper: "91 % at 4 shared-memory nodes, bus 24×24",
+        measure: "model efficiency % at D=4",
+        cmp: AtLeast(91.0),
+        paraphrase: false,
+    },
+    Claim {
+        id: "t3-dist",
+        section: "Table 3",
+        paper: "89 % at 10 distributed nodes, bus 24×24",
+        measure: "model efficiency % at D=10",
+        cmp: AtLeast(89.0),
+        paraphrase: false,
+    },
+    Claim {
+        id: "f8-order",
+        section: "Fig. 8",
+        paper: "at 8: this work > FMM (65 %) > pFFT (42 %)",
+        measure: "min(this work / FMM, FMM / pFFT)",
+        cmp: AtLeast(1.0),
+        paraphrase: false,
+    },
+    Claim {
+        id: "f2-linear",
+        section: "Fig. 2",
+        paper: "arch width b and extension e linear in h",
+        measure: "max/min of b/h and of e/h",
+        cmp: AtMost(1.25),
+        paraphrase: true,
+    },
+    Claim {
+        id: "abl-default",
+        section: "§4.1 (repo)",
+        paper: "default engine within 1 % of tight",
+        measure: "coupling error % vs tight",
+        cmp: AtMost(1.0),
+        paraphrase: false,
+    },
 ];
 
 /// What a runner found for one claim.
@@ -144,9 +209,12 @@ fn table1() -> Run {
     for (i, t) in techniques.iter().enumerate() {
         let seconds = best_seconds(20, || queries.iter().map(|q| t.eval(q)).sum::<f64>());
         ns.push(seconds * 1e9 / queries.len() as f64);
-        let err = queries.iter().zip(&exact).map(|(q, e)| (t.eval(q) - e).abs() / e.abs().max(0.1));
-        let (err, name) = (100.0 * err.fold(0.0, f64::max), t.name());
-        let (speedup, bytes) = (ns[0] / ns[i], t.memory_bytes());
+        let errors =
+            queries.iter().zip(&exact).map(|(q, e)| (t.eval(q) - e).abs() / e.abs().max(0.1));
+        let err = 100.0 * errors.fold(0.0, f64::max);
+        let speedup = ns[0] / ns[i];
+        let name = t.name();
+        let bytes = t.memory_bytes();
         println!("  {i} {name:<30} {:>5.0} ns {speedup:>5.2}× {bytes:>8} B {err:>5.2} %", ns[i]);
     }
     // Speedups over analytic of techniques 1–4; fast-math is index 2.
@@ -164,14 +232,26 @@ fn table1() -> Run {
 /// Divisions of Table 2's FASTCAP-style row, the finest row it grades.
 const FASTCAP_DIVISIONS: usize = 12;
 
+/// One method's Table 2 measurements.
+struct Table2Row {
+    /// Best setup seconds of three runs.
+    setup: f64,
+    /// Best total seconds of three runs.
+    total: f64,
+    mb: f64,
+    /// Worst coupling error, % of the largest reference coupling.
+    err: f64,
+}
+
 fn table2() -> Run {
     let geo = structures::transistor_interconnect(TransistorParams::default());
-    // The §6 reference: refine the finest graded mesh until C moves < 0.5 %.
+    // The §6 reference: refine the finest graded mesh until C moves < 0.1 %.
     let finest = Mesh::uniform(&geo, FASTCAP_DIVISIONS);
     let graded = finest.panel_count();
-    let reference = FmmSolver::default().reference(&geo, finest, 0.005, 30).map_err(why)?;
+    let reference = FmmSolver::default().reference(&geo, finest, 0.001, 30).map_err(why)?;
     let panels = reference.panel_count;
-    println!("\nTable 2: transistor interconnect; reference {panels} panels, graded ≤ {graded}");
+    println!("\nTable 2: transistor interconnect, graded rows ≤ {graded} panels");
+    println!("  reference: {panels} panels, §6 loop (10 % refinement steps until C moves < 0.1 %)");
     let fastcap = Extractor::new().method(Method::PwcFmm).mesh_divisions(FASTCAP_DIVISIONS);
     let rows = [
         ("FASTCAP-style", fastcap),
@@ -185,31 +265,35 @@ fn table2() -> Run {
         let best = |f: fn(&ExtractionReport) -> f64| {
             runs.iter().map(|o| f(o.report())).fold(f64::INFINITY, f64::min)
         };
-        let (setup, total, out) =
-            (best(|r| r.setup_seconds), best(|r| r.total_seconds()), &runs[0]);
-        let mb = out.report().memory_bytes as f64 / 1e6;
-        let err = coupling_error(out.capacitance().matrix(), &reference.capacitance);
-        let (setup_ms, total_ms) = (setup * 1e3, total * 1e3);
+        let out = &runs[0];
+        let row = Table2Row {
+            setup: best(|r| r.setup_seconds),
+            total: best(|r| r.total_seconds()),
+            mb: out.report().memory_bytes as f64 / 1e6,
+            err: coupling_error(out.capacitance().matrix(), &reference.capacitance),
+        };
+        let setup_ms = row.setup * 1e3;
+        let total_ms = row.total * 1e3;
+        let mb = row.mb;
         println!("  {label:<21} setup {setup_ms:>6.2} ms, total {total_ms:>6.2} ms, {mb:.3} MB");
-        println!("  {:<21} {err:.2} % coupling error vs reference", "");
-        measured.push((setup, total, mb, err));
+        println!("  {:<21} {:.2} % coupling error vs reference", "", row.err);
+        measured.push(row);
     }
-    let [fastcap, unaccel, accel] = [0, 1, 2].map(|row| measured[row]);
-    let (speedup, ratio) = (fastcap.1 / accel.1, unaccel.0 / accel.0);
-    let (err, mb, fastcap_mb) = (unaccel.3.max(accel.3), accel.2, fastcap.2);
+    let [fastcap, unaccel, accel] = [&measured[0], &measured[1], &measured[2]];
+    let speedup = fastcap.total / accel.total;
+    let ratio = unaccel.setup / accel.setup;
+    let err = unaccel.err.max(accel.err);
+    let memory = format!("{:.3} MB vs FASTCAP-style {:.3} MB", accel.mb, fastcap.mb);
     Ok(vec![
         Outcome::Measured(speedup, format!("{speedup:.1}×")),
         Outcome::Measured(ratio, format!("{ratio:.2}×")),
         Outcome::Measured(err, format!("{err:.2} %")),
-        Outcome::Measured(mb, format!("{mb:.3} MB vs FASTCAP-style {fastcap_mb:.3} MB")),
+        Outcome::Measured(accel.mb, memory),
     ])
 }
 
 /// Bus side of Table 3 and of Fig. 8's "this work" curves.
 const BUS: usize = 24;
-
-/// The shared-memory schedule of `assembly::assemble_threaded`.
-const SELF_SCHEDULED: Schedule = Schedule::SelfScheduled { chunks_per_node: CHUNKS_PER_THREAD };
 
 /// The measured inputs of the setup model on the `BUS`×`BUS` bus.
 struct BusModel {
@@ -223,34 +307,46 @@ struct BusModel {
     measured_d2: f64,
 }
 
+/// One timed setup of the bus.
+struct Leg {
+    seconds: f64,
+    /// Seconds of worker 0's pair evaluation.
+    evaluation: f64,
+    asm: Assembly,
+    index: TemplateIndex,
+}
+
 impl BusModel {
     fn measure() -> Result<BusModel, String> {
         let geo = structures::bus_crossing(BUS, BUS, structures::BusParams::default());
-        let (eng, nc, eps) = (GalerkinEngine::default(), geo.conductor_count(), geo.eps_rel());
-        let setup = |threads| -> Result<_, String> {
+        let eng = GalerkinEngine::default();
+        let setup = |threads| -> Result<Leg, String> {
             let t = Instant::now();
             let set = instantiate(&geo, &InstantiateConfig::default()).map_err(why)?;
             let index = TemplateIndex::new(&set);
+            let (nc, eps) = (geo.conductor_count(), geo.eps_rel());
             let (asm, workers) = assembly::assemble_threaded(&eng, &index, &set, nc, eps, threads);
-            Ok((t.elapsed().as_secs_f64(), asm, index, workers[0].seconds))
+            let seconds = t.elapsed().as_secs_f64();
+            Ok(Leg { seconds, evaluation: workers[0].seconds, asm, index })
         };
-        // Best of five interleaved legs; serial share of the fastest one.
-        let (mut sequential, mut threaded, mut serial) = (f64::INFINITY, f64::INFINITY, 0.0);
-        for _ in 0..5 {
-            let (seconds, _, _, evaluation) = setup(1)?;
-            if seconds < sequential {
-                (sequential, serial) = (seconds, seconds - evaluation);
+        // Best of five interleaved legs; the fastest sequential one also
+        // gives the serial share, P and the index the costs are taken on.
+        let mut fastest = setup(1)?;
+        let mut threaded = setup(2)?.seconds;
+        for _ in 1..5 {
+            threaded = threaded.min(setup(2)?.seconds);
+            let leg = setup(1)?;
+            if leg.seconds < fastest.seconds {
+                fastest = leg;
             }
-            threaded = threaded.min(setup(2)?.0);
         }
-        let (_, asm, index, _) = setup(1)?;
-        let costs = assembly::measure_chunk_costs_best_of(&eng, &index, 7680, 2);
+        let Leg { seconds: sequential, evaluation, asm, index } = fastest;
         Ok(BusModel {
+            costs: assembly::measure_chunk_costs_best_of(&eng, &index, 7680, 2),
             distinct: PairPlan::new(&index).distinct(),
-            serial,
+            serial: sequential - evaluation,
             solve: solve_capacitance(asm.p, &asm.phi).map_err(why)?.1,
             measured_d2: sequential / threaded,
-            costs,
         })
     }
 
@@ -258,7 +354,7 @@ impl BusModel {
     /// chunks, distributed memory gathering its value slices.
     fn makespan(&self, d: usize, shared: bool, with_solve: bool) -> f64 {
         let (comm, schedule) = match shared {
-            true => (CommModel::shared_memory(), SELF_SCHEDULED),
+            true => (CommModel::shared_memory(), Schedule::SelfScheduled),
             false => (CommModel::cluster(), Schedule::Gathered),
         };
         let solve = if with_solve { self.solve } else { 0.0 };
@@ -288,20 +384,26 @@ impl BusModel {
 }
 
 fn table3(bus: &BusModel) -> Run {
-    let (work, distinct) = (bus.costs.iter().sum::<f64>(), bus.distinct);
-    let (serial, solve) = (bus.serial, bus.solve);
+    let work = bus.costs.iter().sum::<f64>();
+    let distinct = bus.distinct;
     println!("\nTable 3: bus {BUS}×{BUS}, {distinct} distinct pairs; setup {work:.2} s of pair");
-    println!("  evaluation + {serial:.2} s serial; then {solve:.2} s serial LU factor and solve");
-    let ((model, off), measured) = (bus.check(), bus.measured_d2);
+    println!(
+        "  evaluation + {:.2} s serial; then {:.2} s serial LU factor and solve",
+        bus.serial, bus.solve
+    );
+    let (model, off) = bus.check();
+    let measured = bus.measured_d2;
     println!("  Threads(2) setup speedup {measured:.2}×, model {model:.2}× (off by {off:.1} %)");
     for (shared, ds) in [(true, &[1, 2, 4][..]), (false, &[1, 2, 4, 8, 10])] {
         let label = if shared { "shared" } else { "distributed" };
         for &d in ds {
-            let (t, eff) = (bus.makespan(d, shared, true), 100.0 * bus.efficiency(d, shared));
+            let t = bus.makespan(d, shared, true);
+            let eff = 100.0 * bus.efficiency(d, shared);
             println!("  model {label:<11} D={d:<2} {t:>7.3} s {eff:>5.1} % efficiency");
         }
     }
-    let (shared, dist) = (100.0 * bus.efficiency(4, true), 100.0 * bus.efficiency(10, false));
+    let shared = 100.0 * bus.efficiency(4, true);
+    let dist = 100.0 * bus.efficiency(10, false);
     Ok(vec![
         bus.outcome(shared, format!("{shared:.0} %")),
         bus.outcome(dist, format!("{dist:.0} %")),
@@ -325,13 +427,15 @@ fn fig8(bus: &BusModel) -> Run {
     };
     // Probe matvecs on the same mesh give the per-phase costs.
     let probe = |op: &dyn LinearOperator| {
-        let (x, mut y) = (vec![1.0; np], vec![0.0; np]);
+        let x = vec![1.0; np];
+        let mut y = vec![0.0; np];
         (0..4).for_each(|_| op.apply(&x, &mut y));
     };
     let (setup, iterations) = extract(Method::PwcFmm)?;
     let op = FmmOperator::new(&mesh, 1.0, FmmConfig::default()).map_err(why)?;
     probe(&op);
-    let (t, n) = (op.timings(), np as f64);
+    let t = op.timings();
+    let n = np as f64;
     let count = t.count.max(1) as f64;
     let fmm_costs = FmmCostModel {
         upward_per_node: t.upward / (count * op.tree().len() as f64),
@@ -347,7 +451,9 @@ fn fig8(bus: &BusModel) -> Run {
     let (setup, iterations) = extract(Method::PwcPfft)?;
     let op = PfftOperator::new(&mesh, 1.0, PfftConfig::default()).map_err(why)?;
     probe(&op);
-    let (t, grid, near) = (op.timings(), op.grid().fft_points(), np * 30);
+    let t = op.timings();
+    let grid = op.grid().fft_points();
+    let near = np * 30;
     let count = t.count.max(1) as f64;
     let pfft_costs = PfftCostModel {
         project_per_panel: t.project / (count * n),
@@ -385,8 +491,7 @@ fn fig2() -> Run {
     let b: Vec<f64> = samples.iter().map(|s| s.width / s.h).collect();
     let e: Vec<f64> = samples.iter().map(|s| s.extension / s.h).collect();
     for (i, s) in samples.iter().enumerate() {
-        let (h, bh, eh) = (s.h * 1e6, b[i], e[i]);
-        println!("  h = {h:.2} µm: b/h = {bh:.2}, e/h = {eh:.2}");
+        println!("  h = {:.2} µm: b/h = {:.2}, e/h = {:.2}", s.h * 1e6, b[i], e[i]);
     }
     let laws = fit_laws(&samples).map_err(why)?;
     println!("  fitted laws: b(h) = {:.3}·h, e(h) = {:.3}·h", laws.width_coeff, laws.ext_coeff);
@@ -400,12 +505,17 @@ fn fig2() -> Run {
 
 fn ablation() -> Run {
     let geo = structures::crossing_wires(CrossingParams::default());
-    #[rustfmt::skip]
     let tight = GalerkinConfig {
-        far_ratio: 30.0, mid_ratio: 10.0, near_order: 10, mid_order: 6, touch_subdiv: 4, shape_order: 10,
+        far_ratio: 30.0,
+        mid_ratio: 10.0,
+        near_order: 10,
+        mid_order: 6,
+        touch_subdiv: 4,
+        shape_order: 10,
     };
     let extract = |cfg| Extractor::new().galerkin_config(cfg).extract(&geo).map_err(why);
-    let (reference, default) = (extract(tight)?, extract(GalerkinConfig::default())?);
+    let reference = extract(tight)?;
+    let default = extract(GalerkinConfig::default())?;
     let err = coupling_error(default.capacitance().matrix(), reference.capacitance().matrix());
     let [t_tight, t_default] =
         [tight, GalerkinConfig::default()].map(|cfg| 1e3 * best_seconds(3, || extract(cfg)));
@@ -438,13 +548,12 @@ fn main() {
     for c in &CLAIMS {
         let outcome = outcomes.iter().find(|(id, _)| *id == c.id).map(|(_, o)| o);
         let verdict = outcome.map_or("not attempted (no runner)".into(), |o| verdict(c.cmp, o));
-        let (id, paper, measure) = (c.id, c.paper, c.measure);
         let cmp = match c.cmp {
             AtLeast(bound) => format!("≥ {bound}"),
             AtMost(bound) => format!("≤ {bound}"),
         };
         let section = format!("{}{}", c.section, if c.paraphrase { " (paraphrase)" } else { "" });
-        println!("| `{id}` | {section} | {paper} | {measure} {cmp} | {verdict} |");
+        println!("| `{}` | {section} | {} | {} {cmp} | {verdict} |", c.id, c.paper, c.measure);
     }
 }
 

@@ -31,7 +31,7 @@ use bemcap_basis::{template_moment, BasisSet, PairPlan, TemplateIndex};
 use bemcap_geom::EPS0;
 use bemcap_linalg::Matrix;
 use bemcap_par::pool::{self, WorkerTiming};
-use bemcap_par::{partition_ranges, Universe};
+use bemcap_par::{partition_ranges, self_scheduled_chunks, Universe};
 use bemcap_quad::galerkin::GalerkinEngine;
 
 use crate::cache::TemplateCache;
@@ -158,20 +158,16 @@ fn evaluate_in_mode(
     (values, stats, timings)
 }
 
-/// Chunks of a self-scheduled region per thread.
-pub const CHUNKS_PER_THREAD: usize = 16;
-
-/// Fig. 4's workers on `threads` threads, each taking the next of
-/// `CHUNKS_PER_THREAD · threads` equal chunks of `0..total` until none is
-/// left: a worker the host slows takes fewer chunks instead of holding up
-/// the others. Returns the chunks' parts in index order and one timing
+/// Fig. 4's workers on `threads` threads, each taking the next of the
+/// [`self_scheduled_chunks`] of `0..total` until none is left: a worker
+/// the host slows takes fewer chunks instead of holding up the others. Returns the chunks' parts in index order and one timing
 /// per worker, whose range spans the first to the last chunk it took.
 fn self_scheduled(
     threads: usize,
     total: usize,
     slice: impl Fn(Range<usize>) -> (Vec<f64>, CacheStats) + Sync,
 ) -> (Vec<(Vec<f64>, CacheStats)>, Vec<WorkerTiming>) {
-    let chunks = partition_ranges(total, CHUNKS_PER_THREAD * threads);
+    let chunks = self_scheduled_chunks(total, threads);
     let next = AtomicUsize::new(0);
     let (taken, timings) = pool::run_partitioned(threads, threads, |_, _| {
         let take = || {

@@ -45,6 +45,6 @@ pub mod trace;
 pub use error::ParError;
 pub use machine::{CommModel, MachineSim, Phase, Schedule, SimReport};
 pub use mpi::{Comm, Universe};
-pub use partition::{ij_to_k, k_to_ij, partition_ranges, triangle_size};
+pub use partition::{ij_to_k, k_to_ij, partition_ranges, self_scheduled_chunks, triangle_size};
 pub use queue::WorkQueue;
 pub use trace::{Metric, MetricKind, MetricSample, Registry, Span};

@@ -22,7 +22,7 @@ use std::ops::Range;
 
 use serde::{Deserialize, Serialize};
 
-use crate::partition::partition_ranges;
+use crate::partition::{partition_ranges, self_scheduled_chunks};
 
 /// α–β communication cost model: a message of `b` bytes costs
 /// `latency + b · inv_bandwidth` seconds.
@@ -245,9 +245,9 @@ impl MachineSim {
                 let bytes = slices.iter().enumerate().map(|(n, r)| (n > 0) as usize * 8 * r.len());
                 (slices.iter().map(cost_of).collect(), bytes.collect())
             }
-            Schedule::SelfScheduled { chunks_per_node } => {
+            Schedule::SelfScheduled => {
                 let mut clock = vec![0.0f64; d];
-                for chunk in partition_ranges(distinct, chunks_per_node.max(1) * d) {
+                for chunk in self_scheduled_chunks(distinct, d) {
                     let idle = (0..d).min_by(|&a, &b| clock[a].total_cmp(&clock[b]));
                     clock[idle.unwrap_or(0)] += cost_of(&chunk);
                 }
@@ -267,19 +267,16 @@ impl MachineSim {
 /// Who evaluates which slice of the distinct pair-key list in
 /// [`MachineSim::simulate_setup`], as the two parallel modes of
 /// `bemcap_core::assembly` split it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Schedule {
     /// Message passing (`assemble_distributed`): node d evaluates the
     /// d-th contiguous slice, and nodes 1…D−1 send 8 B per value to
     /// node 0.
     Gathered,
-    /// Shared memory (`assemble_threaded`): `chunks_per_node · D` equal
-    /// chunks, each taken by the first node to fall idle; the values
-    /// stay in shared memory.
-    SelfScheduled {
-        /// Chunks per node (`assembly::CHUNKS_PER_THREAD`).
-        chunks_per_node: usize,
-    },
+    /// Shared memory (`assemble_threaded`): the
+    /// [`self_scheduled_chunks`] of the list, each taken by the first node
+    /// to fall idle; the values stay in shared memory.
+    SelfScheduled,
 }
 
 #[cfg(test)]
@@ -366,7 +363,7 @@ mod tests {
         // 0.1 s of parallel work, 0.2 % serial: eff@10 ≈ 0.98 (Amdahl).
         let tasks = vec![1e-5; 10_000];
         let values = 100_000;
-        for schedule in [Schedule::Gathered, Schedule::SelfScheduled { chunks_per_node: 16 }] {
+        for schedule in [Schedule::Gathered, Schedule::SelfScheduled] {
             let t1 = machine(1).simulate_setup(schedule, &tasks, values, 1e-4, 1e-4).makespan;
             for d in [2, 4, 8, 10] {
                 let r = machine(d).simulate_setup(schedule, &tasks, values, 1e-4, 1e-4);
@@ -394,8 +391,7 @@ mod tests {
         tasks[..16].fill(1.0);
         let m = machine(4);
         let gathered = m.simulate_setup(Schedule::Gathered, &tasks, 6400, 0.0, 0.0);
-        let chunked = Schedule::SelfScheduled { chunks_per_node: 16 };
-        let scheduled = m.simulate_setup(chunked, &tasks, 6400, 0.0, 0.0);
+        let scheduled = m.simulate_setup(Schedule::SelfScheduled, &tasks, 6400, 0.0, 0.0);
         assert!((gathered.makespan - 16.0).abs() < 1e-3, "{}", gathered.makespan);
         assert!((scheduled.makespan - 4.0).abs() < 1e-3, "{}", scheduled.makespan);
     }

@@ -68,6 +68,21 @@ pub fn partition_ranges(total: usize, d: usize) -> Vec<Range<usize>> {
     out
 }
 
+/// Chunks of a self-scheduled region per thread.
+const CHUNKS_PER_THREAD: usize = 16;
+
+/// The chunks a self-scheduled region of `threads` threads takes one at a
+/// time: `[0, total)` split into `CHUNKS_PER_THREAD · threads` contiguous
+/// ranges, so a thread the host slows takes fewer chunks instead of
+/// holding up the others.
+///
+/// # Panics
+///
+/// Panics if `threads == 0`.
+pub fn self_scheduled_chunks(total: usize, threads: usize) -> Vec<Range<usize>> {
+    partition_ranges(total, CHUNKS_PER_THREAD * threads)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

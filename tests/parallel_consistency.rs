@@ -109,22 +109,22 @@ fn measured_chunk_costs_drive_high_efficiency() {
     // imbalance (this test shares the host with the rest of the suite).
     let costs = assembly::measure_chunk_costs_best_of(&eng, &index, 512, 3);
     let distinct = PairPlan::new(&index).distinct();
-    let simulate = |d| {
-        MachineSim::new(d, CommModel::shared_memory()).simulate_setup(
-            Schedule::SelfScheduled { chunks_per_node: assembly::CHUNKS_PER_THREAD },
-            &costs,
-            distinct,
-            0.0,
-            0.0,
-        )
-    };
-    let t1 = simulate(1).makespan;
-    // Thresholds are loose because this small bus has few entries and the
-    // costs are measured in a debug build on a shared host: partition
-    // granularity and timer noise dominate at high D.
-    for (d, floor) in [(2usize, 0.75), (4, 0.65), (8, 0.5), (10, 0.45)] {
-        let r = simulate(d);
-        let eff = r.efficiency(t1);
-        assert!(eff > floor, "d={d}: efficiency {eff}");
+    // Ranks gather their contiguous slices over the cluster; threads
+    // self-schedule chunks in shared memory.
+    let schedules = [
+        (Schedule::Gathered, CommModel::cluster()),
+        (Schedule::SelfScheduled, CommModel::shared_memory()),
+    ];
+    for (schedule, comm) in schedules {
+        let simulate =
+            |d| MachineSim::new(d, comm).simulate_setup(schedule, &costs, distinct, 0.0, 0.0);
+        let t1 = simulate(1).makespan;
+        // Thresholds are loose because this small bus has few entries and
+        // the costs are measured in a debug build on a shared host:
+        // partition granularity and timer noise dominate at high D.
+        for (d, floor) in [(2usize, 0.75), (4, 0.65), (8, 0.5), (10, 0.45)] {
+            let eff = simulate(d).efficiency(t1);
+            assert!(eff > floor, "{schedule:?} d={d}: efficiency {eff}");
+        }
     }
 }
