@@ -293,7 +293,14 @@ fn tile_of(v: f64, origin: f64, step: f64, tiles: usize) -> usize {
     (((v - origin) / step).floor().max(0.0) as usize).min(tiles - 1)
 }
 
-/// How to cut a layout into windows.
+/// Most windows a [`PartitionConfig`] may ask for. The partition
+/// allocates per-window state up front, so an unchecked `nx·ny` from the
+/// wire could ask for terabytes, an allocation failure that aborts the
+/// process.
+const MAX_WINDOWS: usize = 1 << 16;
+
+/// How to cut a layout into windows: an `nx × ny` grid of at most 2¹⁶
+/// windows.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PartitionConfig {
     /// Window grid columns (x direction).
@@ -317,6 +324,14 @@ impl PartitionConfig {
         if self.nx == 0 || self.ny == 0 {
             return Err(GeomError::Layout {
                 detail: format!("partition grid {}x{} must be at least 1x1", self.nx, self.ny),
+            });
+        }
+        if self.nx.checked_mul(self.ny).is_none_or(|windows| windows > MAX_WINDOWS) {
+            return Err(GeomError::Layout {
+                detail: format!(
+                    "partition grid {}x{} exceeds {MAX_WINDOWS} windows",
+                    self.nx, self.ny
+                ),
             });
         }
         if !self.halo.is_finite() || self.halo < 0.0 {
@@ -701,5 +716,11 @@ mod tests {
         assert!(layout.partition(&PartitionConfig { nx: 0, ny: 1, halo: 0.0 }).is_err());
         assert!(layout.partition(&PartitionConfig { nx: 1, ny: 1, halo: -1.0 }).is_err());
         assert!(layout.partition(&PartitionConfig { nx: 1, ny: 1, halo: f64::NAN }).is_err());
+        // Refused before anything is allocated (10¹² windows would be ≈24 TB).
+        for (nx, ny) in [(1_000_000, 1_000_000), (usize::MAX, 2), (MAX_WINDOWS + 1, 1)] {
+            let cfg = PartitionConfig { nx, ny, halo: 0.0 };
+            assert!(matches!(layout.partition(&cfg), Err(GeomError::Layout { .. })), "{nx}x{ny}");
+        }
+        assert!(layout.partition(&PartitionConfig { nx: 256, ny: 256, halo: 0.0 }).is_ok());
     }
 }

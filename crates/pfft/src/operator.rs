@@ -19,7 +19,9 @@ use crate::grid::Grid;
 pub struct PfftConfig {
     /// Grid spacing as a multiple of the mean panel edge.
     pub spacing_factor: f64,
-    /// Chebyshev cell radius of the precorrected near zone.
+    /// Chebyshev cell radius of the precorrected near zone; at least 1
+    /// (see [`PfftOperator::new`]). A radius past the grid's extent costs
+    /// no more than one that just covers it.
     pub near_cells: usize,
     /// Hard cap on padded grid points.
     pub max_grid_points: usize,
@@ -82,8 +84,14 @@ impl PfftOperator {
     /// # Errors
     ///
     /// * [`PfftError::EmptyMesh`] / [`PfftError::BadGrid`] from grid
-    ///   construction.
+    ///   construction;
+    /// * [`PfftError::BadGrid`] for `near_cells == 0`: the sampled kernel
+    ///   sets G(0) = 0, which is exact only when every pair whose
+    ///   stencils can meet is precorrected.
     pub fn new(mesh: &Mesh, eps_rel: f64, cfg: PfftConfig) -> Result<PfftOperator, PfftError> {
+        if cfg.near_cells == 0 {
+            return Err(PfftError::BadGrid { detail: "near_cells must be at least 1".into() });
+        }
         let grid = Grid::fit(mesh, cfg.spacing_factor, cfg.max_grid_points)?;
         let panels = mesh.panels();
         let n = panels.len();
@@ -117,12 +125,15 @@ impl PfftOperator {
         }
         let mut near = vec![Vec::new(); n];
         let mut inv_diag = vec![0.0; n];
-        let r = cfg.near_cells as isize;
+        // Cell indices run over 0..=dims−2, so no offset past that reaches
+        // a bucket: clamping the radius per axis visits the same non-empty
+        // buckets in the same order, whatever `near_cells` asks for.
+        let [rx, ry, rz] = grid.dims.map(|d| cfg.near_cells.min(d - 2) as isize);
         for (pi, c) in centers.iter().enumerate() {
             let cell = grid.cell_of(*c);
-            for ox in -r..=r {
-                for oy in -r..=r {
-                    for oz in -r..=r {
+            for ox in -rx..=rx {
+                for oy in -ry..=ry {
+                    for oz in -rz..=rz {
                         let nc =
                             [cell[0] as isize + ox, cell[1] as isize + oy, cell[2] as isize + oz];
                         if nc.iter().any(|&v| v < 0) {
@@ -408,6 +419,38 @@ mod tests {
         let krylov = KrylovConfig { tol: 1e-6, restart: 30, max_iters: 2000 };
         let (_, stats) = solve_prepared(&op, &mesh, geo.conductor_count(), &pre, &krylov).unwrap();
         assert_eq!(stats.matvecs, 72);
+    }
+
+    #[test]
+    fn near_zone_must_cover_touching_stencils() {
+        let mesh = Mesh::uniform(&structures::cube(1.0), 4);
+        let cfg = PfftConfig { near_cells: 0, ..PfftConfig::default() };
+        assert!(matches!(PfftOperator::new(&mesh, 1.0, cfg), Err(PfftError::BadGrid { .. })));
+    }
+
+    #[test]
+    fn near_radius_past_the_grid_costs_what_covering_it_does() {
+        // 10⁶ would mean 8·10¹⁸ bucket probes per panel unclamped.
+        let geo = structures::bus_crossing(2, 2, structures::BusParams::default());
+        let mesh = Mesh::uniform(&geo, 3);
+        let build = |near_cells| {
+            let cfg = PfftConfig { near_cells, ..PfftConfig::default() };
+            PfftOperator::new(&mesh, geo.eps_rel(), cfg).unwrap()
+        };
+        let covering = build(8);
+        assert_eq!(covering.grid().dims.iter().max(), Some(&8));
+        let huge = build(1_000_000);
+        let bits = |op: &PfftOperator| -> Vec<Vec<(u32, u64)>> {
+            op.near.iter().map(|row| row.iter().map(|&(j, v)| (j, v.to_bits())).collect()).collect()
+        };
+        assert_eq!(bits(&huge), bits(&covering));
+        let krylov = KrylovConfig { tol: 1e-6, restart: 30, max_iters: 2000 };
+        let solve = |op: &PfftOperator| {
+            let pre = DiagonalPrecond::new(op.inv_diag().to_vec());
+            let (c, _) = solve_prepared(op, &mesh, geo.conductor_count(), &pre, &krylov).unwrap();
+            c.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<u64>>()
+        };
+        assert_eq!(solve(&huge), solve(&covering));
     }
 
     #[test]

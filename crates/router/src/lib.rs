@@ -12,8 +12,8 @@
 //!   set: repeats hit the same warm replica; losing a replica remaps
 //!   only its own share.
 //! * [`replica`] — per-replica health state, lifetime counters, and a
-//!   bounded pool of reusable backend connections; frames are relayed
-//!   **verbatim** so routed results stay bit-identical to
+//!   bounded pool of [`bemcap_serve::Client`] connections; frames are
+//!   relayed **verbatim** so routed results stay bit-identical to
 //!   direct-to-daemon results by construction.
 //! * [`server`] — the [`Router`] listener: thread-per-connection
 //!   dispatch, a background health checker with consecutive-failure

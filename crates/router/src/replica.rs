@@ -1,86 +1,19 @@
 //! One backend `bemcapd` replica as the router sees it: an address,
 //! health state, lifetime counters, and a small pool of reusable
-//! connections.
+//! [`Client`] connections.
 //!
-//! Forwarding is a **verbatim line relay**: the router writes the
-//! client's original frame bytes and hands back the replica's response
-//! line untouched. Nothing re-encodes on the proxy path, so the bit-
-//! identity contract of the wire protocol (shortest-round-trip `f64`
-//! text) survives the extra hop by construction.
+//! Forwarding is a **verbatim line relay** through
+//! [`Client::roundtrip_line`]: the router writes the client's original
+//! frame bytes and hands back the replica's response line untouched.
+//! Nothing re-encodes on the proxy path, so the bit-identity contract of
+//! the wire protocol (shortest-round-trip `f64` text) survives the extra
+//! hop by construction.
 
-use std::io::{self, BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
-/// One pooled connection to a replica daemon.
-pub struct BackendConn {
-    reader: BufReader<TcpStream>,
-    stream: TcpStream,
-}
-
-impl BackendConn {
-    /// Dials `addr` with a connect timeout, then bounds every read and
-    /// write with `io_timeout` (`None` = unbounded reads — extraction
-    /// frames legitimately take a while).
-    ///
-    /// # Errors
-    ///
-    /// The last resolved address's connect error, or
-    /// [`io::ErrorKind::InvalidInput`] when `addr` resolves to nothing.
-    pub fn connect(
-        addr: &str,
-        connect_timeout: Duration,
-        io_timeout: Option<Duration>,
-    ) -> io::Result<BackendConn> {
-        let mut last: Option<io::Error> = None;
-        let resolved: Vec<SocketAddr> = addr.to_socket_addrs()?.collect();
-        for a in resolved {
-            match TcpStream::connect_timeout(&a, connect_timeout) {
-                Ok(stream) => {
-                    stream.set_nodelay(true)?;
-                    stream.set_read_timeout(io_timeout)?;
-                    stream.set_write_timeout(io_timeout)?;
-                    let reader = BufReader::new(stream.try_clone()?);
-                    return Ok(BackendConn { reader, stream });
-                }
-                Err(e) => last = Some(e),
-            }
-        }
-        Err(last.unwrap_or_else(|| {
-            io::Error::new(io::ErrorKind::InvalidInput, "address resolved to no socket addresses")
-        }))
-    }
-
-    /// Sends one frame line (no newline) and reads the response line,
-    /// returned without its terminator and byte-for-byte as the replica
-    /// wrote it.
-    ///
-    /// # Errors
-    ///
-    /// Transport failures, including [`io::ErrorKind::UnexpectedEof`]
-    /// when the replica closed before answering (a truncated response
-    /// counts — half an answer is not an answer).
-    pub fn roundtrip_line(&mut self, line: &[u8]) -> io::Result<Vec<u8>> {
-        self.stream.write_all(line)?;
-        self.stream.write_all(b"\n")?;
-        self.stream.flush()?;
-        let mut response = Vec::new();
-        let n = self.reader.read_until(b'\n', &mut response)?;
-        if n == 0 || response.last() != Some(&b'\n') {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "replica closed the connection mid-response",
-            ));
-        }
-        response.pop();
-        if response.last() == Some(&b'\r') {
-            response.pop();
-        }
-        Ok(response)
-    }
-}
+use bemcap_serve::{Client, ServeError};
 
 /// A replica's routing state: health, counters, connection pool.
 pub struct Replica {
@@ -89,7 +22,7 @@ pub struct Replica {
     consecutive_failures: AtomicU64,
     requests: AtomicU64,
     errors: AtomicU64,
-    pool: Mutex<Vec<BackendConn>>,
+    pool: Mutex<Vec<Client>>,
     pool_cap: usize,
 }
 
@@ -155,33 +88,37 @@ impl Replica {
     }
 
     /// Forwards one frame line, reusing a pooled connection when one is
-    /// available and dialing otherwise. A pooled connection that fails
-    /// is discarded and the frame retried once on a fresh dial — the
-    /// daemon may simply have been restarted since the pool filled.
+    /// available and dialing otherwise (the dial bounded by
+    /// `dial_timeout`, every read and write by `io_timeout`; `None` =
+    /// unbounded). A pooled connection that fails is discarded and the
+    /// frame retried once on a fresh dial — the daemon may simply have
+    /// been restarted since the pool filled.
     ///
     /// # Errors
     ///
-    /// The fresh dial's error; the caller decides whether to fail over
-    /// to another replica.
+    /// The fresh attempt's error, including a response cut off before its
+    /// newline; the caller decides whether to fail over to another
+    /// replica.
     pub fn forward(
         &self,
         line: &[u8],
-        connect_timeout: Duration,
+        dial_timeout: Duration,
         io_timeout: Option<Duration>,
-    ) -> io::Result<Vec<u8>> {
+    ) -> Result<Vec<u8>, ServeError> {
         self.requests.fetch_add(1, Ordering::Relaxed);
         // A pooled connection that errors is simply stale (the daemon
         // may have restarted since the pool filled); fall through to a
         // fresh dial rather than reporting it.
         if let Some(mut conn) = self.checkout() {
-            if let Ok(response) = conn.roundtrip_line(line) {
+            if let Ok(response) = conn.roundtrip_line(line).map(<[u8]>::to_vec) {
                 self.checkin(conn);
                 return Ok(response);
             }
         }
-        let fresh = || -> io::Result<Vec<u8>> {
-            let mut conn = BackendConn::connect(&self.addr, connect_timeout, io_timeout)?;
-            let response = conn.roundtrip_line(line)?;
+        let fresh = || -> Result<Vec<u8>, ServeError> {
+            let mut conn = Client::connect_with_timeout(self.addr.as_str(), dial_timeout)?;
+            conn.set_io_timeout(io_timeout)?;
+            let response = conn.roundtrip_line(line)?.to_vec();
             self.checkin(conn);
             Ok(response)
         };
@@ -190,11 +127,11 @@ impl Replica {
         })
     }
 
-    fn checkout(&self) -> Option<BackendConn> {
+    fn checkout(&self) -> Option<Client> {
         self.pool.lock().unwrap_or_else(|e| e.into_inner()).pop()
     }
 
-    fn checkin(&self, conn: BackendConn) {
+    fn checkin(&self, conn: Client) {
         let mut pool = self.pool.lock().unwrap_or_else(|e| e.into_inner());
         if pool.len() < self.pool_cap {
             pool.push(conn);
@@ -235,8 +172,52 @@ mod tests {
         };
         let r = Replica::new(dead, 2);
         let err = r.forward(b"{\"op\":\"ping\"}", Duration::from_millis(200), None).unwrap_err();
-        assert_ne!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(
+            matches!(err, ServeError::Io(ref e) if e.kind() != std::io::ErrorKind::InvalidInput)
+        );
         assert_eq!(r.request_count(), 1);
         assert_eq!(r.error_count(), 1);
+    }
+
+    /// A peer that answers one connection's first line with `reply`
+    /// verbatim, then closes; join the handle once the exchange is over.
+    fn one_shot_peer(reply: &[u8]) -> (String, std::thread::JoinHandle<()>) {
+        use std::io::{Read, Write};
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let reply = reply.to_vec();
+        let peer = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            // Take the whole request line first: closing on unread
+            // bytes would reset the connection instead of ending it.
+            let mut byte = [0u8];
+            while (&stream).read(&mut byte).unwrap() == 1 && byte[0] != b'\n' {}
+            (&stream).write_all(&reply).unwrap();
+        });
+        (addr, peer)
+    }
+
+    #[test]
+    fn a_reply_cut_off_before_its_newline_is_an_error() {
+        const PONG: &[u8] = br#"{"id":1,"ok":true,"result":{"pong":true,"proto":7,"version":"0"}}"#;
+        const PING: &[u8] = br#"{"op":"ping","id":1}"#;
+        let timeout = Some(Duration::from_secs(5));
+        let whole = [PONG, b"\n"].concat();
+        for (reply, complete) in [(PONG, false), (whole.as_slice(), true)] {
+            let (addr, peer) = one_shot_peer(reply);
+            let pinged = Client::connect(addr).unwrap().ping();
+            assert_eq!(pinged.is_ok(), complete, "{pinged:?}");
+            if !complete {
+                assert!(matches!(pinged, Err(ServeError::Protocol(_))));
+            }
+            peer.join().unwrap();
+
+            let (addr, peer) = one_shot_peer(reply);
+            let r = Replica::new(addr, 2);
+            let relayed = r.forward(PING, Duration::from_secs(5), timeout);
+            assert_eq!(relayed.as_deref().ok(), complete.then_some(PONG));
+            assert_eq!((r.request_count(), r.error_count()), (1, u64::from(!complete)));
+            peer.join().unwrap();
+        }
     }
 }

@@ -37,7 +37,7 @@ use bemcap_serve::protocol::{
     self, codes, error_response, ok_response, MetricsReply, PingReply, ReplicaStats, Request,
     RouteStatsReply, ShutdownReply, PROTOCOL_VERSION,
 };
-use bemcap_serve::{Client, Listener, Shutdown};
+use bemcap_serve::{Client, Listener, ServeError, Shutdown};
 
 use crate::balance::{routing_key, Balancer};
 use crate::replica::Replica;
@@ -297,7 +297,7 @@ fn health_loop(state: &RouterState) {
 /// One health probe: dial with the connect timeout, bound the exchange
 /// with the same timeout, and require a protocol-compatible `ping`.
 fn check_replica(replica: &Replica, cfg: &RouterConfig) -> bool {
-    let probe = || -> Result<(), bemcap_serve::ServeError> {
+    let probe = || -> Result<(), ServeError> {
         let mut client = Client::connect_with_timeout(replica.addr(), cfg.connect_timeout)?;
         client.set_io_timeout(Some(cfg.connect_timeout))?;
         client.ping()
@@ -357,7 +357,7 @@ fn forward_payload(state: &RouterState, key: u64, line: &[u8], id: Option<u64>) 
     let (healthy, ejected): (Vec<usize>, Vec<usize>) =
         order.into_iter().partition(|&i| state.replicas[i].is_healthy());
     let mut attempts = 0u64;
-    let mut last: Option<(String, io::Error)> = None;
+    let mut last: Option<(String, ServeError)> = None;
     for index in healthy.into_iter().chain(ejected) {
         let replica = &state.replicas[index];
         attempts += 1;

@@ -36,11 +36,11 @@ pub use crate::protocol::{
 /// # Ok::<(), bemcap_serve::ServeError>(())
 /// ```
 pub struct Client {
+    /// The connection; requests are written through `get_mut`.
     reader: BufReader<TcpStream>,
-    stream: TcpStream,
     next_id: u64,
     /// The response line buffer, kept across calls.
-    line: String,
+    line: Vec<u8>,
 }
 
 /// Options of a full-chip windowed `chip` request (protocol v4).
@@ -106,8 +106,7 @@ impl Client {
 
     fn from_stream(stream: TcpStream) -> Result<Client, ServeError> {
         stream.set_nodelay(true)?;
-        let reader = BufReader::new(stream.try_clone()?);
-        Ok(Client { reader, stream, next_id: 0, line: String::new() })
+        Ok(Client { reader: BufReader::new(stream), next_id: 0, line: Vec::new() })
     }
 
     /// Bounds every subsequent read and write on this connection
@@ -120,8 +119,9 @@ impl Client {
     ///
     /// [`ServeError::Io`]; the OS rejects a zero duration.
     pub fn set_io_timeout(&mut self, timeout: Option<Duration>) -> Result<(), ServeError> {
-        self.stream.set_read_timeout(timeout)?;
-        self.stream.set_write_timeout(timeout)?;
+        let stream = self.reader.get_ref();
+        stream.set_read_timeout(timeout)?;
+        stream.set_write_timeout(timeout)?;
         Ok(())
     }
 
@@ -130,10 +130,8 @@ impl Client {
     /// # Errors
     ///
     /// [`ServeError::Remote`] for daemon-side failures, [`ServeError::Io`]
-    /// / [`ServeError::Protocol`] for transport problems —
-    /// including when typed backend options (v3) are set but the daemon
-    /// predates protocol v3, which would otherwise silently solve under
-    /// its own defaults.
+    /// / [`ServeError::Protocol`] for transport problems and replies that
+    /// are not well-formed v7 results.
     pub fn extract(
         &mut self,
         geo: &Geometry,
@@ -155,7 +153,7 @@ impl Client {
     ) -> Result<ExtractReply, ServeError> {
         let id = Some(self.fresh_id());
         let request = Request::Extract { id, geometry: geometry.to_string(), options: *options };
-        Ok(ExtractReply::decode(&self.roundtrip(&request)?, options)?)
+        Ok(ExtractReply::decode(&self.roundtrip(&request)?)?)
     }
 
     /// Extracts many geometries in one `batch` frame: all of them run as
@@ -178,7 +176,7 @@ impl Client {
         let id = Some(self.fresh_id());
         let geometries_text = geometries.iter().map(write_geometry).collect();
         let request = Request::Batch { id, geometries: geometries_text, options: *options };
-        let replies = ExtractReply::decode_batch(&self.roundtrip(&request)?, options)?;
+        let replies = ExtractReply::decode_batch(&self.roundtrip(&request)?)?;
         if replies.len() != geometries.len() {
             return Err(ServeError::Protocol("batch response count does not match request".into()));
         }
@@ -189,16 +187,15 @@ impl Client {
     /// partitions the layout into `nx × ny` overlapping windows,
     /// extracts each one (reusing its process-lifetime window cache,
     /// which makes a re-sent revision incremental), and answers with
-    /// the stitched *sparse* chip matrix. A pre-v4 daemon rejects the
-    /// unknown `chip` op with a `bad-request` error — it never degrades
-    /// silently.
+    /// the stitched *sparse* chip matrix.
     ///
     /// # Errors
     ///
     /// [`ServeError::Remote`] with code `busy` under daemon overload,
-    /// `geometry` for unusable layouts or partitions, `extraction` when
-    /// a window fails, `bad-request` from pre-v4 daemons; transport
-    /// errors as [`Client::extract`].
+    /// `geometry` for unusable layouts or partitions (more than 2¹⁶
+    /// windows included), `extraction` when a window fails,
+    /// `bad-request` for a zero window count; transport errors as
+    /// [`Client::extract`].
     pub fn chip(&mut self, geo: &Geometry, options: &ChipOptions) -> Result<ChipReply, ServeError> {
         self.chip_text(&write_geometry(geo), options)
     }
@@ -257,8 +254,7 @@ impl Client {
 
     /// Scrapes the daemon's observability registry (protocol v5): the
     /// Prometheus text exposition plus the same samples as structured
-    /// counter/gauge lists. Pre-v5 daemons answer with a `bad-request`
-    /// error ([`ServeError::Remote`]).
+    /// counter/gauge lists.
     ///
     /// # Errors
     ///
@@ -270,9 +266,9 @@ impl Client {
 
     /// Asks the daemon to write its pair-integral cache to `path` on
     /// *the daemon's* filesystem (protocol v6) — the warm-restart seam
-    /// paired with `bemcapd --cache-restore`. Pre-v6 daemons answer
-    /// `bad-request`, as does the `bemcaprd` router (snapshots are
-    /// per-daemon state; address each replica directly).
+    /// paired with `bemcapd --cache-restore`. The `bemcaprd` router
+    /// answers `bad-request` (snapshots are per-daemon state; address
+    /// each replica directly).
     ///
     /// # Errors
     ///
@@ -312,12 +308,42 @@ impl Client {
     ///
     /// # Errors
     ///
-    /// Transport errors; the response is returned whether `ok` or not.
+    /// Transport errors as [`Client::roundtrip_line`], and
+    /// [`ServeError::Protocol`] for a response that is not JSON; the
+    /// response is returned whether `ok` or not.
     pub fn send_raw(&mut self, line: &str) -> Result<Value, ServeError> {
-        self.stream.write_all(line.as_bytes())?;
-        self.stream.write_all(b"\n")?;
-        self.stream.flush()?;
-        self.read_response()
+        let response = std::str::from_utf8(self.roundtrip_line(line.as_bytes())?)
+            .map_err(|e| ServeError::Protocol(format!("response is not UTF-8: {e}")))?;
+        serde_json::from_str(response)
+            .map_err(|e| ServeError::Protocol(format!("invalid response JSON: {e}")))
+    }
+
+    /// The one round trip every request makes: writes `frame` (one line,
+    /// no newline) and its terminator, then reads the response line into
+    /// a buffer the client reuses. The line comes back without its
+    /// terminator and byte-for-byte as the peer wrote it, which is what
+    /// lets the `bemcaprd` front tier relay it verbatim.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::Io`] for socket failures (including a timeout set by
+    /// [`Client::set_io_timeout`]); [`ServeError::Protocol`] when the peer
+    /// closes before answering or mid-line — half an answer is not an
+    /// answer. After an error the connection is dead: reconnect.
+    pub fn roundtrip_line(&mut self, frame: &[u8]) -> Result<&[u8], ServeError> {
+        let stream = self.reader.get_mut();
+        stream.write_all(frame)?;
+        stream.write_all(b"\n")?;
+        stream.flush()?;
+        self.line.clear();
+        self.reader.read_until(b'\n', &mut self.line)?;
+        if self.line.pop() != Some(b'\n') {
+            return Err(ServeError::Protocol("peer closed the connection mid-response".into()));
+        }
+        if self.line.last() == Some(&b'\r') {
+            self.line.pop();
+        }
+        Ok(&self.line)
     }
 
     fn fresh_id(&mut self) -> u64 {
@@ -329,15 +355,5 @@ impl Client {
     /// envelope ([`open_response`]).
     fn roundtrip(&mut self, request: &Request) -> Result<Value, ServeError> {
         open_response(self.send_raw(&encode_request(request))?, request.id())
-    }
-
-    fn read_response(&mut self) -> Result<Value, ServeError> {
-        self.line.clear();
-        let n = self.reader.read_line(&mut self.line)?;
-        if n == 0 {
-            return Err(ServeError::Protocol("daemon closed the connection".into()));
-        }
-        serde_json::from_str(self.line.trim_end_matches(['\n', '\r']))
-            .map_err(|e| ServeError::Protocol(format!("invalid response JSON: {e}")))
     }
 }

@@ -40,8 +40,8 @@ use crate::error::ServeError;
 /// typed backend options, v4 `chip`, v5 `metrics`, v6 `snapshot`,
 /// `route_stats` and the front tier; v7 removes the `precond` option
 /// (a non-null value is refused). Clients accept any daemon speaking at
-/// least their own version. The revision history is in
-/// `docs/WIRE_PROTOCOL.md`.
+/// least their own version, and the reply decoders read v7 replies only.
+/// The revision history is in `docs/WIRE_PROTOCOL.md`.
 pub const PROTOCOL_VERSION: u64 = 7;
 
 /// Machine-readable error codes of structured error responses.
@@ -424,8 +424,9 @@ fn decode_options(v: &Value) -> Result<ExtractOptions, WireError> {
     }
     // Operator knobs are range-checked here: a zero leaf size would
     // panic inside an executor worker, a zero spacing would solve on NaN,
-    // and a raised grid cap would let a fine spacing allocate a grid of
-    // any size (an out-of-memory kill no `catch_unwind` contains).
+    // a zero near zone would solve to a silently wrong C, and a raised
+    // grid cap would let a fine spacing allocate a grid of any size (an
+    // out-of-memory kill no `catch_unwind` contains).
     let positive = |x: f64| x.is_finite() && x > 0.0;
     if let Some(f) = v.get("fmm").filter(|f| !f.is_null()) {
         let (theta, leaf_size) = (req(f, "fmm", "theta")?, req(f, "fmm", "leaf_size")?);
@@ -435,20 +436,19 @@ fn decode_options(v: &Value) -> Result<ExtractOptions, WireError> {
         options.fmm = Some(FmmConfig { theta, leaf_size });
     }
     if let Some(p) = v.get("pfft").filter(|p| !p.is_null()) {
-        let spacing_factor = req(p, "pfft", "spacing_factor")?;
-        if !positive(spacing_factor) {
-            return Err(WireError::bad("'pfft' needs a positive 'spacing_factor'"));
+        let (spacing_factor, near_cells) =
+            (req(p, "pfft", "spacing_factor")?, req(p, "pfft", "near_cells")?);
+        if !positive(spacing_factor) || near_cells == 0 {
+            return Err(WireError::bad(
+                "'pfft' needs a positive 'spacing_factor' and 'near_cells'",
+            ));
         }
         let max_grid_points = req(p, "pfft", "max_grid_points")?;
         let cap = PfftConfig::default().max_grid_points;
         if max_grid_points > cap {
             return Err(WireError::bad(format!("'pfft' 'max_grid_points' may not exceed {cap}")));
         }
-        options.pfft = Some(PfftConfig {
-            spacing_factor,
-            near_cells: req(p, "pfft", "near_cells")?,
-            max_grid_points,
-        });
+        options.pfft = Some(PfftConfig { spacing_factor, near_cells, max_grid_points });
     }
     if let Some(k) = v.get("krylov").filter(|k| !k.is_null()) {
         options.krylov = Some(KrylovConfig {
@@ -680,9 +680,7 @@ pub struct ExtractReply {
     pub n: usize,
     /// Template count M (instantiable method only).
     pub m_templates: Option<usize>,
-    /// Workers the daemon's setup step used (1 when a pre-v3 daemon
-    /// omitted the field — tolerated only for requests that carry no
-    /// typed backend options; see [`ExtractReply::decode`]).
+    /// Workers the daemon's setup step used.
     pub workers: usize,
     /// Daemon-side setup seconds.
     pub setup_seconds: f64,
@@ -691,19 +689,18 @@ pub struct ExtractReply {
     /// Daemon-side estimate of peak solver memory in bytes.
     pub memory_bytes: usize,
     /// Iterative-solver counters (iterations, restarts, residual) for
-    /// Krylov backends; `None` for direct solves and pre-v3 daemons.
+    /// Krylov backends; `None` for direct solves.
     pub solver: Option<SolverStats>,
     /// Pair-integral cache counters of this request.
     pub cache: CacheStats,
     /// Seconds the request waited in the daemon's admission queue before
-    /// its micro-batch started (0 when the daemon predates the field).
+    /// its micro-batch started.
     pub queue_seconds: f64,
     /// Whether the daemon coalesced this request into a micro-batch
     /// opened by an earlier concurrent request.
     pub coalesced: bool,
     /// Jobs in the micro-batch that ran this request, across every
-    /// submission coalesced into it (0 when the daemon predates the
-    /// field).
+    /// submission coalesced into it.
     pub micro_batch_jobs: usize,
 }
 
@@ -740,24 +737,23 @@ impl ExtractReply {
     }
 
     /// Decodes an `extract` result; fails on a missing or mistyped field
-    /// or a matrix whose shape does not match the names. `options` are
-    /// the request's: when they carry typed backend options (v3) the
-    /// report must carry the v3 `workers` marker, because a pre-v3 daemon
-    /// ignores those options and would hand back a matrix solved under
-    /// its own defaults with no error. Other fields a pre-v3 daemon omits
-    /// decode to defaults.
-    pub fn decode(v: &Value, options: &ExtractOptions) -> Result<ExtractReply, WireError> {
-        decode_extraction(v, opt(v, "extract", "exec")?, options)
+    /// (only `m_templates` and `solver` may be null) or a matrix whose
+    /// shape does not match the names.
+    pub fn decode(v: &Value) -> Result<ExtractReply, WireError> {
+        decode_extraction(v, req(v, "extract", "exec")?)
     }
 
     /// Decodes a `batch` result into one reply per entry, each carrying
     /// the frame's shared executor record; fails as
-    /// [`ExtractReply::decode`] does, for any entry.
-    pub fn decode_batch(v: &Value, options: &ExtractOptions) -> Result<Vec<Self>, WireError> {
+    /// [`ExtractReply::decode`] does, for any entry. Only an empty frame
+    /// may omit the executor record.
+    pub fn decode_batch(v: &Value) -> Result<Vec<Self>, WireError> {
         let exec = opt(v, "batch", "exec")?;
         req::<&[Value]>(v, "batch", "results")?
             .iter()
-            .map(|entry| decode_extraction(entry, exec, options))
+            .map(|entry| {
+                decode_extraction(entry, exec.ok_or_else(|| needs::<&Value>("batch", "exec"))?)
+            })
             .collect()
     }
 }
@@ -796,32 +792,8 @@ fn submission_value(sub: &Submission) -> Value {
     })
 }
 
-/// Whether the request relies on protocol-v3 typed backend fields that a
-/// pre-v3 daemon would silently ignore. (`method: auto` needs no guard —
-/// older daemons reject the unknown method name outright.)
-fn uses_typed_backend_options(options: &ExtractOptions) -> bool {
-    options.fmm.is_some()
-        || options.pfft.is_some()
-        || options.krylov.is_some()
-        || options.auto_budget.is_some()
-}
-
-fn decode_extraction(
-    v: &Value,
-    exec: Option<&Value>,
-    options: &ExtractOptions,
-) -> Result<ExtractReply, WireError> {
+fn decode_extraction(v: &Value, exec: &Value) -> Result<ExtractReply, WireError> {
     let report: &Value = req(v, "extract", "report")?;
-    // v3 daemons always emit `report.workers`, so its absence identifies
-    // the downgrade deterministically.
-    let workers = opt(report, "report", "workers")?;
-    if workers.is_none() && uses_typed_backend_options(options) {
-        return Err(WireError::bad(
-            "daemon predates protocol v3 and would silently ignore the typed backend \
-             options (fmm/pfft/krylov/auto_budget) — upgrade the daemon or \
-             drop the typed fields",
-        ));
-    }
     let names = names(v, "extract")?;
     let matrix: Vec<Vec<f64>> = req::<&[Value]>(v, "extract", "matrix")?
         .iter()
@@ -831,26 +803,21 @@ fn decode_extraction(
     if matrix.len() != names.len() || matrix.iter().any(|r| r.len() != names.len()) {
         return Err(WireError::bad("matrix shape does not match conductor names"));
     }
-    // The executor record and the v3 report fields are additive: lenient
-    // decode so older daemons still work.
-    let lenient = |name: &str| opt::<f64>(report, "report", name).map(Option::unwrap_or_default);
-    let none = Value::Null;
-    let exec = exec.unwrap_or(&none);
     Ok(ExtractReply {
         names,
         matrix,
         method: req::<&str>(report, "report", "method")?.to_string(),
         n: req(report, "report", "n")?,
         m_templates: opt(report, "report", "m_templates")?,
-        workers: workers.unwrap_or(1),
-        setup_seconds: lenient("setup_seconds")?,
-        solve_seconds: lenient("solve_seconds")?,
+        workers: req(report, "report", "workers")?,
+        setup_seconds: req(report, "report", "setup_seconds")?,
+        solve_seconds: req(report, "report", "solve_seconds")?,
         memory_bytes: req(report, "report", "memory_bytes")?,
         solver: opt(report, "report", "solver")?.map(solver_stats_from_value).transpose()?,
         cache: cache_stats_from_value(req(v, "extract", "cache")?)?,
-        queue_seconds: opt(exec, "exec", "queue_seconds")?.unwrap_or(0.0),
-        coalesced: opt(exec, "exec", "coalesced")?.unwrap_or(false),
-        micro_batch_jobs: opt(exec, "exec", "micro_batch_jobs")?.unwrap_or(0),
+        queue_seconds: req(exec, "exec", "queue_seconds")?,
+        coalesced: req(exec, "exec", "coalesced")?,
+        micro_batch_jobs: req(exec, "exec", "micro_batch_jobs")?,
     })
 }
 
@@ -952,8 +919,6 @@ impl ChipReply {
         if req::<usize>(report, "report", "nnz")? != entries.len() {
             return Err(WireError::bad("chip report 'nnz' does not count the entries"));
         }
-        let lenient =
-            |name: &str| opt::<f64>(report, "report", name).map(Option::unwrap_or_default);
         Ok(ChipReply {
             names,
             dim,
@@ -962,9 +927,9 @@ impl ChipReply {
             extracted: req(report, "report", "extracted")?,
             reused: req(report, "report", "reused")?,
             workers: req(report, "report", "workers")?,
-            wall_seconds: lenient("wall_seconds")?,
-            busy_seconds: lenient("busy_seconds")?,
-            queue_seconds: lenient("queue_seconds")?,
+            wall_seconds: req(report, "report", "wall_seconds")?,
+            busy_seconds: req(report, "report", "busy_seconds")?,
+            queue_seconds: req(report, "report", "queue_seconds")?,
             cache: cache_stats_from_value(req(v, "chip", "cache")?)?,
             window_cache: cache_stats_from_value(req(v, "chip", "window_cache")?)?,
         })
@@ -993,7 +958,7 @@ impl PingReply {
     }
 
     /// Decodes the result; fails on a missing or mistyped field, or
-    /// `pong` not true.
+    /// `pong` not true. Only `router` may be absent (a daemon omits it).
     pub fn decode(v: &Value) -> Result<PingReply, WireError> {
         if !req::<bool>(v, "ping", "pong")? {
             return Err(WireError::bad("'ping' answered without 'pong': true"));
@@ -1035,17 +1000,13 @@ pub struct DaemonStats {
     pub running: usize,
     /// Lifetime executor counters (admission, rejections, coalescing).
     pub exec: ExecStats,
-    /// Lifetime window-cache counters of the `chip` op (v4; all zero
-    /// when the daemon predates the field).
+    /// Lifetime window-cache counters of the `chip` op.
     pub window_cache: CacheStats,
-    /// Resident window-cache entries right now (v4; 0 for older
-    /// daemons).
+    /// Resident window-cache entries right now.
     pub window_cache_entries: usize,
-    /// Approximate resident window-cache bytes right now (v4; 0 for
-    /// older daemons).
+    /// Approximate resident window-cache bytes right now.
     pub window_cache_resident_bytes: usize,
-    /// Configured window-cache bound (`None` = unbounded, or a daemon
-    /// older than v4).
+    /// Configured window-cache bound (`None` = unbounded).
     pub window_cache_max_bytes: Option<usize>,
 }
 
@@ -1075,8 +1036,8 @@ impl DaemonStats {
         })
     }
 
-    /// Decodes the result; fails on a missing or mistyped field. The v4
-    /// window-cache fields and the uptime default when absent.
+    /// Decodes the result; fails on a missing or mistyped field. Only
+    /// the two `*_max_bytes` bounds may be null (unbounded).
     pub fn decode(v: &Value) -> Result<DaemonStats, WireError> {
         let queue: &Value = req(v, "stats", "queue")?;
         Ok(DaemonStats {
@@ -1084,7 +1045,7 @@ impl DaemonStats {
             cache_entries: req(v, "stats", "cache_entries")?,
             cache_resident_bytes: req(v, "stats", "cache_resident_bytes")?,
             cache_max_bytes: opt(v, "stats", "cache_max_bytes")?,
-            uptime_seconds: opt(v, "stats", "uptime_seconds")?.unwrap_or(0.0),
+            uptime_seconds: req(v, "stats", "uptime_seconds")?,
             requests: req(v, "stats", "requests")?,
             connections: req(v, "stats", "connections")?,
             workers: req(v, "stats", "workers")?,
@@ -1093,13 +1054,9 @@ impl DaemonStats {
             queued: req(queue, "queue", "queued")?,
             running: req(queue, "queue", "running")?,
             exec: exec_stats_from_value(req(v, "stats", "exec")?)?,
-            window_cache: opt(v, "stats", "window_cache")?
-                .map(cache_stats_from_value)
-                .transpose()?
-                .unwrap_or_default(),
-            window_cache_entries: opt(v, "stats", "window_cache_entries")?.unwrap_or(0),
-            window_cache_resident_bytes: opt(v, "stats", "window_cache_resident_bytes")?
-                .unwrap_or(0),
+            window_cache: cache_stats_from_value(req(v, "stats", "window_cache")?)?,
+            window_cache_entries: req(v, "stats", "window_cache_entries")?,
+            window_cache_resident_bytes: req(v, "stats", "window_cache_resident_bytes")?,
             window_cache_max_bytes: opt(v, "stats", "window_cache_max_bytes")?,
         })
     }
@@ -1451,6 +1408,7 @@ mod tests {
             r#"{"op":"extract","geometry":"g","fmm":{"theta":1e999,"leaf_size":12}}"#,
             r#"{"op":"extract","geometry":"g","pfft":{"spacing_factor":0,"near_cells":2,"max_grid_points":4096}}"#,
             r#"{"op":"extract","geometry":"g","pfft":{"spacing_factor":-1,"near_cells":2,"max_grid_points":4096}}"#,
+            r#"{"op":"extract","geometry":"g","pfft":{"spacing_factor":1,"near_cells":0,"max_grid_points":4096}}"#,
             r#"{"op":"extract","geometry":"g","pfft":{"spacing_factor":0.01,"near_cells":2,"max_grid_points":16777217}}"#,
             r#"{"op":"extract","geometry":"g","precond":"diagonal"}"#,
             r#"{"op":"extract","geometry":"g","precond":{"block_jacobi":8}}"#,

@@ -8,16 +8,15 @@
 //!   reply (each field removed, each field given the wrong JSON kind, a
 //!   non-object result, shape mismatches, bad chip triplets), answers
 //!   with `ServeError::Protocol` — never a panic — unless the removed
-//!   field is one the decoder documents as optional.
+//!   field is one v7 itself sends as null or may leave out.
 
 use bemcap_core::{
-    CacheStats, ChipExtraction, ChipExtractor, ExecStats, Extraction, Extractor, KrylovConfig,
-    Method, Submission,
+    CacheStats, ChipExtraction, ChipExtractor, ExecStats, Extraction, Extractor, Method, Submission,
 };
 use bemcap_geom::structures::{self, BusParams, CrossingParams};
 use bemcap_serve::protocol::{
-    open_response, ChipReply, DaemonStats, ExtractOptions, ExtractReply, MetricsReply, PingReply,
-    ReplicaStats, RouteStatsReply, ShutdownReply, SnapshotReply, Value, WireError,
+    open_response, ChipReply, DaemonStats, ExtractReply, MetricsReply, PingReply, ReplicaStats,
+    RouteStatsReply, ShutdownReply, SnapshotReply, Value, WireError,
 };
 use bemcap_serve::ServeError;
 
@@ -78,7 +77,7 @@ fn extract_and_batch_results_decode_to_the_engine_bits() {
     assert!(krylov.report().krylov.is_some(), "the FMM report carries solver counters");
     for want in [&direct, &krylov] {
         let v = through_text(ExtractReply::encode(want, &CACHE, &sub));
-        let reply = ExtractReply::decode(&v, &ExtractOptions::default()).expect("decode");
+        let reply = ExtractReply::decode(&v).expect("decode");
         assert_extraction_bits(&reply, want, &CACHE);
         assert_eq!(reply.queue_seconds.to_bits(), sub.queue_seconds.to_bits());
         assert_eq!((reply.coalesced, reply.micro_batch_jobs), (true, 5));
@@ -86,7 +85,7 @@ fn extract_and_batch_results_decode_to_the_engine_bits() {
 
     let jobs = [(direct, CacheStats::default()), (krylov, CACHE)];
     let v = through_text(ExtractReply::encode_batch(&[&jobs[0], &jobs[1]], Some(&sub)));
-    let replies = ExtractReply::decode_batch(&v, &ExtractOptions::default()).expect("batch");
+    let replies = ExtractReply::decode_batch(&v).expect("batch");
     assert_eq!(replies.len(), 2);
     for (reply, (want, cache)) in replies.iter().zip(&jobs) {
         assert_extraction_bits(reply, want, cache);
@@ -96,7 +95,7 @@ fn extract_and_batch_results_decode_to_the_engine_bits() {
     // An empty frame never reaches the queue: no executor record.
     let v = through_text(ExtractReply::encode_batch(&[], None));
     assert!(v.get("exec").is_none());
-    let replies = ExtractReply::decode_batch(&v, &ExtractOptions::default()).expect("empty");
+    let replies = ExtractReply::decode_batch(&v).expect("empty");
     assert!(replies.is_empty());
 }
 
@@ -218,8 +217,8 @@ fn control_replies_round_trip_through_the_wire_text() {
 type Decoder = fn(&Value) -> Result<(), WireError>;
 
 /// One reply shape of the corpus: a valid encoded sample, its decoder,
-/// and the paths whose removal the decoder tolerates (pre-v3/v4 compat
-/// defaults, derived fields nobody reads, metric-map entries).
+/// and the paths whose removal the decoder tolerates: fields v7 sends as
+/// null or may leave out, and metric-map entries.
 struct Shape {
     name: &'static str,
     sample: Value,
@@ -238,53 +237,26 @@ fn shapes() -> Vec<Shape> {
         Shape {
             name: "extract",
             sample: ExtractReply::encode(&job.0, &job.1, &sub),
-            decode: |v| ExtractReply::decode(v, &ExtractOptions::default()).map(drop),
-            optional: &[
-                "report.m_templates",
-                "report.workers",
-                "report.setup_seconds",
-                "report.solve_seconds",
-                "report.solver",
-                "exec",
-                "exec.queue_seconds",
-                "exec.coalesced",
-                "exec.micro_batch_jobs",
-            ],
+            decode: |v| ExtractReply::decode(v).map(drop),
+            optional: &["report.m_templates", "report.solver"],
         },
         Shape {
             name: "batch",
             sample: ExtractReply::encode_batch(&[&job], Some(&sub)),
-            decode: |v| ExtractReply::decode_batch(v, &ExtractOptions::default()).map(drop),
-            optional: &[
-                "results[].report.m_templates",
-                "results[].report.workers",
-                "results[].report.setup_seconds",
-                "results[].report.solve_seconds",
-                "results[].report.solver",
-                "exec",
-                "exec.queue_seconds",
-                "exec.coalesced",
-                "exec.micro_batch_jobs",
-            ],
+            decode: |v| ExtractReply::decode_batch(v).map(drop),
+            optional: &["results[].report.m_templates", "results[].report.solver"],
         },
         Shape {
             name: "chip",
             sample: ChipReply::encode(&chip_extraction()),
             decode: |v| ChipReply::decode(v).map(drop),
-            optional: &["report.wall_seconds", "report.busy_seconds", "report.queue_seconds"],
+            optional: &[],
         },
         Shape {
             name: "stats",
             sample: stats_sample().encode(),
             decode: |v| DaemonStats::decode(v).map(drop),
-            optional: &[
-                "cache_max_bytes",
-                "uptime_seconds",
-                "window_cache",
-                "window_cache_entries",
-                "window_cache_resident_bytes",
-                "window_cache_max_bytes",
-            ],
+            optional: &["cache_max_bytes", "window_cache_max_bytes"],
         },
         Shape {
             name: "route_stats",
@@ -429,7 +401,7 @@ fn items(v: &mut Value) -> &mut Vec<Value> {
 
 #[test]
 fn shape_mismatches_are_protocol_errors() {
-    let extract: Decoder = |v| ExtractReply::decode(v, &ExtractOptions::default()).map(drop);
+    let extract: Decoder = |v| ExtractReply::decode(v).map(drop);
     let sample =
         ExtractReply::encode(&extraction(Method::InstantiableBasis), &CACHE, &submission());
     assert_rejects(&sample, extract, "a name too few", |v| {
@@ -442,13 +414,7 @@ fn shape_mismatches_are_protocol_errors() {
     assert_rejects(&sample, extract, "a short row", |v| {
         items(&mut items(field(v, "matrix"))[1]).pop();
     });
-    // Typed backend options demand the v3 `workers` marker.
-    let typed = |v: &Value| {
-        let options =
-            ExtractOptions { krylov: Some(KrylovConfig::default()), ..Default::default() };
-        ExtractReply::decode(v, &options).map(drop)
-    };
-    assert_rejects(&sample, typed, "pre-v3 report with typed options", |v| {
+    assert_rejects(&sample, extract, "a report without workers", |v| {
         let Value::Object(report) = field(v, "report") else { unreachable!() };
         report.retain(|(k, _)| k != "workers");
     });

@@ -525,27 +525,26 @@ fn typed_options_against_a_pre_v3_daemon_fail_instead_of_silently_downgrading() 
                  \"report\":{{\"method\":\"instantiable\",\"n\":4,\"m_templates\":null,\
                  \"setup_seconds\":0.1,\"solve_seconds\":0.1,\"memory_bytes\":128}},\
                  \"cache\":{{\"hits\":0,\"misses\":1,\"evictions\":0,\"inserted_bytes\":192,\
-                 \"hit_rate\":0.0}}}}}}\n"
+                 \"hit_rate\":0.0}},\"exec\":{{\"queue_seconds\":0.0,\"coalesced\":false,\
+                 \"micro_batch_jobs\":1}}}}}}\n"
             );
             (&stream).write_all(response.as_bytes()).expect("write");
         }
     });
     let mut client = Client::connect(addr).expect("connect");
     let geo = structures::crossing_wires(structures::CrossingParams::default());
-    // Typed backend options against the v2-shaped report: refused.
+    // Replies decode as v7 only, so the v2-shaped report is refused with
+    // or without typed backend options: nothing is filled in by default.
     let typed = ExtractOptions {
         krylov: Some(KrylovConfig { tol: 1e-9, ..Default::default() }),
         ..Default::default()
     };
-    match client.extract(&geo, &typed) {
-        Err(ServeError::Protocol(msg)) => {
-            assert!(msg.contains("typed backend options"), "{msg}");
+    for options in [typed, ExtractOptions::default()] {
+        match client.extract(&geo, &options) {
+            Err(ServeError::Protocol(msg)) => assert!(msg.contains("workers"), "{msg}"),
+            other => panic!("expected a protocol error, got {other:?}"),
         }
-        other => panic!("expected a protocol error, got {other:?}"),
     }
-    // The same report without typed options decodes leniently.
-    let reply = client.extract(&geo, &ExtractOptions::default()).expect("lenient decode");
-    assert_eq!((reply.workers, reply.solver), (1, None));
     drop(client);
     fake.join().expect("fake daemon thread");
 }
