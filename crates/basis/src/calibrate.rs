@@ -63,7 +63,7 @@ pub fn calibrate_crossing(
     // Target (conductor 0) grounded, source (conductor 1) at 1.
     let rhs: Vec<f64> =
         mesh.panels().iter().map(|p| if p.conductor == 1 { 1.0 } else { 0.0 }).collect();
-    let lu = LuFactor::new(a)
+    let lu = LuFactor::pivoted(a)
         .map_err(|e| BasisError::Calibration { detail: format!("dense solve: {e}") })?;
     let q = lu
         .solve_vec(&rhs)

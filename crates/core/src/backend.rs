@@ -9,10 +9,12 @@
 //! accounting:
 //!
 //! * [`Method::InstantiableBasis`] — instantiate templates, fill P and Φ
-//!   (Algorithm 1, sequential/threaded/message-passing), dense LU solve;
+//!   (Algorithm 1, sequential/threaded/message-passing), LU solve of the
+//!   (indefinite) P;
 //! * [`Method::PwcDense`] — piecewise-constant Galerkin, dense assembly
 //!   (Algorithm 1 on one flat template per panel) in the extractor's
-//!   [`crate::extraction::Parallelism`] mode, direct solve;
+//!   [`crate::extraction::Parallelism`] mode, blocked Cholesky solve
+//!   (LU when P is singular to working precision);
 //! * [`Method::PwcFmm`] — multipole-accelerated matvec + preconditioned
 //!   GMRES through the shared `bemcap_linalg::gmres_grouped` driver;
 //! * [`Method::PwcPfft`] — precorrected-FFT matvec + the same driver; the
@@ -38,7 +40,7 @@ use crate::cache::TemplateCache;
 use crate::error::CoreError;
 use crate::extraction::{Extractor, Method};
 use crate::report::CacheStats;
-use crate::solver::{solve_capacitance, DensePwcSolver};
+use crate::solver::{solve_capacitance, solve_dense_capacitance, DensePwcSolver};
 
 /// Most panels [`Method::Auto`] hands to the dense direct solver: beyond
 /// this, the O(N²) matrix and O(N³) solve stop being the fast path even
@@ -68,8 +70,10 @@ pub(crate) struct Prepared {
 
 /// A prepared system, consumable by one solve.
 pub(crate) enum System {
-    /// P and Φ assembled, LU pending.
+    /// The instantiable P and Φ assembled, LU pending.
     Direct { p: Matrix, phi: Matrix },
+    /// The dense piecewise-constant P and Φ assembled, Cholesky pending.
+    Dense { p: Matrix, phi: Matrix },
     /// The multipole operator, its GMRES caps and Jacobi preconditioner.
     Fmm { op: FmmOperator, solver: FmmSolver, mesh: Mesh, n_cond: usize, pre: DiagonalPrecond },
     /// The precorrected-FFT operator, its GMRES caps and Jacobi
@@ -94,6 +98,7 @@ impl System {
     pub(crate) fn solve(self) -> Result<(Matrix, Option<KrylovStats>), CoreError> {
         match self {
             System::Direct { p, phi } => Ok((solve_capacitance(p, &phi)?.0, None)),
+            System::Dense { p, phi } => Ok((solve_dense_capacitance(p, &phi)?, None)),
             System::Fmm { op, solver, mesh, n_cond, pre } => {
                 let (c, stats) = solver.solve_prepared(&op, &mesh, n_cond, &pre)?;
                 Ok((c, Some(stats)))
@@ -154,7 +159,7 @@ impl Extractor {
             Method::PwcDense => {
                 let (p, phi, workers) =
                     DensePwcSolver.assemble_in_mode(geo, &mesh, self.parallelism);
-                (workers, p.memory_bytes() + phi.memory_bytes(), System::Direct { p, phi })
+                (workers, p.memory_bytes() + phi.memory_bytes(), System::Dense { p, phi })
             }
             Method::PwcFmm => {
                 let op = FmmOperator::new(&mesh, eps_rel, self.fmm_cfg)?;

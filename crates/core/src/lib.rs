@@ -7,7 +7,7 @@
 //!   basis functions, Algorithm 1 matrix filling (sequential, threaded or
 //!   message-passing), dense LU solve;
 //! * [`Method::PwcDense`] — piecewise-constant Galerkin with a dense
-//!   direct solve (small problems, exact reference);
+//!   blocked-Cholesky solve (small problems, exact reference);
 //! * [`Method::PwcFmm`] — the FASTCAP-style multipole baseline;
 //! * [`Method::PwcPfft`] — the precorrected-FFT baseline.
 //!

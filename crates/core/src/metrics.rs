@@ -2,12 +2,12 @@
 //!
 //! One [`CoreMetrics`] struct holds `&'static` handles to every counter
 //! the hot layers increment — executor admission, template-cache and
-//! window-cache traffic, chip windowing, and the per-extraction
-//! prepare/solve phases — all registered once in
-//! [`bemcap_par::trace::Registry::global`]. The handles are resolved
-//! lazily on first use ([`metrics()`]), so a process that never scrapes
-//! still pays only one relaxed atomic add per counted event and nothing
-//! at startup.
+//! window-cache traffic, chip windowing, the per-extraction
+//! prepare/solve phases, and the dense solve's LU fallback — all
+//! registered once in [`bemcap_par::trace::Registry::global`]. The
+//! handles are resolved lazily on first use ([`metrics()`]), so a process
+//! that never scrapes still pays only one relaxed atomic add per counted
+//! event and nothing at startup.
 //!
 //! Counters here are **process-global**: every `TemplateCache`,
 //! `Executor`, or `ChipExtractor` instance feeds the same cells. That is
@@ -83,6 +83,9 @@ pub struct CoreMetrics {
     pub extract_setup_nanos: &'static Metric,
     /// Nanoseconds spent in backend `solve` across all extractions.
     pub extract_solve_nanos: &'static Metric,
+    /// Dense solves whose P refused Cholesky (a pivot not above 1.5e-8
+    /// of its diagonal, or NaN) and were finished by LU on the restored P.
+    pub direct_not_spd: &'static Metric,
 }
 
 /// The core's metric handles, registered on first call.
@@ -159,6 +162,10 @@ pub fn metrics() -> &'static CoreMetrics {
             ),
             extract_solve_nanos: r
                 .counter("bemcap_extract_solve_nanos_total", "Nanoseconds spent in backend solve."),
+            direct_not_spd: r.counter(
+                "bemcap_direct_not_spd_total",
+                "Dense solves whose P was not positive definite and fell back to LU.",
+            ),
         }
     })
 }

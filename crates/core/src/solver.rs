@@ -1,4 +1,7 @@
-//! The system-solving step and the piecewise-constant dense reference.
+//! The system-solving step and the piecewise-constant dense reference:
+//! LU for the instantiable P ([`solve_capacitance`]), blocked in-place
+//! Cholesky for the dense piecewise-constant P
+//! ([`solve_dense_capacitance`], through [`LuFactor::new`]).
 
 use std::time::Instant;
 
@@ -12,21 +15,50 @@ use crate::error::CoreError;
 use crate::extraction::Parallelism;
 
 /// Solves P ρ = Φ by LU (the "standard direct method" of §3) and forms
-/// C = Φᵀ ρ. Returns (C, solve seconds).
+/// C = Φᵀ ρ. Returns (C, solve seconds). The instantiable P is indefinite
+/// at nominal geometry, so its solve stays here; the dense P goes through
+/// [`solve_dense_capacitance`].
 ///
 /// # Errors
 ///
 /// * [`CoreError::Linalg`] if P is singular or shapes mismatch.
 pub fn solve_capacitance(p: Matrix, phi: &Matrix) -> Result<(Matrix, f64), CoreError> {
     let start = Instant::now();
-    let lu = LuFactor::new(p)?;
-    let rho = lu.solve_matrix(phi)?;
-    let c = phi.transpose().matmul(&rho)?;
+    let c = capacitance(&LuFactor::pivoted(p)?, phi)?;
     Ok((c, start.elapsed().as_secs_f64()))
 }
 
+/// Solves the dense piecewise-constant P ρ = Φ and forms C = Φᵀ ρ by
+/// [`LuFactor::new`]: a blocked Cholesky factor of P, made in place.
+///
+/// A P that is singular to working precision (a pivot at or below 1.5e-8
+/// of its diagonal: coincident panels where a conductor is spelled as
+/// abutting or overlapping boxes) comes back from the Cholesky attempt
+/// rebuilt from its untouched upper triangle, and LU finishes the solve.
+/// P is bit-symmetric by construction, so that LU sees exactly the
+/// assembled P and gives C bit-identical to [`solve_capacitance`]. Each
+/// fallback increments `bemcap_direct_not_spd_total`.
+///
+/// # Errors
+///
+/// * [`CoreError::Linalg`] if P is singular or shapes mismatch.
+pub fn solve_dense_capacitance(p: Matrix, phi: &Matrix) -> Result<Matrix, CoreError> {
+    let factor = LuFactor::new(p)?;
+    if !factor.is_cholesky() {
+        crate::metrics::metrics().direct_not_spd.inc();
+    }
+    capacitance(&factor, phi)
+}
+
+/// C = Φᵀ P⁻¹ Φ from a factor of P.
+fn capacitance(factor: &LuFactor, phi: &Matrix) -> Result<Matrix, CoreError> {
+    let rho = factor.solve_matrix(phi)?;
+    Ok(phi.transpose().matmul(&rho)?)
+}
+
 /// Dense piecewise-constant Galerkin reference solver: assembles the full
-/// panel matrix with exact closed forms and solves directly. Exact up to
+/// panel matrix with exact closed forms and solves it by
+/// [`solve_dense_capacitance`]. Exact up to
 /// discretization error; O(N²) memory, so only for modest meshes.
 ///
 /// The fill is Algorithm 1 on a basis of one flat template per panel:
@@ -48,8 +80,7 @@ impl DensePwcSolver {
     /// * [`CoreError::Linalg`] if the panel matrix is singular.
     pub fn solve(&self, geo: &Geometry, mesh: &Mesh) -> Result<Matrix, CoreError> {
         let (p, phi) = self.assemble_system(geo, mesh, 1);
-        let (c, _) = solve_capacitance(p, &phi)?;
-        Ok(c)
+        solve_dense_capacitance(p, &phi)
     }
 
     /// The system-setup step alone on `workers` threads: assembles the
@@ -95,6 +126,7 @@ pub fn ideal_plate_capacitance(area: f64, gap: f64, eps_rel: f64) -> f64 {
 mod tests {
     use super::*;
     use bemcap_geom::structures;
+    use bemcap_linalg::LinalgError;
     use bemcap_quad::galerkin::PanelShape;
 
     #[test]
@@ -187,5 +219,16 @@ mod tests {
         let p = Matrix::zeros(2, 2);
         let phi = Matrix::identity(2);
         assert!(matches!(solve_capacitance(p, &phi), Err(CoreError::Linalg(_))));
+    }
+
+    #[test]
+    fn dense_solve_falls_back_to_lu_and_reports_a_singular_p() {
+        let phi = Matrix::identity(2);
+        let p = Matrix::from_rows(&[&[2.0, 0.5], &[0.5, 3.0]]).unwrap();
+        let (lu, _) = solve_capacitance(p.clone(), &phi).unwrap();
+        let chol = solve_dense_capacitance(p, &phi).unwrap();
+        assert!((&chol - &lu).max_abs() <= 1e-15 * lu.max_abs());
+        let singular = solve_dense_capacitance(Matrix::zeros(2, 2), &phi);
+        assert!(matches!(singular, Err(CoreError::Linalg(LinalgError::Singular { .. }))));
     }
 }

@@ -1,8 +1,9 @@
 //! Portable blocked compute kernels — the workspace's innermost loops.
 //!
 //! Every flop-bound path in the workspace (GMRES dot/axpy, dense and
-//! sparse matvec, `gemm` behind `Matrix::matmul`, the pFFT precorrection
-//! and the FMM near field) funnels through this module. The kernels are
+//! sparse matvec, `gemm` behind `Matrix::matmul` and the blocked
+//! Cholesky's trailing update, the pFFT precorrection and the FMM near
+//! field) funnels through this module. The kernels are
 //! plain safe Rust shaped so LLVM can vectorize them: reductions carry
 //! [`LANES`] **independent partial accumulators** (breaking the serial
 //! add chain that forbids SIMD on strict IEEE semantics), matrices are
@@ -281,7 +282,24 @@ pub fn gemv(m: usize, n: usize, a: &[f64], x: &[f64], y: &mut [f64]) {
 }
 
 /// `C += A B`, cache-blocked with a 4×4 register micro-kernel
-/// (row-major, `A: m×k`, `B: k×n`).
+/// (row-major, `A: m×k`, `B: k×n`, all three dense).
+///
+/// [`gemm_strided`] with every row stride equal to its row length:
+/// bit-identical to it on the same entries.
+///
+/// # Panics
+///
+/// Panics if slice lengths disagree with `m`, `k`, `n`.
+pub fn gemm(m: usize, k: usize, n: usize, a: &[f64], b: &[f64], c: &mut [f64]) {
+    check_gemm(m, k, n, a, b, c);
+    gemm_strided(m, k, n, a, k, b, n, c, n);
+}
+
+/// `C += A B` on row-major operands with row strides `lda`, `ldb`,
+/// `ldc`: `A[i, p]` is `a[i * lda + p]`, and likewise for `B` and `C`.
+/// A tile of a larger matrix is updated in place by passing the slice
+/// from its first entry and the matrix's row length as the stride; no
+/// entry of `c` outside the `m × n` tile is written.
 ///
 /// The [`BLOCK`]-edge outer tiling is the classic three-loop cache
 /// blocking; inside a tile, full 4×4 sub-tiles of `C` accumulate in
@@ -292,9 +310,23 @@ pub fn gemv(m: usize, n: usize, a: &[f64], x: &[f64], y: &mut [f64]) {
 ///
 /// # Panics
 ///
-/// Panics if slice lengths disagree with `m`, `k`, `n`.
-pub fn gemm(m: usize, k: usize, n: usize, a: &[f64], b: &[f64], c: &mut [f64]) {
-    check_gemm(m, k, n, a, b, c);
+/// Panics if a stride is shorter than its row or a slice is too short
+/// for its last row.
+#[allow(clippy::too_many_arguments)]
+pub fn gemm_strided(
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[f64],
+    lda: usize,
+    b: &[f64],
+    ldb: usize,
+    c: &mut [f64],
+    ldc: usize,
+) {
+    check_strided("A", m, k, a, lda);
+    check_strided("B", k, n, b, ldb);
+    check_strided("C", m, n, c, ldc);
     const MR: usize = 4;
     const NR: usize = 4;
     for ib in (0..m).step_by(BLOCK) {
@@ -313,16 +345,16 @@ pub fn gemm(m: usize, k: usize, n: usize, a: &[f64], b: &[f64], c: &mut [f64]) {
                     while j < j_full {
                         let mut acc = [[0.0f64; NR]; MR];
                         for p in pb..pm {
-                            let bq = &b[p * n + j..p * n + j + NR];
+                            let bq = &b[p * ldb + j..p * ldb + j + NR];
                             for (r, accr) in acc.iter_mut().enumerate() {
-                                let aip = a[(i + r) * k + p];
+                                let aip = a[(i + r) * lda + p];
                                 for (s, slot) in accr.iter_mut().enumerate() {
                                     *slot += aip * bq[s];
                                 }
                             }
                         }
                         for (r, accr) in acc.iter().enumerate() {
-                            let crow = &mut c[(i + r) * n + j..(i + r) * n + j + NR];
+                            let crow = &mut c[(i + r) * ldc + j..(i + r) * ldc + j + NR];
                             for (cij, v) in crow.iter_mut().zip(accr) {
                                 *cij += v;
                             }
@@ -331,27 +363,41 @@ pub fn gemm(m: usize, k: usize, n: usize, a: &[f64], b: &[f64], c: &mut [f64]) {
                     }
                     // Right edge of the block: columns j_full..jm.
                     for r in 0..MR {
-                        edge_row(k, n, a, b, c, i + r, pb, pm, j_full, jm);
+                        edge_row(lda, ldb, ldc, a, b, c, i + r, pb, pm, j_full, jm);
                     }
                     i += MR;
                 }
                 // Bottom edge of the block: rows i_full..im, all columns.
                 for ie in i_full..im {
-                    edge_row(k, n, a, b, c, ie, pb, pm, jb, jm);
+                    edge_row(lda, ldb, ldc, a, b, c, ie, pb, pm, jb, jm);
                 }
             }
         }
     }
 }
 
-/// Scalar tail of [`gemm`]: `C[i, jb..jm] += A[i, pb..pm] B[pb..pm, jb..jm]`
-/// with a per-entry accumulator over the same `p` order the micro-kernel
-/// uses.
+#[inline]
+fn check_strided(name: &str, rows: usize, cols: usize, buf: &[f64], ld: usize) {
+    assert!(ld >= cols, "gemm: {name} stride {ld} is shorter than its {cols} columns");
+    if rows > 0 && cols > 0 {
+        let need = (rows - 1) * ld + cols;
+        assert!(
+            buf.len() >= need,
+            "gemm: {name} buffer is {} elements, a {rows}x{cols} tile at stride {ld} needs {need}",
+            buf.len()
+        );
+    }
+}
+
+/// Scalar tail of [`gemm_strided`]:
+/// `C[i, jb..jm] += A[i, pb..pm] B[pb..pm, jb..jm]` with a per-entry
+/// accumulator over the same `p` order the micro-kernel uses.
 #[inline]
 #[allow(clippy::too_many_arguments)]
 fn edge_row(
-    k: usize,
-    n: usize,
+    lda: usize,
+    ldb: usize,
+    ldc: usize,
     a: &[f64],
     b: &[f64],
     c: &mut [f64],
@@ -367,9 +413,9 @@ fn edge_row(
     for j in jb..jm {
         let mut acc = 0.0;
         for p in pb..pm {
-            acc += a[i * k + p] * b[p * n + j];
+            acc += a[i * lda + p] * b[p * ldb + j];
         }
-        c[i * n + j] += acc;
+        c[i * ldc + j] += acc;
     }
 }
 

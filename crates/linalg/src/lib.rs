@@ -1,9 +1,11 @@
 //! # bemcap-linalg — dense linear algebra substrate
 //!
 //! Self-contained dense linear algebra for the `bemcap` workspace: row-major
-//! matrices, cache-blocked products, LU with partial pivoting (the "standard
-//! direct method" the paper relies on for the tiny instantiable-basis
-//! system), Cholesky, Householder QR / least squares (used by the rational
+//! matrices, cache-blocked products, the direct factor [`LuFactor`] (LU
+//! with partial pivoting, the "standard direct method" the paper relies on
+//! for the tiny instantiable-basis system, or a blocked in-place Cholesky,
+//! which [`LuFactor::new`] tries first on a bit-symmetric matrix such as
+//! the dense piecewise-constant P), Householder QR / least squares (used by the rational
 //! fitting of §4.2.4), and preconditioned GMRES for the FASTCAP-style
 //! baselines.
 //!

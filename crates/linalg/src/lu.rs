@@ -1,14 +1,18 @@
-//! LU factorization with partial pivoting.
+//! The direct factor: blocked Cholesky for a symmetric positive-definite
+//! matrix, LU with partial pivoting otherwise.
 //!
 //! This is the "standard direct method" of the paper's §3: with instantiable
 //! basis functions the system is small (N in the hundreds), so Gaussian
 //! elimination is cheap and — unlike approximated Krylov matvecs — maps onto
 //! highly optimized dense kernels.
 
+use crate::cholesky::{CholeskyFactor, Refused};
 use crate::error::LinalgError;
 use crate::matrix::Matrix;
 
-/// An LU factorization `P A = L U` with partial (row) pivoting.
+/// A direct factorization of a square matrix: `A = L Lᵀ` (blocked
+/// Cholesky) when [`LuFactor::new`] finds `A` bit-symmetric and positive
+/// definite, `P A = L U` with partial (row) pivoting otherwise.
 ///
 /// ```
 /// use bemcap_linalg::{LuFactor, Matrix};
@@ -19,24 +23,53 @@ use crate::matrix::Matrix;
 /// # Ok::<(), bemcap_linalg::LinalgError>(())
 /// ```
 #[derive(Debug, Clone)]
-pub struct LuFactor {
-    /// Packed L (unit lower, below diagonal) and U (upper incl. diagonal).
-    lu: Matrix,
-    /// Row permutation: `perm[i]` is the original row now in position `i`.
-    perm: Vec<usize>,
-    /// Sign of the permutation (for determinants).
-    perm_sign: f64,
+pub struct LuFactor(Factor);
+
+#[derive(Debug, Clone)]
+enum Factor {
+    Cholesky(CholeskyFactor),
+    Pivoted {
+        /// Packed L (unit lower, below diagonal) and U (upper incl. diagonal).
+        lu: Matrix,
+        /// Row permutation: `perm[i]` is the original row now in position `i`.
+        perm: Vec<usize>,
+        /// Sign of the permutation (for determinants).
+        perm_sign: f64,
+    },
 }
 
 impl LuFactor {
-    /// Factorizes a square matrix, consuming it.
+    /// Factorizes a square matrix, consuming it. A bit-symmetric `a` is
+    /// tried by [`CholeskyFactor::new`] first; when Cholesky refuses it
+    /// (not positive definite to working precision), `a` comes back
+    /// intact and [`LuFactor::pivoted`] factors it, as it does any
+    /// unsymmetric `a`.
+    ///
+    /// # Errors
+    ///
+    /// As [`LuFactor::pivoted`].
+    pub fn new(a: Matrix) -> Result<LuFactor, LinalgError> {
+        if !is_bit_symmetric(&a) {
+            return LuFactor::pivoted(a);
+        }
+        match CholeskyFactor::new(a) {
+            Ok(ch) => Ok(LuFactor(Factor::Cholesky(ch))),
+            Err(Refused { error: LinalgError::NotPositiveDefinite { .. }, matrix }) => {
+                LuFactor::pivoted(matrix)
+            }
+            Err(refused) => Err(refused.error),
+        }
+    }
+
+    /// Factorizes a square matrix by LU with partial pivoting alone,
+    /// consuming it.
     ///
     /// # Errors
     ///
     /// * [`LinalgError::DimensionMismatch`] if `a` is not square;
     /// * [`LinalgError::NotFinite`] if `a` has non-finite entries;
     /// * [`LinalgError::Singular`] when a pivot column is exactly zero.
-    pub fn new(a: Matrix) -> Result<LuFactor, LinalgError> {
+    pub fn pivoted(a: Matrix) -> Result<LuFactor, LinalgError> {
         if a.rows() != a.cols() {
             return Err(LinalgError::DimensionMismatch {
                 op: "lu",
@@ -93,12 +126,20 @@ impl LuFactor {
                 }
             }
         }
-        Ok(LuFactor { lu, perm, perm_sign })
+        Ok(LuFactor(Factor::Pivoted { lu, perm, perm_sign }))
     }
 
     /// System dimension.
     pub fn dim(&self) -> usize {
-        self.lu.rows()
+        match &self.0 {
+            Factor::Cholesky(ch) => ch.dim(),
+            Factor::Pivoted { lu, .. } => lu.rows(),
+        }
+    }
+
+    /// `true` when the factor is the Cholesky `A = L Lᵀ`.
+    pub fn is_cholesky(&self) -> bool {
+        matches!(self.0, Factor::Cholesky(_))
     }
 
     /// Solves `A x = b` for a single right-hand side.
@@ -107,6 +148,10 @@ impl LuFactor {
     ///
     /// Returns [`LinalgError::DimensionMismatch`] if `b.len() != dim()`.
     pub fn solve_vec(&self, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
+        let (lu, perm) = match &self.0 {
+            Factor::Cholesky(ch) => return ch.solve_vec(b),
+            Factor::Pivoted { lu, perm, .. } => (lu, perm),
+        };
         let n = self.dim();
         if b.len() != n {
             return Err(LinalgError::DimensionMismatch {
@@ -115,31 +160,35 @@ impl LuFactor {
             });
         }
         // Apply permutation.
-        let mut x: Vec<f64> = self.perm.iter().map(|&p| b[p]).collect();
+        let mut x: Vec<f64> = perm.iter().map(|&p| b[p]).collect();
         // Both substitution sweeps are row·x dot products over the already
         // solved prefix/suffix; the chunked kernel reduction vectorizes
         // them (reassociated, deterministic — see `kernels` module docs).
         // Forward substitution with unit lower triangle.
         for i in 1..n {
-            let row = self.lu.row(i);
+            let row = lu.row(i);
             let (head, tail) = x.split_at_mut(i);
             tail[0] -= crate::kernels::dot(&row[..i], head);
         }
         // Back substitution with upper triangle.
         for i in (0..n).rev() {
-            let row = self.lu.row(i);
+            let row = lu.row(i);
             let (head, tail) = x.split_at_mut(i + 1);
             head[i] = (head[i] - crate::kernels::dot(&row[i + 1..], tail)) / row[i];
         }
         Ok(x)
     }
 
-    /// Solves `A X = B` column by column for a matrix right-hand side.
+    /// Solves `A X = B` for a matrix right-hand side (column by column
+    /// for LU).
     ///
     /// # Errors
     ///
     /// Returns [`LinalgError::DimensionMismatch`] if `b.rows() != dim()`.
     pub fn solve_matrix(&self, b: &Matrix) -> Result<Matrix, LinalgError> {
+        if let Factor::Cholesky(ch) = &self.0 {
+            return ch.solve_matrix(b);
+        }
         let n = self.dim();
         if b.rows() != n {
             return Err(LinalgError::DimensionMismatch {
@@ -158,27 +207,39 @@ impl LuFactor {
         Ok(out)
     }
 
+    /// U's diagonal and the permutation sign. For Cholesky, U is that of
+    /// the unpivoted LU `A = (L D⁻¹)(D Lᵀ)`, `D = diag(L)`: `U[i, i]` is
+    /// `L[i, i]²`.
+    fn pivots(&self) -> (Vec<f64>, f64) {
+        match &self.0 {
+            Factor::Cholesky(ch) => ((0..ch.dim()).map(|i| ch.l_diag(i).powi(2)).collect(), 1.0),
+            Factor::Pivoted { lu, perm_sign, .. } => {
+                ((0..lu.rows()).map(|i| lu.get(i, i)).collect(), *perm_sign)
+            }
+        }
+    }
+
     /// Determinant of the factorized matrix.
     pub fn det(&self) -> f64 {
-        let mut d = self.perm_sign;
-        for i in 0..self.dim() {
-            d *= self.lu.get(i, i);
-        }
-        d
+        let (pivots, sign) = self.pivots();
+        pivots.iter().fold(sign, |d, p| d * p)
     }
 
     /// Magnitude of the smallest pivot relative to the largest — a cheap
     /// conditioning indicator.
     pub fn pivot_ratio(&self) -> f64 {
-        let mut lo = f64::INFINITY;
-        let mut hi = 0.0_f64;
-        for i in 0..self.dim() {
-            let p = self.lu.get(i, i).abs();
-            lo = lo.min(p);
-            hi = hi.max(p);
-        }
+        let (pivots, _) = self.pivots();
+        let lo = pivots.iter().fold(f64::INFINITY, |m, p| m.min(p.abs()));
+        let hi = pivots.iter().fold(0.0_f64, |m, p| m.max(p.abs()));
         lo / hi
     }
+}
+
+/// `true` when `a` is square and each entry has its mirror's bits: the
+/// input [`CholeskyFactor::new`] reads in full from either triangle.
+fn is_bit_symmetric(a: &Matrix) -> bool {
+    a.rows() == a.cols()
+        && (0..a.rows()).all(|i| (0..i).all(|j| a.get(i, j).to_bits() == a.get(j, i).to_bits()))
 }
 
 #[cfg(test)]
@@ -193,6 +254,28 @@ mod tests {
         let x = lu.solve_vec(&[3.0, 5.0]).unwrap();
         assert!((x[0] - 0.8).abs() < 1e-14);
         assert!((x[1] - 1.4).abs() < 1e-14);
+    }
+
+    #[test]
+    fn symmetric_input_tries_cholesky_first() {
+        let spd = Matrix::from_rows(&[&[4.0, 2.0], &[2.0, 3.0]]).unwrap();
+        let ch = LuFactor::new(spd.clone()).unwrap();
+        assert!(ch.is_cholesky());
+        assert!((ch.det() - 8.0).abs() < 1e-12);
+        assert!((ch.pivot_ratio() - 0.5).abs() < 1e-12);
+        assert!(!LuFactor::pivoted(spd).unwrap().is_cholesky());
+        // An indefinite or unsymmetric input goes to LU, bit for bit as
+        // `pivoted` factors it.
+        let indefinite = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 1.0]]).unwrap();
+        let unsymmetric = Matrix::from_rows(&[&[4.0, 2.0], &[2.5, 3.0]]).unwrap();
+        for a in [indefinite, unsymmetric] {
+            let (new, pivoted) = (LuFactor::new(a.clone()).unwrap(), LuFactor::pivoted(a).unwrap());
+            assert!(!new.is_cholesky());
+            assert_eq!(
+                new.solve_vec(&[1.0, 0.3]).unwrap(),
+                pivoted.solve_vec(&[1.0, 0.3]).unwrap()
+            );
+        }
     }
 
     #[test]

@@ -6,6 +6,8 @@
 //! tolerance** at arbitrary sizes — including remainder lanes, sizes that
 //! are not multiples of `LANES`, `BLOCK`, or the gemv column panel — and
 //! elementwise kernels (`axpy`) are **bit-identical** to the scalar loop.
+//! The strided `gemm_strided` is bit-identical to the dense `gemm` on a
+//! copied tile and writes nothing outside its tile.
 //!
 //! The vendored proptest stub generates numeric scalars only, so vector
 //! and matrix contents come from a deterministic splitmix64 generator
@@ -91,6 +93,51 @@ proptest! {
             prop_assert!(
                 close(*p, *q, scale),
                 "({},{},{}) slot {}: {} vs {}", m, k, n, slot, p, q
+            );
+        }
+    }
+
+    #[test]
+    fn gemm_strided_tile_is_bit_identical_to_dense_gemm(
+        m in 1usize..70,
+        k in 1usize..80,
+        n in 1usize..70,
+        pad in 0usize..9,
+        seed in 0u64..1u64 << 32,
+    ) {
+        // Every operand is an interior tile of a larger row-major buffer:
+        // `pad` spare rows and columns on each side.
+        let (lda, ldb, ldc) = (k + 2 * pad, n + 2 * pad + 1, n + 2 * pad + 3);
+        let big_a = vector((m + 2 * pad) * lda, seed);
+        let big_b = vector((k + 2 * pad) * ldb, seed ^ 0x88);
+        let mut big_c = vector((m + 2 * pad) * ldc, seed ^ 0x99);
+        let before = big_c.clone();
+        let at = |i: usize, j: usize, ld: usize| (i + pad) * ld + j + pad;
+        let tile = |buf: &[f64], rows: usize, cols: usize, ld: usize| -> Vec<f64> {
+            (0..rows * cols).map(|t| buf[at(t / cols, t % cols, ld)]).collect()
+        };
+        let (a, b) = (tile(&big_a, m, k, lda), tile(&big_b, k, n, ldb));
+        let mut c = tile(&big_c, m, n, ldc);
+        kernels::gemm(m, k, n, &a, &b, &mut c);
+        kernels::gemm_strided(
+            m,
+            k,
+            n,
+            &big_a[at(0, 0, lda)..],
+            lda,
+            &big_b[at(0, 0, ldb)..],
+            ldb,
+            &mut big_c[at(0, 0, ldc)..],
+            ldc,
+        );
+        for (slot, (got, was)) in big_c.iter().zip(&before).enumerate() {
+            let (i, j) = (slot / ldc, slot % ldc);
+            let inside = (pad..pad + m).contains(&i) && (pad..pad + n).contains(&j);
+            let want = if inside { c[(i - pad) * n + j - pad] } else { *was };
+            prop_assert_eq!(
+                got.to_bits(),
+                want.to_bits(),
+                "({},{},{}) pad {} entry ({},{}) inside={}", m, k, n, pad, i, j, inside
             );
         }
     }
