@@ -40,4 +40,4 @@ pub mod table6d;
 pub mod technique;
 
 pub use error::AccelError;
-pub use technique::{AnalyticIntegrator, Integrator2d, RectQuery, Technique};
+pub use technique::{AnalyticIntegrator, Integrator2d, RectQuery};

@@ -1,7 +1,6 @@
 //! The common interface shared by the §4.2 techniques.
 
 use bemcap_quad::analytic;
-use std::fmt;
 
 /// One evaluation request for the 2-D expression f₂D of equation (13):
 /// the potential integral of the rectangle `[x0,x1] × [y0,y1]` at in-plane
@@ -49,34 +48,6 @@ pub trait Integrator2d {
 
     /// Display name for report tables.
     fn name(&self) -> &'static str;
-}
-
-/// Technique identifiers in the order of Table 1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Technique {
-    /// Row 0: the original analytic expression (baseline).
-    Analytic,
-    /// Row 1: direct tabulation of the definite integral.
-    DirectTabulation,
-    /// Row 2: tabulation of the indefinite integral.
-    IndefiniteTabulation,
-    /// Row 3: tabulation of expensive subroutines (`log`, `atan`).
-    SubroutineTabulation,
-    /// Row 4: rational fitting.
-    RationalFitting,
-}
-
-impl fmt::Display for Technique {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            Technique::Analytic => "Original analytical expr.",
-            Technique::DirectTabulation => "Direct tabulation",
-            Technique::IndefiniteTabulation => "Tabulation of indef. int.",
-            Technique::SubroutineTabulation => "Tabulation of exp. routines",
-            Technique::RationalFitting => "Rational fitting",
-        };
-        f.write_str(s)
-    }
 }
 
 /// Row 0 of Table 1: the exact closed form evaluated with libm `ln`/`atan`.
@@ -154,18 +125,5 @@ mod tests {
         }
         // Different seeds differ.
         assert_ne!(a, sample_queries(100, 43));
-    }
-
-    #[test]
-    fn technique_names() {
-        for t in [
-            Technique::Analytic,
-            Technique::DirectTabulation,
-            Technique::IndefiniteTabulation,
-            Technique::SubroutineTabulation,
-            Technique::RationalFitting,
-        ] {
-            assert!(!format!("{t}").is_empty());
-        }
     }
 }

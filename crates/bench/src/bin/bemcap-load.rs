@@ -10,10 +10,8 @@
 //! With `--overload`, the generator switches to an open-loop overload
 //! scenario instead: more concurrent clients than the daemon has queue
 //! slots fire identical-configuration requests back to back, and the
-//! run reports the `busy` rejection fraction, the latency percentiles
-//! of the admitted requests, and — in self-contained mode — the
-//! throughput effect of request coalescing (the same storm against a
-//! `--coalesce 1` daemon and against the configured window).
+//! run reports the `busy` rejection fraction and the latency
+//! percentiles of the admitted requests.
 //!
 //! Self-contained by default (spawns an in-process daemon on a loopback
 //! port); point it at a running daemon with `--addr`:
@@ -21,7 +19,7 @@
 //! ```text
 //! cargo run --release -p bemcap-bench --bin bemcap-load -- \
 //!     [--addr HOST:PORT] [--clients N] [--passes N] [--workers N]
-//!     [--cache-mb N] [--queue N] [--coalesce N]
+//!     [--cache-mb N] [--queue N]
 //!     [--overload] [--requests N] [--metrics] [--shutdown]
 //! ```
 //!
@@ -55,7 +53,7 @@ fn fmt_seconds(s: f64) -> String {
 }
 
 const USAGE: &str = "usage: bemcap-load [--addr HOST:PORT] [--clients N] [--passes N] \
-                     [--workers N] [--cache-mb N] [--queue N] [--coalesce N] \
+                     [--workers N] [--cache-mb N] [--queue N] \
                      [--overload] [--requests N] [--metrics] [--shutdown]";
 
 struct Args {
@@ -65,7 +63,6 @@ struct Args {
     workers: usize,
     cache_mb: usize,
     queue: usize,
-    coalesce: usize,
     overload: bool,
     requests: usize,
     metrics: bool,
@@ -81,7 +78,6 @@ impl Default for Args {
             workers: 1,
             cache_mb: 64,
             queue: 256,
-            coalesce: 16,
             overload: false,
             requests: 40,
             metrics: false,
@@ -109,7 +105,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             "--workers" => args.workers = positive("--workers", value("--workers")?)?,
             "--cache-mb" => args.cache_mb = positive("--cache-mb", value("--cache-mb")?)?,
             "--queue" => args.queue = positive("--queue", value("--queue")?)?,
-            "--coalesce" => args.coalesce = positive("--coalesce", value("--coalesce")?)?,
             "--overload" => args.overload = true,
             "--requests" => args.requests = positive("--requests", value("--requests")?)?,
             "--metrics" => args.metrics = true,
@@ -244,15 +239,13 @@ fn print_warm_speedup(means: &[f64]) {
     }
 }
 
-/// Spawns the in-process daemon with the run's settings and the given
-/// coalescing window.
-fn spawn_local_daemon(args: &Args, coalesce: usize) -> Result<bemcap_serve::ServerHandle, String> {
+/// Spawns the in-process daemon with the run's settings.
+fn spawn_local_daemon(args: &Args) -> Result<bemcap_serve::ServerHandle, String> {
     let server = Server::bind(ServerConfig {
         addr: "127.0.0.1:0".into(),
         cache_max_bytes: Some(args.cache_mb << 20),
         workers: args.workers,
         queue_depth: args.queue,
-        coalesce_limit: coalesce,
         ..ServerConfig::default()
     })
     .map_err(|e| format!("cannot start in-process daemon: {e}"))?;
@@ -266,8 +259,6 @@ struct OverloadStats {
     ok_latencies: Vec<f64>,
     /// Structured `busy` rejections.
     busy: usize,
-    /// Admitted requests the daemon coalesced into a shared micro-batch.
-    coalesced: usize,
     /// Sum of admitted requests' daemon-side queue wait.
     queue_seconds: f64,
     /// Wall seconds of the whole storm.
@@ -312,7 +303,6 @@ fn run_overload(addr: &str, clients: usize, requests: usize) -> Result<OverloadS
                         match client.extract(geo, &ExtractOptions::default()) {
                             Ok(reply) => {
                                 stats.ok_latencies.push(t.elapsed().as_secs_f64());
-                                stats.coalesced += usize::from(reply.coalesced);
                                 stats.queue_seconds += reply.queue_seconds;
                             }
                             Err(ServeError::Remote { code, .. }) if code == "busy" => {
@@ -332,7 +322,6 @@ fn run_overload(addr: &str, clients: usize, requests: usize) -> Result<OverloadS
         let s = r?;
         total.ok_latencies.extend(s.ok_latencies);
         total.busy += s.busy;
-        total.coalesced += s.coalesced;
         total.queue_seconds += s.queue_seconds;
     }
     Ok(total)
@@ -348,7 +337,7 @@ fn print_overload(label: &str, stats: &OverloadStats) {
     };
     println!(
         "{label}: {} ok ({:.1} req/s), busy rejections: {} ({:.1} % of {}), \
-         p50 {} p99 {}, coalesced {:.1} %, mean queue wait {}",
+         p50 {} p99 {}, mean queue wait {}",
         stats.ok(),
         stats.ok_per_second(),
         stats.busy,
@@ -356,14 +345,11 @@ fn print_overload(label: &str, stats: &OverloadStats) {
         stats.total(),
         fmt_seconds(p50),
         fmt_seconds(p99),
-        100.0 * stats.coalesced as f64 / stats.ok().max(1) as f64,
         fmt_seconds(stats.queue_seconds / stats.ok().max(1) as f64),
     );
 }
 
 /// The `--overload` scenario: an open-loop storm against a small queue.
-/// Self-contained mode runs it twice — coalescing off, then the
-/// configured window — so the coalescing effect is a printed number.
 fn overload_main(args: &Args) -> Result<(), String> {
     match &args.addr {
         Some(addr) => println!(
@@ -385,31 +371,14 @@ fn overload_main(args: &Args) -> Result<(), String> {
         }
         return Ok(());
     }
-    let mut rates = Vec::new();
-    for (label, coalesce) in [("coalescing off (window 1)", 1), ("coalescing on", args.coalesce)] {
-        let handle = spawn_local_daemon(args, coalesce)?;
-        let addr = handle.addr().to_string();
-        let stats = run_overload(&addr, args.clients, args.requests)?;
-        print_overload(label, &stats);
-        let mut client = Client::connect(addr.as_str()).map_err(|e| e.to_string())?;
-        let daemon = client.stats().map_err(|e| e.to_string())?;
-        println!(
-            "  daemon: {:.2} jobs/micro-batch, executor {}",
-            daemon.exec.coalescing_ratio(),
-            daemon.exec
-        );
-        client.shutdown().map_err(|e| e.to_string())?;
-        handle.join().map_err(|e| format!("daemon exit: {e}"))?;
-        rates.push(stats.ok_per_second());
-    }
-    if rates[0] > 0.0 {
-        println!(
-            "coalescing effect: {:.2}x admitted throughput (window {} vs off)",
-            rates[1] / rates[0],
-            args.coalesce
-        );
-    }
-    Ok(())
+    let handle = spawn_local_daemon(args)?;
+    let addr = handle.addr().to_string();
+    let stats = run_overload(&addr, args.clients, args.requests)?;
+    print_overload("overload", &stats);
+    let mut client = Client::connect(addr.as_str()).map_err(|e| e.to_string())?;
+    println!("  daemon executor: {}", client.stats().map_err(|e| e.to_string())?.exec);
+    client.shutdown().map_err(|e| e.to_string())?;
+    handle.join().map_err(|e| format!("daemon exit: {e}"))
 }
 
 /// Prints each counter's movement over the run, then the full scrape —
@@ -461,24 +430,23 @@ fn main() -> ExitCode {
     // Self-contained mode: spawn the daemon in-process on a free port.
     let (addr, local_daemon) = match &args.addr {
         Some(addr) => {
-            // --workers / --cache-mb / --queue / --coalesce configure the
+            // --workers / --cache-mb / --queue configure the
             // in-process daemon only; an external daemon keeps its own
             // settings.
             let defaults = Args::default();
             if args.workers != defaults.workers
                 || args.cache_mb != defaults.cache_mb
                 || args.queue != defaults.queue
-                || args.coalesce != defaults.coalesce
             {
                 eprintln!(
-                    "bemcap-load: note: --workers/--cache-mb/--queue/--coalesce are ignored \
-                     with --addr (the external daemon keeps its own configuration)"
+                    "bemcap-load: note: --workers/--cache-mb/--queue are ignored with --addr \
+                     (the external daemon keeps its own configuration)"
                 );
             }
             (addr.clone(), None)
         }
         None => {
-            let handle = match spawn_local_daemon(&args, args.coalesce) {
+            let handle = match spawn_local_daemon(&args) {
                 Ok(handle) => handle,
                 Err(e) => {
                     eprintln!("bemcap-load: {e}");
@@ -486,12 +454,10 @@ fn main() -> ExitCode {
                 }
             };
             println!(
-                "bemcap-load: in-process daemon on {} (workers={}, queue={}, coalesce={}, \
-                 cache={} MiB)",
+                "bemcap-load: in-process daemon on {} (workers={}, queue={}, cache={} MiB)",
                 handle.addr(),
                 args.workers,
                 args.queue,
-                args.coalesce,
                 args.cache_mb
             );
             (handle.addr().to_string(), Some(handle))
@@ -549,10 +515,7 @@ fn main() -> ExitCode {
                     stats.cache_entries,
                     stats.cache_resident_bytes >> 10,
                 );
-                println!(
-                    "daemon executor: {} (queue depth {}, window {})",
-                    stats.exec, stats.queue_depth, stats.coalesce_limit
-                );
+                println!("daemon executor: {} (queue depth {})", stats.exec, stats.queue_depth);
             }
             // A front tier refuses per-daemon `stats`; report its
             // routing view instead, so `--addr <router>` just works.

@@ -11,8 +11,8 @@
 //! * jobs are submitted to the executor's bounded work queue and results
 //!   always come back in **input order**, whatever the pool size —
 //!   scheduling can never reorder or change a result;
-//! * each micro-batch builds its Galerkin engine **once** and shares it
-//!   across its jobs; a private per-run executor runs one micro-batch per
+//! * each submission builds its Galerkin engine **once** and shares it
+//!   across its jobs; a private per-run executor gets one submission per
 //!   worker share (`⌈jobs / workers⌉` contiguous jobs);
 //! * with caching enabled (the default), pair integrals are shared across
 //!   jobs through a [`bemcap_basis::PairKey`]-keyed
@@ -27,7 +27,7 @@
 //! * per-job timings and cache counters come back as
 //!   [`JobReport`]s under a whole-run [`BatchReport`], which now also
 //!   carries the run's executor counters ([`crate::report::ExecStats`]:
-//!   queue wait, coalescing ratio, rejections).
+//!   queue wait, rejections).
 //!
 //! By default each run spins up a private executor sized so admission
 //! never rejects; [`BatchExtractor::executor`] instead runs the batch as
@@ -486,13 +486,10 @@ mod tests {
         let summed: usize = result.points().iter().map(|p| p.job.cache.lookups()).sum();
         assert_eq!(r.cache.lookups(), summed);
         // Executor accounting: 3 jobs on 2 workers go in as 2 chunk
-        // submissions (the Algorithm-1 static share), each its own
-        // micro-batch — deterministically, no coalescing race involved.
+        // submissions (the Algorithm-1 static share).
         assert_eq!(r.exec.submitted, 2);
         assert_eq!(r.exec.jobs, 3);
         assert_eq!(r.exec.rejected, 0);
-        assert_eq!(r.exec.micro_batches, 2);
-        assert_eq!(r.exec.coalesced, 0);
         for (i, p) in result.points().iter().enumerate() {
             assert_eq!(p.job.index, i);
             assert!(p.job.worker < 2);
@@ -627,8 +624,7 @@ mod tests {
 
     #[test]
     fn batch_runs_as_a_client_of_a_shared_executor() {
-        let exec =
-            Arc::new(Executor::new(ExecConfig { workers: 2, queue_depth: 32, coalesce_limit: 4 }));
+        let exec = Arc::new(Executor::new(ExecConfig { workers: 2, queue_depth: 32 }));
         let jobs = family(&[0.4e-6, 0.7e-6, 1.1e-6]);
         let on_shared = BatchExtractor::new(Extractor::new())
             .executor(Arc::clone(&exec))
@@ -659,8 +655,7 @@ mod tests {
         // with a queue this small and submissions this fast, rejection is
         // what the API promises when it happens — assert the error shape
         // by submitting more jobs than the whole queue admits at once.
-        let exec =
-            Arc::new(Executor::new(ExecConfig { workers: 1, queue_depth: 2, coalesce_limit: 1 }));
+        let exec = Arc::new(Executor::new(ExecConfig { workers: 1, queue_depth: 2 }));
         // A single submission larger than the depth is always rejected —
         // wire `batch` frames lean on exactly this.
         let jobs = family(&[0.4e-6, 0.6e-6, 0.8e-6]);

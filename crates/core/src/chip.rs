@@ -4,10 +4,9 @@
 //! into an `nx × ny` grid of overlapping windows
 //! ([`bemcap_geom::layout`]), each window's neighborhood-complete
 //! geometry is extracted as an ordinary self-contained problem on the
-//! shared [`Executor`] (inheriting its admission control and request
-//! coalescing), and the owned rows of every per-window capacitance
-//! matrix are stitched into one sparse chip-level
-//! [`SparseMatrix`]. Three invariants carry the design:
+//! shared [`Executor`] (inheriting its admission control), and the owned
+//! rows of every per-window capacitance matrix are stitched into one
+//! sparse chip-level [`SparseMatrix`]. Three invariants carry the design:
 //!
 //! * **stitched ≈ monolithic** — a window sees every conductor within
 //!   its halo, so its owned rows approach the full-chip answer as the
@@ -15,8 +14,8 @@
 //!   extraction, bit for bit.
 //! * **bit-determinism** — windows are extracted by the executor's
 //!   bit-deterministic job path and stitched in window-index order, so
-//!   pool size, coalescing, and completion order never change a bit of
-//!   the chip matrix.
+//!   pool size and completion order never change a bit of the chip
+//!   matrix.
 //! * **incremental reuse** — per-window results live in a
 //!   [`WindowCache`] keyed by the exact bit-level content of the window
 //!   geometry plus the solver-configuration digest. Re-extracting a
@@ -344,7 +343,7 @@ impl ChipExtractor {
     /// Runs window jobs on a shared executor instead of a private one.
     /// Window submissions then honor the shared admission bound — an
     /// overloaded executor fails the extraction with
-    /// [`CoreError::Busy`] — and coalesce with other same-configuration
+    /// [`CoreError::Busy`] — and queue alongside the executor's other
     /// traffic.
     pub fn executor(mut self, exec: Arc<Executor>) -> ChipExtractor {
         self.executor = Some(exec);
@@ -705,8 +704,7 @@ mod tests {
         // cannot be admitted while the first blocks the only slot — but
         // with a live worker the first may drain first, so force the
         // issue with a queue the whole miss set cannot fit.
-        let exec =
-            Arc::new(Executor::new(ExecConfig { workers: 1, queue_depth: 1, coalesce_limit: 1 }));
+        let exec = Arc::new(Executor::new(ExecConfig { workers: 1, queue_depth: 1 }));
         // Occupy the queue so admission is guaranteed to refuse.
         let blocker = {
             let (tx, rx) = std::sync::mpsc::channel::<()>();

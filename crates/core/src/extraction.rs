@@ -231,12 +231,14 @@ impl Extractor {
     /// Bit-exact identity of the full solver configuration, including the
     /// active method's own knobs. Two extractors with equal digests
     /// produce bit-identical results on the same geometry, which is what
-    /// licenses the executor to coalesce their jobs into one shared
-    /// micro-batch (`f64` fields compare by bit pattern, so even `-0.0`
-    /// vs `0.0` keeps configs apart); extractors differing in any
-    /// behavior-affecting knob — a pFFT grid spacing, an FMM tolerance —
-    /// can never share one. Knobs of methods that will not run are left
-    /// out, so they never block coalescing.
+    /// licenses the router to send their requests to the same replica
+    /// (`bemcap_router`'s `routing_key`) and the chip extractor to reuse
+    /// a cached window result ([`crate::chip::WindowKey`]) (`f64` fields
+    /// compare by bit pattern, so even `-0.0` vs `0.0` keeps configs
+    /// apart); extractors differing in any behavior-affecting knob — a
+    /// pFFT grid spacing, an FMM tolerance — never share a digest. Knobs
+    /// of methods that will not run are left out, so they never split
+    /// otherwise-identical configurations.
     pub fn config_digest(&self) -> Vec<u64> {
         let g = &self.galerkin_cfg;
         let ic = &self.instantiate_cfg;
@@ -271,10 +273,10 @@ impl Extractor {
             self.krylov_cfg.tol.to_bits(),
             self.krylov_cfg.restart as u64,
             self.krylov_cfg.max_iters as u64,
-            1, // the retired preconditioner word (Jacobi): coalescing and affinity key on it
+            1, // the retired preconditioner word (Jacobi): affinity and window keys use it
         ];
         // Auto's resolution is geometry-dependent, so every candidate's
-        // knobs take part: two Auto extractors may only coalesce when
+        // knobs take part: two Auto extractors share a digest only when
         // they would resolve identically on *any* geometry.
         let tail: &[&[u64]] = match self.method {
             Method::InstantiableBasis | Method::PwcDense => &[],

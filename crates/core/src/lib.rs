@@ -17,9 +17,8 @@
 //! [`BatchExtractor::extract_family`] runs a parameter sweep. Batch, chip
 //! and the `bemcap-serve` daemon all execute on the same
 //! shared execution core ([`exec::Executor`]): a bounded work queue with
-//! admission control ([`CoreError::Busy`] backpressure) and request
-//! coalescing (same-configuration jobs share a micro-batch and its
-//! Galerkin engine).
+//! admission control ([`CoreError::Busy`] backpressure) that runs each
+//! submission as its own task on the next idle worker.
 //!
 //! ```
 //! use bemcap_core::{Extractor, Method};

@@ -42,10 +42,6 @@ pub struct CoreMetrics {
     pub exec_submitted: &'static Metric,
     /// Jobs refused with `Busy` at admission.
     pub exec_rejected: &'static Metric,
-    /// Admitted jobs that joined a micro-batch opened by an earlier job.
-    pub exec_coalesced: &'static Metric,
-    /// Micro-batches executed.
-    pub exec_micro_batches: &'static Metric,
     /// Jobs run to completion by workers.
     pub exec_jobs: &'static Metric,
     /// Total nanoseconds jobs spent waiting in admission queues.
@@ -102,12 +98,6 @@ pub fn metrics() -> &'static CoreMetrics {
                 "bemcap_exec_rejected_total",
                 "Submissions refused with a structured busy error at admission.",
             ),
-            exec_coalesced: r.counter(
-                "bemcap_exec_coalesced_total",
-                "Admitted jobs that joined a micro-batch opened by an earlier job.",
-            ),
-            exec_micro_batches: r
-                .counter("bemcap_exec_micro_batches_total", "Micro-batches executed."),
             exec_jobs: r.counter("bemcap_exec_jobs_total", "Jobs run to completion by workers."),
             exec_queue_wait_nanos: r.counter(
                 "bemcap_exec_queue_wait_nanos_total",

@@ -152,8 +152,7 @@ impl fmt::Display for CacheStats {
 }
 
 /// Execution-core counters: how submissions moved through the
-/// [`crate::exec::Executor`]'s admission queue and how aggressively
-/// concurrent work was coalesced into shared micro-batches.
+/// [`crate::exec::Executor`]'s admission queue.
 ///
 /// Surfaces in three places, mirroring [`CacheStats`]: per batch run in
 /// [`BatchReport::exec`], per daemon lifetime through the `bemcap-serve`
@@ -165,29 +164,14 @@ pub struct ExecStats {
     /// Submissions refused with [`crate::error::CoreError::Busy`] because
     /// the queue was at its configured depth.
     pub rejected: usize,
-    /// Admitted submissions that joined an already-waiting micro-batch
-    /// instead of opening a new one (request coalescing).
-    pub coalesced: usize,
-    /// Micro-batches executed (each builds one Galerkin engine).
-    pub micro_batches: usize,
-    /// Jobs executed across all micro-batches.
+    /// Jobs executed.
     pub jobs: usize,
     /// Total seconds submissions spent waiting in the queue before their
-    /// micro-batch started.
+    /// processing started.
     pub queue_seconds: f64,
 }
 
 impl ExecStats {
-    /// Mean jobs per executed micro-batch — 1.0 means no coalescing
-    /// happened, higher means engine and locality costs were amortized
-    /// across that many jobs (0 when idle).
-    pub fn coalescing_ratio(&self) -> f64 {
-        if self.micro_batches == 0 {
-            return 0.0;
-        }
-        self.jobs as f64 / self.micro_batches as f64
-    }
-
     /// Mean seconds a submission waited in the queue (0 when idle).
     pub fn mean_queue_seconds(&self) -> f64 {
         if self.submitted == 0 {
@@ -200,8 +184,6 @@ impl ExecStats {
     pub fn absorb(&mut self, other: ExecStats) {
         self.submitted += other.submitted;
         self.rejected += other.rejected;
-        self.coalesced += other.coalesced;
-        self.micro_batches += other.micro_batches;
         self.jobs += other.jobs;
         self.queue_seconds += other.queue_seconds;
     }
@@ -211,13 +193,10 @@ impl fmt::Display for ExecStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} submitted ({} coalesced, {} rejected), {} micro-batches, \
-             {:.2} jobs/micro-batch, mean queue wait {:.1} ms",
+            "{} submitted ({} rejected), {} jobs, mean queue wait {:.1} ms",
             self.submitted,
-            self.coalesced,
             self.rejected,
-            self.micro_batches,
-            self.coalescing_ratio(),
+            self.jobs,
             1e3 * self.mean_queue_seconds()
         )
     }
@@ -251,8 +230,7 @@ pub struct BatchReport {
     pub busy_seconds: f64,
     /// Aggregated cache counters across all jobs.
     pub cache: CacheStats,
-    /// Execution-core counters of this run (admission, queue wait,
-    /// coalescing).
+    /// Execution-core counters of this run (admission, queue wait).
     pub exec: ExecStats,
 }
 
@@ -271,15 +249,14 @@ impl fmt::Display for BatchReport {
         write!(
             f,
             "{} jobs on {} workers in {:.3} s ({:.0} % efficiency); cache {}: {}; \
-             mean queue wait {:.1} ms, {:.2} jobs/micro-batch",
+             mean queue wait {:.1} ms",
             self.jobs,
             self.workers,
             self.wall_seconds,
             100.0 * self.parallel_efficiency(),
             if self.cache_enabled { "on" } else { "off" },
             self.cache,
-            1e3 * self.exec.mean_queue_seconds(),
-            self.exec.coalescing_ratio()
+            1e3 * self.exec.mean_queue_seconds()
         )
     }
 }
@@ -383,30 +360,14 @@ mod tests {
     #[test]
     fn exec_stats_ratios_absorb_and_display() {
         let mut total = ExecStats::default();
-        assert_eq!(total.coalescing_ratio(), 0.0);
         assert_eq!(total.mean_queue_seconds(), 0.0);
-        total.absorb(ExecStats {
-            submitted: 4,
-            rejected: 1,
-            coalesced: 2,
-            micro_batches: 2,
-            jobs: 4,
-            queue_seconds: 0.02,
-        });
-        total.absorb(ExecStats {
-            submitted: 2,
-            rejected: 0,
-            coalesced: 0,
-            micro_batches: 2,
-            jobs: 2,
-            queue_seconds: 0.01,
-        });
-        assert_eq!((total.submitted, total.rejected, total.coalesced), (6, 1, 2));
-        assert!((total.coalescing_ratio() - 6.0 / 4.0).abs() < 1e-12);
+        total.absorb(ExecStats { submitted: 4, rejected: 1, jobs: 5, queue_seconds: 0.02 });
+        total.absorb(ExecStats { submitted: 2, rejected: 0, jobs: 2, queue_seconds: 0.01 });
+        assert_eq!((total.submitted, total.rejected, total.jobs), (6, 1, 7));
         assert!((total.mean_queue_seconds() - 0.03 / 6.0).abs() < 1e-12);
         let s = format!("{total}");
         assert!(s.contains("6 submitted") && s.contains("1 rejected"), "{s}");
-        assert!(s.contains("jobs/micro-batch") && s.contains("queue wait"), "{s}");
+        assert!(s.contains("7 jobs") && s.contains("mean queue wait 5.0 ms"), "{s}");
     }
 
     #[test]
@@ -426,7 +387,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_report_display_shows_hit_rate_evictions_queue_and_coalescing() {
+    fn batch_report_display_shows_hit_rate_evictions_and_queue_wait() {
         let r = BatchReport {
             jobs: 8,
             workers: 4,
@@ -434,14 +395,7 @@ mod tests {
             wall_seconds: 2.0,
             busy_seconds: 6.0,
             cache: CacheStats { hits: 30, misses: 10, evictions: 5, inserted_bytes: 1920 },
-            exec: ExecStats {
-                submitted: 8,
-                rejected: 0,
-                coalesced: 4,
-                micro_batches: 4,
-                jobs: 8,
-                queue_seconds: 0.0125,
-            },
+            exec: ExecStats { submitted: 8, rejected: 0, jobs: 8, queue_seconds: 0.0125 },
         };
         let s = format!("{r}");
         assert!(s.contains("75.0 % hit rate"), "{s}");
@@ -450,7 +404,6 @@ mod tests {
         // 12.5 ms total over 8 submissions: the one-line summary shows
         // the per-submission mean, not the sum.
         assert!(s.contains("mean queue wait 1.6 ms"), "{s}");
-        assert!(s.contains("2.00 jobs/micro-batch"), "{s}");
         let off = BatchReport { cache_enabled: false, ..r };
         assert!(format!("{off}").contains("cache off"));
     }

@@ -2,7 +2,7 @@
 //! hashing from a request's routing key onto the replica set.
 //!
 //! The routing key folds the request's solver **config digest** (the
-//! same `Extractor::config_digest` the daemon's executor coalesces on)
+//! same `Extractor::config_digest` that keys the daemon's window cache)
 //! with a content hash of the geometry payload. Two consequences:
 //!
 //! * a repeated request — same options, same geometry — always lands on
@@ -45,7 +45,7 @@ fn content_hash(bytes: &[u8]) -> u64 {
 }
 
 /// Folds the solver config digest of `options` — bit-exact identity, so
-/// the shard choice agrees with the backend's coalescing identity.
+/// the shard choice agrees with the backend's cache identity.
 fn fold_options(mut acc: u64, options: &ExtractOptions) -> u64 {
     for word in build_extractor(options).config_digest() {
         acc = fold(acc, word);
@@ -58,7 +58,7 @@ fn fold_options(mut acc: u64, options: &ExtractOptions) -> u64 {
 /// `shutdown`) or refuses (`stats`, `snapshot` — per-daemon state).
 ///
 /// `batch` folds every geometry: the daemon runs the frame as one
-/// micro-batch, so the frame routes as one unit. `chip` additionally
+/// executor submission, so the frame routes as one unit. `chip` additionally
 /// folds the window grid and halo — different partitions populate
 /// different window-cache entries.
 pub fn routing_key(request: &Request) -> Option<u64> {

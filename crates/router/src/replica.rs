@@ -199,7 +199,7 @@ mod tests {
 
     #[test]
     fn a_reply_cut_off_before_its_newline_is_an_error() {
-        const PONG: &[u8] = br#"{"id":1,"ok":true,"result":{"pong":true,"proto":7,"version":"0"}}"#;
+        const PONG: &[u8] = br#"{"id":1,"ok":true,"result":{"pong":true,"proto":8,"version":"0"}}"#;
         const PING: &[u8] = br#"{"op":"ping","id":1}"#;
         let timeout = Some(Duration::from_secs(5));
         let whole = [PONG, b"\n"].concat();

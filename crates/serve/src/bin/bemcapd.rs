@@ -6,13 +6,13 @@
 //!
 //! ```text
 //! bemcapd [--addr HOST:PORT] [--cache-mb N | --cache-unbounded]
-//!         [--workers N] [--queue N] [--coalesce N] [--max-frame-mb N]
+//!         [--workers N] [--queue N] [--max-frame-mb N]
 //!         [--cache-restore PATH]
 //! ```
 //!
 //! Defaults: `--addr 127.0.0.1:0` (a free port, printed at startup),
 //! 64 MiB cache, `BEMCAP_POOL` (or 1) workers, `BEMCAP_QUEUE` (or 256)
-//! admission-queue slots, a 16-job coalescing window, 8 MiB frames.
+//! admission-queue slots, 8 MiB frames.
 //! `--cache-restore` warm-starts the pair-integral cache from a
 //! snapshot written by the v6 `snapshot` op (a bad or truncated file
 //! fails startup loudly). Nonsense values (zero, non-numeric) are
@@ -24,7 +24,7 @@ use std::process::ExitCode;
 use bemcap_serve::{Server, ServerConfig};
 
 const USAGE: &str = "usage: bemcapd [--addr HOST:PORT] [--cache-mb N | --cache-unbounded] \
-                     [--workers N] [--queue N] [--coalesce N] [--max-frame-mb N] \
+                     [--workers N] [--queue N] [--max-frame-mb N] \
                      [--cache-restore PATH]\n\
                      env fallbacks: BEMCAP_POOL (workers), BEMCAP_QUEUE (queue depth)";
 
@@ -51,7 +51,6 @@ fn parse_args(args: &[String]) -> Result<ServerConfig, String> {
             "--cache-unbounded" => cfg.cache_max_bytes = None,
             "--workers" => cfg.workers = positive("--workers", value("--workers")?)?,
             "--queue" => cfg.queue_depth = positive("--queue", value("--queue")?)?,
-            "--coalesce" => cfg.coalesce_limit = positive("--coalesce", value("--coalesce")?)?,
             "--max-frame-mb" => {
                 cfg.max_frame_bytes = positive("--max-frame-mb", value("--max-frame-mb")?)? << 20;
             }
@@ -82,7 +81,6 @@ fn main() -> ExitCode {
     let frame_desc = fmt_mib(cfg.max_frame_bytes);
     let workers = cfg.workers;
     let queue = cfg.queue_depth;
-    let coalesce = cfg.coalesce_limit;
     let server = match Server::bind(cfg) {
         Ok(server) => server,
         Err(e) => {
@@ -99,7 +97,7 @@ fn main() -> ExitCode {
             // CI smoke job) scrape the bound address from it.
             println!(
                 "bemcapd listening on {addr} (workers={workers}, queue={queue}, \
-                 coalesce={coalesce}, cache={cache_desc}, frame<={frame_desc})"
+                 cache={cache_desc}, frame<={frame_desc})"
             );
         }
         Err(e) => {

@@ -131,7 +131,7 @@ impl Client {
     ///
     /// [`ServeError::Remote`] for daemon-side failures, [`ServeError::Io`]
     /// / [`ServeError::Protocol`] for transport problems and replies that
-    /// are not well-formed v7 results.
+    /// are not well-formed v8 results.
     pub fn extract(
         &mut self,
         geo: &Geometry,
@@ -157,8 +157,8 @@ impl Client {
     }
 
     /// Extracts many geometries in one `batch` frame: all of them run as
-    /// one daemon-side executor submission (one micro-batch), so engine
-    /// setup and the queue slot are amortized across the family. Results
+    /// one daemon-side executor submission, so the family shares one
+    /// engine setup and is admitted all or nothing. Results
     /// come back in input order, each bit-identical to a single-shot
     /// [`Client::extract`] of the same geometry.
     ///

@@ -12,8 +12,8 @@
 //!   protocol. Extraction runs on one shared, admission-controlled
 //!   [`bemcap_core::exec::Executor`]: connection threads only parse,
 //!   enqueue, and respond; overload degrades into structured `busy`
-//!   rejections; concurrent same-configuration requests coalesce into
-//!   engine-sharing micro-batches. One process-lifetime, memory-bounded
+//!   rejections; each request is one queue task on the next idle
+//!   worker. One process-lifetime, memory-bounded
 //!   [`bemcap_core::TemplateCache`] is shared across every request;
 //! * [`Client`] — the matching blocking client library (single
 //!   [`Client::extract`] and many-geometry [`Client::extract_batch`]);
@@ -30,7 +30,7 @@
 //!
 //! ```text
 //! $ cargo run --release -p bemcap-serve --bin bemcapd -- --addr 127.0.0.1:4545
-//! bemcapd listening on 127.0.0.1:4545 (workers=1, queue=256, coalesce=16, cache=64.0 MiB, frame<=8.0 MiB)
+//! bemcapd listening on 127.0.0.1:4545 (workers=1, queue=256, cache=64.0 MiB, frame<=8.0 MiB)
 //! ```
 //!
 //! ```no_run

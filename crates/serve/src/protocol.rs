@@ -39,10 +39,11 @@ use crate::error::ServeError;
 /// the frame shapes. Revisions v2–v6 are additive — v2 `batch`, v3
 /// typed backend options, v4 `chip`, v5 `metrics`, v6 `snapshot`,
 /// `route_stats` and the front tier; v7 removes the `precond` option
-/// (a non-null value is refused). Clients accept any daemon speaking at
-/// least their own version, and the reply decoders read v7 replies only.
-/// The revision history is in `docs/WIRE_PROTOCOL.md`.
-pub const PROTOCOL_VERSION: u64 = 7;
+/// (a non-null value is refused); v8 removes the request-coalescing
+/// fields from `exec` records and `stats`. Clients accept any daemon
+/// speaking at least their own version, and the reply decoders read v8
+/// replies only. The revision history is in `docs/WIRE_PROTOCOL.md`.
+pub const PROTOCOL_VERSION: u64 = 8;
 
 /// Machine-readable error codes of structured error responses.
 pub mod codes {
@@ -89,8 +90,8 @@ pub enum Request {
         options: ExtractOptions,
     },
     /// Extract many geometries under one solver configuration in a
-    /// single frame — they run as one executor submission (one
-    /// micro-batch), amortizing engine setup and queue slots.
+    /// single frame — they run as one executor submission on one worker,
+    /// sharing its engine setup, and are admitted all or nothing.
     Batch {
         /// Client-chosen correlation id, echoed in the response.
         id: Option<u64>,
@@ -222,7 +223,7 @@ impl Default for ExtractOptions {
 /// always did. The daemon uses it to execute requests; the `bemcaprd`
 /// router uses it to compute the same `config_digest` the daemon would,
 /// which is what makes digest-affinity routing line up with the
-/// backend's coalescing and cache identity.
+/// backend's cache identity.
 pub fn build_extractor(options: &ExtractOptions) -> Extractor {
     let mut extractor = Extractor::new().method(options.method).accelerated(options.accelerated);
     if let Some(d) = options.mesh_divisions {
@@ -646,11 +647,8 @@ fn exec_stats_value(stats: &ExecStats) -> Value {
     json!({
         "submitted": stats.submitted,
         "rejected": stats.rejected,
-        "coalesced": stats.coalesced,
-        "micro_batches": stats.micro_batches,
         "jobs": stats.jobs,
         "queue_seconds": stats.queue_seconds,
-        "coalescing_ratio": stats.coalescing_ratio(),
     })
 }
 
@@ -658,8 +656,6 @@ fn exec_stats_from_value(v: &Value) -> Result<ExecStats, WireError> {
     Ok(ExecStats {
         submitted: req(v, "exec", "submitted")?,
         rejected: req(v, "exec", "rejected")?,
-        coalesced: req(v, "exec", "coalesced")?,
-        micro_batches: req(v, "exec", "micro_batches")?,
         jobs: req(v, "exec", "jobs")?,
         queue_seconds: req(v, "exec", "queue_seconds")?,
     })
@@ -694,14 +690,8 @@ pub struct ExtractReply {
     /// Pair-integral cache counters of this request.
     pub cache: CacheStats,
     /// Seconds the request waited in the daemon's admission queue before
-    /// its micro-batch started.
+    /// its processing started.
     pub queue_seconds: f64,
-    /// Whether the daemon coalesced this request into a micro-batch
-    /// opened by an earlier concurrent request.
-    pub coalesced: bool,
-    /// Jobs in the micro-batch that ran this request, across every
-    /// submission coalesced into it.
-    pub micro_batch_jobs: usize,
 }
 
 impl ExtractReply {
@@ -785,11 +775,7 @@ fn extraction_value(extraction: &Extraction, cache: &CacheStats) -> Value {
 
 /// The per-submission executor record of `extract` and `batch` results.
 fn submission_value(sub: &Submission) -> Value {
-    json!({
-        "queue_seconds": sub.queue_seconds,
-        "coalesced": sub.coalesced,
-        "micro_batch_jobs": sub.micro_batch_jobs,
-    })
+    json!({ "queue_seconds": sub.queue_seconds })
 }
 
 fn decode_extraction(v: &Value, exec: &Value) -> Result<ExtractReply, WireError> {
@@ -816,8 +802,6 @@ fn decode_extraction(v: &Value, exec: &Value) -> Result<ExtractReply, WireError>
         solver: opt(report, "report", "solver")?.map(solver_stats_from_value).transpose()?,
         cache: cache_stats_from_value(req(v, "extract", "cache")?)?,
         queue_seconds: req(exec, "exec", "queue_seconds")?,
-        coalesced: req(exec, "exec", "coalesced")?,
-        micro_batch_jobs: req(exec, "exec", "micro_batch_jobs")?,
     })
 }
 
@@ -992,13 +976,11 @@ pub struct DaemonStats {
     pub workers: usize,
     /// Admission queue depth (most jobs that may wait at once).
     pub queue_depth: usize,
-    /// Coalescing window (most jobs one micro-batch may hold).
-    pub coalesce_limit: usize,
     /// Jobs waiting in the queue right now.
     pub queued: usize,
     /// Jobs executing on workers right now.
     pub running: usize,
-    /// Lifetime executor counters (admission, rejections, coalescing).
+    /// Lifetime executor counters (admission, rejections, queue wait).
     pub exec: ExecStats,
     /// Lifetime window-cache counters of the `chip` op.
     pub window_cache: CacheStats,
@@ -1028,7 +1010,6 @@ impl DaemonStats {
             "workers": self.workers,
             "queue": json!({
                 "depth": self.queue_depth,
-                "coalesce_limit": self.coalesce_limit,
                 "queued": self.queued,
                 "running": self.running,
             }),
@@ -1050,7 +1031,6 @@ impl DaemonStats {
             connections: req(v, "stats", "connections")?,
             workers: req(v, "stats", "workers")?,
             queue_depth: req(queue, "queue", "depth")?,
-            coalesce_limit: req(queue, "queue", "coalesce_limit")?,
             queued: req(queue, "queue", "queued")?,
             running: req(queue, "queue", "running")?,
             exec: exec_stats_from_value(req(v, "stats", "exec")?)?,
@@ -1373,7 +1353,7 @@ mod tests {
 
     #[test]
     fn backend_config_f64_fields_round_trip_bit_exactly() {
-        // Coalescing safety across the wire depends on decoded configs
+        // Digest affinity across the wire depends on decoded configs
         // being the very f64s the client sent.
         let tol = f64::from_bits(1.0e-7_f64.to_bits() + 1);
         let req = Request::Extract {
@@ -1627,17 +1607,9 @@ mod tests {
 
     #[test]
     fn exec_stats_round_trip() {
-        let stats = ExecStats {
-            submitted: 9,
-            rejected: 2,
-            coalesced: 4,
-            micro_batches: 5,
-            jobs: 9,
-            queue_seconds: 0.25,
-        };
+        let stats = ExecStats { submitted: 9, rejected: 2, jobs: 9, queue_seconds: 0.25 };
         let v = exec_stats_value(&stats);
         assert_eq!(exec_stats_from_value(&v).unwrap(), stats);
-        assert!((v["coalescing_ratio"].as_f64().unwrap() - 9.0 / 5.0).abs() < 1e-12);
         assert!(exec_stats_from_value(&json!({ "submitted": 1 })).is_err());
     }
 

@@ -12,10 +12,8 @@
 //! * at most [`ExecConfig::queue_depth`] jobs wait at once — beyond
 //!   that, requests get a structured `busy` error immediately instead of
 //!   piling up (`--queue`, env `BEMCAP_QUEUE`);
-//! * concurrent same-configuration requests **coalesce** into shared
-//!   micro-batches (one Galerkin engine, warm accel tables, cache
-//!   locality), with results demultiplexed back per request
-//!   (`--coalesce` caps the window).
+//! * each request is one executor submission, run as one queue task by
+//!   the next idle worker.
 //!
 //! All connections also share one process-lifetime [`TemplateCache`], so
 //! the pair integrals a request computes stay warm for every later
@@ -48,7 +46,7 @@ use std::time::Instant;
 use bemcap_core::batch::default_pool_size;
 use bemcap_core::cache::TemplateCache;
 use bemcap_core::chip::{ChipExtractor, WindowCache};
-use bemcap_core::exec::{default_queue_depth, ExecConfig, Executor, DEFAULT_COALESCE_LIMIT};
+use bemcap_core::exec::{default_queue_depth, ExecConfig, Executor};
 use bemcap_core::metrics::{metrics as core_metrics, Registry};
 use bemcap_core::{BatchJob, CacheStats, CoreError, Extraction, Extractor, JobOutcome, Submission};
 use bemcap_geom::io::parse_geometry;
@@ -78,9 +76,6 @@ pub struct ServerConfig {
     /// may wait at once before requests are refused with a `busy` error.
     /// Default: `BEMCAP_QUEUE` or 256.
     pub queue_depth: usize,
-    /// Most jobs one coalesced micro-batch may hold (1 disables request
-    /// coalescing). Default 16.
-    pub coalesce_limit: usize,
     /// Memory bound of the shared per-window result cache that makes
     /// `chip` re-extraction incremental (`None` = unbounded).
     /// Default 64 MiB.
@@ -100,7 +95,6 @@ impl Default for ServerConfig {
             workers: default_pool_size(),
             max_frame_bytes: 8 << 20,
             queue_depth: default_queue_depth(),
-            coalesce_limit: DEFAULT_COALESCE_LIMIT,
             window_cache_max_bytes: Some(64 << 20),
             cache_restore: None,
         }
@@ -119,11 +113,8 @@ struct ServerState {
 
 impl ServerState {
     fn new(cfg: ServerConfig, shutdown: Shutdown) -> ServerState {
-        let executor = Executor::new(ExecConfig {
-            workers: cfg.workers,
-            queue_depth: cfg.queue_depth,
-            coalesce_limit: cfg.coalesce_limit,
-        });
+        let executor =
+            Executor::new(ExecConfig { workers: cfg.workers, queue_depth: cfg.queue_depth });
         ServerState {
             cache: Arc::new(
                 cfg.cache_max_bytes
@@ -158,13 +149,12 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// [`io::ErrorKind::InvalidInput`] for a zero worker count, queue
-    /// depth, or coalescing window; any socket error from bind.
+    /// [`io::ErrorKind::InvalidInput`] for a zero worker count or queue
+    /// depth; any socket error from bind.
     pub fn bind(cfg: ServerConfig) -> io::Result<Server> {
         for (invalid, why) in [
             (cfg.workers == 0, "daemon needs at least one extraction worker"),
             (cfg.queue_depth == 0, "daemon needs a queue depth of at least one job"),
-            (cfg.coalesce_limit == 0, "coalescing window must be at least 1 (1 = off)"),
         ] {
             if invalid {
                 return Err(io::Error::new(io::ErrorKind::InvalidInput, why));
@@ -320,7 +310,6 @@ fn daemon_stats(state: &ServerState) -> DaemonStats {
         connections: state.shutdown.accepted(),
         workers: state.cfg.workers,
         queue_depth: state.cfg.queue_depth,
-        coalesce_limit: state.cfg.coalesce_limit,
         queued: exec.queued_jobs(),
         running: exec.running_jobs(),
         exec: exec.stats(),
@@ -645,7 +634,7 @@ mod tests {
             serde_json::to_string(&results[0]["matrix"]).unwrap(),
             serde_json::to_string(&results[1]["matrix"]).unwrap()
         );
-        assert_eq!(v["result"]["exec"]["micro_batch_jobs"].as_u64(), Some(2));
+        assert!(v["result"]["exec"]["queue_seconds"].as_f64().is_some(), "{v:?}");
 
         // A bad geometry fails the frame with its index in the message.
         let line = format!(r#"{{"op":"batch","id":5,"geometries":["{a}","broken"]}}"#);

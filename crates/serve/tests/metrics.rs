@@ -122,12 +122,10 @@ fn scrapes_race_traffic_then_reconcile(workers: usize) {
     assert_eq!(delta("bemcap_chip_windows_extracted_total"), chip_extracted as u64);
     assert_eq!(delta("bemcap_chip_windows_reused_total"), chip_reused as u64);
 
-    // Executor: every admitted submission, micro-batch, and job of this
-    // run went through this daemon's shared executor.
+    // Executor: every admitted submission and job of this run went
+    // through this daemon's shared executor.
     assert_eq!(delta("bemcap_exec_submitted_total"), stats.exec.submitted as u64);
     assert_eq!(delta("bemcap_exec_rejected_total"), stats.exec.rejected as u64);
-    assert_eq!(delta("bemcap_exec_coalesced_total"), stats.exec.coalesced as u64);
-    assert_eq!(delta("bemcap_exec_micro_batches_total"), stats.exec.micro_batches as u64);
     assert_eq!(delta("bemcap_exec_jobs_total"), stats.exec.jobs as u64);
 
     // Solve-phase instrumentation moved: at least one extraction per

@@ -39,13 +39,7 @@ fn chip_extraction() -> ChipExtraction {
 }
 
 fn submission() -> Submission {
-    Submission {
-        outcomes: Vec::new(),
-        queue_seconds: 0.1 + 0.2,
-        coalesced: true,
-        micro_batch: 7,
-        micro_batch_jobs: 5,
-    }
+    Submission { outcomes: Vec::new(), queue_seconds: 0.1 + 0.2 }
 }
 
 const CACHE: CacheStats = CacheStats { hits: 9, misses: 4, evictions: 1, inserted_bytes: 768 };
@@ -80,7 +74,6 @@ fn extract_and_batch_results_decode_to_the_engine_bits() {
         let reply = ExtractReply::decode(&v).expect("decode");
         assert_extraction_bits(&reply, want, &CACHE);
         assert_eq!(reply.queue_seconds.to_bits(), sub.queue_seconds.to_bits());
-        assert_eq!((reply.coalesced, reply.micro_batch_jobs), (true, 5));
     }
 
     let jobs = [(direct, CacheStats::default()), (krylov, CACHE)];
@@ -89,7 +82,11 @@ fn extract_and_batch_results_decode_to_the_engine_bits() {
     assert_eq!(replies.len(), 2);
     for (reply, (want, cache)) in replies.iter().zip(&jobs) {
         assert_extraction_bits(reply, want, cache);
-        assert_eq!((reply.coalesced, reply.micro_batch_jobs), (true, 5), "shared exec record");
+        assert_eq!(
+            reply.queue_seconds.to_bits(),
+            sub.queue_seconds.to_bits(),
+            "shared exec record"
+        );
     }
 
     // An empty frame never reaches the queue: no executor record.
@@ -130,17 +127,9 @@ fn stats_sample() -> DaemonStats {
         connections: 3,
         workers: 2,
         queue_depth: 256,
-        coalesce_limit: 16,
         queued: 1,
         running: 2,
-        exec: ExecStats {
-            submitted: 9,
-            rejected: 1,
-            coalesced: 3,
-            micro_batches: 5,
-            jobs: 11,
-            queue_seconds: 0.125,
-        },
+        exec: ExecStats { submitted: 9, rejected: 1, jobs: 11, queue_seconds: 0.125 },
         window_cache: CacheStats { hits: 2, misses: 4, evictions: 0, inserted_bytes: 1200 },
         window_cache_entries: 4,
         window_cache_resident_bytes: 1200,
@@ -217,7 +206,7 @@ fn control_replies_round_trip_through_the_wire_text() {
 type Decoder = fn(&Value) -> Result<(), WireError>;
 
 /// One reply shape of the corpus: a valid encoded sample, its decoder,
-/// and the paths whose removal the decoder tolerates: fields v7 sends as
+/// and the paths whose removal the decoder tolerates: fields v8 sends as
 /// null or may leave out, and metric-map entries.
 struct Shape {
     name: &'static str,
@@ -228,7 +217,7 @@ struct Shape {
 
 /// Derived fields: emitted for readers of the raw frame, recomputed from
 /// the counters by a client, so no decoder reads them.
-const DERIVED: [&str; 2] = ["hit_rate", "coalescing_ratio"];
+const DERIVED: [&str; 1] = ["hit_rate"];
 
 fn shapes() -> Vec<Shape> {
     let sub = submission();

@@ -1,27 +1,18 @@
 //! Property tests of the solver-configuration digest
-//! (`Extractor::config_digest`) — the identity the execution core
-//! coalesces on. The contract pinned here:
+//! (`Extractor::config_digest`) — the identity router affinity and the
+//! chip window cache key on. The contract pinned here:
 //!
 //! * two extractors differing in **any** knob of the *active* backend's
 //!   typed config (pFFT grid spacing, FMM tolerance, Krylov caps, Auto
-//!   budget) can never share a digest, so the
-//!   executor can never merge them into one micro-batch — coalescing
-//!   across differing backend configs is impossible *by construction*;
-//! * equal configurations always share a digest, so legitimate
-//!   coalescing keeps working;
+//!   budget) can never share a digest, so a cached window result or a
+//!   replica's warm cache is never reused across differing configs;
+//! * equal configurations always share a digest, so legitimate reuse
+//!   keeps working;
 //! * knobs of an *inactive* backend do not leak into the digest, so they
-//!   cannot spuriously block coalescing.
+//!   cannot spuriously split otherwise-identical configurations.
 
-use std::sync::Arc;
-
-use bemcap_core::exec::{ExecConfig, Executor};
-use bemcap_core::{BatchJob, Extractor, FmmConfig, KrylovConfig, Method, PfftConfig};
-use bemcap_geom::structures::{self, CrossingParams};
+use bemcap_core::{Extractor, FmmConfig, KrylovConfig, Method, PfftConfig};
 use proptest::prelude::*;
-
-fn crossing_job() -> BatchJob {
-    BatchJob::new("probe", structures::crossing_wires(CrossingParams::default()))
-}
 
 /// The digest words shared by every default extractor after the method
 /// word: sequential, exact primitives, 8 mesh divisions, then the
@@ -58,8 +49,8 @@ fn digest(method_word: u64, tail: &[&[u64]]) -> Vec<u64> {
     words
 }
 
-/// `config_digest` is the key the executor coalesces on and the router
-/// shards by, so its words are pinned literally: a refactor that moves
+/// `config_digest` keys the chip window cache and the router shards by
+/// it, so its words are pinned literally: a refactor that moves
 /// one word splits caches and affinity across a rolling upgrade.
 #[test]
 fn config_digest_words_are_pinned() {
@@ -167,7 +158,7 @@ proptest! {
 
     /// Inactive backends' knobs are not folded in: an instantiable
     /// extractor keeps its digest whatever the (unused) pFFT/FMM configs
-    /// say, so unrelated knobs cannot block legitimate coalescing.
+    /// say, so unrelated knobs cannot split legitimate cache reuse.
     #[test]
     fn inactive_backend_config_does_not_leak_into_the_digest(
         theta in 0.2..0.8f64,
@@ -185,44 +176,5 @@ proptest! {
             .clone()
             .fmm_config(FmmConfig { theta, ..Default::default() });
         prop_assert_eq!(dense.config_digest(), dense_unused.config_digest());
-    }
-}
-
-/// End to end: submissions whose backend configs differ run in separate
-/// micro-batches whatever the timing — the executor keys micro-batches
-/// on the digest, and unequal digests cannot collide.
-#[test]
-fn differing_backend_configs_never_coalesce_on_an_executor() {
-    let exec = Executor::new(ExecConfig { workers: 2, queue_depth: 16, coalesce_limit: 16 });
-    let base = Extractor::new().method(Method::PwcPfft).mesh_divisions(3);
-    let variants = [
-        base.clone(),
-        base.clone().pfft_config(PfftConfig { spacing_factor: 1.2, ..Default::default() }),
-        base.clone().krylov_config(KrylovConfig { tol: 1e-8, ..Default::default() }),
-    ];
-    let tickets: Vec<_> = variants
-        .iter()
-        .map(|ex| exec.submit(ex, None, vec![crossing_job()]).expect("admitted"))
-        .collect();
-    let mut batches: Vec<u64> = Vec::new();
-    for t in tickets {
-        let sub = t.wait();
-        assert!(sub.first_failure().is_none());
-        assert!(!batches.contains(&sub.micro_batch), "distinct configs shared a micro-batch");
-        batches.push(sub.micro_batch);
-    }
-    assert_eq!(exec.stats().coalesced, 0);
-    assert_eq!(exec.stats().micro_batches, 3);
-
-    // Control: bit-identical configs on one shared cache are allowed to
-    // coalesce (and always produce correct results either way).
-    let cache = Arc::new(bemcap_core::TemplateCache::unbounded());
-    let twins: Vec<_> = (0..3)
-        .map(|_| {
-            exec.submit(&base, Some(Arc::clone(&cache)), vec![crossing_job()]).expect("admitted")
-        })
-        .collect();
-    for t in twins {
-        assert!(t.wait().first_failure().is_none());
     }
 }

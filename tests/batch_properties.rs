@@ -72,19 +72,20 @@ proptest! {
         prop_assert!(shown.contains("% hit rate"), "display shows hit rate: {}", shown);
         prop_assert!(shown.contains("evictions"), "display shows evictions: {}", shown);
         prop_assert!(shown.contains("queue wait"), "display shows queue wait: {}", shown);
-        prop_assert!(shown.contains("jobs/micro-batch"), "display shows coalescing: {}", shown);
 
         // Execution-core accounting: a private per-run executor gets the
-        // jobs as ceil(jobs/workers)-sized chunk submissions, one
-        // micro-batch each, deterministically; it never rejects.
+        // jobs as ceil(jobs/workers)-sized chunk submissions, each run
+        // by one worker; it never rejects.
         let exec = cached.report().exec;
         let chunk_size = params.len().div_ceil(workers);
         let chunks = params.len().div_ceil(chunk_size);
         prop_assert_eq!(exec.submitted, chunks);
         prop_assert_eq!(exec.jobs, params.len());
         prop_assert_eq!(exec.rejected, 0, "per-run executor must never reject");
-        prop_assert_eq!(exec.micro_batches, chunks);
-        prop_assert_eq!(exec.coalesced, 0, "chunk submissions never coalesce with each other");
+        for chunk in cached.points().chunks(chunk_size) {
+            let worker = chunk[0].job.worker;
+            prop_assert!(chunk.iter().all(|p| p.job.worker == worker), "a chunk split workers");
+        }
         prop_assert!(exec.queue_seconds >= 0.0);
 
         // Matrix invariants on every returned point.

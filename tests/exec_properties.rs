@@ -1,13 +1,12 @@
 //! Property-based tests of the shared execution core
-//! (`bemcap_core::exec`): for random families, pool sizes, queue
-//! depths, and coalescing windows,
+//! (`bemcap_core::exec`): for random families, pool sizes and queue
+//! depths,
 //!
-//! * coalesced, uncoalesced, and direct single-shot extraction are
-//!   **bit-identical** (CI re-runs this under `BEMCAP_POOL=1,4`);
+//! * executor and direct single-shot extraction are **bit-identical**
+//!   (CI re-runs this under `BEMCAP_POOL=1,4`);
 //! * a full admission queue returns a structured `Busy` rejection and
 //!   the run never deadlocks — every admitted ticket resolves;
-//! * a failing job fails only its own submission, even inside a
-//!   coalesced micro-batch.
+//! * a failing job fails only its own submission.
 
 use std::sync::Arc;
 
@@ -33,64 +32,37 @@ fn matrix_of(sub: &bemcap_core::Submission, idx: usize) -> Vec<f64> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// One random 3-point family through executors with a random pool
-    /// size, queue depth, and coalescing window vs the same executor
-    /// with coalescing off vs direct extraction: all bit-identical, in
-    /// input order.
+    /// One random 3-point family through an executor with a random pool
+    /// size and queue depth, sharing one cache, vs direct extraction:
+    /// bit-identical, in input order.
     #[test]
-    fn coalesced_uncoalesced_and_direct_are_bit_identical(
+    fn any_pool_size_and_queue_depth_matches_direct_extraction(
         h1 in 0.3..1.5f64,
         h2 in 0.3..1.5f64,
         h3 in 0.3..1.5f64,
         workers in 1usize..5,
         depth in 3usize..64,
-        window in 2usize..9,
     ) {
         let hs: Vec<f64> = [h1, h2, h3].iter().map(|h| h * 1e-6).collect();
         let ex = Extractor::new();
-        let coalescing = Executor::new(ExecConfig {
-            workers,
-            queue_depth: depth,
-            coalesce_limit: window,
-        });
-        let solo = Executor::new(ExecConfig {
-            workers,
-            queue_depth: depth,
-            coalesce_limit: 1,
-        });
-        let cache_a = Arc::new(TemplateCache::unbounded());
-        let cache_b = Arc::new(TemplateCache::unbounded());
-        let on: Vec<Ticket> = hs
+        let exec = Executor::new(ExecConfig { workers, queue_depth: depth });
+        let cache = Arc::new(TemplateCache::unbounded());
+        let tickets: Vec<Ticket> = hs
             .iter()
             .map(|&h| {
-                coalescing
-                    .submit(&ex, Some(Arc::clone(&cache_a)), vec![job(h)])
+                exec.submit(&ex, Some(Arc::clone(&cache)), vec![job(h)])
                     .expect("depth >= jobs admits everything")
             })
             .collect();
-        let off: Vec<Ticket> = hs
-            .iter()
-            .map(|&h| {
-                solo.submit(&ex, Some(Arc::clone(&cache_b)), vec![job(h)])
-                    .expect("depth >= jobs admits everything")
-            })
-            .collect();
-        for ((h, a), b) in hs.iter().zip(on).zip(off) {
-            let (sa, sb) = (a.wait(), b.wait());
+        for (h, t) in hs.iter().zip(tickets) {
             let direct = ex.extract(&crossing(*h)).expect("direct");
             prop_assert_eq!(
-                matrix_of(&sa, 0),
+                matrix_of(&t.wait(), 0),
                 direct.capacitance().matrix().as_slice().to_vec(),
-                "coalescing window {} differs from direct at h={}", window, h
-            );
-            prop_assert_eq!(
-                matrix_of(&sb, 0),
-                direct.capacitance().matrix().as_slice().to_vec(),
-                "uncoalesced differs from direct at h={}", h
+                "{} workers, depth {}: differs from direct at h={}", workers, depth, h
             );
         }
-        // The uncoalesced executor must not have coalesced anything.
-        prop_assert_eq!(solo.stats().coalesced, 0);
+        prop_assert_eq!(exec.stats().jobs, hs.len());
     }
 
     /// Storm a tiny queue: admitted submissions all resolve correctly
@@ -100,9 +72,8 @@ proptest! {
     #[test]
     fn full_queue_rejects_with_busy_and_every_ticket_resolves(
         depth in 1usize..3,
-        window in 1usize..5,
     ) {
-        let exec = Executor::new(ExecConfig { workers: 1, queue_depth: depth, coalesce_limit: window });
+        let exec = Executor::new(ExecConfig { workers: 1, queue_depth: depth });
         let ex = Extractor::new();
         // A moderately slow job shape so the single worker stays behind
         // the submission loop.
@@ -122,7 +93,7 @@ proptest! {
         }
         // 24 instant submissions against a depth-1..2 queue of slow jobs:
         // the queue must have been full at least once.
-        prop_assert!(busy > 0, "no Busy seen: depth={} window={}", depth, window);
+        prop_assert!(busy > 0, "no Busy seen: depth={}", depth);
         let admitted = tickets.len();
         let reference = ex.extract(&geo).expect("direct");
         for t in tickets {
@@ -139,17 +110,16 @@ proptest! {
         prop_assert_eq!(stats.jobs, admitted);
     }
 
-    /// A bad geometry sandwiched between good submissions (freely
-    /// coalescible: same config, same cache): only its own submission
-    /// fails, and the good ones stay bit-identical to direct extraction.
+    /// A bad geometry sandwiched between good submissions (same config,
+    /// same cache): only its own submission fails, and the good ones stay
+    /// bit-identical to direct extraction.
     #[test]
     fn failing_submission_is_isolated(
         h1 in 0.3..1.5f64,
         h2 in 0.3..1.5f64,
-        window in 1usize..9,
     ) {
         let (h1, h2) = (h1 * 1e-6, h2 * 1e-6);
-        let exec = Executor::new(ExecConfig { workers: 1, queue_depth: 8, coalesce_limit: window });
+        let exec = Executor::new(ExecConfig { workers: 1, queue_depth: 8 });
         let ex = Extractor::new();
         let cache = Arc::new(TemplateCache::unbounded());
         let good1 = exec.submit(&ex, Some(Arc::clone(&cache)), vec![job(h1)]).expect("good1");
@@ -198,11 +168,12 @@ fn default_sized_executor_matches_direct_extraction() {
     assert_eq!(stats.rejected, 0);
 }
 
-/// A multi-job submission (the wire `batch` op's shape) is one
-/// micro-batch: results in input order, bit-identical to single shots.
+/// A multi-job submission (the wire `batch` op's shape) is one queue
+/// task: results in input order from one worker, bit-identical to
+/// single shots.
 #[test]
 fn multi_job_submission_matches_singles() {
-    let exec = Executor::new(ExecConfig { workers: 2, queue_depth: 16, coalesce_limit: 16 });
+    let exec = Executor::new(ExecConfig { workers: 2, queue_depth: 16 });
     let ex = Extractor::new();
     let hs = [0.5e-6, 0.8e-6, 1.1e-6];
     let sub = exec
@@ -214,7 +185,7 @@ fn multi_job_submission_matches_singles() {
         .expect("admitted")
         .wait();
     assert_eq!(sub.outcomes.len(), hs.len());
-    assert_eq!(sub.micro_batch_jobs, hs.len());
+    assert!(sub.outcomes.iter().all(|o| o.worker == sub.outcomes[0].worker));
     for (i, h) in hs.iter().enumerate() {
         let direct = ex.extract(&crossing(*h)).expect("direct");
         assert_eq!(

@@ -136,13 +136,12 @@ fn wire_batch_op_is_bit_identical_to_single_shot() {
 
 #[test]
 fn overloaded_daemon_answers_busy_and_recovers() {
-    // One worker, one queue slot, no coalescing: the third concurrent
-    // request must be refused with a structured `busy` error.
+    // One worker, one queue slot: the third concurrent request must be
+    // refused with a structured `busy` error.
     let server = spawn_server(ServerConfig {
         addr: "127.0.0.1:0".into(),
         workers: 1,
         queue_depth: 1,
-        coalesce_limit: 1,
         ..ServerConfig::default()
     });
     let addr = server.addr();
@@ -209,53 +208,6 @@ fn overloaded_daemon_answers_busy_and_recovers() {
     let after = probe.extract(&wait_geo, &ExtractOptions::default()).expect("daemon recovered");
     assert!(after.dim() > 0);
     probe.shutdown().expect("shutdown");
-    server.join().expect("clean daemon exit");
-}
-
-#[test]
-fn concurrent_same_config_requests_coalesce() {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    // Single worker and a wide window: while one request runs, the
-    // others pile up and must merge into shared micro-batches.
-    let server = spawn_server(ServerConfig {
-        addr: "127.0.0.1:0".into(),
-        workers: 1,
-        coalesce_limit: 16,
-        ..ServerConfig::default()
-    });
-    let addr = server.addr();
-    let coalesced = Arc::new(AtomicUsize::new(0));
-    let handles: Vec<_> = (0..4)
-        .map(|t| {
-            let coalesced = Arc::clone(&coalesced);
-            std::thread::spawn(move || {
-                let mut client = Client::connect(addr).expect("connect");
-                let geo = structures::crossing_wires(structures::CrossingParams::default());
-                for _ in 0..6 {
-                    let reply = client.extract(&geo, &ExtractOptions::default()).expect("extract");
-                    coalesced.fetch_add(usize::from(reply.coalesced), Ordering::Relaxed);
-                    let local = Extractor::new().extract(&geo).expect("local");
-                    assert_bit_identical(&reply, &local, &format!("client {t}"));
-                }
-            })
-        })
-        .collect();
-    for h in handles {
-        h.join().expect("client thread");
-    }
-    let mut client = Client::connect(addr).expect("connect for stats");
-    let stats = client.stats().expect("stats");
-    // 4 clients x 6 identical-config requests against one worker: some
-    // of them must have shared a micro-batch (the executor only merges
-    // requests that were concurrently waiting, which this storm forces).
-    assert!(
-        stats.exec.coalesced > 0,
-        "no coalescing under a 4-client identical-config storm: {:?}",
-        stats.exec
-    );
-    assert_eq!(stats.exec.coalesced, coalesced.load(Ordering::Relaxed));
-    assert!(stats.exec.coalescing_ratio() > 1.0);
-    client.shutdown().expect("shutdown");
     server.join().expect("clean daemon exit");
 }
 
@@ -525,15 +477,14 @@ fn typed_options_against_a_pre_v3_daemon_fail_instead_of_silently_downgrading() 
                  \"report\":{{\"method\":\"instantiable\",\"n\":4,\"m_templates\":null,\
                  \"setup_seconds\":0.1,\"solve_seconds\":0.1,\"memory_bytes\":128}},\
                  \"cache\":{{\"hits\":0,\"misses\":1,\"evictions\":0,\"inserted_bytes\":192,\
-                 \"hit_rate\":0.0}},\"exec\":{{\"queue_seconds\":0.0,\"coalesced\":false,\
-                 \"micro_batch_jobs\":1}}}}}}\n"
+                 \"hit_rate\":0.0}},\"exec\":{{\"queue_seconds\":0.0}}}}}}\n"
             );
             (&stream).write_all(response.as_bytes()).expect("write");
         }
     });
     let mut client = Client::connect(addr).expect("connect");
     let geo = structures::crossing_wires(structures::CrossingParams::default());
-    // Replies decode as v7 only, so the v2-shaped report is refused with
+    // Replies decode as v8 only, so the v2-shaped report is refused with
     // or without typed backend options: nothing is filled in by default.
     let typed = ExtractOptions {
         krylov: Some(KrylovConfig { tol: 1e-9, ..Default::default() }),

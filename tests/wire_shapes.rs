@@ -90,8 +90,6 @@ const EXTRACT: &[&str] = &[
     "result.cache.hit_rate:number",
     "result.exec:object",
     "result.exec.queue_seconds:number",
-    "result.exec.coalesced:bool",
-    "result.exec.micro_batch_jobs:number",
 ];
 
 const KRYLOV_EXTRACT: &[&str] = &[
@@ -123,8 +121,6 @@ const KRYLOV_EXTRACT: &[&str] = &[
     "result.cache.hit_rate:number",
     "result.exec:object",
     "result.exec.queue_seconds:number",
-    "result.exec.coalesced:bool",
-    "result.exec.micro_batch_jobs:number",
 ];
 
 const BATCH: &[&str] = &[
@@ -155,8 +151,6 @@ const BATCH: &[&str] = &[
     "result.results[].cache.hit_rate:number",
     "result.exec:object",
     "result.exec.queue_seconds:number",
-    "result.exec.coalesced:bool",
-    "result.exec.micro_batch_jobs:number",
 ];
 
 const EMPTY_BATCH: &[&str] = &["id:number", "ok:bool", "result:object", "result.results:array"];
@@ -240,17 +234,13 @@ const STATS: &[&str] = &[
     "result.workers:number",
     "result.queue:object",
     "result.queue.depth:number",
-    "result.queue.coalesce_limit:number",
     "result.queue.queued:number",
     "result.queue.running:number",
     "result.exec:object",
     "result.exec.submitted:number",
     "result.exec.rejected:number",
-    "result.exec.coalesced:number",
-    "result.exec.micro_batches:number",
     "result.exec.jobs:number",
     "result.exec.queue_seconds:number",
-    "result.exec.coalescing_ratio:number",
 ];
 
 const SNAPSHOT: &[&str] = &[
