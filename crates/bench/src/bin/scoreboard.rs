@@ -423,7 +423,7 @@ fn fig8(bus: &BusModel) -> Run {
     let extract = |method| -> Result<(f64, usize), String> {
         let out = Extractor::new().method(method).mesh_divisions(BASELINE_DIVISIONS).extract(&geo);
         let report = out.map_err(why)?.report().clone();
-        Ok((report.setup_seconds, report.krylov.map_or(1, |k| k.iterations.max(1))))
+        Ok((report.setup_seconds, report.krylov.map_or(1, |k| k.matvecs.max(1))))
     };
     // Probe matvecs on the same mesh give the per-phase costs.
     let probe = |op: &dyn LinearOperator| {

@@ -281,7 +281,7 @@ mod tests {
             for (method, want) in [(Method::PwcFmm, fmm), (Method::PwcPfft, pfft)] {
                 let out = Extractor::new().method(method).mesh_divisions(8).extract(&geo).unwrap();
                 let stats = out.report().krylov.expect("iterative method reports stats");
-                assert_eq!(stats.iterations, want, "bus {rows}x{cols} {method:?}");
+                assert_eq!(stats.matvecs, want, "bus {rows}x{cols} {method:?}");
             }
         }
     }

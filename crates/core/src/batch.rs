@@ -11,9 +11,9 @@
 //! * jobs are submitted to the executor's bounded work queue and results
 //!   always come back in **input order**, whatever the pool size —
 //!   scheduling can never reorder or change a result;
-//! * each submission builds its Galerkin engine **once** and shares it
-//!   across its jobs; a private per-run executor gets one submission per
-//!   worker share (`⌈jobs / workers⌉` contiguous jobs);
+//! * the batch goes in as one submission whose jobs are admitted
+//!   together and each run as its own queue task, so any idle worker
+//!   takes the next job;
 //! * with caching enabled (the default), pair integrals are shared across
 //!   jobs through a [`bemcap_basis::PairKey`]-keyed
 //!   [`crate::cache::TemplateCache`]: families that keep part of the
@@ -33,7 +33,7 @@
 //! never rejects; [`BatchExtractor::executor`] instead runs the batch as
 //! one client among many of a shared, admission-controlled executor (the
 //! daemon's configuration), where [`CoreError::Busy`] backpressure
-//! applies.
+//! applies to the whole batch at once.
 //!
 //! A parameter sweep is [`BatchExtractor::extract_family`] followed by
 //! [`BatchResult::entry_curve`].
@@ -60,24 +60,9 @@ use bemcap_geom::Geometry;
 
 use crate::cache::TemplateCache;
 use crate::error::CoreError;
-use crate::exec::{fan_out, Executor};
+use crate::exec::{default_pool_size, fan_out, Executor};
 use crate::extraction::{Extraction, Extractor};
 use crate::report::{BatchReport, CacheStats, JobReport};
-
-/// Name of the environment variable that sets the default pool size
-/// (`BEMCAP_POOL=4`). CI runs the test suite under several values so
-/// scheduler nondeterminism cannot hide behind a fixed default.
-pub const POOL_ENV: &str = "BEMCAP_POOL";
-
-/// The default scheduler pool size: `BEMCAP_POOL` when set to a positive
-/// integer, 1 otherwise.
-pub fn default_pool_size() -> usize {
-    std::env::var(POOL_ENV)
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(1)
-}
 
 /// One unit of batch work: a geometry with a label and an optional swept
 /// parameter value.
@@ -135,11 +120,6 @@ impl BatchResult {
     /// The run-level report (wall time, pool, aggregated cache counters).
     pub fn report(&self) -> &BatchReport {
         &self.report
-    }
-
-    /// Consumes the result into its points.
-    pub fn into_points(self) -> Vec<BatchPoint> {
-        self.points
     }
 
     /// One capacitance entry across the batch as `(parameter, C_ij)`
@@ -226,8 +206,9 @@ impl BatchExtractor {
     /// Runs this batch on a caller-owned, typically process-lifetime
     /// [`Executor`] instead of a private per-run one. The executor's own
     /// pool size applies (the [`BatchExtractor::workers`] setting is
-    /// ignored) and so does its admission control: when its queue is
-    /// full, [`BatchExtractor::extract_all`] returns [`CoreError::Busy`].
+    /// ignored) and so does its admission control: when its queue has no
+    /// room for every job of the batch, [`BatchExtractor::extract_all`]
+    /// returns [`CoreError::Busy`] and none of them runs.
     #[must_use]
     pub fn executor(mut self, executor: Arc<Executor>) -> BatchExtractor {
         self.executor = Some(executor);
@@ -253,8 +234,7 @@ impl BatchExtractor {
     ///
     /// [`CoreError::BatchJob`] around the first failing job's error;
     /// [`CoreError::Busy`] when a shared executor
-    /// ([`BatchExtractor::executor`]) refuses admission (already-admitted
-    /// jobs still run, but no result is assembled).
+    /// ([`BatchExtractor::executor`]) refuses the batch (no job ran).
     pub fn extract_all(&self, jobs: &[BatchJob]) -> Result<BatchResult, CoreError> {
         let cache: Option<Arc<TemplateCache>> = match &self.cache {
             CacheChoice::Off => None,
@@ -267,7 +247,7 @@ impl BatchExtractor {
             self.effective_workers(),
             &self.extractor,
             cache.clone(),
-            jobs.to_vec(),
+            jobs.iter().map(|job| job.geometry.clone()).collect(),
         )?;
         let mut points = Vec::with_capacity(jobs.len());
         let mut busy_seconds = 0.0;
@@ -485,9 +465,8 @@ mod tests {
         assert!(r.busy_seconds > 0.0);
         let summed: usize = result.points().iter().map(|p| p.job.cache.lookups()).sum();
         assert_eq!(r.cache.lookups(), summed);
-        // Executor accounting: 3 jobs on 2 workers go in as 2 chunk
-        // submissions (the Algorithm-1 static share).
-        assert_eq!(r.exec.submitted, 2);
+        // Executor accounting: the batch is one submission of 3 jobs.
+        assert_eq!(r.exec.submitted, 1);
         assert_eq!(r.exec.jobs, 3);
         assert_eq!(r.exec.rejected, 0);
         for (i, p) in result.points().iter().enumerate() {
@@ -641,28 +620,29 @@ mod tests {
         }
         // The run is visible in the executor's lifetime counters.
         let stats = exec.stats();
-        assert_eq!(stats.submitted, 3);
+        assert_eq!(stats.submitted, 1);
         assert_eq!(stats.jobs, 3);
     }
 
     #[test]
     fn shared_executor_admission_control_applies_to_batch() {
-        // Depth 2, and a 3-job batch submits one job per submission: the
-        // third submission may be refused if the first two are still
-        // waiting. Force it deterministically by occupying the executor
-        // with an unrelated long batch first is racy here; instead use a
-        // depth smaller than the batch minus what can possibly start:
-        // with a queue this small and submissions this fast, rejection is
-        // what the API promises when it happens — assert the error shape
-        // by submitting more jobs than the whole queue admits at once.
-        let exec = Arc::new(Executor::new(ExecConfig { workers: 1, queue_depth: 2 }));
-        // A single submission larger than the depth is always rejected —
-        // wire `batch` frames lean on exactly this.
-        let jobs = family(&[0.4e-6, 0.6e-6, 0.8e-6]);
-        let err = exec
-            .submit(&Extractor::new(), None, jobs.clone())
+        // Four jobs never fit a depth-3 queue: the batch is refused whole
+        // and none of its jobs runs. The worker is held first, so a
+        // per-job admission would deterministically admit three of them.
+        let exec = Arc::new(Executor::new(ExecConfig { workers: 1, queue_depth: 3 }));
+        let cache = Arc::new(TemplateCache::unbounded());
+        let batch = BatchExtractor::new(Extractor::new())
+            .executor(Arc::clone(&exec))
+            .shared_cache(Arc::clone(&cache));
+        let gate = exec.block_workers();
+        let err = batch
+            .extract_all(&family(&[0.4e-6, 0.6e-6, 0.8e-6, 1.0e-6]))
             .map(|_| ())
-            .expect_err("3 jobs can never fit a depth-2 queue");
-        assert!(matches!(err, CoreError::Busy { depth: 2, .. }), "{err:?}");
+            .expect_err("4 jobs can never fit a depth-3 queue");
+        assert!(matches!(err, CoreError::Busy { depth: 3, .. }), "{err:?}");
+        gate.release();
+        exec.drain();
+        assert_eq!(exec.stats().jobs, 0, "a refused batch ran jobs");
+        assert!(cache.is_empty(), "a refused batch filled the shared cache");
     }
 }

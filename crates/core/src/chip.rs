@@ -4,7 +4,8 @@
 //! into an `nx × ny` grid of overlapping windows
 //! ([`bemcap_geom::layout`]), each window's neighborhood-complete
 //! geometry is extracted as an ordinary self-contained problem on the
-//! shared [`Executor`] (inheriting its admission control), and the owned
+//! shared [`Executor`] (one job per window, the window jobs admitted
+//! together), and the owned
 //! rows of every per-window capacitance matrix are stitched into one
 //! sparse chip-level [`SparseMatrix`]. Three invariants carry the design:
 //!
@@ -46,10 +47,9 @@ use bemcap_geom::layout::{GeometryDiff, Layout, PartitionConfig};
 use bemcap_geom::Geometry;
 use bemcap_linalg::{Matrix, SparseMatrix};
 
-use crate::batch::{default_pool_size, BatchJob};
 use crate::cache::{CacheValue, ShardedLru, TemplateCache, SHARDS};
 use crate::error::CoreError;
-use crate::exec::{fan_out, Executor};
+use crate::exec::{default_pool_size, fan_out, Executor};
 use crate::extraction::Extractor;
 use crate::metrics::{metrics, Metric, Span};
 use crate::report::CacheStats;
@@ -232,7 +232,8 @@ pub struct ChipReport {
     pub wall_seconds: f64,
     /// Sum of per-window job seconds (work the pool absorbed).
     pub busy_seconds: f64,
-    /// Seconds window submissions waited in the executor queue.
+    /// Seconds the window jobs waited in the executor queue, summed over
+    /// the jobs.
     pub queue_seconds: f64,
     /// Window-cache counters of this run (hits = reused windows).
     pub window_cache: CacheStats,
@@ -341,10 +342,10 @@ impl ChipExtractor {
     }
 
     /// Runs window jobs on a shared executor instead of a private one.
-    /// Window submissions then honor the shared admission bound — an
-    /// overloaded executor fails the extraction with
-    /// [`CoreError::Busy`] — and queue alongside the executor's other
-    /// traffic.
+    /// The window jobs then honor the shared admission bound as one group
+    /// — an executor without room for all of them fails the extraction
+    /// with [`CoreError::Busy`] before any runs — and queue alongside the
+    /// executor's other traffic.
     pub fn executor(mut self, exec: Arc<Executor>) -> ChipExtractor {
         self.executor = Some(exec);
         self
@@ -371,7 +372,7 @@ impl ChipExtractor {
     /// [`CoreError::Geometry`] for unusable layouts or partition
     /// configurations, [`CoreError::ChipWindow`] when a window's
     /// extraction fails, [`CoreError::Busy`] when a shared executor
-    /// refuses the window jobs.
+    /// refuses the window jobs (none of them ran).
     pub fn extract(&self, geo: &Geometry) -> Result<ChipExtraction, CoreError> {
         self.run(geo, None)
     }
@@ -405,7 +406,7 @@ impl ChipExtractor {
         // Probe the window cache; collect the misses as executor jobs.
         let mut results: Vec<Option<Arc<WindowResult>>> = vec![None; part.window_count()];
         let mut misses: Vec<(usize, WindowKey)> = Vec::new();
-        let mut jobs: Vec<BatchJob> = Vec::new();
+        let mut jobs: Vec<Geometry> = Vec::new();
         let mut run_cache = CacheStats::default();
         for w in part.windows() {
             // A window whose halo holds no conductor has nothing to
@@ -421,7 +422,7 @@ impl ChipExtractor {
             match cached {
                 Some(r) => results[w.index()] = Some(r),
                 None => {
-                    jobs.push(BatchJob::new(format!("window{}", w.index()), sub));
+                    jobs.push(sub);
                     misses.push((w.index(), key));
                 }
             }
@@ -700,38 +701,27 @@ mod tests {
 
     #[test]
     fn shared_executor_busy_propagates() {
-        // Queue depth 1 with >1 windows missing: the second submission
-        // cannot be admitted while the first blocks the only slot — but
-        // with a live worker the first may drain first, so force the
-        // issue with a queue the whole miss set cannot fit.
-        let exec = Arc::new(Executor::new(ExecConfig { workers: 1, queue_depth: 1 }));
-        // Occupy the queue so admission is guaranteed to refuse.
-        let blocker = {
-            let (tx, rx) = std::sync::mpsc::channel::<()>();
-            let e = Arc::clone(&exec);
-            let t = std::thread::spawn(move || {
-                let ticket = e
-                    .submit(
-                        &Extractor::new().mesh_divisions(2),
-                        None,
-                        vec![BatchJob::new("hold", bus())],
-                    )
-                    .expect("admitted");
-                tx.send(()).expect("alive");
-                ticket.wait()
-            });
-            let () = rx.recv().expect("blocker admitted");
-            t
-        };
-        let chip = ChipExtractor::new(Extractor::new()).windows(2, 2).executor(Arc::clone(&exec));
-        // Either the blocker still holds the slot (Busy) or it drained
-        // in time and the run succeeds; both are legal — retry until the
-        // race shows the Busy path at least once or the blocker is done.
-        let r = chip.extract(&bus());
-        let _ = blocker.join();
-        if let Err(e) = r {
-            assert!(matches!(e, CoreError::Busy { .. }), "unexpected error {e:?}");
+        // Four non-empty windows never fit a depth-3 queue: the chip is
+        // refused whole and no window runs. The worker is held first, so
+        // a per-window admission would deterministically admit three.
+        let (geo, windows) = (bus(), PartitionConfig { nx: 2, ny: 2, ..Default::default() });
+        let part = Layout::new(geo.clone()).expect("layout").partition(&windows).expect("part");
+        assert_eq!(part.windows().iter().filter(|w| !w.members().is_empty()).count(), 4);
+        let exec = Arc::new(Executor::new(ExecConfig { workers: 1, queue_depth: 3 }));
+        let cache = Arc::new(TemplateCache::unbounded());
+        let chip = ChipExtractor::new(Extractor::new())
+            .partition_config(windows)
+            .executor(Arc::clone(&exec))
+            .shared_cache(Arc::clone(&cache));
+        let gate = exec.block_workers();
+        match chip.extract(&geo) {
+            Err(CoreError::Busy { depth: 3, .. }) => {}
+            other => panic!("expected Busy, got {other:?}"),
         }
+        gate.release();
+        exec.drain();
+        assert_eq!(exec.stats().jobs, 0, "a refused chip ran window jobs");
+        assert!(cache.is_empty(), "a refused chip filled the shared cache");
     }
 
     #[test]

@@ -5,42 +5,48 @@
 //! Before this module, only a single [`crate::batch::BatchExtractor`]
 //! run shared a worker pool; every other entry point (each daemon
 //! request, each sweep) built its own private execution path.
-//! [`Executor`] is the single path:
+//! [`Executor`] is the single path, and the job (one geometry) is its
+//! only unit of work:
 //!
-//! * **bounded admission** — at most [`ExecConfig::queue_depth`] jobs
-//!   wait at once. A submission that would exceed the bound is refused
-//!   with [`CoreError::Busy`] *before* any work happens: overload
-//!   degrades into structured rejections, never into unbounded thread or
-//!   queue growth.
-//! * **one task per submission** — an admitted submission becomes one
-//!   queue task that builds its Galerkin engine, runs the submission's
-//!   jobs in input order and answers its [`Ticket`]. Any idle worker
-//!   takes the next task, so a fast submission never waits behind a slow
-//!   one while another worker is free. Jobs are computed by the same
+//! * **group admission** — at most [`ExecConfig::queue_depth`] jobs
+//!   wait at once. A submission's jobs are admitted together or refused
+//!   together with [`CoreError::Busy`] *before* any of them is queued:
+//!   overload degrades into structured rejections that ran nothing, never
+//!   into unbounded thread or queue growth.
+//! * **one task per job** — every admitted job is its own queue task, and
+//!   any idle worker takes the next one (the self-scheduling of the
+//!   paper's Algorithm 1), so the jobs of one submission spread over the
+//!   free workers and a fast job never waits behind a slow one while
+//!   another worker is free. Jobs are computed by the same
 //!   bit-deterministic code path as [`Extractor::extract`], whichever
-//!   worker runs them.
+//!   worker runs them; the [`Ticket`] hands the outcomes back in input
+//!   order.
 //! * **isolation** — a failing (or panicking) job fails only its own
-//!   submission; the worker and every other submission carry on.
+//!   outcome; the worker and every other job carry on.
 //!
-//! Batch and chip extraction submit through one fan-out: a private
-//! per-run executor by default (sized so admission never rejects), or a
-//! shared one ([`crate::batch::BatchExtractor::executor`]); the daemon
-//! owns one process-lifetime executor and enqueues every wire request on
-//! it.
+//! Batch extraction, chip extraction and the daemon all submit through
+//! [`fan_out`]: a private per-run executor by default (sized so admission
+//! never rejects), or a shared one — the daemon's process-lifetime
+//! executor, or [`crate::batch::BatchExtractor::executor`].
 
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::Instant;
 
+use bemcap_geom::Geometry;
 use bemcap_par::WorkQueue;
 
-use crate::batch::{default_pool_size, BatchJob};
 use crate::cache::TemplateCache;
 use crate::error::CoreError;
 use crate::extraction::{Extraction, Extractor};
 use crate::metrics::metrics;
 use crate::report::{CacheStats, ExecStats};
+
+/// Name of the environment variable that sets the default pool size
+/// (`BEMCAP_POOL=4`). CI runs the test suite under several values so
+/// scheduler nondeterminism cannot hide behind a fixed default.
+pub const POOL_ENV: &str = "BEMCAP_POOL";
 
 /// Name of the environment variable that sets the default admission
 /// queue depth (`BEMCAP_QUEUE=64`).
@@ -51,14 +57,21 @@ pub const QUEUE_ENV: &str = "BEMCAP_QUEUE";
 /// a runaway client cannot queue unbounded work.
 pub const DEFAULT_QUEUE_DEPTH: usize = 256;
 
+/// The positive integer in environment variable `name`, if set to one.
+fn env_count(name: &str) -> Option<usize> {
+    std::env::var(name).ok().and_then(|v| v.parse::<usize>().ok()).filter(|&n| n > 0)
+}
+
+/// The default worker pool size: `BEMCAP_POOL` when set to a positive
+/// integer, 1 otherwise.
+pub fn default_pool_size() -> usize {
+    env_count(POOL_ENV).unwrap_or(1)
+}
+
 /// The default admission queue depth: `BEMCAP_QUEUE` when set to a
 /// positive integer, [`DEFAULT_QUEUE_DEPTH`] otherwise.
 pub fn default_queue_depth() -> usize {
-    std::env::var(QUEUE_ENV)
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(DEFAULT_QUEUE_DEPTH)
+    env_count(QUEUE_ENV).unwrap_or(DEFAULT_QUEUE_DEPTH)
 }
 
 /// Configuration of an [`Executor`].
@@ -78,51 +91,43 @@ impl Default for ExecConfig {
     }
 }
 
-/// One result of a submission's job, in the submission's input order.
+/// The result of one job, in its submission's input order.
 #[derive(Debug, Clone)]
 pub struct JobOutcome {
     /// The extraction and its cache counters, or what went wrong. A
-    /// failure here affected only this job's submission.
+    /// failure here affected only this job.
     pub result: Result<(Extraction, CacheStats), CoreError>,
     /// Wall-clock seconds of this job on its worker.
     pub seconds: f64,
+    /// Seconds this job waited between admission and its start.
+    pub queue_seconds: f64,
     /// Executor worker that ran the job.
     pub worker: usize,
 }
 
-/// Everything a completed submission gets back from the executor.
-#[derive(Debug, Clone)]
-pub struct Submission {
-    /// Per-job outcomes, in the submission's input order.
-    pub outcomes: Vec<JobOutcome>,
-    /// Seconds this submission waited between admission and the start of
-    /// its processing.
-    pub queue_seconds: f64,
-}
-
-impl Submission {
-    /// Index and error of the lowest-index failing job, if any.
-    pub fn first_failure(&self) -> Option<(usize, &CoreError)> {
-        self.outcomes.iter().enumerate().find_map(|(i, o)| o.result.as_ref().err().map(|e| (i, e)))
-    }
-}
-
 /// A handle on an admitted submission; [`Ticket::wait`] blocks until the
-/// executor has run every job and returns their results.
+/// executor has run every job and returns their outcomes.
 #[derive(Debug)]
 pub struct Ticket {
-    rx: mpsc::Receiver<Submission>,
+    rx: mpsc::Receiver<(usize, JobOutcome)>,
+    jobs: usize,
 }
 
 impl Ticket {
-    /// Blocks until the submission completes.
+    /// Blocks until every job of the submission has run, and returns
+    /// their outcomes in input order.
     ///
     /// # Panics
     ///
-    /// Panics if the executor's worker died mid-job (a bug: jobs report
-    /// failures as values, they do not panic).
-    pub fn wait(self) -> Submission {
-        self.rx.recv().expect("executor worker died before answering its submission")
+    /// Panics if an executor worker died mid-job (a bug: jobs report
+    /// failures, panics included, as values).
+    pub fn wait(self) -> Vec<JobOutcome> {
+        // Each job answers once; the channel closes early only if a worker
+        // died holding its sender.
+        let mut outcomes: Vec<(usize, JobOutcome)> = self.rx.iter().take(self.jobs).collect();
+        assert_eq!(outcomes.len(), self.jobs, "executor worker died before answering its job");
+        outcomes.sort_unstable_by_key(|&(index, _)| index);
+        outcomes.into_iter().map(|(_, outcome)| outcome).collect()
     }
 }
 
@@ -192,27 +197,23 @@ impl Executor {
         }
     }
 
-    /// Submits `jobs` to run under `extractor` with the given
-    /// pair-integral cache (`None` = caching off). Returns immediately
-    /// with a [`Ticket`]; the submission runs as one queue task on the
-    /// next idle worker.
-    ///
-    /// An empty submission is answered immediately without taking a
-    /// queue slot.
+    /// Submits one job per geometry to run under `extractor` with the
+    /// given pair-integral cache (`None` = caching off). Returns
+    /// immediately with a [`Ticket`]; each job runs as its own queue task
+    /// on the next idle worker.
     ///
     /// # Errors
     ///
     /// [`CoreError::Busy`] when admitting the jobs would push the number
-    /// of waiting jobs past [`ExecConfig::queue_depth`]. Nothing is
-    /// queued or executed in that case.
+    /// of waiting jobs past [`ExecConfig::queue_depth`]. None of the jobs
+    /// is queued or executed in that case.
     pub fn submit(
         &self,
         extractor: &Extractor,
         cache: Option<Arc<TemplateCache>>,
-        jobs: Vec<BatchJob>,
+        geometries: Vec<Geometry>,
     ) -> Result<Ticket, CoreError> {
-        let (tx, rx) = mpsc::channel();
-        let (n, depth) = (jobs.len(), self.cfg.queue_depth);
+        let (n, depth) = (geometries.len(), self.cfg.queue_depth);
         let admit = |w: usize| (w + n <= depth).then_some(w + n);
         if let Err(queued) =
             self.shared.waiting.fetch_update(Ordering::SeqCst, Ordering::SeqCst, admit)
@@ -223,93 +224,84 @@ impl Executor {
         }
         self.shared.submitted.fetch_add(1, Ordering::Relaxed);
         metrics().exec_submitted.inc();
-        if n == 0 {
-            let _ = tx.send(Submission { outcomes: Vec::new(), queue_seconds: 0.0 });
-            return Ok(Ticket { rx });
-        }
-        let shared = Arc::clone(&self.shared);
-        let extractor = extractor.clone();
+        let (tx, rx) = mpsc::channel();
+        let extractor = Arc::new(extractor.clone());
         let enqueued = Instant::now();
-        self.queue.push(move |worker| {
-            // A submitter that dropped its ticket just loses the answer.
-            let _ = tx.send(shared.run(&extractor, cache.as_deref(), &jobs, enqueued, worker));
-        });
-        Ok(Ticket { rx })
+        for (index, geometry) in geometries.into_iter().enumerate() {
+            let (shared, extractor) = (Arc::clone(&self.shared), Arc::clone(&extractor));
+            let (cache, tx) = (cache.clone(), tx.clone());
+            self.queue.push(move |worker| {
+                let outcome = shared.run(&extractor, cache.as_deref(), &geometry, enqueued, worker);
+                // A submitter that dropped its ticket just loses the answer.
+                let _ = tx.send((index, outcome));
+            });
+        }
+        Ok(Ticket { rx, jobs: n })
     }
 }
 
 /// One [`fan_out`] run: every job's outcome in input order, the run's
 /// executor counters, and the worker count of its executor (0 for no jobs).
-pub(crate) struct FanOut {
-    pub(crate) outcomes: Vec<JobOutcome>,
-    pub(crate) stats: ExecStats,
-    pub(crate) workers: usize,
+#[derive(Debug)]
+pub struct FanOut {
+    /// Per-job outcomes, in input order.
+    pub outcomes: Vec<JobOutcome>,
+    /// This run's counters: one submission (none for no jobs), its jobs,
+    /// and their queue waits summed.
+    pub stats: ExecStats,
+    /// Worker threads of the executor the jobs ran on.
+    pub workers: usize,
 }
 
-/// Runs `jobs` under `extractor` and `cache`: the submission policy of
-/// batch and chip extraction. On a `shared` executor every job is its own
-/// submission, so admission is per job and jobs spread over its workers
-/// alongside other clients' work. Otherwise a private executor of
-/// `workers` threads, sized so admission never rejects, gets the jobs as
-/// contiguous chunks of the Algorithm-1 static share (`⌈jobs / workers⌉`
-/// each, one submission per chunk), so each worker builds one engine.
+/// Runs one job per geometry under `extractor` and `cache` and waits for
+/// them: the one submission path of batch extraction, chip extraction and
+/// the daemon. The jobs go in as one submission, on `shared` when given
+/// (its admission bound applies) or else on a private executor of
+/// `workers` threads sized so admission never rejects.
 ///
 /// # Errors
 ///
-/// [`CoreError::Busy`] when the shared executor refuses a submission;
-/// already-admitted jobs still run, but their outcomes are dropped.
-pub(crate) fn fan_out(
+/// [`CoreError::Busy`] when the shared executor refuses the submission;
+/// none of its jobs ran.
+pub fn fan_out(
     shared: Option<&Executor>,
     workers: usize,
     extractor: &Extractor,
     cache: Option<Arc<TemplateCache>>,
-    jobs: Vec<BatchJob>,
+    geometries: Vec<Geometry>,
 ) -> Result<FanOut, CoreError> {
-    let n = jobs.len();
+    let n = geometries.len();
     if n == 0 {
         return Ok(FanOut { outcomes: Vec::new(), stats: ExecStats::default(), workers: 0 });
     }
     let private;
-    let (exec, chunk) = match shared {
-        Some(exec) => (exec, 1),
+    let exec = match shared {
+        Some(exec) => exec,
         None => {
             private = Executor::new(ExecConfig { workers, queue_depth: n });
-            (&private, n.div_ceil(workers))
+            &private
         }
     };
-    let mut jobs = jobs.into_iter();
-    let tickets: Vec<Ticket> = (0..n.div_ceil(chunk))
-        .map(|_| exec.submit(extractor, cache.clone(), jobs.by_ref().take(chunk).collect()))
-        .collect::<Result<_, _>>()?;
-    let mut outcomes = Vec::with_capacity(n);
-    let mut stats = ExecStats::default();
-    for ticket in tickets {
-        let sub = ticket.wait();
-        stats.submitted += 1;
-        stats.jobs += sub.outcomes.len();
-        stats.queue_seconds += sub.queue_seconds;
-        outcomes.extend(sub.outcomes);
-    }
+    let outcomes = exec.submit(extractor, cache, geometries)?.wait();
+    let queue_seconds = outcomes.iter().map(|o| o.queue_seconds).sum();
+    let stats = ExecStats { submitted: 1, rejected: 0, jobs: n, queue_seconds };
     Ok(FanOut { outcomes, stats, workers: exec.config().workers })
 }
 
 impl Shared {
-    /// Executes one submission on `worker`: build its engine, run its
-    /// jobs in input order, and collect their outcomes.
-    ///
-    /// Accounting stays per job: a job counts as *waiting* (against the
-    /// admission bound, and in `queued_jobs`) until the worker actually
-    /// starts it, and as *running* only while it executes — so the
-    /// not-yet-started jobs of a multi-job submission still hold their
-    /// queue slots.
+    /// Executes one job on `worker`. It counts as *waiting* (against the
+    /// admission bound, and in `queued_jobs`) until this starts, and as
+    /// *running* only while it executes.
     fn run(
         &self,
         extractor: &Extractor,
         cache: Option<&TemplateCache>,
-        jobs: &[BatchJob],
+        geometry: &Geometry,
         enqueued: Instant,
         worker: usize,
-    ) -> Submission {
+    ) -> JobOutcome {
+        self.waiting.fetch_sub(1, Ordering::SeqCst);
+        self.running.fetch_add(1, Ordering::SeqCst);
         let queue_seconds = enqueued.elapsed().as_secs_f64();
         self.queue_wait_nanos.fetch_add((queue_seconds * 1e9) as u64, Ordering::Relaxed);
         metrics().exec_queue_wait_nanos.add((queue_seconds * 1e9) as u64);
@@ -317,25 +309,19 @@ impl Shared {
             // Build the §4.2.3 tables before the first job is billed for them.
             bemcap_accel::fastmath::warm_tables();
         }
-        let engine = extractor.engine();
-        let mut outcomes = Vec::with_capacity(jobs.len());
-        for job in jobs {
-            self.waiting.fetch_sub(1, Ordering::SeqCst);
-            self.running.fetch_add(1, Ordering::SeqCst);
-            let t = Instant::now();
-            // A panicking job answers its own submission; the worker
-            // carries on.
-            let result = panic::catch_unwind(AssertUnwindSafe(|| {
-                extractor.extract_with(&engine, cache, &job.geometry)
-            }))
-            .unwrap_or_else(|payload| Err(CoreError::JobPanicked(panic_message(payload.as_ref()))));
-            let seconds = t.elapsed().as_secs_f64();
-            self.jobs_run.fetch_add(1, Ordering::Relaxed);
-            metrics().exec_jobs.inc();
-            self.running.fetch_sub(1, Ordering::SeqCst);
-            outcomes.push(JobOutcome { result, seconds, worker });
-        }
-        Submission { outcomes, queue_seconds }
+        let t = Instant::now();
+        // A panicking job answers with its own outcome; the worker
+        // carries on.
+        let result =
+            panic::catch_unwind(AssertUnwindSafe(|| extractor.extract_with(cache, geometry)))
+                .unwrap_or_else(|payload| {
+                    Err(CoreError::JobPanicked(panic_message(payload.as_ref())))
+                });
+        let seconds = t.elapsed().as_secs_f64();
+        self.jobs_run.fetch_add(1, Ordering::Relaxed);
+        metrics().exec_jobs.inc();
+        self.running.fetch_sub(1, Ordering::SeqCst);
+        JobOutcome { result, seconds, queue_seconds, worker }
     }
 }
 
@@ -348,34 +334,20 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
+/// Test handles on the worker pool, bypassing admission.
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::extraction::Method;
-    use bemcap_geom::structures::{self, CrossingParams};
-    use bemcap_geom::Geometry;
-    use std::sync::mpsc::channel;
-    use std::sync::Mutex;
-
-    fn crossing(h: f64) -> Geometry {
-        structures::crossing_wires(CrossingParams { separation: h, ..Default::default() })
-    }
-
-    fn job(h: f64) -> BatchJob {
-        BatchJob::new(format!("h={h}"), crossing(h))
-    }
-
-    /// Occupies every worker of `exec` until the returned sender fires,
-    /// so subsequent submissions deterministically pile up in the queue.
-    fn block_workers(exec: &Executor) -> mpsc::Sender<()> {
-        let (release_tx, release_rx) = channel::<()>();
-        let (started_tx, started_rx) = channel::<()>();
-        let workers = exec.config().workers;
-        let release_rx = Arc::new(Mutex::new(release_rx));
+impl Executor {
+    /// Occupies every worker until [`Gate::release`], so later
+    /// submissions deterministically pile up in the queue.
+    pub(crate) fn block_workers(&self) -> Gate {
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let (started_tx, started_rx) = mpsc::channel::<()>();
+        let workers = self.cfg.workers;
+        let release_rx = Arc::new(std::sync::Mutex::new(release_rx));
         for _ in 0..workers {
             let started_tx = started_tx.clone();
             let release_rx = Arc::clone(&release_rx);
-            exec.queue.push(move |_| {
+            self.queue.push(move |_| {
                 started_tx.send(()).expect("test alive");
                 // All blockers share the release channel: one message
                 // per blocker frees them.
@@ -385,13 +357,48 @@ mod tests {
         for _ in 0..workers {
             started_rx.recv().expect("blocker started");
         }
-        release_tx
+        Gate { tx: release_tx, workers }
     }
 
-    fn release(workers: usize, tx: &mpsc::Sender<()>) {
-        for _ in 0..workers {
-            let _ = tx.send(());
+    /// Blocks until every task queued so far has finished. Exact for a
+    /// one-worker executor, whose queue runs in FIFO order.
+    pub(crate) fn drain(&self) {
+        let (tx, rx) = mpsc::channel::<()>();
+        self.queue.push(move |_| tx.send(()).expect("test alive"));
+        rx.recv().expect("drain marker ran");
+    }
+}
+
+/// The release handle of [`Executor::block_workers`].
+#[cfg(test)]
+pub(crate) struct Gate {
+    tx: mpsc::Sender<()>,
+    workers: usize,
+}
+
+#[cfg(test)]
+impl Gate {
+    /// Frees every blocked worker.
+    pub(crate) fn release(self) {
+        for _ in 0..self.workers {
+            let _ = self.tx.send(());
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::extraction::Method;
+    use bemcap_geom::structures::{self, CrossingParams};
+
+    fn crossing(h: f64) -> Geometry {
+        structures::crossing_wires(CrossingParams { separation: h, ..Default::default() })
+    }
+
+    fn matrix(outcome: &JobOutcome) -> &[f64] {
+        let (extraction, _) = outcome.result.as_ref().expect("job ok");
+        extraction.capacitance().matrix().as_slice()
     }
 
     #[test]
@@ -400,37 +407,33 @@ mod tests {
         let ex = Extractor::new();
         let geo = crossing(0.6e-6);
         let ticket = exec
-            .submit(&ex, Some(Arc::new(TemplateCache::unbounded())), vec![job(0.6e-6)])
+            .submit(&ex, Some(Arc::new(TemplateCache::unbounded())), vec![geo.clone()])
             .expect("admitted");
-        let sub = ticket.wait();
-        assert_eq!(sub.outcomes.len(), 1);
-        let (extraction, stats) = sub.outcomes[0].result.as_ref().expect("job ok");
+        let outcomes = ticket.wait();
+        assert_eq!(outcomes.len(), 1);
+        let (_, stats) = outcomes[0].result.as_ref().expect("job ok");
         let direct = ex.extract(&geo).expect("direct");
-        assert_eq!(
-            extraction.capacitance().matrix().as_slice(),
-            direct.capacitance().matrix().as_slice()
-        );
+        assert_eq!(matrix(&outcomes[0]), direct.capacitance().matrix().as_slice());
         assert!(stats.misses > 0);
-        assert!(sub.first_failure().is_none());
     }
 
     #[test]
     fn empty_submission_resolves_immediately() {
         let exec = Executor::new(ExecConfig { workers: 1, queue_depth: 1 });
-        let sub = exec.submit(&Extractor::new(), None, vec![]).expect("empty ok").wait();
-        assert!(sub.outcomes.is_empty());
+        let outcomes = exec.submit(&Extractor::new(), None, vec![]).expect("empty ok").wait();
+        assert!(outcomes.is_empty());
         assert_eq!(exec.queued_jobs(), 0);
     }
 
     #[test]
     fn full_queue_returns_busy_and_never_deadlocks() {
         let exec = Executor::new(ExecConfig { workers: 1, queue_depth: 2 });
-        let gate = block_workers(&exec);
+        let gate = exec.block_workers();
         let ex = Extractor::new();
-        let t1 = exec.submit(&ex, None, vec![job(0.4e-6)]).expect("slot 1");
-        let t2 = exec.submit(&ex, None, vec![job(0.5e-6)]).expect("slot 2");
+        let t1 = exec.submit(&ex, None, vec![crossing(0.4e-6)]).expect("slot 1");
+        let t2 = exec.submit(&ex, None, vec![crossing(0.5e-6)]).expect("slot 2");
         assert_eq!(exec.queued_jobs(), 2);
-        match exec.submit(&ex, None, vec![job(0.6e-6)]) {
+        match exec.submit(&ex, None, vec![crossing(0.6e-6)]) {
             Err(CoreError::Busy { queued, depth }) => {
                 assert_eq!((queued, depth), (2, 2));
             }
@@ -438,14 +441,15 @@ mod tests {
         }
         // A multi-job submission larger than the remaining room is also
         // refused atomically — no partial admission.
-        match exec.submit(&ex, None, vec![job(0.7e-6), job(0.8e-6), job(0.9e-6)]) {
+        match exec.submit(&ex, None, vec![crossing(0.7e-6), crossing(0.8e-6), crossing(0.9e-6)]) {
             Err(CoreError::Busy { .. }) => {}
             other => panic!("expected Busy, got {other:?}"),
         }
-        release(1, &gate);
+        assert_eq!(exec.queued_jobs(), 2);
+        gate.release();
         let a = t1.wait();
         let b = t2.wait();
-        assert!(a.outcomes[0].result.is_ok() && b.outcomes[0].result.is_ok());
+        assert!(a[0].result.is_ok() && b[0].result.is_ok());
         let stats = exec.stats();
         assert_eq!(stats.rejected, 2);
         assert_eq!(stats.submitted, 2);
@@ -455,28 +459,18 @@ mod tests {
     #[test]
     fn failing_submission_queued_between_healthy_ones_fails_alone() {
         let exec = Executor::new(ExecConfig { workers: 1, queue_depth: 16 });
-        let gate = block_workers(&exec);
+        let gate = exec.block_workers();
         let ex = Extractor::new();
-        let good1 = exec.submit(&ex, None, vec![job(0.5e-6)]).expect("good1");
-        let bad = exec
-            .submit(&ex, None, vec![BatchJob::new("empty", Geometry::new(vec![]))])
-            .expect("bad admitted");
-        let good2 = exec.submit(&ex, None, vec![job(0.9e-6)]).expect("good2");
+        let good1 = exec.submit(&ex, None, vec![crossing(0.5e-6)]).expect("good1");
+        let bad = exec.submit(&ex, None, vec![Geometry::new(vec![])]).expect("bad admitted");
+        let good2 = exec.submit(&ex, None, vec![crossing(0.9e-6)]).expect("good2");
         assert_eq!(exec.queued_jobs(), 3);
-        release(1, &gate);
+        gate.release();
         let (s1, sb, s2) = (good1.wait(), bad.wait(), good2.wait());
-        assert!(s1.outcomes[0].result.is_ok());
-        assert!(s2.outcomes[0].result.is_ok());
-        match sb.first_failure() {
-            Some((0, CoreError::EmptyGeometry)) => {}
-            other => panic!("expected EmptyGeometry at index 0, got {other:?}"),
-        }
+        assert!(s1[0].result.is_ok());
+        assert!(matches!(sb[0].result, Err(CoreError::EmptyGeometry)), "{:?}", sb[0].result);
         let direct = ex.extract(&crossing(0.9e-6)).expect("direct");
-        let (extraction, _) = s2.outcomes[0].result.as_ref().expect("ok");
-        assert_eq!(
-            extraction.capacitance().matrix().as_slice(),
-            direct.capacitance().matrix().as_slice()
-        );
+        assert_eq!(matrix(&s2[0]), direct.capacitance().matrix().as_slice());
         let stats = exec.stats();
         assert_eq!((stats.submitted, stats.jobs), (3, 3));
         assert!(stats.queue_seconds > 0.0);
@@ -485,37 +479,52 @@ mod tests {
     #[test]
     fn a_slow_and_a_fast_submission_run_on_different_workers() {
         let exec = Executor::new(ExecConfig { workers: 2, queue_depth: 8 });
-        let gate = block_workers(&exec);
+        let gate = exec.block_workers();
         let ex = Extractor::new();
         let bus = structures::bus_crossing(4, 4, structures::BusParams::default());
-        let slow = exec.submit(&ex, None, vec![BatchJob::new("bus 4x4", bus)]).expect("slow");
-        let fast = exec.submit(&ex, None, vec![job(0.5e-6)]).expect("fast");
-        release(2, &gate);
+        let slow = exec.submit(&ex, None, vec![bus]).expect("slow");
+        let fast = exec.submit(&ex, None, vec![crossing(0.5e-6)]).expect("fast");
+        gate.release();
         let (a, b) = (slow.wait(), fast.wait());
-        assert!(a.first_failure().is_none() && b.first_failure().is_none());
+        assert!(a[0].result.is_ok() && b[0].result.is_ok());
         assert_ne!(
-            a.outcomes[0].worker, b.outcomes[0].worker,
+            a[0].worker, b[0].worker,
             "the fast submission waited behind the slow one on a single worker"
         );
+    }
+
+    #[test]
+    fn the_jobs_of_one_submission_spread_over_idle_workers() {
+        let exec = Executor::new(ExecConfig { workers: 2, queue_depth: 8 });
+        let gate = exec.block_workers();
+        let ex = Extractor::new();
+        let bus = structures::bus_crossing(4, 4, structures::BusParams::default());
+        let ticket = exec.submit(&ex, None, vec![bus, crossing(0.5e-6)]).expect("admitted");
+        gate.release();
+        let outcomes = ticket.wait();
+        assert!(outcomes.iter().all(|o| o.result.is_ok()));
+        assert_ne!(
+            outcomes[0].worker, outcomes[1].worker,
+            "the fast job waited behind the slow one of its own submission"
+        );
+        // Each job carries its own queue wait.
+        assert!(outcomes.iter().all(|o| o.queue_seconds > 0.0));
     }
 
     #[test]
     fn multi_job_submission_keeps_input_order_and_reports_failure_index() {
         let exec = Executor::new(ExecConfig { workers: 2, queue_depth: 8 });
         let ex = Extractor::new();
-        let jobs = vec![
-            job(0.4e-6),
-            BatchJob::new("empty", Geometry::new(vec![])),
-            job(0.8e-6),
-            BatchJob::new("empty2", Geometry::new(vec![])),
-        ];
-        let sub = exec.submit(&ex, None, jobs).expect("admitted").wait();
-        assert_eq!(sub.outcomes.len(), 4);
-        assert!(sub.outcomes[0].result.is_ok());
-        assert!(sub.outcomes[2].result.is_ok());
-        match sub.first_failure() {
-            Some((1, CoreError::EmptyGeometry)) => {}
-            other => panic!("expected lowest failing index 1, got {other:?}"),
+        let empty = || Geometry::new(vec![]);
+        let jobs = vec![crossing(0.4e-6), empty(), crossing(0.8e-6), empty()];
+        let outcomes = exec.submit(&ex, None, jobs).expect("admitted").wait();
+        assert_eq!(outcomes.len(), 4);
+        for (i, h) in [(0, 0.4e-6), (2, 0.8e-6)] {
+            let direct = ex.extract(&crossing(h)).expect("direct");
+            assert_eq!(matrix(&outcomes[i]), direct.capacitance().matrix().as_slice(), "job {i}");
+        }
+        for i in [1, 3] {
+            assert!(matches!(outcomes[i].result, Err(CoreError::EmptyGeometry)), "job {i}");
         }
     }
 
@@ -525,18 +534,18 @@ mod tests {
         // A zero leaf size still asserts inside `Octree::build`.
         let fmm = crate::FmmConfig { leaf_size: 0, ..Default::default() };
         let bad = Extractor::new().method(Method::PwcFmm).mesh_divisions(2).fmm_config(fmm);
-        let bad = exec.submit(&bad, None, vec![job(0.5e-6)]).expect("admitted");
+        let bad = exec.submit(&bad, None, vec![crossing(0.5e-6)]).expect("admitted");
         let ex = Extractor::new();
         let healthy: Vec<Ticket> = (0..100)
-            .map(|i| exec.submit(&ex, None, vec![job((0.4 + 0.01 * i as f64) * 1e-6)]))
+            .map(|i| exec.submit(&ex, None, vec![crossing((0.4 + 0.01 * i as f64) * 1e-6)]))
             .collect::<Result<_, _>>()
             .expect("admitted");
-        match bad.wait().first_failure() {
-            Some((0, CoreError::JobPanicked(message))) => assert!(!message.is_empty()),
+        match &bad.wait()[0].result {
+            Err(CoreError::JobPanicked(message)) => assert!(!message.is_empty()),
             other => panic!("expected a contained panic, got {other:?}"),
         }
         for ticket in healthy {
-            assert!(ticket.wait().first_failure().is_none());
+            assert!(ticket.wait()[0].result.is_ok());
         }
         assert_eq!((exec.running_jobs(), exec.queued_jobs()), (0, 0));
         assert_eq!(exec.stats().jobs, 101);

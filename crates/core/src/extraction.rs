@@ -197,7 +197,7 @@ impl Extractor {
         self
     }
 
-    pub(crate) fn engine(&self) -> GalerkinEngine {
+    fn engine(&self) -> GalerkinEngine {
         let eng = GalerkinEngine::new(self.galerkin_cfg);
         if self.accelerated {
             eng.with_primitives(
@@ -299,23 +299,22 @@ impl Extractor {
     /// * solver errors ([`CoreError::Basis`], [`CoreError::Linalg`],
     ///   [`CoreError::Fmm`], [`CoreError::Pfft`]).
     pub fn extract(&self, geo: &Geometry) -> Result<Extraction, CoreError> {
-        Ok(self.extract_with(&self.engine(), None, geo)?.0)
+        Ok(self.extract_with(None, geo)?.0)
     }
 
-    /// [`Extractor::extract`] on a caller-provided `engine` (built by
-    /// [`Extractor::engine`]), with the pair integrals probed in `cache`
+    /// [`Extractor::extract`] with the pair integrals probed in `cache`
     /// when given; also returns the job's cache counters. The executor
     /// runs every job through here, so a job is bit-identical to
     /// `extract` with or without the cache.
     pub(crate) fn extract_with(
         &self,
-        engine: &GalerkinEngine,
         cache: Option<&TemplateCache>,
         geo: &Geometry,
     ) -> Result<(Extraction, CacheStats), CoreError> {
         if geo.conductor_count() == 0 {
             return Err(CoreError::EmptyGeometry);
         }
+        let engine = &self.engine();
         let names: Vec<String> = geo.conductors().iter().map(|c| c.name().to_string()).collect();
         let t = std::time::Instant::now();
         let Prepared { method, n, m_templates, workers, memory, cache: cache_stats, system } = {
@@ -340,7 +339,7 @@ impl Extractor {
                 setup_seconds,
                 solve_seconds,
                 memory_bytes: memory,
-                krylov: krylov.map(Into::into),
+                krylov,
             },
         };
         Ok((extraction, cache_stats))

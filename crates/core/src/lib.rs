@@ -17,8 +17,9 @@
 //! [`BatchExtractor::extract_family`] runs a parameter sweep. Batch, chip
 //! and the `bemcap-serve` daemon all execute on the same
 //! shared execution core ([`exec::Executor`]): a bounded work queue with
-//! admission control ([`CoreError::Busy`] backpressure) that runs each
-//! submission as its own task on the next idle worker.
+//! admission control ([`CoreError::Busy`] backpressure) that admits a
+//! submission's jobs together and runs each job as its own task on the
+//! next idle worker.
 //!
 //! ```
 //! use bemcap_core::{Extractor, Method};
@@ -51,14 +52,14 @@ pub use chip::{
     WindowResult,
 };
 pub use error::CoreError;
-pub use exec::{ExecConfig, Executor, JobOutcome, Submission, Ticket};
+pub use exec::{ExecConfig, Executor, JobOutcome, Ticket};
 pub use extraction::{CapacitanceMatrix, Extraction, Extractor, Method};
-pub use report::{BatchReport, CacheStats, ExecStats, ExtractionReport, JobReport, SolverStats};
+pub use report::{BatchReport, CacheStats, ExecStats, ExtractionReport, JobReport};
 
 // The typed solver configurations, re-exported so downstream layers
 // (`bemcap-serve`, benches, applications) configure solvers without
 // depending on the solver crates directly.
 pub use bemcap_fmm::FmmConfig;
 pub use bemcap_geom::Geometry;
-pub use bemcap_linalg::KrylovConfig;
+pub use bemcap_linalg::{KrylovConfig, KrylovStats};
 pub use bemcap_pfft::PfftConfig;

@@ -4,36 +4,6 @@ use bemcap_linalg::KrylovStats;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// Iterative-solver counters of one extraction, aggregated over every
-/// right-hand side (one GMRES solve per conductor): present for the
-/// Krylov-backed backends (`pwc-fmm`, `pwc-pfft`), absent for direct
-/// solves.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct SolverStats {
-    /// Total Krylov iterations (matrix-vector products).
-    pub iterations: usize,
-    /// Total GMRES restarts (Arnoldi bases discarded and rebuilt).
-    pub restarts: usize,
-    /// Worst final relative residual across the right-hand sides.
-    pub residual: f64,
-}
-
-impl From<KrylovStats> for SolverStats {
-    fn from(s: KrylovStats) -> SolverStats {
-        SolverStats { iterations: s.matvecs, restarts: s.restarts, residual: s.residual }
-    }
-}
-
-impl fmt::Display for SolverStats {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} iterations ({} restarts), residual {:.2e}",
-            self.iterations, self.restarts, self.residual
-        )
-    }
-}
-
 /// Performance record of one extraction run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ExtractionReport {
@@ -53,8 +23,10 @@ pub struct ExtractionReport {
     /// Estimated peak solver memory in bytes (system matrix + solver
     /// workspace or operator storage).
     pub memory_bytes: usize,
-    /// Krylov counters for iterative backends (`None` for direct solves).
-    pub krylov: Option<SolverStats>,
+    /// Krylov counters for iterative backends, aggregated over every
+    /// right-hand side (one GMRES solve per conductor); `None` for direct
+    /// solves.
+    pub krylov: Option<KrylovStats>,
 }
 
 impl ExtractionReport {
@@ -151,12 +123,13 @@ impl fmt::Display for CacheStats {
     }
 }
 
-/// Execution-core counters: how submissions moved through the
-/// [`crate::exec::Executor`]'s admission queue.
+/// Execution-core counters: how submissions and their jobs moved through
+/// the [`crate::exec::Executor`]'s admission queue.
 ///
 /// Surfaces in three places, mirroring [`CacheStats`]: per batch run in
-/// [`BatchReport::exec`], per daemon lifetime through the `bemcap-serve`
-/// `stats` op, and per submission in `bemcap_core::exec::Submission`.
+/// [`BatchReport::exec`], per chip run in [`crate::chip::ChipReport`]'s
+/// queue wait, and per daemon lifetime through the `bemcap-serve` `stats`
+/// op.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct ExecStats {
     /// Submissions admitted into the queue.
@@ -166,18 +139,18 @@ pub struct ExecStats {
     pub rejected: usize,
     /// Jobs executed.
     pub jobs: usize,
-    /// Total seconds submissions spent waiting in the queue before their
-    /// processing started.
+    /// Total seconds jobs spent waiting in the queue before they
+    /// started.
     pub queue_seconds: f64,
 }
 
 impl ExecStats {
-    /// Mean seconds a submission waited in the queue (0 when idle).
+    /// Mean seconds a job waited in the queue (0 when idle).
     pub fn mean_queue_seconds(&self) -> f64 {
-        if self.submitted == 0 {
+        if self.jobs == 0 {
             return 0.0;
         }
-        self.queue_seconds / self.submitted as f64
+        self.queue_seconds / self.jobs as f64
     }
 
     /// Accumulates another run's counters into this one.
@@ -306,7 +279,7 @@ mod tests {
             setup_seconds: 1.0,
             solve_seconds: 2.0,
             memory_bytes: 42,
-            krylov: Some(SolverStats { iterations: 80, restarts: 1, residual: 4.2e-7 }),
+            krylov: Some(KrylovStats { matvecs: 80, restarts: 1, residual: 4.2e-7 }),
         };
         // serde round trip through the derived impls (format-agnostic).
         let cloned = r.clone();
@@ -323,7 +296,7 @@ mod tests {
             setup_seconds: 0.8,
             solve_seconds: 0.2,
             memory_bytes: 3 << 20,
-            krylov: Some(SolverStats { iterations: 123, restarts: 2, residual: 7.5e-7 }),
+            krylov: Some(KrylovStats { matvecs: 123, restarts: 2, residual: 7.5e-7 }),
         };
         let s = format!("{r}");
         assert!(s.contains("pwc-pfft") && s.contains("N=640"), "{s}");
@@ -335,14 +308,6 @@ mod tests {
         let s = format!("{r}");
         assert!(!s.contains("krylov"), "{s}");
         assert!(s.contains("(M=900 templates)"), "{s}");
-    }
-
-    #[test]
-    fn solver_stats_from_krylov_stats() {
-        let s: SolverStats =
-            bemcap_linalg::KrylovStats { matvecs: 42, restarts: 3, residual: 1.5e-8 }.into();
-        assert_eq!((s.iterations, s.restarts), (42, 3));
-        assert!(format!("{s}").contains("42 iterations (3 restarts)"));
     }
 
     #[test]
@@ -364,10 +329,10 @@ mod tests {
         total.absorb(ExecStats { submitted: 4, rejected: 1, jobs: 5, queue_seconds: 0.02 });
         total.absorb(ExecStats { submitted: 2, rejected: 0, jobs: 2, queue_seconds: 0.01 });
         assert_eq!((total.submitted, total.rejected, total.jobs), (6, 1, 7));
-        assert!((total.mean_queue_seconds() - 0.03 / 6.0).abs() < 1e-12);
+        assert!((total.mean_queue_seconds() - 0.03 / 7.0).abs() < 1e-12);
         let s = format!("{total}");
         assert!(s.contains("6 submitted") && s.contains("1 rejected"), "{s}");
-        assert!(s.contains("7 jobs") && s.contains("mean queue wait 5.0 ms"), "{s}");
+        assert!(s.contains("7 jobs") && s.contains("mean queue wait 4.3 ms"), "{s}");
     }
 
     #[test]
@@ -401,8 +366,8 @@ mod tests {
         assert!(s.contains("75.0 % hit rate"), "{s}");
         assert!(s.contains("5 evictions"), "{s}");
         assert!(s.contains("8 jobs") && s.contains("cache on"), "{s}");
-        // 12.5 ms total over 8 submissions: the one-line summary shows
-        // the per-submission mean, not the sum.
+        // 12.5 ms total over 8 jobs: the one-line summary shows the
+        // per-job mean, not the sum.
         assert!(s.contains("mean queue wait 1.6 ms"), "{s}");
         let off = BatchReport { cache_enabled: false, ..r };
         assert!(format!("{off}").contains("cache off"));

@@ -96,6 +96,16 @@ impl KrylovStats {
     }
 }
 
+impl std::fmt::Display for KrylovStats {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{} iterations ({} restarts), residual {:.2e}",
+            self.matvecs, self.restarts, self.residual
+        )
+    }
+}
+
 /// Restarted, right-preconditioned GMRES(m) under Jacobi preconditioning
 /// — the one Krylov driver behind every iterative backend (FMM and pFFT
 /// both solve through here).
@@ -316,6 +326,12 @@ mod tests {
 
     fn cfg(restart: usize, tol: f64, max_iters: usize) -> KrylovConfig {
         KrylovConfig { tol, restart, max_iters }
+    }
+
+    #[test]
+    fn stats_display_iterations_restarts_and_residual() {
+        let s = KrylovStats { matvecs: 42, restarts: 3, residual: 1.5e-8 };
+        assert_eq!(format!("{s}"), "42 iterations (3 restarts), residual 1.50e-8");
     }
 
     #[test]

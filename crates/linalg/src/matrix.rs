@@ -158,16 +158,6 @@ impl Matrix {
         &self.data[i * self.cols..(i + 1) * self.cols]
     }
 
-    /// Row `i` as a mutable slice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn row_mut(&mut self, i: usize) -> &mut [f64] {
-        assert!(i < self.rows, "row {i} out of range");
-        &mut self.data[i * self.cols..(i + 1) * self.cols]
-    }
-
     /// Column `j` copied into a vector.
     ///
     /// # Panics
@@ -186,11 +176,6 @@ impl Matrix {
     /// The underlying row-major buffer, mutable.
     pub fn as_mut_slice(&mut self) -> &mut [f64] {
         &mut self.data
-    }
-
-    /// Consumes the matrix, returning the row-major buffer.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
     }
 
     /// Transposed copy.

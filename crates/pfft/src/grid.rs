@@ -65,11 +65,6 @@ impl Grid {
         Ok(Grid { origin, h, dims, fft_dims })
     }
 
-    /// Number of logical grid nodes.
-    pub fn logical_points(&self) -> usize {
-        self.dims[0] * self.dims[1] * self.dims[2]
-    }
-
     /// Number of padded FFT points.
     pub fn fft_points(&self) -> usize {
         self.fft_dims[0] * self.fft_dims[1] * self.fft_dims[2]

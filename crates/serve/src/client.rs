@@ -156,9 +156,9 @@ impl Client {
         Ok(ExtractReply::decode(&self.roundtrip(&request)?)?)
     }
 
-    /// Extracts many geometries in one `batch` frame: all of them run as
-    /// one daemon-side executor submission, so the family shares one
-    /// engine setup and is admitted all or nothing. Results
+    /// Extracts many geometries in one `batch` frame: they go in as one
+    /// daemon-side executor submission, admitted all or nothing, and each
+    /// runs as its own job on the next idle worker. Results
     /// come back in input order, each bit-identical to a single-shot
     /// [`Client::extract`] of the same geometry.
     ///

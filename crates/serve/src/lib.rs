@@ -11,9 +11,10 @@
 //!   connection, no async runtime) speaking a newline-delimited JSON
 //!   protocol. Extraction runs on one shared, admission-controlled
 //!   [`bemcap_core::exec::Executor`]: connection threads only parse,
-//!   enqueue, and respond; overload degrades into structured `busy`
-//!   rejections; each request is one queue task on the next idle
-//!   worker. One process-lifetime, memory-bounded
+//!   enqueue, and respond; a request's jobs (one per geometry or chip
+//!   window) are admitted together, so overload degrades into structured
+//!   `busy` rejections that ran nothing; each job is one queue task on
+//!   the next idle worker. One process-lifetime, memory-bounded
 //!   [`bemcap_core::TemplateCache`] is shared across every request;
 //! * [`Client`] — the matching blocking client library (single
 //!   [`Client::extract`] and many-geometry [`Client::extract_batch`]);

@@ -26,8 +26,8 @@
 
 use bemcap_core::metrics::{MetricKind, Registry};
 use bemcap_core::{
-    CacheStats, ChipExtraction, ExecStats, Extraction, Extractor, FmmConfig, KrylovConfig, Method,
-    PfftConfig, SolverStats, Submission,
+    CacheStats, ChipExtraction, ExecStats, Extraction, Extractor, FmmConfig, KrylovConfig,
+    KrylovStats, Method, PfftConfig,
 };
 use serde_json::json;
 /// The JSON value tree every frame is built from and parsed into.
@@ -90,8 +90,8 @@ pub enum Request {
         options: ExtractOptions,
     },
     /// Extract many geometries under one solver configuration in a
-    /// single frame — they run as one executor submission on one worker,
-    /// sharing its engine setup, and are admitted all or nothing.
+    /// single frame — they go in as one executor submission, admitted all
+    /// or nothing, and each runs as its own job on the next idle worker.
     Batch {
         /// Client-chosen correlation id, echoed in the response.
         id: Option<u64>,
@@ -627,17 +627,17 @@ fn cache_stats_from_value(v: &Value) -> Result<CacheStats, WireError> {
     })
 }
 
-fn solver_stats_value(stats: &SolverStats) -> Value {
+fn solver_stats_value(stats: &KrylovStats) -> Value {
     json!({
-        "iterations": stats.iterations,
+        "iterations": stats.matvecs,
         "restarts": stats.restarts,
         "residual": stats.residual,
     })
 }
 
-fn solver_stats_from_value(v: &Value) -> Result<SolverStats, WireError> {
-    Ok(SolverStats {
-        iterations: req(v, "solver", "iterations")?,
+fn solver_stats_from_value(v: &Value) -> Result<KrylovStats, WireError> {
+    Ok(KrylovStats {
+        matvecs: req(v, "solver", "iterations")?,
         restarts: req(v, "solver", "restarts")?,
         residual: req(v, "solver", "residual")?,
     })
@@ -686,11 +686,12 @@ pub struct ExtractReply {
     pub memory_bytes: usize,
     /// Iterative-solver counters (iterations, restarts, residual) for
     /// Krylov backends; `None` for direct solves.
-    pub solver: Option<SolverStats>,
+    pub solver: Option<KrylovStats>,
     /// Pair-integral cache counters of this request.
     pub cache: CacheStats,
     /// Seconds the request waited in the daemon's admission queue before
-    /// its processing started.
+    /// its processing started (for a `batch` frame, until its first job
+    /// started).
     pub queue_seconds: f64,
 }
 
@@ -706,22 +707,23 @@ impl ExtractReply {
     }
 
     /// Encodes an `extract` result straight from the engine's output: the
-    /// extraction, its cache counters, and the executor record of the
-    /// submission that ran it.
-    pub fn encode(extraction: &Extraction, cache: &CacheStats, sub: &Submission) -> Value {
+    /// extraction, its cache counters, and the seconds its job waited in
+    /// the executor queue.
+    pub fn encode(extraction: &Extraction, cache: &CacheStats, queue_seconds: f64) -> Value {
         let mut result = extraction_value(extraction, cache);
-        push(&mut result, "exec", submission_value(sub));
+        push(&mut result, "exec", exec_value(queue_seconds));
         result
     }
 
     /// Encodes a `batch` result: one entry per job in input order, then
-    /// the executor record they share (absent for an empty frame, which
-    /// never reaches the queue).
-    pub fn encode_batch(results: &[&(Extraction, CacheStats)], sub: Option<&Submission>) -> Value {
+    /// the executor record they share, holding the seconds until the
+    /// frame's first job started (absent for an empty frame, which never
+    /// reaches the queue).
+    pub fn encode_batch(results: &[(Extraction, CacheStats)], queue_seconds: Option<f64>) -> Value {
         let entries = results.iter().map(|(e, c)| extraction_value(e, c)).collect();
         let mut result = json!({ "results": Value::Array(entries) });
-        if let Some(sub) = sub {
-            push(&mut result, "exec", submission_value(sub));
+        if let Some(queue_seconds) = queue_seconds {
+            push(&mut result, "exec", exec_value(queue_seconds));
         }
         result
     }
@@ -773,9 +775,9 @@ fn extraction_value(extraction: &Extraction, cache: &CacheStats) -> Value {
     })
 }
 
-/// The per-submission executor record of `extract` and `batch` results.
-fn submission_value(sub: &Submission) -> Value {
-    json!({ "queue_seconds": sub.queue_seconds })
+/// The executor record of `extract` and `batch` results.
+fn exec_value(queue_seconds: f64) -> Value {
+    json!({ "queue_seconds": queue_seconds })
 }
 
 fn decode_extraction(v: &Value, exec: &Value) -> Result<ExtractReply, WireError> {
@@ -828,7 +830,8 @@ pub struct ChipReply {
     pub wall_seconds: f64,
     /// Sum of the per-window job seconds on the daemon.
     pub busy_seconds: f64,
-    /// Seconds the window submissions waited in the daemon's queue.
+    /// Seconds the window jobs waited in the daemon's queue, summed over
+    /// the jobs.
     pub queue_seconds: f64,
     /// Pair-integral cache counters aggregated over extracted windows.
     pub cache: CacheStats,
@@ -1404,8 +1407,9 @@ mod tests {
 
     #[test]
     fn solver_stats_round_trip() {
-        let stats = SolverStats { iterations: 120, restarts: 2, residual: 3.5e-7 };
+        let stats = KrylovStats { matvecs: 120, restarts: 2, residual: 3.5e-7 };
         let v = solver_stats_value(&stats);
+        assert_eq!(v["iterations"].as_u64(), Some(120), "the wire key stays `iterations`");
         assert_eq!(solver_stats_from_value(&v).unwrap(), stats);
         assert!(solver_stats_from_value(&json!({ "iterations": 1 })).is_err());
     }

@@ -12,8 +12,9 @@
 //! * at most [`ExecConfig::queue_depth`] jobs wait at once — beyond
 //!   that, requests get a structured `busy` error immediately instead of
 //!   piling up (`--queue`, env `BEMCAP_QUEUE`);
-//! * each request is one executor submission, run as one queue task by
-//!   the next idle worker.
+//! * each request is one executor submission whose jobs (one geometry
+//!   each) are admitted together — a `busy` reply means nothing ran — and
+//!   each job is its own queue task, run by the next idle worker.
 //!
 //! All connections also share one process-lifetime [`TemplateCache`], so
 //! the pair integrals a request computes stay warm for every later
@@ -43,12 +44,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use bemcap_core::batch::default_pool_size;
 use bemcap_core::cache::TemplateCache;
 use bemcap_core::chip::{ChipExtractor, WindowCache};
-use bemcap_core::exec::{default_queue_depth, ExecConfig, Executor};
+use bemcap_core::exec::{fan_out, ExecConfig, Executor, FanOut};
 use bemcap_core::metrics::{metrics as core_metrics, Registry};
-use bemcap_core::{BatchJob, CacheStats, CoreError, Extraction, Extractor, JobOutcome, Submission};
+use bemcap_core::CoreError;
 use bemcap_geom::io::parse_geometry;
 use bemcap_geom::Geometry;
 
@@ -89,12 +89,13 @@ pub struct ServerConfig {
 
 impl Default for ServerConfig {
     fn default() -> ServerConfig {
+        let ExecConfig { workers, queue_depth } = ExecConfig::default();
         ServerConfig {
             addr: "127.0.0.1:0".into(),
             cache_max_bytes: Some(64 << 20),
-            workers: default_pool_size(),
+            workers,
             max_frame_bytes: 8 << 20,
-            queue_depth: default_queue_depth(),
+            queue_depth,
             window_cache_max_bytes: Some(64 << 20),
             cache_restore: None,
         }
@@ -419,45 +420,17 @@ fn parse_job(text: &str, index: Option<usize>) -> Result<Geometry, DispatchError
     })
 }
 
-/// Submits jobs to the daemon's shared executor and waits for the
-/// demultiplexed results — the only execution path of the daemon.
-fn run_on_executor(
+/// Runs one job per geometry on the daemon's shared executor and
+/// pair-integral cache, admitted together.
+fn run_jobs(
     state: &ServerState,
-    extractor: &Extractor,
-    jobs: Vec<BatchJob>,
-) -> Result<Submission, DispatchError> {
-    let ticket = state.executor.submit(extractor, Some(Arc::clone(&state.cache)), jobs).map_err(
-        |e| match e {
-            CoreError::Busy { .. } => DispatchError { code: codes::BUSY, message: e.to_string() },
-            other => DispatchError { code: codes::EXTRACTION, message: other.to_string() },
-        },
-    )?;
-    Ok(ticket.wait())
-}
-
-/// A batch submission's results after failure screening.
-///
-/// `batch()` maps any failed outcome to a frame-level error before this
-/// runs, so every outcome should carry a result. If one does not, that is
-/// a daemon bug (the screening and the executor disagree about what
-/// failed) — report it as a structured `internal` error on this frame
-/// instead of panicking the connection thread, so the client gets a
-/// diagnosable reply and the daemon keeps serving.
-fn batch_results(outcomes: &[JobOutcome]) -> Result<Vec<&(Extraction, CacheStats)>, DispatchError> {
-    outcomes
-        .iter()
-        .enumerate()
-        .map(|(index, o)| match &o.result {
-            Ok(result) => Ok(result),
-            Err(e) => Err(DispatchError {
-                code: codes::INTERNAL,
-                message: format!(
-                    "batch outcome {index} failed after failure screening ({e}); \
-                     this is a daemon bug — please report it"
-                ),
-            }),
-        })
-        .collect()
+    options: &ExtractOptions,
+    geometries: Vec<Geometry>,
+) -> Result<FanOut, DispatchError> {
+    let cache = Some(Arc::clone(&state.cache));
+    let extractor = build_extractor(options);
+    fan_out(Some(&state.executor), state.cfg.workers, &extractor, cache, geometries)
+        .map_err(|e| core_error(&e, e.to_string()))
 }
 
 fn extract(
@@ -466,12 +439,9 @@ fn extract(
     options: ExtractOptions,
 ) -> Result<Value, DispatchError> {
     let geo = parse_job(geometry, None)?;
-    let extractor = build_extractor(&options);
-    let sub = run_on_executor(state, &extractor, vec![BatchJob::new("request", geo)])?;
-    let outcome = &sub.outcomes[0];
-    let (extraction, cache) =
-        outcome.result.as_ref().map_err(|e| extraction_error(e, e.to_string()))?;
-    Ok(ExtractReply::encode(extraction, cache, &sub))
+    let outcome = &run_jobs(state, &options, vec![geo])?.outcomes[0];
+    let (extraction, cache) = outcome.result.as_ref().map_err(|e| core_error(e, e.to_string()))?;
+    Ok(ExtractReply::encode(extraction, cache, outcome.queue_seconds))
 }
 
 fn batch(
@@ -479,22 +449,22 @@ fn batch(
     geometries: &[String],
     options: ExtractOptions,
 ) -> Result<Value, DispatchError> {
-    let jobs: Vec<BatchJob> = geometries
+    let geos: Vec<Geometry> = geometries
         .iter()
         .enumerate()
-        .map(|(i, text)| Ok(BatchJob::new(format!("job{i}"), parse_job(text, Some(i))?)))
-        .collect::<Result<_, DispatchError>>()?;
-    if jobs.is_empty() {
-        return Ok(ExtractReply::encode_batch(&[], None));
-    }
-    let extractor = build_extractor(&options);
-    let sub = run_on_executor(state, &extractor, jobs)?;
+        .map(|(i, text)| parse_job(text, Some(i)))
+        .collect::<Result<_, _>>()?;
+    let outcomes = run_jobs(state, &options, geos)?.outcomes;
+    // The frame's wait is the wait until its first job started.
+    let queue_seconds = outcomes.iter().map(|o| o.queue_seconds).reduce(f64::min);
     // Lowest-failing-index semantics, mirroring `CoreError::BatchJob`:
     // the whole frame fails with the first failing geometry's error.
-    if let Some((index, e)) = sub.first_failure() {
-        return Err(extraction_error(e, format!("geometry {index}: {e}")));
-    }
-    Ok(ExtractReply::encode_batch(&batch_results(&sub.outcomes)?, Some(&sub)))
+    let results = outcomes
+        .into_iter()
+        .enumerate()
+        .map(|(index, o)| o.result.map_err(|e| core_error(&e, format!("geometry {index}: {e}"))))
+        .collect::<Result<Vec<_>, _>>()?;
+    Ok(ExtractReply::encode_batch(&results, queue_seconds))
 }
 
 /// Runs a full-chip windowed extraction (v4 `chip` op) on the daemon's
@@ -518,18 +488,15 @@ fn chip(
     if let Some(h) = halo {
         chip = chip.halo(h);
     }
-    let full = chip.extract(&geo).map_err(|e| match e {
-        CoreError::Busy { .. } => DispatchError { code: codes::BUSY, message: e.to_string() },
-        CoreError::Geometry(_) => DispatchError { code: codes::GEOMETRY, message: e.to_string() },
-        other => extraction_error(&other, other.to_string()),
-    })?;
+    let full = chip.extract(&geo).map_err(|e| core_error(&e, e.to_string()))?;
     Ok(ChipReply::encode(&full))
 }
 
-/// A failed job's reply: `extraction`, or `internal` when the executor
-/// contained a panic of the job, which is a daemon bug rather than a
-/// fault of the request.
-fn extraction_error(e: &CoreError, message: String) -> DispatchError {
+/// The reply to a refused or failed request: `busy` when the executor
+/// had no room for its jobs, `geometry` for an unusable layout,
+/// `internal` when the executor contained a panic of a job (a daemon bug
+/// rather than a fault of the request), and `extraction` otherwise.
+fn core_error(e: &CoreError, message: String) -> DispatchError {
     fn panicked(e: &CoreError) -> bool {
         match e {
             CoreError::JobPanicked(_) => true,
@@ -539,7 +506,12 @@ fn extraction_error(e: &CoreError, message: String) -> DispatchError {
             _ => false,
         }
     }
-    let code = if panicked(e) { codes::INTERNAL } else { codes::EXTRACTION };
+    let code = match e {
+        CoreError::Busy { .. } => codes::BUSY,
+        CoreError::Geometry(_) => codes::GEOMETRY,
+        _ if panicked(e) => codes::INTERNAL,
+        _ => codes::EXTRACTION,
+    };
     DispatchError { code, message }
 }
 
@@ -549,7 +521,7 @@ mod tests {
 
     #[test]
     fn contained_panics_answer_internal() {
-        let code = |e: &CoreError| extraction_error(e, e.to_string()).code;
+        let code = |e: &CoreError| core_error(e, e.to_string()).code;
         let panic = CoreError::JobPanicked("boom".into());
         assert_eq!(code(&panic), codes::INTERNAL);
         assert_eq!(
@@ -703,6 +675,18 @@ mod tests {
         assert_eq!(v["ok"].as_bool(), Some(false));
         assert_eq!(v["error"]["code"].as_str(), Some(codes::BUSY), "{v:?}");
         assert_eq!(v["id"].as_u64(), Some(9));
+
+        // A chip whose non-empty windows outnumber the queue depth is
+        // refused whole: nothing ran, so nothing reached the cache.
+        let cfg = ServerConfig { workers: 1, queue_depth: 3, ..ServerConfig::default() };
+        let state = ServerState::new(cfg, Listener::bind("127.0.0.1:0").expect("bind").shutdown());
+        let corners = "conductor a\\nbox 0 0 0 1e-6 1e-6 1e-6\\nconductor b\\nbox 4e-6 0 0 5e-6 1e-6 1e-6\\n\
+                       conductor c\\nbox 0 4e-6 0 1e-6 5e-6 1e-6\\nconductor d\\nbox 4e-6 4e-6 0 5e-6 5e-6 1e-6\\n";
+        let line = format!(r#"{{"op":"chip","geometry":"{corners}","windows":[2,2],"halo":1e-6}}"#);
+        let v = serde_json::from_str(&dispatch(&state, &line)).unwrap();
+        assert_eq!(v["error"]["code"].as_str(), Some(codes::BUSY), "{v:?}");
+        assert_eq!(state.executor.stats().jobs, 0);
+        assert!(state.cache.is_empty());
     }
 
     #[test]
@@ -730,32 +714,6 @@ mod tests {
         let after = v["result"]["counters"]["bemcap_extractions_total"].as_u64().unwrap();
         assert!(after > before, "extraction counter did not move: {before} -> {after}");
         assert!(v["result"]["gauges"]["bemcap_template_cache_entries"].as_u64().unwrap() > 0);
-    }
-
-    #[test]
-    fn stray_batch_failure_is_an_internal_error_not_a_panic() {
-        // batch_results sees a failed outcome only if the screening in
-        // batch() and the executor disagree — simulate that directly.
-        let ok_outcome = || {
-            let state = test_state();
-            let geo = "conductor a\nbox 0 0 0 1e-6 1e-6 1e-6\n";
-            let parsed = parse_job(geo, None).unwrap();
-            let extractor = build_extractor(&ExtractOptions::default());
-            let sub =
-                run_on_executor(&state, &extractor, vec![BatchJob::new("t", parsed)]).unwrap();
-            sub.outcomes.into_iter().next().unwrap()
-        };
-        let good = ok_outcome();
-        let bad = JobOutcome { result: Err(CoreError::EmptyGeometry), seconds: 0.0, worker: 0 };
-
-        let ok = batch_results(std::slice::from_ref(&good)).unwrap();
-        assert_eq!(ok.len(), 1);
-        assert_eq!(ok[0].0.capacitance().dim(), 1);
-
-        let err = batch_results(&[good, bad]).unwrap_err();
-        assert_eq!(err.code, codes::INTERNAL);
-        assert!(err.message.contains("outcome 1"), "{}", err.message);
-        assert!(err.message.contains("daemon bug"), "{}", err.message);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!   field is one v7 itself sends as null or may leave out.
 
 use bemcap_core::{
-    CacheStats, ChipExtraction, ChipExtractor, ExecStats, Extraction, Extractor, Method, Submission,
+    CacheStats, ChipExtraction, ChipExtractor, ExecStats, Extraction, Extractor, Method,
 };
 use bemcap_geom::structures::{self, BusParams, CrossingParams};
 use bemcap_serve::protocol::{
@@ -38,9 +38,8 @@ fn chip_extraction() -> ChipExtraction {
     ChipExtractor::new(Extractor::new()).windows(2, 2).extract(&geo).expect("chip")
 }
 
-fn submission() -> Submission {
-    Submission { outcomes: Vec::new(), queue_seconds: 0.1 + 0.2 }
-}
+/// A queue wait that is not a short decimal, so a lossy codec shows.
+const QUEUE_SECONDS: f64 = 0.1 + 0.2;
 
 const CACHE: CacheStats = CacheStats { hits: 9, misses: 4, evictions: 1, inserted_bytes: 768 };
 
@@ -65,28 +64,23 @@ fn assert_extraction_bits(reply: &ExtractReply, want: &Extraction, cache: &Cache
 
 #[test]
 fn extract_and_batch_results_decode_to_the_engine_bits() {
-    let sub = submission();
     let direct = extraction(Method::InstantiableBasis);
     let krylov = extraction(Method::PwcFmm);
     assert!(krylov.report().krylov.is_some(), "the FMM report carries solver counters");
     for want in [&direct, &krylov] {
-        let v = through_text(ExtractReply::encode(want, &CACHE, &sub));
+        let v = through_text(ExtractReply::encode(want, &CACHE, QUEUE_SECONDS));
         let reply = ExtractReply::decode(&v).expect("decode");
         assert_extraction_bits(&reply, want, &CACHE);
-        assert_eq!(reply.queue_seconds.to_bits(), sub.queue_seconds.to_bits());
+        assert_eq!(reply.queue_seconds.to_bits(), QUEUE_SECONDS.to_bits());
     }
 
     let jobs = [(direct, CacheStats::default()), (krylov, CACHE)];
-    let v = through_text(ExtractReply::encode_batch(&[&jobs[0], &jobs[1]], Some(&sub)));
+    let v = through_text(ExtractReply::encode_batch(&jobs, Some(QUEUE_SECONDS)));
     let replies = ExtractReply::decode_batch(&v).expect("batch");
     assert_eq!(replies.len(), 2);
     for (reply, (want, cache)) in replies.iter().zip(&jobs) {
         assert_extraction_bits(reply, want, cache);
-        assert_eq!(
-            reply.queue_seconds.to_bits(),
-            sub.queue_seconds.to_bits(),
-            "shared exec record"
-        );
+        assert_eq!(reply.queue_seconds.to_bits(), QUEUE_SECONDS.to_bits(), "shared exec record");
     }
 
     // An empty frame never reaches the queue: no executor record.
@@ -220,18 +214,17 @@ struct Shape {
 const DERIVED: [&str; 1] = ["hit_rate"];
 
 fn shapes() -> Vec<Shape> {
-    let sub = submission();
     let job = (extraction(Method::PwcFmm), CACHE);
     vec![
         Shape {
             name: "extract",
-            sample: ExtractReply::encode(&job.0, &job.1, &sub),
+            sample: ExtractReply::encode(&job.0, &job.1, QUEUE_SECONDS),
             decode: |v| ExtractReply::decode(v).map(drop),
             optional: &["report.m_templates", "report.solver"],
         },
         Shape {
             name: "batch",
-            sample: ExtractReply::encode_batch(&[&job], Some(&sub)),
+            sample: ExtractReply::encode_batch(std::slice::from_ref(&job), Some(QUEUE_SECONDS)),
             decode: |v| ExtractReply::decode_batch(v).map(drop),
             optional: &["results[].report.m_templates", "results[].report.solver"],
         },
@@ -392,7 +385,7 @@ fn items(v: &mut Value) -> &mut Vec<Value> {
 fn shape_mismatches_are_protocol_errors() {
     let extract: Decoder = |v| ExtractReply::decode(v).map(drop);
     let sample =
-        ExtractReply::encode(&extraction(Method::InstantiableBasis), &CACHE, &submission());
+        ExtractReply::encode(&extraction(Method::InstantiableBasis), &CACHE, QUEUE_SECONDS);
     assert_rejects(&sample, extract, "a name too few", |v| {
         items(field(v, "names")).pop();
     });

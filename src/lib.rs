@@ -50,7 +50,7 @@ pub mod prelude {
         BatchExtractor, BatchJob, BatchPoint, BatchReport, BatchResult, CacheStats,
         CapacitanceMatrix, ChipCapacitance, ChipExtraction, ChipExtractor, ChipReport, ExecConfig,
         ExecStats, Executor, Extraction, ExtractionReport, Extractor, FmmConfig, JobReport,
-        KrylovConfig, Method, PfftConfig, SolverStats, TemplateCache, WindowCache,
+        KrylovConfig, KrylovStats, Method, PfftConfig, TemplateCache, WindowCache,
     };
     pub use bemcap_geom::{
         structures, Box3, Conductor, Geometry, GeometryDiff, Layout, Mesh, Panel, Partition,

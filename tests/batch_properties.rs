@@ -74,18 +74,13 @@ proptest! {
         prop_assert!(shown.contains("queue wait"), "display shows queue wait: {}", shown);
 
         // Execution-core accounting: a private per-run executor gets the
-        // jobs as ceil(jobs/workers)-sized chunk submissions, each run
-        // by one worker; it never rejects.
+        // batch as one submission of one queue task per job, any worker
+        // taking the next; it never rejects.
         let exec = cached.report().exec;
-        let chunk_size = params.len().div_ceil(workers);
-        let chunks = params.len().div_ceil(chunk_size);
-        prop_assert_eq!(exec.submitted, chunks);
+        prop_assert_eq!(exec.submitted, 1);
         prop_assert_eq!(exec.jobs, params.len());
         prop_assert_eq!(exec.rejected, 0, "per-run executor must never reject");
-        for chunk in cached.points().chunks(chunk_size) {
-            let worker = chunk[0].job.worker;
-            prop_assert!(chunk.iter().all(|p| p.job.worker == worker), "a chunk split workers");
-        }
+        prop_assert!(cached.points().iter().all(|p| p.job.worker < workers));
         prop_assert!(exec.queue_seconds >= 0.0);
 
         // Matrix invariants on every returned point.

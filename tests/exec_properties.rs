@@ -6,12 +6,12 @@
 //!   (CI re-runs this under `BEMCAP_POOL=1,4`);
 //! * a full admission queue returns a structured `Busy` rejection and
 //!   the run never deadlocks — every admitted ticket resolves;
-//! * a failing job fails only its own submission.
+//! * a failing job fails only its own outcome.
 
 use std::sync::Arc;
 
 use bemcap_core::exec::{ExecConfig, Executor, Ticket};
-use bemcap_core::{BatchJob, CoreError, Extractor, TemplateCache};
+use bemcap_core::{CoreError, Extractor, JobOutcome, TemplateCache};
 use bemcap_geom::structures::{self, BusParams, CrossingParams};
 use bemcap_geom::Geometry;
 use proptest::prelude::*;
@@ -20,12 +20,8 @@ fn crossing(h: f64) -> Geometry {
     structures::crossing_wires(CrossingParams { separation: h, ..Default::default() })
 }
 
-fn job(h: f64) -> BatchJob {
-    BatchJob::new(format!("h={h}"), crossing(h))
-}
-
-fn matrix_of(sub: &bemcap_core::Submission, idx: usize) -> Vec<f64> {
-    let (extraction, _) = sub.outcomes[idx].result.as_ref().expect("job ok");
+fn matrix_of(outcomes: &[JobOutcome], idx: usize) -> Vec<f64> {
+    let (extraction, _) = outcomes[idx].result.as_ref().expect("job ok");
     extraction.capacitance().matrix().as_slice().to_vec()
 }
 
@@ -50,7 +46,7 @@ proptest! {
         let tickets: Vec<Ticket> = hs
             .iter()
             .map(|&h| {
-                exec.submit(&ex, Some(Arc::clone(&cache)), vec![job(h)])
+                exec.submit(&ex, Some(Arc::clone(&cache)), vec![crossing(h)])
                     .expect("depth >= jobs admits everything")
             })
             .collect();
@@ -80,8 +76,8 @@ proptest! {
         let geo = structures::bus_crossing(2, 2, BusParams::default());
         let mut tickets = Vec::new();
         let mut busy = 0usize;
-        for i in 0..24 {
-            match exec.submit(&ex, None, vec![BatchJob::new(format!("j{i}"), geo.clone())]) {
+        for _ in 0..24 {
+            match exec.submit(&ex, None, vec![geo.clone()]) {
                 Ok(t) => tickets.push(t),
                 Err(CoreError::Busy { queued, depth: d }) => {
                     prop_assert_eq!(d, depth);
@@ -97,10 +93,8 @@ proptest! {
         let admitted = tickets.len();
         let reference = ex.extract(&geo).expect("direct");
         for t in tickets {
-            let sub = t.wait();
-            prop_assert!(sub.first_failure().is_none());
             prop_assert_eq!(
-                matrix_of(&sub, 0),
+                matrix_of(&t.wait(), 0),
                 reference.capacitance().matrix().as_slice().to_vec()
             );
         }
@@ -122,22 +116,19 @@ proptest! {
         let exec = Executor::new(ExecConfig { workers: 1, queue_depth: 8 });
         let ex = Extractor::new();
         let cache = Arc::new(TemplateCache::unbounded());
-        let good1 = exec.submit(&ex, Some(Arc::clone(&cache)), vec![job(h1)]).expect("good1");
+        let good1 =
+            exec.submit(&ex, Some(Arc::clone(&cache)), vec![crossing(h1)]).expect("good1");
         let bad = exec
-            .submit(
-                &ex,
-                Some(Arc::clone(&cache)),
-                vec![BatchJob::new("empty", Geometry::new(vec![]))],
-            )
+            .submit(&ex, Some(Arc::clone(&cache)), vec![Geometry::new(vec![])])
             .expect("bad admitted");
-        let good2 = exec.submit(&ex, Some(Arc::clone(&cache)), vec![job(h2)]).expect("good2");
+        let good2 =
+            exec.submit(&ex, Some(Arc::clone(&cache)), vec![crossing(h2)]).expect("good2");
         let (s1, sb, s2) = (good1.wait(), bad.wait(), good2.wait());
-        match sb.first_failure() {
-            Some((0, CoreError::EmptyGeometry)) => {}
-            other => prop_assert!(false, "expected EmptyGeometry at 0, got {:?}", other),
+        match &sb[0].result {
+            Err(CoreError::EmptyGeometry) => {}
+            other => prop_assert!(false, "expected EmptyGeometry, got {:?}", other),
         }
         for (h, sub) in [(h1, &s1), (h2, &s2)] {
-            prop_assert!(sub.first_failure().is_none(), "good submission failed");
             let direct = ex.extract(&crossing(h)).expect("direct");
             prop_assert_eq!(
                 matrix_of(sub, 0),
@@ -157,39 +148,44 @@ fn default_sized_executor_matches_direct_extraction() {
     let ex = Extractor::new();
     let hs = [0.4e-6, 0.7e-6, 1.0e-6, 1.3e-6];
     let tickets: Vec<Ticket> =
-        hs.iter().map(|&h| exec.submit(&ex, None, vec![job(h)]).expect("admitted")).collect();
+        hs.iter().map(|&h| exec.submit(&ex, None, vec![crossing(h)]).expect("admitted")).collect();
     for (h, t) in hs.iter().zip(tickets) {
-        let sub = t.wait();
         let direct = ex.extract(&crossing(*h)).expect("direct");
-        assert_eq!(matrix_of(&sub, 0), direct.capacitance().matrix().as_slice().to_vec(), "h={h}");
+        assert_eq!(
+            matrix_of(&t.wait(), 0),
+            direct.capacitance().matrix().as_slice().to_vec(),
+            "h={h}"
+        );
     }
     let stats = exec.stats();
     assert_eq!(stats.jobs, hs.len());
     assert_eq!(stats.rejected, 0);
 }
 
-/// A multi-job submission (the wire `batch` op's shape) is one queue
-/// task: results in input order from one worker, bit-identical to
-/// single shots.
+/// A multi-job submission (the wire `batch` op's shape) is admitted
+/// together and runs one queue task per job: results come back in input
+/// order, each with its own queue wait, bit-identical to single shots.
 #[test]
 fn multi_job_submission_matches_singles() {
     let exec = Executor::new(ExecConfig { workers: 2, queue_depth: 16 });
     let ex = Extractor::new();
     let hs = [0.5e-6, 0.8e-6, 1.1e-6];
-    let sub = exec
+    let outcomes = exec
         .submit(
             &ex,
             Some(Arc::new(TemplateCache::unbounded())),
-            hs.iter().map(|&h| job(h)).collect(),
+            hs.iter().map(|&h| crossing(h)).collect(),
         )
         .expect("admitted")
         .wait();
-    assert_eq!(sub.outcomes.len(), hs.len());
-    assert!(sub.outcomes.iter().all(|o| o.worker == sub.outcomes[0].worker));
+    assert_eq!(outcomes.len(), hs.len());
+    assert!(outcomes.iter().all(|o| o.queue_seconds >= 0.0 && o.worker < 2));
+    let stats = exec.stats();
+    assert_eq!((stats.submitted, stats.jobs), (1, hs.len()));
     for (i, h) in hs.iter().enumerate() {
         let direct = ex.extract(&crossing(*h)).expect("direct");
         assert_eq!(
-            matrix_of(&sub, i),
+            matrix_of(&outcomes, i),
             direct.capacitance().matrix().as_slice().to_vec(),
             "index {i}"
         );

@@ -307,8 +307,8 @@ fn every_method_variant_with_typed_configs_is_bit_identical_via_the_daemon() {
             let wire = reply.solver.expect("iterative backends report solver stats");
             let here = local.report().krylov.expect("local stats");
             assert_eq!(
-                (wire.iterations, wire.restarts, wire.residual.to_bits()),
-                (here.iterations, here.restarts, here.residual.to_bits()),
+                (wire.matvecs, wire.restarts, wire.residual.to_bits()),
+                (here.matvecs, here.restarts, here.residual.to_bits()),
                 "{want_method}: solver stats round-trip bit-exactly"
             );
             assert!(wire.residual < krylov.tol);

@@ -190,10 +190,10 @@ fn krylov_caps_steer_the_unified_path() {
         let (ls, ts) =
             (loose.report().krylov.expect("stats"), tight.report().krylov.expect("stats"));
         assert!(
-            ls.iterations < ts.iterations,
+            ls.matvecs < ts.matvecs,
             "{method:?}: loose {} vs tight {}",
-            ls.iterations,
-            ts.iterations
+            ls.matvecs,
+            ts.matvecs
         );
         assert!(ls.residual < 1e-3 && ts.residual < 1e-9, "{method:?}: {ls:?} {ts:?}");
         // Same physics either way, inside the loose tolerance band.
