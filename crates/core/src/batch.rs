@@ -34,6 +34,8 @@
 //! one client among many of a shared, admission-controlled executor (the
 //! daemon's configuration), where [`CoreError::Busy`] backpressure
 //! applies to the whole batch at once.
+//! [`BatchExtractor`] is the executor's only client: chip extraction runs
+//! its window misses through one, and the daemon builds one per request.
 //!
 //! A parameter sweep is [`BatchExtractor::extract_family`] followed by
 //! [`BatchResult::entry_curve`].
@@ -60,9 +62,9 @@ use bemcap_geom::Geometry;
 
 use crate::cache::TemplateCache;
 use crate::error::CoreError;
-use crate::exec::{default_pool_size, fan_out, Executor};
+use crate::exec::{default_pool_size, ExecConfig, Executor, JobOutcome};
 use crate::extraction::{Extraction, Extractor};
-use crate::report::{BatchReport, CacheStats, JobReport};
+use crate::report::{BatchReport, CacheStats, ExecStats, JobReport};
 
 /// One unit of batch work: a geometry with a label and an optional swept
 /// parameter value.
@@ -208,11 +210,17 @@ impl BatchExtractor {
     /// pool size applies (the [`BatchExtractor::workers`] setting is
     /// ignored) and so does its admission control: when its queue has no
     /// room for every job of the batch, [`BatchExtractor::extract_all`]
-    /// returns [`CoreError::Busy`] and none of them runs.
+    /// returns [`CoreError::Busy`] (or [`CoreError::OverDepth`] when the
+    /// batch has more jobs than its whole depth) and none of them runs.
     #[must_use]
     pub fn executor(mut self, executor: Arc<Executor>) -> BatchExtractor {
         self.executor = Some(executor);
         self
+    }
+
+    /// The extractor configuration every job runs under.
+    pub(crate) fn extractor(&self) -> &Extractor {
+        &self.extractor
     }
 
     /// The pool size this batch will run with.
@@ -233,67 +241,83 @@ impl BatchExtractor {
     /// # Errors
     ///
     /// [`CoreError::BatchJob`] around the first failing job's error;
-    /// [`CoreError::Busy`] when a shared executor
-    /// ([`BatchExtractor::executor`]) refuses the batch (no job ran).
+    /// [`CoreError::Busy`] or [`CoreError::OverDepth`] when a shared
+    /// executor ([`BatchExtractor::executor`]) refuses the batch (no job
+    /// ran).
     pub fn extract_all(&self, jobs: &[BatchJob]) -> Result<BatchResult, CoreError> {
+        self.run(jobs.to_vec())
+    }
+
+    /// The one multi-geometry path: runs the jobs as one executor
+    /// submission and folds their outcomes into a [`BatchResult`], or
+    /// into the lowest failing job's [`CoreError::BatchJob`].
+    fn run(&self, jobs: Vec<BatchJob>) -> Result<BatchResult, CoreError> {
         let cache: Option<Arc<TemplateCache>> = match &self.cache {
             CacheChoice::Off => None,
             CacheChoice::PerRun => Some(Arc::new(TemplateCache::unbounded())),
             CacheChoice::Shared(c) => Some(Arc::clone(c)),
         };
         let start = Instant::now();
-        let run = fan_out(
-            self.executor.as_deref(),
-            self.effective_workers(),
-            &self.extractor,
-            cache.clone(),
-            jobs.iter().map(|job| job.geometry.clone()).collect(),
-        )?;
-        let mut points = Vec::with_capacity(jobs.len());
-        let mut busy_seconds = 0.0;
-        let mut total_cache = CacheStats::default();
-        let mut first_failure = None;
-        for (index, (job, outcome)) in jobs.iter().zip(run.outcomes).enumerate() {
-            match outcome.result {
-                Err(e) => {
-                    first_failure.get_or_insert((index, e));
-                }
-                Ok((extraction, stats)) => {
-                    busy_seconds += outcome.seconds;
-                    total_cache.absorb(stats);
-                    points.push(BatchPoint {
-                        label: job.label.clone(),
-                        parameter: job.parameter,
-                        extraction,
-                        job: JobReport {
-                            index,
-                            worker: outcome.worker,
-                            seconds: outcome.seconds,
-                            cache: stats,
-                        },
-                    });
-                }
-            }
-        }
-        if let Some((index, source)) = first_failure {
-            return Err(CoreError::BatchJob {
+        let (tags, geometries): (Vec<_>, Vec<_>) =
+            jobs.into_iter().map(|job| ((job.label, job.parameter), job.geometry)).unzip();
+        let outcomes = self.submit(cache.clone(), geometries)?;
+        let jobs = outcomes.len();
+        let mut points = Vec::with_capacity(jobs);
+        let (mut busy_seconds, mut total_cache) = (0.0, CacheStats::default());
+        let mut exec = ExecStats { submitted: usize::from(jobs > 0), jobs, ..ExecStats::default() };
+        for (index, ((label, parameter), outcome)) in tags.into_iter().zip(outcomes).enumerate() {
+            exec.queue_seconds += outcome.queue_seconds;
+            let (extraction, cache) = outcome.result.map_err(|source| CoreError::BatchJob {
                 index,
-                parameter: jobs[index].parameter,
+                parameter,
                 source: Box::new(source),
-            });
+            })?;
+            busy_seconds += outcome.seconds;
+            total_cache.absorb(cache);
+            let job = JobReport {
+                index,
+                worker: outcome.worker,
+                seconds: outcome.seconds,
+                queue_seconds: outcome.queue_seconds,
+                cache,
+            };
+            points.push(BatchPoint { label, parameter, extraction, job });
         }
         Ok(BatchResult {
             points,
             report: BatchReport {
-                jobs: jobs.len(),
-                workers: self.effective_workers(),
+                jobs,
+                workers: if jobs == 0 { 0 } else { self.effective_workers() },
                 cache_enabled: cache.is_some(),
                 wall_seconds: start.elapsed().as_secs_f64(),
                 busy_seconds,
                 cache: total_cache,
-                exec: run.stats,
+                exec,
             },
         })
+    }
+
+    /// Runs one job per geometry as one submission, on the shared executor
+    /// or else on a private one sized so admission never rejects.
+    fn submit(
+        &self,
+        cache: Option<Arc<TemplateCache>>,
+        geometries: Vec<Geometry>,
+    ) -> Result<Vec<JobOutcome>, CoreError> {
+        if geometries.is_empty() {
+            return Ok(Vec::new());
+        }
+        let private;
+        let exec = match &self.executor {
+            Some(exec) => exec.as_ref(),
+            None => {
+                let queue_depth = geometries.len();
+                private =
+                    Executor::new(ExecConfig { workers: self.effective_workers(), queue_depth });
+                &private
+            }
+        };
+        Ok(exec.submit(&self.extractor, cache, geometries)?.wait())
     }
 
     /// Runs the batch over `build(p)` for every parameter in `params` —
@@ -312,7 +336,7 @@ impl BatchExtractor {
             .iter()
             .map(|&p| BatchJob::new(format!("param={p:e}"), build(p)).with_parameter(p))
             .collect();
-        self.extract_all(&jobs)
+        self.run(jobs)
     }
 
     /// Runs the batch over plain geometries, labeled by index.
@@ -329,7 +353,7 @@ impl BatchExtractor {
             .enumerate()
             .map(|(i, g)| BatchJob::new(format!("job{i}"), g))
             .collect();
-        self.extract_all(&jobs)
+        self.run(jobs)
     }
 }
 
@@ -337,7 +361,6 @@ impl BatchExtractor {
 mod tests {
     use super::*;
     use crate::cache::ENTRY_BYTES;
-    use crate::exec::ExecConfig;
     use crate::extraction::Method;
     use bemcap_geom::structures::{self, CrossingParams};
 
@@ -626,23 +649,33 @@ mod tests {
 
     #[test]
     fn shared_executor_admission_control_applies_to_batch() {
-        // Four jobs never fit a depth-3 queue: the batch is refused whole
-        // and none of its jobs runs. The worker is held first, so a
-        // per-job admission would deterministically admit three of them.
-        let exec = Arc::new(Executor::new(ExecConfig { workers: 1, queue_depth: 3 }));
+        // With the worker held and one job waiting, four jobs fit the
+        // depth-4 queue but not its free room: the batch is refused whole
+        // and none of its jobs runs. A per-job admission would
+        // deterministically admit three of them.
+        let exec = Arc::new(Executor::new(ExecConfig { workers: 1, queue_depth: 4 }));
         let cache = Arc::new(TemplateCache::unbounded());
         let batch = BatchExtractor::new(Extractor::new())
             .executor(Arc::clone(&exec))
             .shared_cache(Arc::clone(&cache));
         let gate = exec.block_workers();
+        let filler = structures::crossing_wires(CrossingParams::default());
+        let filler = exec.submit(&Extractor::new(), None, vec![filler]).expect("room for one");
         let err = batch
             .extract_all(&family(&[0.4e-6, 0.6e-6, 0.8e-6, 1.0e-6]))
             .map(|_| ())
-            .expect_err("4 jobs can never fit a depth-3 queue");
-        assert!(matches!(err, CoreError::Busy { depth: 3, .. }), "{err:?}");
+            .expect_err("4 jobs never fit the 3 free slots");
+        assert!(matches!(err, CoreError::Busy { queued: 1, depth: 4 }), "{err:?}");
+        // Five jobs can never fit the depth: over-depth, not busy.
+        let err = batch
+            .extract_all(&family(&[0.4e-6, 0.6e-6, 0.8e-6, 1.0e-6, 1.2e-6]))
+            .map(|_| ())
+            .expect_err("5 jobs never fit a depth-4 queue");
+        assert!(matches!(err, CoreError::OverDepth { jobs: 5, depth: 4 }), "{err:?}");
         gate.release();
+        assert!(filler.wait()[0].result.is_ok());
         exec.drain();
-        assert_eq!(exec.stats().jobs, 0, "a refused batch ran jobs");
+        assert_eq!(exec.stats().jobs, 1, "a refused batch ran jobs");
         assert!(cache.is_empty(), "a refused batch filled the shared cache");
     }
 }

@@ -3,9 +3,9 @@
 //! The paper's divide-and-conquer story at chip scale: a layout is cut
 //! into an `nx × ny` grid of overlapping windows
 //! ([`bemcap_geom::layout`]), each window's neighborhood-complete
-//! geometry is extracted as an ordinary self-contained problem on the
-//! shared [`Executor`] (one job per window, the window jobs admitted
-//! together), and the owned
+//! geometry is extracted as an ordinary self-contained problem by the
+//! chip's [`BatchExtractor`] (one job per window the window cache
+//! misses, the window jobs admitted together as one batch), and the owned
 //! rows of every per-window capacitance matrix are stitched into one
 //! sparse chip-level [`SparseMatrix`]. Three invariants carry the design:
 //!
@@ -47,9 +47,10 @@ use bemcap_geom::layout::{GeometryDiff, Layout, PartitionConfig};
 use bemcap_geom::Geometry;
 use bemcap_linalg::{Matrix, SparseMatrix};
 
+use crate::batch::BatchExtractor;
 use crate::cache::{CacheValue, ShardedLru, TemplateCache, SHARDS};
 use crate::error::CoreError;
-use crate::exec::{default_pool_size, fan_out, Executor};
+use crate::exec::Executor;
 use crate::extraction::Extractor;
 use crate::metrics::{metrics, Metric, Span};
 use crate::report::CacheStats;
@@ -99,19 +100,6 @@ impl WindowKey {
 pub struct WindowResult {
     names: Vec<String>,
     matrix: Matrix,
-}
-
-impl WindowResult {
-    /// Window-local conductor names, in window-member order.
-    pub fn names(&self) -> &[String] {
-        &self.names
-    }
-
-    /// The window's capacitance matrix, indexed like
-    /// [`WindowResult::names`].
-    pub fn matrix(&self) -> &Matrix {
-        &self.matrix
-    }
 }
 
 /// A window result's weight is its matrix plus its names.
@@ -291,12 +279,10 @@ impl ChipExtraction {
 /// invariants.
 #[derive(Debug, Clone)]
 pub struct ChipExtractor {
-    extractor: Extractor,
+    /// Runs the window misses: extractor, pool, executor and pair cache.
+    batch: BatchExtractor,
     partition: PartitionConfig,
-    workers: Option<usize>,
-    executor: Option<Arc<Executor>>,
     window_cache: Arc<WindowCache>,
-    template_cache: Arc<TemplateCache>,
 }
 
 impl ChipExtractor {
@@ -305,12 +291,10 @@ impl ChipExtractor {
     /// unbounded pair-integral cache.
     pub fn new(extractor: Extractor) -> ChipExtractor {
         ChipExtractor {
-            extractor,
+            batch: BatchExtractor::new(extractor)
+                .shared_cache(Arc::new(TemplateCache::unbounded())),
             partition: PartitionConfig::default(),
-            workers: None,
-            executor: None,
             window_cache: Arc::new(WindowCache::unbounded()),
-            template_cache: Arc::new(TemplateCache::unbounded()),
         }
     }
 
@@ -337,17 +321,18 @@ impl ChipExtractor {
     /// `BEMCAP_POOL` or 1). Ignored when [`ChipExtractor::executor`]
     /// installs a shared executor.
     pub fn workers(mut self, workers: usize) -> ChipExtractor {
-        self.workers = Some(workers.max(1));
+        self.batch = self.batch.workers(workers.max(1));
         self
     }
 
     /// Runs window jobs on a shared executor instead of a private one.
     /// The window jobs then honor the shared admission bound as one group
     /// — an executor without room for all of them fails the extraction
-    /// with [`CoreError::Busy`] before any runs — and queue alongside the
-    /// executor's other traffic.
+    /// with [`CoreError::Busy`] (or [`CoreError::OverDepth`] when they
+    /// outnumber its whole depth) before any runs — and queue alongside
+    /// the executor's other traffic.
     pub fn executor(mut self, exec: Arc<Executor>) -> ChipExtractor {
-        self.executor = Some(exec);
+        self.batch = self.batch.executor(exec);
         self
     }
 
@@ -360,7 +345,7 @@ impl ChipExtractor {
 
     /// Shares a pair-integral cache instead of the private default.
     pub fn shared_cache(mut self, cache: Arc<TemplateCache>) -> ChipExtractor {
-        self.template_cache = cache;
+        self.batch = self.batch.shared_cache(cache);
         self
     }
 
@@ -371,8 +356,8 @@ impl ChipExtractor {
     ///
     /// [`CoreError::Geometry`] for unusable layouts or partition
     /// configurations, [`CoreError::ChipWindow`] when a window's
-    /// extraction fails, [`CoreError::Busy`] when a shared executor
-    /// refuses the window jobs (none of them ran).
+    /// extraction fails, [`CoreError::Busy`] or [`CoreError::OverDepth`]
+    /// when a shared executor refuses the window jobs (none of them ran).
     pub fn extract(&self, geo: &Geometry) -> Result<ChipExtraction, CoreError> {
         self.run(geo, None)
     }
@@ -401,7 +386,7 @@ impl ChipExtractor {
         let layout = Layout::new(geo.clone())?;
         let part = layout.partition(&self.partition)?;
         let touched = diff.map(|d| part.windows_touched(d).len());
-        let config = self.extractor.config_digest();
+        let config = self.batch.extractor().config_digest();
 
         // Probe the window cache; collect the misses as executor jobs.
         let mut results: Vec<Option<Arc<WindowResult>>> = vec![None; part.window_count()];
@@ -428,36 +413,22 @@ impl ChipExtractor {
             }
         }
 
-        // Extract the misses on the executor.
-        let run = fan_out(
-            self.executor.as_deref(),
-            self.workers.unwrap_or_else(default_pool_size),
-            &self.extractor,
-            Some(Arc::clone(&self.template_cache)),
-            jobs,
-        )?;
-        let mut busy_seconds = 0.0;
-        let mut template_cache = CacheStats::default();
-        let mut first_failure = None;
-        for ((window, key), outcome) in misses.into_iter().zip(run.outcomes) {
-            busy_seconds += outcome.seconds;
-            match outcome.result {
-                Err(e) => {
-                    first_failure.get_or_insert((window, e));
-                }
-                Ok((extraction, stats)) => {
-                    template_cache.absorb(stats);
-                    let result = Arc::new(WindowResult {
-                        names: extraction.capacitance().names().to_vec(),
-                        matrix: extraction.capacitance().matrix().clone(),
-                    });
-                    run_cache.absorb(self.window_cache.insert(key, Arc::clone(&result)));
-                    results[window] = Some(result);
-                }
+        // Extract the misses as one batch; a failing job is reported
+        // under its window's index.
+        let run = self.batch.extract_geometries(jobs).map_err(|e| match e {
+            CoreError::BatchJob { index, source, .. } => {
+                CoreError::ChipWindow { window: misses[index].0, source }
             }
-        }
-        if let Some((window, e)) = first_failure {
-            return Err(CoreError::ChipWindow { window, source: Box::new(e) });
+            e => e,
+        })?;
+        for ((window, key), point) in misses.into_iter().zip(run.points()) {
+            let capacitance = point.extraction.capacitance();
+            let result = Arc::new(WindowResult {
+                names: capacitance.names().to_vec(),
+                matrix: capacitance.matrix().clone(),
+            });
+            run_cache.absorb(self.window_cache.insert(key, Arc::clone(&result)));
+            results[window] = Some(result);
         }
 
         // Stitch owned rows in window-index order. Ownership is a
@@ -500,12 +471,12 @@ impl ChipExtractor {
                 reused,
                 touched,
                 nnz,
-                workers: run.workers,
+                workers: run.report().workers,
                 wall_seconds: start.elapsed().as_secs_f64(),
-                busy_seconds,
-                queue_seconds: run.stats.queue_seconds,
+                busy_seconds: run.report().busy_seconds,
+                queue_seconds: run.report().exec.queue_seconds,
                 window_cache: run_cache,
-                template_cache,
+                template_cache: run.report().cache,
             },
         })
     }
@@ -700,28 +671,64 @@ mod tests {
     }
 
     #[test]
+    fn a_failing_window_is_reported_under_its_window_index() {
+        // Window 1 of the 3×1 grid is empty, so window 2 is the second
+        // job: its pFFT grid (conductors 20 µm apart) exceeds the cap
+        // that window 0's single cube fits.
+        use bemcap_geom::{Box3, Conductor};
+        let cube = |x: f64, y: f64| {
+            Box3::from_bounds((x, x + 1.0e-6), (y, y + 1.0e-6), (0.0, 1.0e-6)).expect("valid box")
+        };
+        let geo = Geometry::new(vec![
+            Conductor::new("a").with_box(cube(0.0, 0.0)),
+            Conductor::new("b").with_box(cube(9.0e-6, 0.0)),
+            Conductor::new("c").with_box(cube(9.0e-6, 20.0e-6)),
+        ]);
+        let pfft = crate::PfftConfig { max_grid_points: 4096, ..Default::default() };
+        let ex =
+            Extractor::new().method(crate::Method::PwcPfft).mesh_divisions(2).pfft_config(pfft);
+        match ChipExtractor::new(ex).windows(3, 1).halo(0.5e-6).extract(&geo) {
+            Err(CoreError::ChipWindow { window: 2, source }) => {
+                assert!(matches!(*source, CoreError::Pfft(_)), "{source:?}");
+            }
+            other => panic!("expected window 2 to fail, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn shared_executor_busy_propagates() {
-        // Four non-empty windows never fit a depth-3 queue: the chip is
-        // refused whole and no window runs. The worker is held first, so
-        // a per-window admission would deterministically admit three.
+        // With the worker held and one job waiting, the four non-empty
+        // windows fit the depth-4 queue but not its free room: the chip
+        // is refused whole and no window runs. A per-window admission
+        // would deterministically admit three.
         let (geo, windows) = (bus(), PartitionConfig { nx: 2, ny: 2, ..Default::default() });
         let part = Layout::new(geo.clone()).expect("layout").partition(&windows).expect("part");
         assert_eq!(part.windows().iter().filter(|w| !w.members().is_empty()).count(), 4);
-        let exec = Arc::new(Executor::new(ExecConfig { workers: 1, queue_depth: 3 }));
+        let exec = Arc::new(Executor::new(ExecConfig { workers: 1, queue_depth: 4 }));
         let cache = Arc::new(TemplateCache::unbounded());
         let chip = ChipExtractor::new(Extractor::new())
             .partition_config(windows)
             .executor(Arc::clone(&exec))
             .shared_cache(Arc::clone(&cache));
         let gate = exec.block_workers();
+        let filler = exec.submit(&Extractor::new(), None, vec![bus()]).expect("room for one");
         match chip.extract(&geo) {
-            Err(CoreError::Busy { depth: 3, .. }) => {}
+            Err(CoreError::Busy { queued: 1, depth: 4 }) => {}
             other => panic!("expected Busy, got {other:?}"),
         }
         gate.release();
+        assert!(filler.wait()[0].result.is_ok());
         exec.drain();
-        assert_eq!(exec.stats().jobs, 0, "a refused chip ran window jobs");
+        assert_eq!(exec.stats().jobs, 1, "a refused chip ran window jobs");
         assert!(cache.is_empty(), "a refused chip filled the shared cache");
+        // Four windows can never fit a depth-3 queue: over-depth, not busy.
+        let shallow = Arc::new(Executor::new(ExecConfig { workers: 1, queue_depth: 3 }));
+        match chip.executor(Arc::clone(&shallow)).extract(&geo) {
+            Err(CoreError::OverDepth { jobs: 4, depth: 3 }) => {}
+            other => panic!("expected OverDepth, got {other:?}"),
+        }
+        assert_eq!(shallow.stats().jobs, 0);
+        assert!(cache.is_empty());
     }
 
     #[test]

@@ -32,6 +32,14 @@ pub enum CoreError {
         /// The executor's configured queue depth.
         depth: usize,
     },
+    /// The execution core refused a submission with more jobs than its
+    /// whole queue depth, so no retry can succeed; nothing was executed.
+    OverDepth {
+        /// Jobs in the refused submission.
+        jobs: usize,
+        /// The executor's configured queue depth.
+        depth: usize,
+    },
     /// A batch job failed. Carries the failing job's index in the input
     /// order, the swept parameter value when the job came from a
     /// parameterized family
@@ -74,6 +82,9 @@ impl fmt::Display for CoreError {
             CoreError::Busy { queued, depth } => {
                 write!(f, "executor busy: {queued} jobs waiting at queue depth {depth}")
             }
+            CoreError::OverDepth { jobs, depth } => {
+                write!(f, "{jobs} jobs can never fit queue depth {depth}")
+            }
             CoreError::BatchJob { index, parameter: Some(p), source } => {
                 write!(f, "batch job {index} (parameter {p:e}) failed: {source}")
             }
@@ -96,7 +107,10 @@ impl Error for CoreError {
             CoreError::Linalg(e) => Some(e),
             CoreError::Fmm(e) => Some(e),
             CoreError::Pfft(e) => Some(e),
-            CoreError::EmptyGeometry | CoreError::Busy { .. } | CoreError::JobPanicked(_) => None,
+            CoreError::EmptyGeometry
+            | CoreError::Busy { .. }
+            | CoreError::OverDepth { .. }
+            | CoreError::JobPanicked(_) => None,
             CoreError::BatchJob { source, .. } => Some(source.as_ref()),
             CoreError::Geometry(e) => Some(e),
             CoreError::ChipWindow { source, .. } => Some(source.as_ref()),
@@ -153,6 +167,10 @@ mod tests {
         let e = CoreError::Busy { queued: 7, depth: 8 };
         let s = format!("{e}");
         assert!(s.contains("busy") && s.contains('7') && s.contains('8'), "{s}");
+        assert!(Error::source(&e).is_none());
+        let e = CoreError::OverDepth { jobs: 9, depth: 8 };
+        let s = format!("{e}");
+        assert!(s.contains("9 jobs") && s.contains("depth 8") && !s.contains("busy"), "{s}");
         assert!(Error::source(&e).is_none());
     }
 

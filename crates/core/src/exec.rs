@@ -12,7 +12,9 @@
 //!   wait at once. A submission's jobs are admitted together or refused
 //!   together with [`CoreError::Busy`] *before* any of them is queued:
 //!   overload degrades into structured rejections that ran nothing, never
-//!   into unbounded thread or queue growth.
+//!   into unbounded thread or queue growth. A submission with more jobs
+//!   than the whole depth is refused with [`CoreError::OverDepth`]
+//!   instead, since no retry could admit it.
 //! * **one task per job** — every admitted job is its own queue task, and
 //!   any idle worker takes the next one (the self-scheduling of the
 //!   paper's Algorithm 1), so the jobs of one submission spread over the
@@ -24,10 +26,12 @@
 //! * **isolation** — a failing (or panicking) job fails only its own
 //!   outcome; the worker and every other job carry on.
 //!
-//! Batch extraction, chip extraction and the daemon all submit through
-//! [`fan_out`]: a private per-run executor by default (sized so admission
-//! never rejects), or a shared one — the daemon's process-lifetime
-//! executor, or [`crate::batch::BatchExtractor::executor`].
+//! [`crate::batch::BatchExtractor`] is the executor's one client: batch
+//! extraction, chip extraction (its window misses) and the daemon all
+//! submit through it, on a private per-run executor by default (sized so
+//! admission never rejects) or on a shared one — the daemon's
+//! process-lifetime executor, installed with
+//! [`crate::batch::BatchExtractor::executor`].
 
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -80,8 +84,8 @@ pub struct ExecConfig {
     /// Worker threads draining the queue (extraction parallelism).
     pub workers: usize,
     /// Most jobs allowed to wait at once; submissions beyond it are
-    /// refused with [`CoreError::Busy`]. A submission carrying more jobs
-    /// than the whole depth can never be admitted.
+    /// refused with [`CoreError::Busy`], and one carrying more jobs than
+    /// the whole depth with [`CoreError::OverDepth`].
     pub queue_depth: usize,
 }
 
@@ -204,9 +208,10 @@ impl Executor {
     ///
     /// # Errors
     ///
-    /// [`CoreError::Busy`] when admitting the jobs would push the number
-    /// of waiting jobs past [`ExecConfig::queue_depth`]. None of the jobs
-    /// is queued or executed in that case.
+    /// [`CoreError::OverDepth`] when there are more jobs than
+    /// [`ExecConfig::queue_depth`]; [`CoreError::Busy`] when admitting
+    /// them would push the number of waiting jobs past it. None of the
+    /// jobs is queued or executed in either case.
     pub fn submit(
         &self,
         extractor: &Extractor,
@@ -220,7 +225,11 @@ impl Executor {
         {
             self.shared.rejected.fetch_add(1, Ordering::Relaxed);
             metrics().exec_rejected.inc();
-            return Err(CoreError::Busy { queued, depth });
+            return Err(if n > depth {
+                CoreError::OverDepth { jobs: n, depth }
+            } else {
+                CoreError::Busy { queued, depth }
+            });
         }
         self.shared.submitted.fetch_add(1, Ordering::Relaxed);
         metrics().exec_submitted.inc();
@@ -238,54 +247,6 @@ impl Executor {
         }
         Ok(Ticket { rx, jobs: n })
     }
-}
-
-/// One [`fan_out`] run: every job's outcome in input order, the run's
-/// executor counters, and the worker count of its executor (0 for no jobs).
-#[derive(Debug)]
-pub struct FanOut {
-    /// Per-job outcomes, in input order.
-    pub outcomes: Vec<JobOutcome>,
-    /// This run's counters: one submission (none for no jobs), its jobs,
-    /// and their queue waits summed.
-    pub stats: ExecStats,
-    /// Worker threads of the executor the jobs ran on.
-    pub workers: usize,
-}
-
-/// Runs one job per geometry under `extractor` and `cache` and waits for
-/// them: the one submission path of batch extraction, chip extraction and
-/// the daemon. The jobs go in as one submission, on `shared` when given
-/// (its admission bound applies) or else on a private executor of
-/// `workers` threads sized so admission never rejects.
-///
-/// # Errors
-///
-/// [`CoreError::Busy`] when the shared executor refuses the submission;
-/// none of its jobs ran.
-pub fn fan_out(
-    shared: Option<&Executor>,
-    workers: usize,
-    extractor: &Extractor,
-    cache: Option<Arc<TemplateCache>>,
-    geometries: Vec<Geometry>,
-) -> Result<FanOut, CoreError> {
-    let n = geometries.len();
-    if n == 0 {
-        return Ok(FanOut { outcomes: Vec::new(), stats: ExecStats::default(), workers: 0 });
-    }
-    let private;
-    let exec = match shared {
-        Some(exec) => exec,
-        None => {
-            private = Executor::new(ExecConfig { workers, queue_depth: n });
-            &private
-        }
-    };
-    let outcomes = exec.submit(extractor, cache, geometries)?.wait();
-    let queue_seconds = outcomes.iter().map(|o| o.queue_seconds).sum();
-    let stats = ExecStats { submitted: 1, rejected: 0, jobs: n, queue_seconds };
-    Ok(FanOut { outcomes, stats, workers: exec.config().workers })
 }
 
 impl Shared {
@@ -439,11 +400,18 @@ mod tests {
             }
             other => panic!("expected Busy, got {other:?}"),
         }
-        // A multi-job submission larger than the remaining room is also
-        // refused atomically — no partial admission.
-        match exec.submit(&ex, None, vec![crossing(0.7e-6), crossing(0.8e-6), crossing(0.9e-6)]) {
-            Err(CoreError::Busy { .. }) => {}
+        // A multi-job submission that fits the depth but not the
+        // remaining room is also refused atomically — no partial
+        // admission.
+        match exec.submit(&ex, None, vec![crossing(0.7e-6), crossing(0.8e-6)]) {
+            Err(CoreError::Busy { queued: 2, depth: 2 }) => {}
             other => panic!("expected Busy, got {other:?}"),
+        }
+        // One larger than the whole depth is never admissible: it is
+        // refused as over-depth, not busy.
+        match exec.submit(&ex, None, vec![crossing(0.7e-6), crossing(0.8e-6), crossing(0.9e-6)]) {
+            Err(CoreError::OverDepth { jobs: 3, depth: 2 }) => {}
+            other => panic!("expected OverDepth, got {other:?}"),
         }
         assert_eq!(exec.queued_jobs(), 2);
         gate.release();
@@ -451,7 +419,7 @@ mod tests {
         let b = t2.wait();
         assert!(a[0].result.is_ok() && b[0].result.is_ok());
         let stats = exec.stats();
-        assert_eq!(stats.rejected, 2);
+        assert_eq!(stats.rejected, 3);
         assert_eq!(stats.submitted, 2);
         assert_eq!(exec.queued_jobs(), 0);
     }

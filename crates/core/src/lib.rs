@@ -14,11 +14,12 @@
 //! For families of similar structures (sweeps, multi-net corners), the
 //! [`batch`] module schedules many extractions across a worker pool and
 //! shares pair integrals between them — see [`BatchExtractor`], whose
-//! [`BatchExtractor::extract_family`] runs a parameter sweep. Batch, chip
-//! and the `bemcap-serve` daemon all execute on the same
-//! shared execution core ([`exec::Executor`]): a bounded work queue with
-//! admission control ([`CoreError::Busy`] backpressure) that admits a
-//! submission's jobs together and runs each job as its own task on the
+//! [`BatchExtractor::extract_family`] runs a parameter sweep.
+//! [`BatchExtractor`] is the one client of the shared execution core
+//! ([`exec::Executor`]) — batch runs, chip window misses and the
+//! `bemcap-serve` daemon's jobs all go through it: a bounded work queue
+//! with admission control ([`CoreError::Busy`] backpressure) that admits
+//! a submission's jobs together and runs each job as its own task on the
 //! next idle worker.
 //!
 //! ```

@@ -40,7 +40,7 @@ pub struct CoreMetrics {
     /// Submissions admitted by any executor (rejections count
     /// separately, mirroring [`crate::ExecStats`]).
     pub exec_submitted: &'static Metric,
-    /// Jobs refused with `Busy` at admission.
+    /// Submissions refused at admission (`Busy` or `OverDepth`).
     pub exec_rejected: &'static Metric,
     /// Jobs run to completion by workers.
     pub exec_jobs: &'static Metric,
@@ -96,7 +96,7 @@ pub fn metrics() -> &'static CoreMetrics {
             ),
             exec_rejected: r.counter(
                 "bemcap_exec_rejected_total",
-                "Submissions refused with a structured busy error at admission.",
+                "Submissions refused at admission (busy, or more jobs than the queue depth).",
             ),
             exec_jobs: r.counter("bemcap_exec_jobs_total", "Jobs run to completion by workers."),
             exec_queue_wait_nanos: r.counter(

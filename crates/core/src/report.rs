@@ -134,8 +134,10 @@ impl fmt::Display for CacheStats {
 pub struct ExecStats {
     /// Submissions admitted into the queue.
     pub submitted: usize,
-    /// Submissions refused with [`crate::error::CoreError::Busy`] because
-    /// the queue was at its configured depth.
+    /// Submissions refused at admission: with
+    /// [`crate::error::CoreError::Busy`] because the queue had no room for
+    /// them, or with [`crate::error::CoreError::OverDepth`] because they
+    /// held more jobs than its whole depth.
     pub rejected: usize,
     /// Jobs executed.
     pub jobs: usize,
@@ -184,6 +186,8 @@ pub struct JobReport {
     pub worker: usize,
     /// Wall-clock seconds of the whole job (setup + solve).
     pub seconds: f64,
+    /// Seconds the job waited in the executor queue before it started.
+    pub queue_seconds: f64,
     /// Pair-integral cache counters for this job.
     pub cache: CacheStats,
 }
@@ -193,7 +197,8 @@ pub struct JobReport {
 pub struct BatchReport {
     /// Number of jobs.
     pub jobs: usize,
-    /// Scheduler pool size.
+    /// Worker threads of the executor the jobs ran on (0 when the batch
+    /// had no jobs, so nothing ran).
     pub workers: usize,
     /// Whether the shared pair-integral cache was enabled.
     pub cache_enabled: bool,

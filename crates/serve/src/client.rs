@@ -165,9 +165,10 @@ impl Client {
     /// # Errors
     ///
     /// [`ServeError::Remote`] with code `busy` when the daemon's queue
-    /// cannot admit the frame, code `geometry`/`extraction` (message
-    /// naming the lowest failing index) when a geometry fails; transport
-    /// errors as [`Client::extract`].
+    /// cannot admit the frame now, `bad-request` when the frame has more
+    /// geometries than its whole depth, code `geometry`/`extraction`
+    /// (message naming the lowest failing index) when a geometry fails;
+    /// transport errors as [`Client::extract`].
     pub fn extract_batch(
         &mut self,
         geometries: &[Geometry],
@@ -194,7 +195,8 @@ impl Client {
     /// [`ServeError::Remote`] with code `busy` under daemon overload,
     /// `geometry` for unusable layouts or partitions (more than 2¹⁶
     /// windows included), `extraction` when a window fails,
-    /// `bad-request` for a zero window count; transport errors as
+    /// `bad-request` for a zero window count or more uncached windows
+    /// than the daemon's queue depth; transport errors as
     /// [`Client::extract`].
     pub fn chip(&mut self, geo: &Geometry, options: &ChipOptions) -> Result<ChipReply, ServeError> {
         self.chip_text(&write_geometry(geo), options)

@@ -24,6 +24,7 @@
 //! value decoded by the client is **bit-identical** to the `f64` the
 //! engine produced — the property behind the daemon's determinism tests.
 
+use bemcap_core::batch::BatchPoint;
 use bemcap_core::metrics::{MetricKind, Registry};
 use bemcap_core::{
     CacheStats, ChipExtraction, ExecStats, Extraction, Extractor, FmmConfig, KrylovConfig,
@@ -44,6 +45,10 @@ use crate::error::ServeError;
 /// speaking at least their own version, and the reply decoders read v8
 /// replies only. The revision history is in `docs/WIRE_PROTOCOL.md`.
 pub const PROTOCOL_VERSION: u64 = 8;
+
+/// Largest `krylov.max_iters` a request may ask for: above every budget
+/// the solvers use (default 600), and a bound on one job's matvecs.
+pub const MAX_KRYLOV_ITERS: usize = 10_000;
 
 /// Machine-readable error codes of structured error responses.
 pub mod codes {
@@ -451,12 +456,21 @@ fn decode_options(v: &Value) -> Result<ExtractOptions, WireError> {
         }
         options.pfft = Some(PfftConfig { spacing_factor, near_cells, max_grid_points });
     }
+    // A `tol` of 1 or more is met at GMRES's first residual check, which
+    // answers an all-zero C; one of 0 or less never is, so the job would
+    // hold its worker for all `max_iters` matvecs.
     if let Some(k) = v.get("krylov").filter(|k| !k.is_null()) {
-        options.krylov = Some(KrylovConfig {
+        let krylov = KrylovConfig {
             tol: req(k, "krylov", "tol")?,
             restart: req(k, "krylov", "restart")?,
             max_iters: req(k, "krylov", "max_iters")?,
-        });
+        };
+        if !(krylov.tol > 0.0 && krylov.tol < 1.0) || krylov.max_iters > MAX_KRYLOV_ITERS {
+            return Err(WireError::bad(format!(
+                "'krylov' needs a 'tol' in (0, 1) and a 'max_iters' of at most {MAX_KRYLOV_ITERS}"
+            )));
+        }
+        options.krylov = Some(krylov);
     }
     // v7 removed the option; a client that sets it must not be solved
     // silently under Jacobi.
@@ -719,10 +733,11 @@ impl ExtractReply {
     /// the executor record they share, holding the seconds until the
     /// frame's first job started (absent for an empty frame, which never
     /// reaches the queue).
-    pub fn encode_batch(results: &[(Extraction, CacheStats)], queue_seconds: Option<f64>) -> Value {
-        let entries = results.iter().map(|(e, c)| extraction_value(e, c)).collect();
+    pub fn encode_batch(points: &[BatchPoint]) -> Value {
+        let entries =
+            points.iter().map(|p| extraction_value(&p.extraction, &p.job.cache)).collect();
         let mut result = json!({ "results": Value::Array(entries) });
-        if let Some(queue_seconds) = queue_seconds {
+        if let Some(queue_seconds) = points.iter().map(|p| p.job.queue_seconds).reduce(f64::min) {
             push(&mut result, "exec", exec_value(queue_seconds));
         }
         result
@@ -1385,6 +1400,13 @@ mod tests {
             r#"{"op":"extract","geometry":"g","fmm":{"theta":0.4}}"#,
             r#"{"op":"extract","geometry":"g","pfft":{"spacing_factor":1.0}}"#,
             r#"{"op":"extract","geometry":"g","krylov":{"tol":1e-6,"restart":40}}"#,
+            r#"{"op":"extract","geometry":"g","krylov":{"tol":2,"restart":40,"max_iters":600}}"#,
+            r#"{"op":"extract","geometry":"g","krylov":{"tol":1,"restart":40,"max_iters":600}}"#,
+            r#"{"op":"extract","geometry":"g","krylov":{"tol":0,"restart":40,"max_iters":600}}"#,
+            r#"{"op":"extract","geometry":"g","krylov":{"tol":-1e-6,"restart":40,"max_iters":600}}"#,
+            r#"{"op":"extract","geometry":"g","krylov":{"tol":1e999,"restart":40,"max_iters":600}}"#,
+            r#"{"op":"extract","geometry":"g","krylov":{"tol":1e-6,"restart":40,"max_iters":10001}}"#,
+            r#"{"op":"extract","geometry":"g","krylov":{"tol":0,"restart":40,"max_iters":18446744073709551615}}"#,
             r#"{"op":"extract","geometry":"g","fmm":{"theta":0.45,"leaf_size":0}}"#,
             r#"{"op":"extract","geometry":"g","fmm":{"theta":0,"leaf_size":12}}"#,
             r#"{"op":"extract","geometry":"g","fmm":{"theta":-1,"leaf_size":12}}"#,
@@ -1403,6 +1425,8 @@ mod tests {
         }
         let at_cap = r#"{"op":"extract","geometry":"g","pfft":{"spacing_factor":1,"near_cells":2,"max_grid_points":16777216}}"#;
         assert!(decode_request(at_cap).is_ok(), "the default cap itself is allowed");
+        let at_cap = r#"{"op":"extract","geometry":"g","krylov":{"tol":0.999,"restart":40,"max_iters":10000}}"#;
+        assert!(decode_request(at_cap).is_ok(), "the iteration bound itself is allowed");
     }
 
     #[test]

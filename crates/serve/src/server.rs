@@ -11,10 +11,12 @@
 //!   connection count;
 //! * at most [`ExecConfig::queue_depth`] jobs wait at once — beyond
 //!   that, requests get a structured `busy` error immediately instead of
-//!   piling up (`--queue`, env `BEMCAP_QUEUE`);
-//! * each request is one executor submission whose jobs (one geometry
-//!   each) are admitted together — a `busy` reply means nothing ran — and
-//!   each job is its own queue task, run by the next idle worker.
+//!   piling up (`--queue`, env `BEMCAP_QUEUE`), and a request with more
+//!   jobs than the whole depth a `bad-request`, since no retry can fit it;
+//! * each request is one [`BatchExtractor`] run (a `chip` request's
+//!   through its [`ChipExtractor`]) whose jobs (one geometry each) are
+//!   admitted together — a `busy` reply means nothing ran — and each job
+//!   is its own queue task, run by the next idle worker.
 //!
 //! All connections also share one process-lifetime [`TemplateCache`], so
 //! the pair integrals a request computes stay warm for every later
@@ -44,9 +46,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
+use bemcap_core::batch::{BatchExtractor, BatchResult};
 use bemcap_core::cache::TemplateCache;
 use bemcap_core::chip::{ChipExtractor, WindowCache};
-use bemcap_core::exec::{fan_out, ExecConfig, Executor, FanOut};
+use bemcap_core::exec::{ExecConfig, Executor};
 use bemcap_core::metrics::{metrics as core_metrics, Registry};
 use bemcap_core::CoreError;
 use bemcap_geom::io::parse_geometry;
@@ -73,7 +76,8 @@ pub struct ServerConfig {
     /// Largest accepted request frame in bytes. Default 8 MiB.
     pub max_frame_bytes: usize,
     /// Admission queue depth of the shared executor: the most jobs that
-    /// may wait at once before requests are refused with a `busy` error.
+    /// may wait at once before requests are refused with a `busy` error
+    /// (or, for a request with more jobs than the depth, `bad-request`).
     /// Default: `BEMCAP_QUEUE` or 256.
     pub queue_depth: usize,
     /// Memory bound of the shared per-window result cache that makes
@@ -420,17 +424,17 @@ fn parse_job(text: &str, index: Option<usize>) -> Result<Geometry, DispatchError
     })
 }
 
-/// Runs one job per geometry on the daemon's shared executor and
-/// pair-integral cache, admitted together.
+/// Runs one job per geometry as one batch on the daemon's shared
+/// executor and pair-integral cache, admitted together.
 fn run_jobs(
     state: &ServerState,
     options: &ExtractOptions,
     geometries: Vec<Geometry>,
-) -> Result<FanOut, DispatchError> {
-    let cache = Some(Arc::clone(&state.cache));
-    let extractor = build_extractor(options);
-    fan_out(Some(&state.executor), state.cfg.workers, &extractor, cache, geometries)
-        .map_err(|e| core_error(&e, e.to_string()))
+) -> Result<BatchResult, CoreError> {
+    BatchExtractor::new(build_extractor(options))
+        .executor(Arc::clone(&state.executor))
+        .shared_cache(Arc::clone(&state.cache))
+        .extract_geometries(geometries)
 }
 
 fn extract(
@@ -439,9 +443,9 @@ fn extract(
     options: ExtractOptions,
 ) -> Result<Value, DispatchError> {
     let geo = parse_job(geometry, None)?;
-    let outcome = &run_jobs(state, &options, vec![geo])?.outcomes[0];
-    let (extraction, cache) = outcome.result.as_ref().map_err(|e| core_error(e, e.to_string()))?;
-    Ok(ExtractReply::encode(extraction, cache, outcome.queue_seconds))
+    let run = run_jobs(state, &options, vec![geo]).map_err(|e| core_error(e, false))?;
+    let point = &run.points()[0];
+    Ok(ExtractReply::encode(&point.extraction, &point.job.cache, point.job.queue_seconds))
 }
 
 fn batch(
@@ -454,17 +458,8 @@ fn batch(
         .enumerate()
         .map(|(i, text)| parse_job(text, Some(i)))
         .collect::<Result<_, _>>()?;
-    let outcomes = run_jobs(state, &options, geos)?.outcomes;
-    // The frame's wait is the wait until its first job started.
-    let queue_seconds = outcomes.iter().map(|o| o.queue_seconds).reduce(f64::min);
-    // Lowest-failing-index semantics, mirroring `CoreError::BatchJob`:
-    // the whole frame fails with the first failing geometry's error.
-    let results = outcomes
-        .into_iter()
-        .enumerate()
-        .map(|(index, o)| o.result.map_err(|e| core_error(&e, format!("geometry {index}: {e}"))))
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok(ExtractReply::encode_batch(&results, queue_seconds))
+    let run = run_jobs(state, &options, geos).map_err(|e| core_error(e, true))?;
+    Ok(ExtractReply::encode_batch(run.points()))
 }
 
 /// Runs a full-chip windowed extraction (v4 `chip` op) on the daemon's
@@ -488,29 +483,39 @@ fn chip(
     if let Some(h) = halo {
         chip = chip.halo(h);
     }
-    let full = chip.extract(&geo).map_err(|e| core_error(&e, e.to_string()))?;
+    let full = chip.extract(&geo).map_err(|e| core_error(e, false))?;
     Ok(ChipReply::encode(&full))
 }
 
-/// The reply to a refused or failed request: `busy` when the executor
-/// had no room for its jobs, `geometry` for an unusable layout,
-/// `internal` when the executor contained a panic of a job (a daemon bug
-/// rather than a fault of the request), and `extraction` otherwise.
-fn core_error(e: &CoreError, message: String) -> DispatchError {
-    fn panicked(e: &CoreError) -> bool {
-        match e {
-            CoreError::JobPanicked(_) => true,
-            CoreError::BatchJob { source, .. } | CoreError::ChipWindow { source, .. } => {
-                panicked(source)
-            }
-            _ => false,
+/// The reply to a refused or failed request. A failed job arrives
+/// wrapped in `CoreError::BatchJob` (a chip window's in `ChipWindow`),
+/// and the code is its root error's: `busy` when the executor had no
+/// room for the jobs, `bad-request` when they can never fit its queue,
+/// `geometry` for an unusable layout, `internal` for a contained panic
+/// of a job (a daemon bug rather than a fault of the request), and
+/// `extraction` otherwise. A `BatchJob` message is its root error's,
+/// prefixed with `geometry {index}: ` when `name_geometry` (a `batch`
+/// frame); any other error keeps its own message.
+fn core_error(e: CoreError, name_geometry: bool) -> DispatchError {
+    let root = match &e {
+        CoreError::BatchJob { source, .. } | CoreError::ChipWindow { source, .. } => {
+            source.as_ref()
         }
-    }
-    let code = match e {
+        e => e,
+    };
+    let code = match root {
         CoreError::Busy { .. } => codes::BUSY,
+        CoreError::OverDepth { .. } => codes::BAD_REQUEST,
         CoreError::Geometry(_) => codes::GEOMETRY,
-        _ if panicked(e) => codes::INTERNAL,
+        CoreError::JobPanicked(_) => codes::INTERNAL,
         _ => codes::EXTRACTION,
+    };
+    let message = match &e {
+        CoreError::BatchJob { index, source, .. } if name_geometry => {
+            format!("geometry {index}: {source}")
+        }
+        CoreError::BatchJob { source, .. } => source.to_string(),
+        e => e.to_string(),
     };
     DispatchError { code, message }
 }
@@ -521,14 +526,34 @@ mod tests {
 
     #[test]
     fn contained_panics_answer_internal() {
-        let code = |e: &CoreError| core_error(e, e.to_string()).code;
-        let panic = CoreError::JobPanicked("boom".into());
-        assert_eq!(code(&panic), codes::INTERNAL);
+        let panic = || Box::new(CoreError::JobPanicked("boom".into()));
+        let job = |source| CoreError::BatchJob { index: 1, parameter: None, source };
+        // A batch frame names the failing geometry; an extract does not.
+        let e = core_error(job(panic()), true);
         assert_eq!(
-            code(&CoreError::ChipWindow { window: 3, source: Box::new(panic) }),
-            codes::INTERNAL
+            (e.code, e.message.as_str()),
+            (codes::INTERNAL, "geometry 1: job panicked: boom")
         );
-        assert_eq!(code(&CoreError::EmptyGeometry), codes::EXTRACTION);
+        let e = core_error(job(panic()), false);
+        assert_eq!((e.code, e.message.as_str()), (codes::INTERNAL, "job panicked: boom"));
+        let e = core_error(job(Box::new(CoreError::EmptyGeometry)), true);
+        assert_eq!(e.code, codes::EXTRACTION);
+        let e = core_error(CoreError::ChipWindow { window: 3, source: panic() }, false);
+        assert_eq!(
+            (e.code, e.message.as_str()),
+            (codes::INTERNAL, "chip window 3 failed: job panicked: boom")
+        );
+        assert_eq!(core_error(CoreError::EmptyGeometry, false).code, codes::EXTRACTION);
+        assert_eq!(core_error(CoreError::Busy { queued: 2, depth: 2 }, true).code, codes::BUSY);
+        let e = core_error(CoreError::OverDepth { jobs: 3, depth: 2 }, true);
+        assert_eq!(
+            (e.code, e.message.as_str()),
+            (codes::BAD_REQUEST, "3 jobs can never fit queue depth 2")
+        );
+    }
+
+    fn reply(state: &ServerState, line: &str) -> Value {
+        serde_json::from_str(&dispatch(state, line)).unwrap()
     }
 
     fn test_state() -> ServerState {
@@ -662,31 +687,120 @@ mod tests {
         assert_eq!(v["error"]["code"].as_str(), Some(codes::GEOMETRY));
     }
 
+    /// A daemon state with one worker and the given queue depth.
+    fn state_with_depth(queue_depth: usize) -> ServerState {
+        let cfg = ServerConfig { workers: 1, queue_depth, ..ServerConfig::default() };
+        ServerState::new(cfg, Listener::bind("127.0.0.1:0").expect("bind").shutdown())
+    }
+
+    /// A `batch` frame of `n` copies of a two-cube geometry.
+    fn batch_of(n: usize) -> String {
+        let geo = "\"conductor a\\nbox 0 0 0 1e-6 1e-6 1e-6\\nconductor b\\nbox 0 0 2e-6 1e-6 1e-6 3e-6\\n\"";
+        format!(r#"{{"op":"batch","id":9,"geometries":[{}]}}"#, vec![geo; n].join(","))
+    }
+
+    /// A `chip` frame whose 2×2 grid has four non-empty windows.
+    const CORNERS_CHIP: &str = r#"{"op":"chip","geometry":"conductor a\nbox 0 0 0 1e-6 1e-6 1e-6\nconductor b\nbox 4e-6 0 0 5e-6 1e-6 1e-6\nconductor c\nbox 0 4e-6 0 1e-6 5e-6 1e-6\nconductor d\nbox 4e-6 4e-6 0 5e-6 5e-6 1e-6\n","windows":[2,2],"halo":1e-6}"#;
+
     #[test]
     fn busy_executor_maps_to_the_busy_code() {
-        let state = test_state();
-        // A frame larger than the whole admission queue can never run.
-        let geo =
-            "conductor a\\nbox 0 0 0 1e-6 1e-6 1e-6\\nconductor b\\nbox 0 0 2e-6 1e-6 1e-6 3e-6\\n";
-        let many: Vec<String> =
-            (0..state.cfg.queue_depth + 1).map(|_| format!("\"{geo}\"")).collect();
-        let line = format!(r#"{{"op":"batch","id":9,"geometries":[{}]}}"#, many.join(","));
-        let v = serde_json::from_str(&dispatch(&state, &line)).unwrap();
+        // Three slow jobs go straight to the executor: the one worker
+        // runs the first while two wait, so a request whose four jobs
+        // fit the depth-4 queue finds no room until the third starts.
+        let state = state_with_depth(4);
+        let slow = bemcap_geom::structures::bus_crossing(3, 3, Default::default());
+        let held = state
+            .executor
+            .submit(&bemcap_core::Extractor::new(), None, vec![slow; 3])
+            .expect("admitted");
+        while state.executor.running_jobs() == 0 {
+            std::thread::yield_now();
+        }
+        let v = reply(&state, &batch_of(4));
         assert_eq!(v["ok"].as_bool(), Some(false));
         assert_eq!(v["error"]["code"].as_str(), Some(codes::BUSY), "{v:?}");
         assert_eq!(v["id"].as_u64(), Some(9));
-
-        // A chip whose non-empty windows outnumber the queue depth is
-        // refused whole: nothing ran, so nothing reached the cache.
-        let cfg = ServerConfig { workers: 1, queue_depth: 3, ..ServerConfig::default() };
-        let state = ServerState::new(cfg, Listener::bind("127.0.0.1:0").expect("bind").shutdown());
-        let corners = "conductor a\\nbox 0 0 0 1e-6 1e-6 1e-6\\nconductor b\\nbox 4e-6 0 0 5e-6 1e-6 1e-6\\n\
-                       conductor c\\nbox 0 4e-6 0 1e-6 5e-6 1e-6\\nconductor d\\nbox 4e-6 4e-6 0 5e-6 5e-6 1e-6\\n";
-        let line = format!(r#"{{"op":"chip","geometry":"{corners}","windows":[2,2],"halo":1e-6}}"#);
-        let v = serde_json::from_str(&dispatch(&state, &line)).unwrap();
+        // A chip whose four non-empty windows fit the depth but not the
+        // room is refused whole: nothing ran, so nothing reached the cache.
+        let v = reply(&state, CORNERS_CHIP);
         assert_eq!(v["error"]["code"].as_str(), Some(codes::BUSY), "{v:?}");
+        assert!(held.wait().iter().all(|o| o.result.is_ok()));
+        assert_eq!(state.executor.stats().jobs, 3, "a refused request ran jobs");
+        assert!(state.cache.is_empty(), "a refused request filled the shared cache");
+    }
+
+    #[test]
+    fn over_depth_requests_are_bad_requests_not_busy() {
+        // Four jobs can never fit a depth-3 queue, however idle: retrying
+        // cannot help, so the reply is not the retryable busy code.
+        let state = state_with_depth(3);
+        let v = reply(&state, &batch_of(4));
+        assert_eq!(v["error"]["code"].as_str(), Some(codes::BAD_REQUEST), "{v:?}");
+        let message = v["error"]["message"].as_str().unwrap();
+        assert!(message.contains("4 jobs") && message.contains("depth 3"), "{message}");
+        assert_eq!(v["id"].as_u64(), Some(9));
+        let v = reply(&state, CORNERS_CHIP);
+        assert_eq!(v["error"]["code"].as_str(), Some(codes::BAD_REQUEST), "{v:?}");
         assert_eq!(state.executor.stats().jobs, 0);
         assert!(state.cache.is_empty());
+        // A frame that fits is served.
+        assert_eq!(reply(&state, &batch_of(3))["ok"].as_bool(), Some(true));
+    }
+
+    #[test]
+    fn a_failing_batch_geometry_is_named_with_its_root_code() {
+        // Geometry 1 parses, but its pFFT grid exceeds the request's cap
+        // while geometry 0's fits: the extraction fails for it alone.
+        let state = test_state();
+        let line = r#"{"op":"batch","id":6,"method":"pwc-pfft","mesh_divisions":2,
+            "pfft":{"spacing_factor":1,"near_cells":2,"max_grid_points":4096},
+            "geometries":["conductor a\nbox 0 0 0 1e-6 1e-6 1e-6\n",
+            "conductor a\nbox 0 0 0 1e-6 1e-6 1e-6\nconductor b\nbox 1e-5 0 0 1.1e-5 1e-6 1e-6\n"]}"#;
+        let v = reply(&state, line);
+        assert_eq!(v["error"]["code"].as_str(), Some(codes::EXTRACTION), "{v:?}");
+        let message = v["error"]["message"].as_str().unwrap();
+        assert!(message.starts_with("geometry 1: pfft solver failed: bad grid"), "{message}");
+    }
+
+    #[test]
+    fn replies_carry_each_jobs_own_cache_counters_and_queue_wait() {
+        let state = test_state();
+        let geo =
+            r#"conductor a\nbox 0 0 0 1e-6 1e-6 1e-6\nconductor b\nbox 0 0 2e-6 1e-6 1e-6 3e-6\n"#;
+        let waited = || state.executor.stats().queue_seconds;
+        fn cache(v: &Value) -> &Value {
+            &v["cache"]
+        }
+        let queue = |v: &Value| v["exec"]["queue_seconds"].as_f64().unwrap();
+        // extract: the job's own counters and its own wait.
+        let before = waited();
+        let first = reply(&state, &format!(r#"{{"op":"extract","geometry":"{geo}"}}"#));
+        assert!((queue(&first["result"]) - (waited() - before)).abs() < 1e-8, "{first:?}");
+        let second = reply(&state, &format!(r#"{{"op":"extract","geometry":"{geo}"}}"#));
+        let lookups = |c: &Value| c["hits"].as_u64().unwrap() + c["misses"].as_u64().unwrap();
+        assert!(cache(&first["result"])["misses"].as_u64().unwrap() > 0);
+        assert_eq!(cache(&second["result"])["misses"].as_u64(), Some(0), "{second:?}");
+        assert_eq!(
+            cache(&second["result"])["hits"].as_u64(),
+            Some(lookups(cache(&first["result"])))
+        );
+        // batch: a fresh state, so job 0 misses and its twin job 1 hits;
+        // the shared record is the first job's wait, and the second job
+        // waited at least that plus the first job's run.
+        let state = test_state();
+        let waited = || state.executor.stats().queue_seconds;
+        let v = reply(&state, &format!(r#"{{"op":"batch","geometries":["{geo}","{geo}"]}}"#));
+        let results = v["result"]["results"].as_array().unwrap();
+        let (c0, c1) = (cache(&results[0]), cache(&results[1]));
+        assert!(c0["misses"].as_u64().unwrap() > 0, "{v:?}");
+        assert_eq!(c1["misses"].as_u64(), Some(0), "{v:?}");
+        assert_eq!(c1["hits"].as_u64(), Some(lookups(c0)));
+        let first_wait = queue(&v["result"]);
+        let run0: f64 = ["setup_seconds", "solve_seconds"]
+            .iter()
+            .map(|&k| results[0]["report"][k].as_f64().unwrap())
+            .sum();
+        assert!(waited() - first_wait >= first_wait + run0 - 1e-8, "{v:?}");
     }
 
     #[test]

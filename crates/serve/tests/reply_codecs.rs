@@ -10,8 +10,9 @@
 //!   with `ServeError::Protocol` — never a panic — unless the removed
 //!   field is one v7 itself sends as null or may leave out.
 
+use bemcap_core::batch::BatchPoint;
 use bemcap_core::{
-    CacheStats, ChipExtraction, ChipExtractor, ExecStats, Extraction, Extractor, Method,
+    CacheStats, ChipExtraction, ChipExtractor, ExecStats, Extraction, Extractor, JobReport, Method,
 };
 use bemcap_geom::structures::{self, BusParams, CrossingParams};
 use bemcap_serve::protocol::{
@@ -40,6 +41,12 @@ fn chip_extraction() -> ChipExtraction {
 
 /// A queue wait that is not a short decimal, so a lossy codec shows.
 const QUEUE_SECONDS: f64 = 0.1 + 0.2;
+
+/// One batch job's result as the batch front end hands it to the codec.
+fn point(extraction: Extraction, cache: CacheStats, queue_seconds: f64) -> BatchPoint {
+    let job = JobReport { index: 0, worker: 0, seconds: 1.0, queue_seconds, cache };
+    BatchPoint { label: "job".into(), parameter: None, extraction, job }
+}
 
 const CACHE: CacheStats = CacheStats { hits: 9, misses: 4, evictions: 1, inserted_bytes: 768 };
 
@@ -74,17 +81,22 @@ fn extract_and_batch_results_decode_to_the_engine_bits() {
         assert_eq!(reply.queue_seconds.to_bits(), QUEUE_SECONDS.to_bits());
     }
 
-    let jobs = [(direct, CacheStats::default()), (krylov, CACHE)];
-    let v = through_text(ExtractReply::encode_batch(&jobs, Some(QUEUE_SECONDS)));
+    // The shared executor record holds the wait until the frame's first
+    // job started.
+    let jobs = [
+        point(direct, CacheStats::default(), QUEUE_SECONDS + 1.0),
+        point(krylov, CACHE, QUEUE_SECONDS),
+    ];
+    let v = through_text(ExtractReply::encode_batch(&jobs));
     let replies = ExtractReply::decode_batch(&v).expect("batch");
     assert_eq!(replies.len(), 2);
-    for (reply, (want, cache)) in replies.iter().zip(&jobs) {
-        assert_extraction_bits(reply, want, cache);
+    for (reply, want) in replies.iter().zip(&jobs) {
+        assert_extraction_bits(reply, &want.extraction, &want.job.cache);
         assert_eq!(reply.queue_seconds.to_bits(), QUEUE_SECONDS.to_bits(), "shared exec record");
     }
 
     // An empty frame never reaches the queue: no executor record.
-    let v = through_text(ExtractReply::encode_batch(&[], None));
+    let v = through_text(ExtractReply::encode_batch(&[]));
     assert!(v.get("exec").is_none());
     let replies = ExtractReply::decode_batch(&v).expect("empty");
     assert!(replies.is_empty());
@@ -214,17 +226,17 @@ struct Shape {
 const DERIVED: [&str; 1] = ["hit_rate"];
 
 fn shapes() -> Vec<Shape> {
-    let job = (extraction(Method::PwcFmm), CACHE);
+    let job = point(extraction(Method::PwcFmm), CACHE, QUEUE_SECONDS);
     vec![
         Shape {
             name: "extract",
-            sample: ExtractReply::encode(&job.0, &job.1, QUEUE_SECONDS),
+            sample: ExtractReply::encode(&job.extraction, &job.job.cache, QUEUE_SECONDS),
             decode: |v| ExtractReply::decode(v).map(drop),
             optional: &["report.m_templates", "report.solver"],
         },
         Shape {
             name: "batch",
-            sample: ExtractReply::encode_batch(std::slice::from_ref(&job), Some(QUEUE_SECONDS)),
+            sample: ExtractReply::encode_batch(std::slice::from_ref(&job)),
             decode: |v| ExtractReply::decode_batch(v).map(drop),
             optional: &["results[].report.m_templates", "results[].report.solver"],
         },

@@ -4,8 +4,9 @@
 //!
 //! * executor and direct single-shot extraction are **bit-identical**
 //!   (CI re-runs this under `BEMCAP_POOL=1,4`);
-//! * a full admission queue returns a structured `Busy` rejection and
-//!   the run never deadlocks — every admitted ticket resolves;
+//! * a full admission queue returns a structured `Busy` rejection, a
+//!   submission larger than the whole depth an `OverDepth` one, and the
+//!   run never deadlocks — every admitted ticket resolves;
 //! * a failing job fails only its own outcome.
 
 use std::sync::Arc;
@@ -90,6 +91,14 @@ proptest! {
         // 24 instant submissions against a depth-1..2 queue of slow jobs:
         // the queue must have been full at least once.
         prop_assert!(busy > 0, "no Busy seen: depth={}", depth);
+        // One job more than the whole depth is never admissible, whatever
+        // the queue holds: a distinct refusal, not a retryable Busy.
+        match exec.submit(&ex, None, vec![geo.clone(); depth + 1]) {
+            Err(CoreError::OverDepth { jobs, depth: d }) => {
+                prop_assert_eq!((jobs, d), (depth + 1, depth));
+            }
+            other => prop_assert!(false, "expected OverDepth, got {:?}", other.map(drop)),
+        }
         let admitted = tickets.len();
         let reference = ex.extract(&geo).expect("direct");
         for t in tickets {
@@ -99,7 +108,7 @@ proptest! {
             );
         }
         let stats = exec.stats();
-        prop_assert_eq!(stats.rejected, busy);
+        prop_assert_eq!(stats.rejected, busy + 1);
         prop_assert_eq!(stats.submitted, admitted);
         prop_assert_eq!(stats.jobs, admitted);
     }
