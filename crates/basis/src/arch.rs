@@ -15,43 +15,7 @@
 //! [`crate::calibrate`]; [`ArchLaws::default`] carries the values fitted by
 //! that machinery on the Fig. 1 configuration.
 
-use serde_like_display::display_f64;
-
-mod serde_like_display {
-    pub fn display_f64(x: f64) -> String {
-        format!("{x:.4e}")
-    }
-}
-
-/// A concrete arch profile on a template support.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ArchShape {
-    /// Center of the bump, in absolute in-plane coordinates.
-    pub center: f64,
-    /// Gaussian width b.
-    pub width: f64,
-}
-
-impl ArchShape {
-    /// Evaluates the (unit-peak) profile at coordinate `u`.
-    #[inline]
-    pub fn eval(&self, u: f64) -> f64 {
-        let t = (u - self.center) / self.width;
-        (-0.5 * t * t).exp()
-    }
-
-    /// ∫ A(u) du over (−∞, ∞) — a useful normalization reference
-    /// (= b·√(2π)).
-    pub fn full_integral(&self) -> f64 {
-        self.width * (2.0 * std::f64::consts::PI).sqrt()
-    }
-}
-
-impl std::fmt::Display for ArchShape {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "arch(c={}, b={})", display_f64(self.center), display_f64(self.width))
-    }
-}
+pub use bemcap_quad::template::ArchShape;
 
 /// The h-dependent parameter laws of the arch templates:
 /// `b(h) = width_coeff · h`, `e(h) = ext_coeff · h`.

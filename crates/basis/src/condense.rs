@@ -26,14 +26,16 @@
 
 use std::cell::Cell;
 use std::ops::Range;
-use std::sync::OnceLock;
 
 use bemcap_linalg::Matrix;
-use bemcap_par::{triangle_size, Metric, Registry};
+pub use bemcap_par::trace::pair_integrals_metric;
+use bemcap_par::triangle_size;
+use bemcap_quad::distinct::DistinctKeys;
 use bemcap_quad::galerkin::GalerkinEngine;
+use bemcap_quad::template::CanonicalTemplate;
 
 use crate::basisfn::BasisSet;
-use crate::template::{pair_integral, CanonicalTemplate, PairKey, Template};
+use crate::template::{PairKey, Template};
 
 /// The flattened template view of a basis set: templates T₁…T_M plus the
 /// label array l mapping each template to its basis function.
@@ -113,49 +115,15 @@ pub fn accumulate_entry(p: &mut Matrix, i: usize, j: usize, li: usize, lj: usize
     }
 }
 
-/// Reference (slow) assembly of P directly at the basis level: the
-/// double sum of equation (4) over every ordered template pair. Used to
-/// validate the condensed Algorithm 1 path.
-pub fn assemble_dense_reference(eng: &GalerkinEngine, set: &BasisSet) -> Matrix {
-    let n = set.basis_count();
-    let mut p = Matrix::zeros(n, n);
-    for (bi, fi) in set.functions().iter().enumerate() {
-        for (bj, fj) in set.functions().iter().enumerate() {
-            let mut acc = 0.0;
-            for ti in &fi.templates {
-                for tj in &fj.templates {
-                    acc += pair_integral(eng, ti, tj);
-                }
-            }
-            p.set(bi, bj, acc);
-        }
-    }
-    p
-}
-
-/// The registry counter `bemcap_pair_integrals_total`: template-pair
-/// integrals actually evaluated, counted at [`PairPlan`]'s single
-/// evaluation site (cache hits and repeated keys cost nothing, so they
-/// count nothing).
-pub fn pair_integrals_metric() -> &'static Metric {
-    static METRIC: OnceLock<&'static Metric> = OnceLock::new();
-    METRIC.get_or_init(|| {
-        Registry::global().counter(
-            "bemcap_pair_integrals_total",
-            "Template-pair integrals evaluated (one per distinct pair key no cache answered).",
-        )
-    })
-}
-
 /// Algorithm 1's k-loop, planned: every pair (i ≤ j) of the triangle
 /// mapped to its distinct [`PairKey`], canonical under translation and
 /// mirroring.
 ///
 /// The plan holds one representative (i, j) per distinct key and the
-/// distinct-key id of every pair in k order. Keys are found through a
-/// table of 32-bit fingerprints verified against the representative's
-/// recomputed key, so no key is stored. The distinct list is interleaved
-/// so that any contiguous slice of it costs about the same to evaluate.
+/// distinct-key id of every pair in k order, found through the
+/// [`DistinctKeys`] table the FMM and pFFT near fields use too. The
+/// distinct list is interleaved so that any contiguous slice of it costs
+/// about the same to evaluate.
 ///
 /// ```
 /// use bemcap_basis::instantiate::{instantiate, InstantiateConfig};
@@ -200,31 +168,14 @@ impl<'a> PairPlan<'a> {
         let m = u32::try_from(canonical.len()).expect("fewer than 2^32 templates");
         let key = |(i, j): (u32, u32)| PairKey::of(&canonical[i as usize], &canonical[j as usize]);
         let mut ids = Vec::with_capacity(triangle_size(m as usize));
-        let mut reps: Vec<(u32, u32)> = Vec::new();
-        let mut table = FingerprintTable::with_capacity(1024);
+        let mut keys = DistinctKeys::default();
         for j in 0..m {
             for i in 0..=j {
-                let k = key((i, j));
-                let fp = fingerprint(&k);
-                let id = match table.probe(fp, |id| key(reps[id]) == k) {
-                    Ok(id) => id,
-                    Err(slot) => {
-                        table.put(slot, fp, reps.len());
-                        reps.push((i, j));
-                        if 2 * reps.len() > table.slots.len() {
-                            table = FingerprintTable::with_capacity(2 * table.slots.len());
-                            for (id, &rep) in reps.iter().enumerate() {
-                                let fp = fingerprint(&key(rep));
-                                let slot = table.probe(fp, |_| false).unwrap_err();
-                                table.put(slot, fp, id);
-                            }
-                        }
-                        reps.len() - 1
-                    }
-                };
-                ids.push(id as u32); // `put` checked id + 1 < 2^32
+                let (id, _) = keys.id_or_insert(&key((i, j)), (i, j), key);
+                ids.push(id as u32); // the table holds fewer than 2^32 - 1 ids
             }
         }
+        let reps = keys.into_reps();
         // Deal the first-occurrence order into INTERLEAVE runs: keys found
         // late in the walk cost more (near-field pairs repeat less), and
         // interleaving makes every contiguous slice of the distinct list
@@ -312,63 +263,34 @@ impl<'a> PairPlan<'a> {
 /// Runs the distinct keys are dealt into (see [`PairPlan::new`]).
 const INTERLEAVE: usize = 64;
 
-/// Open-addressed table of distinct-key ids: each slot holds a key's upper
-/// 32 fingerprint bits and its id + 1 (0 = empty), kept at most half full.
-struct FingerprintTable {
-    slots: Vec<u64>,
-}
-
-impl FingerprintTable {
-    fn with_capacity(slots: usize) -> FingerprintTable {
-        debug_assert!(slots.is_power_of_two());
-        FingerprintTable { slots: vec![0; slots] }
-    }
-
-    /// The id stored under `fp` for which `is_match` holds, or the empty
-    /// slot where a new one goes.
-    fn probe(&self, fp: u64, mut is_match: impl FnMut(usize) -> bool) -> Result<usize, usize> {
-        let mask = self.slots.len() - 1;
-        let mut s = fp as usize & mask;
-        loop {
-            let slot = self.slots[s];
-            if slot == 0 {
-                return Err(s);
-            }
-            if slot >> 32 == fp >> 32 {
-                let id = (slot & 0xffff_ffff) as usize - 1;
-                if is_match(id) {
-                    return Ok(id);
-                }
-            }
-            s = (s + 1) & mask;
-        }
-    }
-
-    fn put(&mut self, slot: usize, fp: u64, id: usize) {
-        let stored = u32::try_from(id + 1).expect("fewer than 2^32 - 1 distinct keys");
-        self.slots[slot] = (fp >> 32) << 32 | u64::from(stored);
-    }
-}
-
-/// A 64-bit hash of a key's words (multiply-rotate per word, splitmix64
-/// finaliser): its low bits pick the slot, its high bits screen matches.
-fn fingerprint(key: &PairKey) -> u64 {
-    let h = key
-        .words()
-        .iter()
-        .fold(0, |h: u64, &w| (h.rotate_left(5) ^ w).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    let h = (h ^ (h >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    let h = (h ^ (h >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    h ^ (h >> 31)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::arch::ArchShape;
     use crate::basisfn::BasisFunction;
+    use crate::template::pair_integral;
     use bemcap_geom::{Axis, Panel};
     use bemcap_quad::galerkin::ShapeDir;
+
+    /// Reference (slow) assembly of P directly at the basis level: the
+    /// double sum of equation (4) over every ordered template pair. Used to
+    /// validate the condensed Algorithm 1 path.
+    fn assemble_dense_reference(eng: &GalerkinEngine, set: &BasisSet) -> Matrix {
+        let n = set.basis_count();
+        let mut p = Matrix::zeros(n, n);
+        for (bi, fi) in set.functions().iter().enumerate() {
+            for (bj, fj) in set.functions().iter().enumerate() {
+                let mut acc = 0.0;
+                for ti in &fi.templates {
+                    for tj in &fj.templates {
+                        acc += pair_integral(eng, ti, tj);
+                    }
+                }
+                p.set(bi, bj, acc);
+            }
+        }
+        p
+    }
 
     fn example_set() -> BasisSet {
         // Mirrors Fig. 3: four basis functions, ψ3 with two templates.

@@ -37,7 +37,9 @@ pub mod calibrate;
 pub mod condense;
 pub mod error;
 pub mod instantiate;
-pub mod template;
+/// Templates and [`PairKey`], kept in `bemcap-quad` below the FMM and pFFT
+/// near fields, which share them.
+pub use bemcap_quad::template;
 
 pub use arch::{ArchLaws, ArchShape};
 pub use basisfn::{BasisFunction, BasisSet};

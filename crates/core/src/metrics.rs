@@ -53,8 +53,10 @@ pub struct CoreMetrics {
     /// Template-cache entries evicted under the memory bound.
     pub template_cache_evictions: &'static Metric,
     /// Template-pair integrals evaluated: one per distinct pair key of an
-    /// assembly that no cache answered (registered by `bemcap-basis`,
-    /// whose pair plan is the one place they are computed).
+    /// assembly that no cache answered, and one per distinct near-field
+    /// key of an FMM or pFFT operator (registered in `bemcap-par`, below
+    /// the basis pair plan and both near fields, which share one
+    /// distinct-key table).
     pub pair_integrals: &'static Metric,
     /// Window-cache lookups that hit.
     pub window_cache_hits: &'static Metric,

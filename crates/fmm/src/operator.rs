@@ -4,16 +4,22 @@
 //! Galerkin system: near-field entries are exact closed-form Galerkin
 //! integrals (precomputed, sparse), far-field interactions go through the
 //! octree's multipole expansions with a Barnes–Hut acceptance test
-//! `size/distance < θ`. Every matvec runs an upward pass (moments) and a
-//! per-target traversal — the very phase structure whose barriers ruin
-//! parallel scalability in Fig. 8.
+//! `size/distance < θ`. The near field is found by one traversal per
+//! target panel, but its integrals are evaluated per distinct pair key
+//! ([`bemcap_quad::distinct::PairValues`]): a regular mesh repeats the
+//! same panel pair, translated or mirrored, across most of its near list.
+//! Every matvec runs an upward pass (moments) and a per-target traversal —
+//! the very phase structure whose barriers ruin parallel scalability in
+//! Fig. 8.
 
 use std::cell::Cell;
 use std::time::Instant;
 
 use bemcap_geom::{Mesh, Point3, EPS0};
 use bemcap_linalg::LinearOperator;
-use bemcap_quad::galerkin::{GalerkinEngine, PanelShape};
+use bemcap_par::trace::pair_integrals_metric;
+use bemcap_quad::distinct::PairValues;
+use bemcap_quad::galerkin::GalerkinEngine;
 
 use crate::error::FmmError;
 use crate::multipole::Moments;
@@ -91,13 +97,14 @@ impl FmmOperator {
         let eng = GalerkinEngine::default();
         let scale = 1.0 / (4.0 * std::f64::consts::PI * eps_rel * EPS0);
         // Per-target traversal: collect accepted far nodes and near panels.
+        let mut values = PairValues::new(&eng, scale, panels.iter().map(|p| &p.panel));
         let mut near = vec![Vec::new(); n];
         let mut far_nodes = vec![Vec::new(); n];
         let mut inv_diag = vec![0.0; n];
+        let mut stack = Vec::new();
         for i in 0..n {
-            let ti = &panels[i].panel;
-            let target_r = 0.5 * ti.diameter();
-            let mut stack = vec![0usize];
+            let target_r = 0.5 * panels[i].panel.diameter();
+            stack.push(0);
             while let Some(ni) = stack.pop() {
                 let node = &tree.nodes()[ni];
                 let d = node.center.distance(centers[i]);
@@ -106,13 +113,7 @@ impl FmmOperator {
                     far_nodes[i].push(ni as u32);
                 } else if node.is_leaf() {
                     for &j in &node.panels {
-                        let val = scale
-                            * eng.panel_pair(
-                                ti,
-                                PanelShape::Flat,
-                                &panels[j].panel,
-                                PanelShape::Flat,
-                            );
+                        let val = values.get(i, j);
                         near[i].push((j as u32, val));
                         if j == i {
                             inv_diag[i] = 1.0 / val;
@@ -123,6 +124,7 @@ impl FmmOperator {
                 }
             }
         }
+        pair_integrals_metric().add(values.evaluated() as u64);
         Ok(FmmOperator {
             tree,
             centers,
@@ -238,6 +240,7 @@ impl LinearOperator for FmmOperator {
 mod tests {
     use super::*;
     use bemcap_geom::structures;
+    use bemcap_quad::galerkin::PanelShape;
 
     /// Dense reference matrix for the same mesh.
     fn dense_reference(mesh: &Mesh, eps_rel: f64) -> bemcap_linalg::Matrix {
@@ -326,6 +329,30 @@ mod tests {
         assert!(op.memory_bytes() > 0);
         assert!(op.near_density() >= 1.0); // at least the self entry
         assert!(op.near_density() < mesh.panel_count() as f64); // actually sparse
+    }
+
+    #[test]
+    fn an_exact_translate_has_bit_identical_near_rows_and_diagonal() {
+        // A unit-scaled bus and a shift of short dyadic fractions: the
+        // translate is exact, so every near pair keeps its key and value.
+        let params = structures::BusParams {
+            width: 1.0,
+            pitch: 2.0,
+            thickness: 0.5,
+            layer_gap: 1.0,
+            overhang: 2.0,
+        };
+        let geo = structures::bus_crossing(2, 2, params);
+        let moved = structures::translated(&geo, Point3::new(0.75, -2.5, 4.0));
+        let build =
+            |geo| FmmOperator::new(&Mesh::uniform(geo, 4), 1.0, FmmConfig::default()).unwrap();
+        let (op, twin) = (build(&geo), build(&moved));
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        let rows = |op: &FmmOperator| -> Vec<Vec<(u32, u64)>> {
+            op.near.iter().map(|row| row.iter().map(|&(j, v)| (j, v.to_bits())).collect()).collect()
+        };
+        assert_eq!(rows(&op), rows(&twin));
+        assert_eq!(bits(op.inv_diag()), bits(twin.inv_diag()));
     }
 
     #[test]

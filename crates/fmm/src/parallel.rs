@@ -27,8 +27,10 @@ pub struct FmmCostModel {
     /// Serial setup seconds (the tree build, which \[7\] does not
     /// parallelize).
     pub serial_setup: f64,
-    /// Parallelizable setup seconds (the near-field precomputation, an
-    /// independent per-target loop).
+    /// Parallelizable setup seconds (the near-field precomputation: the
+    /// per-target traversal, and one integral per distinct near pair key
+    /// — each a pure function of its key, so the keys split over nodes
+    /// as freely as the targets do).
     pub parallel_setup: f64,
 }
 

@@ -192,6 +192,21 @@ impl Registry {
     }
 }
 
+/// The registry counter `bemcap_pair_integrals_total`: template-pair
+/// integrals actually evaluated, one per distinct pair key no cache
+/// answered. Registered here, below every layer that evaluates them — the
+/// basis pair plan and the FMM and pFFT near fields — so all three count
+/// into one cell.
+pub fn pair_integrals_metric() -> &'static Metric {
+    static METRIC: OnceLock<&'static Metric> = OnceLock::new();
+    METRIC.get_or_init(|| {
+        Registry::global().counter(
+            "bemcap_pair_integrals_total",
+            "Template-pair integrals evaluated (one per distinct pair key no cache answered).",
+        )
+    })
+}
+
 /// A timing scope: accumulates its wall-clock duration, in nanoseconds,
 /// into a counter when dropped.
 ///

@@ -424,23 +424,23 @@ pub fn ifft_inplace(data: &mut [Complex]) {
     }
 }
 
-/// Naive DFT (O(n²)) — the test reference.
-pub fn dft_reference(data: &[Complex]) -> Vec<Complex> {
-    let n = data.len();
-    (0..n)
-        .map(|k| {
-            let mut acc = Complex::ZERO;
-            for (j, x) in data.iter().enumerate() {
-                acc = acc + *x * Complex::cis(-2.0 * PI * (k * j) as f64 / n as f64);
-            }
-            acc
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Naive DFT (O(n²)) — the test reference.
+    fn dft_reference(data: &[Complex]) -> Vec<Complex> {
+        let n = data.len();
+        (0..n)
+            .map(|k| {
+                let mut acc = Complex::ZERO;
+                for (j, x) in data.iter().enumerate() {
+                    acc = acc + *x * Complex::cis(-2.0 * PI * (k * j) as f64 / n as f64);
+                }
+                acc
+            })
+            .collect()
+    }
 
     fn signal(n: usize) -> Vec<Complex> {
         (0..n).map(|i| Complex::new((i as f64 * 0.7).sin(), (i as f64 * 0.3).cos())).collect()

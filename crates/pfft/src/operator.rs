@@ -1,4 +1,11 @@
 //! The precorrected-FFT matrix-vector product and capacitance solve.
+//!
+//! The precorrection rows hold, per near pair, the exact Galerkin integral
+//! minus its grid-mediated part. The exact integrals are evaluated once
+//! per distinct pair key ([`bemcap_quad::distinct::PairValues`]): on a
+//! regular mesh most near pairs are translated or mirrored copies of a few
+//! thousand. The grid-mediated part depends on where each panel sits in
+//! its cell, so it is computed for every pair.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -8,7 +15,9 @@ use bemcap_geom::{Mesh, Point3, EPS0};
 use bemcap_linalg::{
     gmres_grouped, kernels, DiagonalPrecond, KrylovConfig, KrylovStats, LinearOperator, Matrix,
 };
-use bemcap_quad::galerkin::{GalerkinEngine, PanelShape};
+use bemcap_par::trace::pair_integrals_metric;
+use bemcap_quad::distinct::PairValues;
+use bemcap_quad::galerkin::GalerkinEngine;
 
 use crate::error::PfftError;
 use crate::fft::{Complex, Convolver};
@@ -123,6 +132,7 @@ impl PfftOperator {
         for (pi, c) in centers.iter().enumerate() {
             buckets.entry(grid.cell_of(*c)).or_default().push(pi);
         }
+        let mut values = PairValues::new(&eng, scale, panels.iter().map(|p| &p.panel));
         let mut near = vec![Vec::new(); n];
         let mut inv_diag = vec![0.0; n];
         // Cell indices run over 0..=dims−2, so no offset past that reaches
@@ -157,13 +167,7 @@ impl PfftOperator {
                             }
                         }
                         for &pj in list {
-                            let exact = scale
-                                * eng.panel_pair(
-                                    &panels[pi].panel,
-                                    PanelShape::Flat,
-                                    &panels[pj].panel,
-                                    PanelShape::Flat,
-                                );
+                            let exact = values.get(pi, pj);
                             // Grid-mediated contribution for the same pair.
                             let mut mediated = 0.0;
                             for (&(_, wa), row) in stencils[pi].iter().zip(&g) {
@@ -181,6 +185,9 @@ impl PfftOperator {
                 }
             }
         }
+        pair_integrals_metric().add(values.evaluated() as u64);
+        // The key table goes before the convolver's spectrum is allocated.
+        drop(values);
         let conv = Convolver::new(grid.dims, grid.fft_dims, &kernel);
         let work = Workspace {
             field: vec![0.0; grid.fft_points()],
@@ -224,6 +231,11 @@ impl PfftOperator {
     pub fn memory_bytes(&self) -> usize {
         let near: usize = self.near.iter().map(Vec::len).sum();
         self.grid_memory_bytes() + near * std::mem::size_of::<(u32, f64)>()
+    }
+
+    /// Average number of precorrected near entries per target row.
+    pub fn near_density(&self) -> f64 {
+        self.near.iter().map(Vec::len).sum::<usize>() as f64 / self.near.len() as f64
     }
 
     /// The grid part of [`PfftOperator::memory_bytes`]: the kernel
@@ -317,6 +329,7 @@ pub fn solve_prepared(
 mod tests {
     use super::*;
     use bemcap_geom::structures;
+    use bemcap_quad::galerkin::PanelShape;
 
     fn dense_reference(mesh: &Mesh) -> Matrix {
         let eng = GalerkinEngine::default();
@@ -451,6 +464,25 @@ mod tests {
             c.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<u64>>()
         };
         assert_eq!(solve(&huge), solve(&covering));
+    }
+
+    #[test]
+    fn an_exact_translate_has_bit_identical_near_rows_and_diagonal() {
+        // A unit cube meshed into quarter panels and a shift of short
+        // dyadic fractions: the translate and its grid (spacing 0.25) are
+        // exact, so every near pair keeps its key, its value and its
+        // grid-mediated part.
+        let geo = structures::cube(1.0);
+        let moved = structures::translated(&geo, Point3::new(0.75, -2.5, 4.0));
+        let build =
+            |geo| PfftOperator::new(&Mesh::uniform(geo, 4), 1.0, PfftConfig::default()).unwrap();
+        let (op, twin) = (build(&geo), build(&moved));
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        let rows = |op: &PfftOperator| -> Vec<Vec<(u32, u64)>> {
+            op.near.iter().map(|row| row.iter().map(|&(j, v)| (j, v.to_bits())).collect()).collect()
+        };
+        assert_eq!(rows(&op), rows(&twin));
+        assert_eq!(bits(op.inv_diag()), bits(twin.inv_diag()));
     }
 
     #[test]

@@ -16,7 +16,13 @@
 //! * [`galerkin`] — the dispatching engine implementing the
 //!   dimension-reduction strategy of §4.1 (use the cheapest expression the
 //!   separation distance allows);
-//! * [`numint`] — brute-force nested quadrature used as the test reference.
+//! * `numint` (tests only) — brute-force nested quadrature, the reference
+//!   the closed forms are tested against;
+//! * [`template`] — flat and arch templates and
+//!   [`PairKey`](template::PairKey), the translation- and
+//!   mirror-canonical identity of a template pair;
+//! * [`distinct`] — the one table of distinct pair keys, under the basis
+//!   pair plan and the FMM and pFFT near fields alike.
 //!
 //! ```
 //! use bemcap_geom::{Axis, Panel};
@@ -34,9 +40,12 @@
 //! ```
 
 pub mod analytic;
+pub mod distinct;
 pub mod galerkin;
 pub mod gauss;
-pub mod numint;
+#[cfg(test)]
+mod numint;
+pub mod template;
 
 pub use galerkin::{GalerkinConfig, GalerkinEngine, PanelShape};
 pub use gauss::GaussRule;

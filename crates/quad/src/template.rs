@@ -10,13 +10,45 @@
 //! orientation. The pair's value is evaluated from the key alone
 //! ([`pair_integral`]), so a key is a complete, reusable unit of setup
 //! work: every translated or mirrored copy of a pair — across one
-//! structure's regular placements or across requests — shares one
-//! evaluation, bit for bit.
+//! structure's regular placements, across the near field of a
+//! piecewise-constant mesh (one flat template per panel), or across
+//! requests — shares one evaluation, bit for bit. [`crate::distinct`]
+//! finds the distinct keys of a set of pairs.
 
 use bemcap_geom::{Axis, Panel, Point3};
-use bemcap_quad::galerkin::{GalerkinEngine, PanelShape, ShapeDir};
 
-use crate::arch::ArchShape;
+use crate::galerkin::{GalerkinEngine, PanelShape, ShapeDir};
+
+/// A concrete arch profile on a template support: the normalized
+/// Gaussian bump A(u) = exp(−(u − c)² / (2 b²)).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ArchShape {
+    /// Center of the bump, in absolute in-plane coordinates.
+    pub center: f64,
+    /// Gaussian width b.
+    pub width: f64,
+}
+
+impl ArchShape {
+    /// Evaluates the (unit-peak) profile at coordinate `u`.
+    #[inline]
+    pub fn eval(&self, u: f64) -> f64 {
+        let t = (u - self.center) / self.width;
+        (-0.5 * t * t).exp()
+    }
+
+    /// ∫ A(u) du over (−∞, ∞) — a useful normalization reference
+    /// (= b·√(2π)).
+    pub fn full_integral(&self) -> f64 {
+        self.width * (2.0 * std::f64::consts::PI).sqrt()
+    }
+}
+
+impl std::fmt::Display for ArchShape {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "arch(c={:.4e}, b={:.4e})", self.center, self.width)
+    }
+}
 
 /// The shape carried by a template on its support panel.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -117,6 +149,7 @@ const ROUNDER: f64 = (1u64 << 52) as f64;
 /// It rounds by adding and subtracting [`ROUNDER`] rather than through
 /// `f64::round`, which baseline x86-64 lowers to a libm call: a key takes
 /// six of these, and the plan computes two keys per pair it walks.
+#[inline]
 fn quanta(len: f64) -> f64 {
     let count = len * QUANTA_PER_METER;
     if count.abs() < ROUNDER {
@@ -128,6 +161,7 @@ fn quanta(len: f64) -> f64 {
 }
 
 /// A [`quanta`] count as a key word: its bits, `-0` folded into `+0`.
+#[inline]
 fn word(count: f64) -> u64 {
     (count + 0.0).to_bits()
 }
@@ -160,7 +194,7 @@ fn xyz(p: Point3) -> [f64; 3] {
 /// instantiation pass derives it from a difference of absolute
 /// coordinates (the crossing gap), whose last bits do move.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct CanonicalTemplate {
+pub struct CanonicalTemplate {
     tag: u64,
     shape: [u64; 4],
     /// The lower and upper corners' x, y and z.
@@ -172,7 +206,8 @@ pub(crate) struct CanonicalTemplate {
 }
 
 impl CanonicalTemplate {
-    pub(crate) fn of(t: &Template) -> CanonicalTemplate {
+    /// The translation-free form of `t`.
+    pub fn of(t: &Template) -> CanonicalTemplate {
         let p = &t.panel;
         let (ua, va) = p.normal().tangents();
         let ((u0, u1), (v0, v1)) = (p.u_range(), p.v_range());
@@ -205,6 +240,7 @@ impl CanonicalTemplate {
 
     /// The arch-centre word, measured from the upper edge when `mirrored`
     /// (the word of the template's mirror image along the arch's axis).
+    #[inline]
     fn centre(&self, mirrored: bool) -> u64 {
         if mirrored {
             self.mirrored_centre
@@ -276,7 +312,10 @@ impl PairKey {
         PairKey::of(&CanonicalTemplate::of(a), &CanonicalTemplate::of(b))
     }
 
-    pub(crate) fn of(a: &CanonicalTemplate, b: &CanonicalTemplate) -> PairKey {
+    /// The key of the ordered pair (a, b) from their canonical forms —
+    /// what a walk over many pairs of the same templates calls.
+    #[inline]
+    pub fn of(a: &CanonicalTemplate, b: &CanonicalTemplate) -> PairKey {
         let (offset, [ma, mb]) = orient(a, b);
         let (sa, sb) = (a.shape, b.shape);
         PairKey([
@@ -297,6 +336,7 @@ impl PairKey {
 
     /// The raw words, in the order [`From<[u64; PAIR_KEY_WORDS]>`]
     /// consumes them — the serialization seam for cache snapshots.
+    #[inline]
     pub fn words(&self) -> [u64; PAIR_KEY_WORDS] {
         self.0
     }
@@ -314,7 +354,7 @@ impl PairKey {
 
     /// The raw Galerkin integral of the pair, evaluated on the templates
     /// rebuilt from the key — a pure function of the key's words.
-    pub(crate) fn integral(&self, eng: &GalerkinEngine) -> f64 {
+    pub fn integral(&self, eng: &GalerkinEngine) -> f64 {
         let (a, b) = self.templates();
         a.with_shape(|sa| b.with_shape(|sb| eng.panel_pair(&a.panel, sa, &b.panel, sb)))
     }
@@ -323,6 +363,7 @@ impl PairKey {
 /// The canonical mirror orientation of the pair (a, b) (see [`PairKey`]):
 /// b's offset words along x, y and z, and whether a's and b's arch centres
 /// are measured from the upper edge.
+#[inline]
 fn orient(a: &CanonicalTemplate, b: &CanonicalTemplate) -> ([u64; 3], [bool; 2]) {
     let mut offset = [0; 3];
     let mut mirrored = [false; 2];
@@ -367,8 +408,7 @@ pub fn template_moment(eng: &GalerkinEngine, t: &Template) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bemcap_geom::Axis;
-    use bemcap_quad::analytic;
+    use crate::analytic;
 
     fn panel(w: f64) -> Panel {
         Panel::new(Axis::Z, w, (0.0, 1.0), (0.0, 1.0)).unwrap()

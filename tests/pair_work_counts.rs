@@ -2,7 +2,9 @@
 //! walks, how many of them are distinct under translation and mirroring,
 //! and how many integrals one extraction actually evaluates — for the
 //! instantiable basis and for the dense piecewise-constant reference,
-//! which runs the same pair plan on one flat template per panel.
+//! which runs the same pair plan on one flat template per panel, and for
+//! the FMM and pFFT near fields, which look their pairs up in the same
+//! distinct-key table.
 //!
 //! Counts repeat exactly, so a change that silently evaluates more pairs
 //! fails here without any timing. This file holds a single test: the
@@ -16,8 +18,10 @@ use bemcap_basis::{
 use bemcap_core::extraction::Parallelism;
 use bemcap_core::metrics::Registry;
 use bemcap_core::{Extractor, Method};
+use bemcap_fmm::{FmmConfig, FmmOperator};
 use bemcap_geom::structures::{self, BusParams};
 use bemcap_geom::{Geometry, Mesh};
+use bemcap_pfft::{PfftConfig, PfftOperator};
 
 /// The counter as the `metrics` op exposes it: by name, from the global
 /// registry.
@@ -75,5 +79,25 @@ fn bus_pair_counts_and_one_evaluation_per_distinct_key() {
             let evaluated = pair_integrals_total() - before;
             assert_eq!(evaluated, distinct as u64, "{what}, {parallelism:?}: integrals evaluated");
         }
+    }
+    // The near fields of the two Krylov methods: one evaluation per
+    // distinct near key, far fewer than the near entries they fill.
+    let geo = structures::bus_crossing(4, 4, BusParams::default());
+    let mesh = Mesh::uniform(&geo, 8);
+    let fmm = FmmOperator::new(&mesh, geo.eps_rel(), FmmConfig::default()).expect("FMM");
+    let pfft = PfftOperator::new(&mesh, geo.eps_rel(), PfftConfig::default()).expect("pFFT");
+    // (method, near density, near entries, distinct near keys) for the
+    // default bus 4×4.
+    for (method, density, pinned_entries, distinct) in [
+        (Method::PwcFmm, fmm.near_density(), 44_368, 5_472),
+        (Method::PwcPfft, pfft.near_density(), 14_914, 2_046),
+    ] {
+        let entries = (density * mesh.panel_count() as f64).round() as u64;
+        assert_eq!(entries, pinned_entries, "{method:?}: near entries");
+        let before = pair_integrals_total();
+        Extractor::new().method(method).mesh_divisions(8).extract(&geo).expect("extraction");
+        let evaluated = pair_integrals_total() - before;
+        assert_eq!(evaluated, distinct, "{method:?}: near integrals evaluated");
+        assert!(distinct < entries, "{method:?}: {distinct} keys for {entries} near entries");
     }
 }
