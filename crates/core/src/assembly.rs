@@ -7,21 +7,22 @@
 //! symmetry-canonical pair keys, each key's value is obtained once
 //! (probed in a [`TemplateCache`] when one is given), and P is
 //! accumulated from those values in k order by
-//! [`PairPlan::accumulate`]. The three [`Parallelism`] modes differ only
-//! in who evaluates which slice of the distinct list and how the values
-//! reach the accumulation:
+//! [`PairPlan::accumulate`]. The two [`Parallelism`] modes differ only
+//! in who evaluates which slice of the distinct list:
 //!
 //! * [`assemble_sequential`] — one thread evaluates the whole list, the
 //!   D = 1 reference;
 //! * [`assemble_threaded`] — the shared-memory flow of Fig. 4: workers
 //!   take equal chunks of the list from a shared counter until none is
-//!   left (self-scheduled, so a worker the host slows takes fewer);
-//! * [`assemble_distributed`] — the message-passing flow of Figs. 5–6:
-//!   every rank evaluates its contiguous slice of the list, and ranks
-//!   1…r−1 send their values to rank 0.
+//!   left (self-scheduled, so a worker the host slows takes fewer).
+//!
+//! The distributed-memory flow of Figs. 5–6 (contiguous slices, values
+//! gathered to rank 0) is modelled, not executed: the paper itself ran
+//! its MPI ranks on one machine, and `bemcap_par::Schedule::Gathered`
+//! replays that flow on [`measure_chunk_costs_best_of`]'s costs.
 //!
 //! A value depends only on its key and the accumulation order is fixed,
-//! so every mode, with or without a cache, yields bit-identical P.
+//! so both modes, with or without a cache, yield bit-identical P.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -31,7 +32,7 @@ use bemcap_basis::{template_moment, BasisSet, PairPlan, TemplateIndex};
 use bemcap_geom::EPS0;
 use bemcap_linalg::Matrix;
 use bemcap_par::pool::{self, WorkerTiming};
-use bemcap_par::{partition_ranges, self_scheduled_chunks, Universe};
+use bemcap_par::{partition_ranges, self_scheduled_chunks};
 use bemcap_quad::galerkin::GalerkinEngine;
 
 use crate::cache::TemplateCache;
@@ -92,24 +93,9 @@ pub fn assemble_threaded(
     (asm, timings)
 }
 
-/// Distributed-memory Algorithm 1 (Figs. 5–6) on `ranks` ranks of the
-/// in-process message-passing runtime, bit-identical to
-/// [`assemble_sequential`].
-pub fn assemble_distributed(
-    eng: &GalerkinEngine,
-    index: &TemplateIndex,
-    set: &BasisSet,
-    n_cond: usize,
-    eps_rel: f64,
-    ranks: usize,
-) -> Assembly {
-    assemble(eng, index, set, n_cond, eps_rel, Parallelism::MessagePassing(ranks), None).0
-}
-
 /// Algorithm 1 in `parallelism`'s mode, with every distinct pair key
 /// probed once in `cache` when given. Returns the assembly, one timing
-/// per worker or rank, and the summed cache counters of every worker or
-/// rank.
+/// per worker, and the summed cache counters of every worker.
 pub(crate) fn assemble(
     eng: &GalerkinEngine,
     index: &TemplateIndex,
@@ -131,9 +117,9 @@ pub(crate) fn assemble(
 
 /// The one [`Parallelism`] dispatch of the setup step: `slice` evaluates
 /// the values of one contiguous range of `0..total`, and the modes differ
-/// only in who runs which range (one thread, [`self_scheduled`] threads,
-/// or the ranks of [`gather_to_rank0`]). Returns all `total` values in
-/// index order, the summed counters, and one timing per worker or rank.
+/// only in who runs which range (one thread or [`self_scheduled`]
+/// threads). Returns all `total` values in index order, the summed
+/// counters, and one timing per worker.
 fn evaluate_in_mode(
     parallelism: Parallelism,
     total: usize,
@@ -144,10 +130,9 @@ fn evaluate_in_mode(
             pool::run_partitioned(1, total, |_, r| slice(r))
         }
         Parallelism::Threads(t) => self_scheduled(t, total, slice),
-        Parallelism::MessagePassing(r) => gather_to_rank0(r, total, slice),
     };
     // The first part is kept rather than copied, so a single block (one
-    // thread, or rank 0's gathered list) costs no second buffer.
+    // thread) costs no second buffer.
     let mut parts = parts.into_iter();
     let (mut values, mut stats) = parts.next().unwrap_or_default();
     values.reserve_exact(total - values.len());
@@ -212,37 +197,6 @@ fn values_through(
     (values, stats)
 }
 
-/// Figs. 5–6 on `ranks` in-process ranks: each evaluates its contiguous
-/// slice of the `distinct` list through `slice`, and ranks 1…r−1 send
-/// their values to rank 0, which appends them behind its own in rank
-/// order. Rank 0's part is the whole list, the others' parts are empty;
-/// each rank keeps its own cache counters and timing.
-fn gather_to_rank0(
-    ranks: usize,
-    distinct: usize,
-    slice: impl Fn(Range<usize>) -> (Vec<f64>, CacheStats) + Sync,
-) -> (Vec<(Vec<f64>, CacheStats)>, Vec<WorkerTiming>) {
-    let ranges = partition_ranges(distinct, ranks);
-    Universe::run(ranks, |comm| {
-        let range = ranges[comm.rank()].clone();
-        let start = Instant::now();
-        let (mut values, stats) = slice(range.clone());
-        let timing =
-            WorkerTiming { worker: comm.rank(), range, seconds: start.elapsed().as_secs_f64() };
-        if comm.rank() == 0 {
-            for src in 1..comm.size() {
-                values.extend(comm.recv_f64s(src).expect("values from worker rank"));
-            }
-        } else {
-            comm.send_f64s(0, &values).expect("values to rank 0");
-            values = Vec::new();
-        }
-        ((values, stats), timing)
-    })
-    .into_iter()
-    .unzip()
-}
-
 /// Measures per-chunk task costs of the k-loop for the machine simulator:
 /// the distinct pair keys of the plan are split into `chunks` blocks and
 /// each block's evaluation wall time is recorded. These are the *measured*
@@ -292,18 +246,6 @@ mod tests {
             assert_eq!(timings.len(), threads);
             assert_eq!(bits(&seq.p), bits(&par.p), "threads={threads}");
             assert_eq!(seq.phi, par.phi);
-        }
-    }
-
-    #[test]
-    fn distributed_matches_sequential() {
-        let (eng, set, index, nc) = setup();
-        let seq = assemble_sequential(&eng, &index, &set, nc, 1.0);
-        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        for ranks in [1, 2, 4] {
-            let dist = assemble_distributed(&eng, &index, &set, nc, 1.0, ranks);
-            assert_eq!(bits(&seq.p), bits(&dist.p), "ranks={ranks}");
-            assert_eq!(seq.phi, dist.phi);
         }
     }
 

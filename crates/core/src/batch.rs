@@ -402,9 +402,7 @@ mod tests {
             e.capacitance().matrix().as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
         };
         // Every setup mode probes the shared cache.
-        for parallelism in
-            [Parallelism::Sequential, Parallelism::Threads(2), Parallelism::MessagePassing(2)]
-        {
+        for parallelism in [Parallelism::Sequential, Parallelism::Threads(2)] {
             let ex = Extractor::new().parallelism(parallelism);
             // One worker: jobs run in order, so job 1 (a duplicate of job
             // 0) must be answered entirely from the cache. With more

@@ -68,8 +68,6 @@ pub enum Parallelism {
     Sequential,
     /// Shared-memory threads (Fig. 4).
     Threads(usize),
-    /// Message-passing ranks (Figs. 5–6).
-    MessagePassing(usize),
 }
 
 /// The extraction front end (builder style).
@@ -245,7 +243,6 @@ impl Extractor {
         let parallelism = match self.parallelism {
             Parallelism::Sequential => 0,
             Parallelism::Threads(n) => (1 << 32) | n as u64,
-            Parallelism::MessagePassing(n) => (2 << 32) | n as u64,
         };
         let mut words = vec![
             self.method as u64,
@@ -479,16 +476,11 @@ mod tests {
         let geo = structures::crossing_wires(CrossingParams::default());
         let seq = Extractor::new().extract(&geo).unwrap();
         let thr = Extractor::new().parallelism(Parallelism::Threads(3)).extract(&geo).unwrap();
-        let mp =
-            Extractor::new().parallelism(Parallelism::MessagePassing(3)).extract(&geo).unwrap();
         let bits = |e: &Extraction| {
             e.capacitance().matrix().as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
         };
-        for other in [&thr, &mp] {
-            assert_eq!(bits(other), bits(&seq));
-        }
+        assert_eq!(bits(&thr), bits(&seq));
         assert_eq!(thr.report().workers, 3);
-        assert_eq!(mp.report().workers, 3);
     }
 
     #[test]
@@ -497,16 +489,12 @@ mod tests {
         let dense = || Extractor::new().method(Method::PwcDense).mesh_divisions(6);
         let seq = dense().extract(&geo).unwrap();
         let thr = dense().parallelism(Parallelism::Threads(3)).extract(&geo).unwrap();
-        let mp = dense().parallelism(Parallelism::MessagePassing(2)).extract(&geo).unwrap();
         let bits = |e: &Extraction| {
             e.capacitance().matrix().as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
         };
-        for other in [&thr, &mp] {
-            assert_eq!(bits(other), bits(&seq));
-        }
+        assert_eq!(bits(&thr), bits(&seq));
         assert_eq!(seq.report().workers, 1);
         assert_eq!(thr.report().workers, 3);
-        assert_eq!(mp.report().workers, 2);
     }
 
     #[test]

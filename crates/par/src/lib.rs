@@ -7,14 +7,13 @@
 //!   partition into D ranges;
 //! * [`pool`] — shared-memory execution (the OpenMP analogue of Fig. 4)
 //!   with crossbeam scoped threads and private per-thread accumulation;
-//! * [`mpi`] — an in-process message-passing runtime (the MPI analogue of
-//!   Figs. 5–6): ranks, byte-counted send/recv, barriers — the paper itself
-//!   "simulates the distributed memory behavior ... through MPI" on one
-//!   machine;
 //! * [`machine`] — a **deterministic parallel-machine simulator**: replays
 //!   measured task costs on D virtual nodes with a latency+bandwidth
 //!   communication model, producing the speedup/efficiency numbers of
-//!   Table 3 and Fig. 8 on hosts with fewer physical cores (DESIGN.md §3);
+//!   Table 3 and Fig. 8 on hosts with fewer physical cores (DESIGN.md §3).
+//!   It is also the distributed-memory flow of Figs. 5–6: the paper
+//!   "simulates the distributed memory behavior ... through MPI" on one
+//!   machine, and [`Schedule::Gathered`] models those ranks;
 //! * [`queue`] — a long-lived FIFO work queue over a fixed worker pool,
 //!   the substrate of `bemcap-core`'s admission-controlled executor (the
 //!   scoped pool forks and joins per region; the queue stays alive for a
@@ -34,17 +33,13 @@
 //! assert_eq!((i, j), (m - 1, m - 1)); // last k maps to the last diagonal
 //! ```
 
-pub mod error;
 pub mod machine;
-pub mod mpi;
 pub mod partition;
 pub mod pool;
 pub mod queue;
 pub mod trace;
 
-pub use error::ParError;
 pub use machine::{CommModel, MachineSim, Phase, Schedule, SimReport};
-pub use mpi::{Comm, Universe};
 pub use partition::{ij_to_k, k_to_ij, partition_ranges, self_scheduled_chunks, triangle_size};
 pub use queue::WorkQueue;
 pub use trace::{Metric, MetricKind, MetricSample, Registry, Span};

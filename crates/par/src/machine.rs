@@ -7,8 +7,8 @@
 //!
 //! * every task's cost is a real, measured single-thread duration;
 //! * D virtual nodes execute their assigned tasks back to back;
-//! * communication is charged with a latency + bandwidth (α–β) model using
-//!   the *actual byte counts* of the message-passing runtime;
+//! * communication is charged with a latency + bandwidth (α–β) model on
+//!   the byte counts the algorithm moves (8 B per gathered value);
 //! * barriers and serial sections model the algorithms' dependency
 //!   structure (tree levels for FMM, transposes for FFT, the final gather
 //!   of pair values for Algorithm 1).
@@ -265,13 +265,12 @@ impl MachineSim {
 }
 
 /// Who evaluates which slice of the distinct pair-key list in
-/// [`MachineSim::simulate_setup`], as the two parallel modes of
-/// `bemcap_core::assembly` split it.
+/// [`MachineSim::simulate_setup`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Schedule {
-    /// Message passing (`assemble_distributed`): node d evaluates the
-    /// d-th contiguous slice, and nodes 1…D−1 send 8 B per value to
-    /// node 0.
+    /// Distributed memory (the MPI flow of Figs. 5–6, modelled only
+    /// here): node d evaluates the d-th contiguous slice, and nodes
+    /// 1…D−1 send 8 B per value to node 0.
     Gathered,
     /// Shared memory (`assemble_threaded`): the
     /// [`self_scheduled_chunks`] of the list, each taken by the first node

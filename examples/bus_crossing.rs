@@ -3,8 +3,7 @@
 //! 24×24).
 //!
 //! Extracts the bus capacitance with the instantiable-basis solver using
-//! sequential, threaded, and message-passing setup, and prints the timing
-//! comparison.
+//! sequential and threaded setup, and prints the timing comparison.
 //!
 //! Run with: `cargo run --release --example bus_crossing [size]`
 
@@ -18,17 +17,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("{size}x{size} crossing bus: {} conductors\n", geo.conductor_count());
 
     let base = Extractor::new().method(Method::InstantiableBasis);
-    let runs: Vec<(&str, Parallelism)> = vec![
-        ("sequential", Parallelism::Sequential),
-        ("2 threads", Parallelism::Threads(2)),
-        ("2 ranks (message passing)", Parallelism::MessagePassing(2)),
-    ];
+    let runs = [("sequential", Parallelism::Sequential), ("2 threads", Parallelism::Threads(2))];
     let mut first: Option<f64> = None;
     for (label, par) in runs {
         let out = base.clone().parallelism(par).extract(&geo)?;
         let r = out.report();
         println!(
-            "{label:>26}:  N = {:4}  M = {:4}  setup {:8.3} ms  solve {:6.3} ms",
+            "{label:>10}:  N = {:4}  M = {:4}  setup {:8.3} ms  solve {:6.3} ms",
             r.n,
             r.m_templates.unwrap_or(0),
             r.setup_seconds * 1e3,

@@ -11,6 +11,7 @@
 //! * knobs of an *inactive* backend do not leak into the digest, so they
 //!   cannot spuriously split otherwise-identical configurations.
 
+use bemcap_core::extraction::Parallelism;
 use bemcap_core::{Extractor, FmmConfig, KrylovConfig, Method, PfftConfig};
 use proptest::prelude::*;
 
@@ -89,6 +90,20 @@ fn config_digest_words_are_pinned() {
     ];
     for (extractor, words) in cases {
         assert_eq!(extractor.config_digest(), words, "{extractor:?}");
+    }
+}
+
+/// The parallelism word (the digest's second) of the two setup modes,
+/// literally: `Sequential` is 0 and `Threads(n)` is `1 << 32 | n`. Router
+/// affinity and chip `WindowKey`s key on the digest, so removing or
+/// reordering a `Parallelism` variant must not move these words.
+#[test]
+fn parallelism_words_are_pinned() {
+    for (parallelism, word) in
+        [(Parallelism::Sequential, 0), (Parallelism::Threads(2), (1u64 << 32) | 2)]
+    {
+        let digest = Extractor::new().parallelism(parallelism).config_digest();
+        assert_eq!(digest[1], word, "{parallelism:?}");
     }
 }
 

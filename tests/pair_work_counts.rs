@@ -70,9 +70,7 @@ fn bus_pair_counts_and_one_evaluation_per_distinct_key() {
         assert_eq!(plan.distinct(), distinct, "{what}: distinct keys");
 
         // Every setup mode evaluates each distinct key exactly once.
-        for parallelism in
-            [Parallelism::Sequential, Parallelism::Threads(2), Parallelism::MessagePassing(3)]
-        {
+        for parallelism in [Parallelism::Sequential, Parallelism::Threads(2)] {
             let before = pair_integrals_total();
             let extractor = Extractor::new().method(method).mesh_divisions(8);
             extractor.parallelism(parallelism).extract(&geo).expect("extraction");

@@ -7,7 +7,7 @@ use bemcap_basis::instantiate::{instantiate, InstantiateConfig};
 use bemcap_basis::{PairPlan, TemplateIndex};
 use bemcap_core::assembly;
 use bemcap_geom::structures;
-use bemcap_par::{k_to_ij, triangle_size, CommModel, MachineSim, Phase, Schedule, Universe};
+use bemcap_par::{k_to_ij, triangle_size, CommModel, MachineSim, Phase, Schedule};
 use bemcap_quad::galerkin::GalerkinEngine;
 
 #[test]
@@ -25,10 +25,6 @@ fn all_assembly_modes_bitwise_close() {
         assert_eq!(timings.len(), workers);
         assert_eq!(bits(&thr.p), bits(&seq.p), "threads={workers}");
     }
-    for workers in 1..=4 {
-        let dist = assembly::assemble_distributed(&eng, &index, &set, nc, 1.0, workers);
-        assert_eq!(bits(&dist.p), bits(&seq.p), "ranks={workers}");
-    }
 }
 
 #[test]
@@ -36,8 +32,8 @@ fn labels_are_monotone_so_distributed_columns_work() {
     // Labels are nondecreasing in template order, so every upper-triangle
     // pair (i ≤ j) lands in P's upper triangle (l_i ≤ l_j): the paper's
     // per-rank partial matrices (Fig. 5) span contiguous column ranges.
-    // The assembly does not depend on it, since ranks send pair values
-    // and the accumulation writes both triangles of P.
+    // The assembly does not depend on it, since the accumulation writes
+    // both triangles of P from the pair values.
     let geo = structures::bus_crossing(3, 3, structures::BusParams::default());
     let set = instantiate(&geo, &InstantiateConfig::default()).expect("basis");
     let index = TemplateIndex::new(&set);
@@ -48,25 +44,6 @@ fn labels_are_monotone_so_distributed_columns_work() {
     let m = index.template_count();
     let last = triangle_size(m) - 1;
     assert_eq!(k_to_ij(last), (m - 1, m - 1));
-}
-
-#[test]
-fn message_passing_ring_and_gather_compose() {
-    // A slightly larger protocol exercise: tree reduction of partial sums.
-    let results = Universe::run(6, |comm| {
-        let mine = (comm.rank() + 1) as f64;
-        if comm.rank() == 0 {
-            let mut total = mine;
-            for src in 1..comm.size() {
-                total += comm.recv_f64s(src).expect("partial")[0];
-            }
-            total
-        } else {
-            comm.send_f64s(0, &[mine]).expect("send partial");
-            0.0
-        }
-    });
-    assert_eq!(results[0], 21.0);
 }
 
 #[test]
