@@ -9,14 +9,15 @@
 //! accounting:
 //!
 //! * [`Method::InstantiableBasis`] — instantiate templates, fill P and Φ
-//!   (Algorithm 1, sequential/threaded/message-passing), LU solve of the
+//!   (Algorithm 1, sequential or threaded), LU solve of the
 //!   (indefinite) P;
 //! * [`Method::PwcDense`] — piecewise-constant Galerkin, dense assembly
 //!   (Algorithm 1 on one flat template per panel) in the extractor's
 //!   [`crate::extraction::Parallelism`] mode, blocked Cholesky solve
 //!   (LU when P is singular to working precision);
 //! * [`Method::PwcFmm`] — multipole-accelerated matvec + preconditioned
-//!   GMRES through the shared `bemcap_linalg::gmres_grouped` driver;
+//!   GCR through the shared `bemcap_linalg::gmres_grouped` driver, one
+//!   Krylov space recycled across the conductors;
 //! * [`Method::PwcPfft`] — precorrected-FFT matvec + the same driver; the
 //!   operator is constructed exactly once and solved on directly;
 //! * [`Method::Auto`] — one of the piecewise-constant methods, picked
@@ -74,9 +75,9 @@ pub(crate) enum System {
     Direct { p: Matrix, phi: Matrix },
     /// The dense piecewise-constant P and Φ assembled, Cholesky pending.
     Dense { p: Matrix, phi: Matrix },
-    /// The multipole operator, its GMRES caps and Jacobi preconditioner.
+    /// The multipole operator, its Krylov caps and Jacobi preconditioner.
     Fmm { op: FmmOperator, solver: FmmSolver, mesh: Mesh, n_cond: usize, pre: DiagonalPrecond },
-    /// The precorrected-FFT operator, its GMRES caps and Jacobi
+    /// The precorrected-FFT operator, its Krylov caps and Jacobi
     /// preconditioner.
     Pfft {
         op: Box<PfftOperator>,
@@ -272,11 +273,12 @@ mod tests {
         assert_eq!(via_auto.report().method, "pwc-dense");
     }
 
-    /// The one Krylov path, pinned exactly: Jacobi-preconditioned GMRES
-    /// iteration counts on nominal buses at 8 divisions.
+    /// The one Krylov path, pinned exactly: Jacobi-preconditioned GCR
+    /// iteration counts over the recycled space on nominal buses at 8
+    /// divisions.
     #[test]
     fn krylov_iteration_counts_are_pinned() {
-        for (rows, cols, fmm, pfft) in [(2, 2, 80, 92), (3, 3, 138, 144)] {
+        for (rows, cols, fmm, pfft) in [(2, 2, 60, 61), (3, 3, 84, 86)] {
             let geo = structures::bus_crossing(rows, cols, structures::BusParams::default());
             for (method, want) in [(Method::PwcFmm, fmm), (Method::PwcPfft, pfft)] {
                 let out = Extractor::new().method(method).mesh_divisions(8).extract(&geo).unwrap();

@@ -181,8 +181,8 @@ impl Extractor {
         self
     }
 
-    /// Sets the iterative caps (GMRES tolerance, restart length, matvec
-    /// cap) shared by the Krylov-backed backends.
+    /// Sets the iterative caps (tolerance, window length, matvec cap)
+    /// shared by the Krylov-backed backends.
     pub fn krylov_config(mut self, cfg: KrylovConfig) -> Extractor {
         self.krylov_cfg = cfg;
         self

@@ -4,12 +4,13 @@
 //! [`Method`], get a capacitance matrix.
 //!
 //! * [`Method::InstantiableBasis`] — the paper's solver: instantiable
-//!   basis functions, Algorithm 1 matrix filling (sequential, threaded or
-//!   message-passing), dense LU solve;
+//!   basis functions, Algorithm 1 matrix filling (sequential or
+//!   threaded), pivoted LU solve of the small indefinite P;
 //! * [`Method::PwcDense`] — piecewise-constant Galerkin with a dense
 //!   blocked-Cholesky solve (small problems, exact reference);
 //! * [`Method::PwcFmm`] — the FASTCAP-style multipole baseline;
-//! * [`Method::PwcPfft`] — the precorrected-FFT baseline.
+//! * [`Method::PwcPfft`] — the precorrected-FFT baseline; both iterate
+//!   on one Krylov space recycled across the conductors.
 //!
 //! For families of similar structures (sweeps, multi-net corners), the
 //! [`batch`] module schedules many extractions across a worker pool and

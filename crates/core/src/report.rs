@@ -24,7 +24,7 @@ pub struct ExtractionReport {
     /// workspace or operator storage).
     pub memory_bytes: usize,
     /// Krylov counters for iterative backends, aggregated over every
-    /// right-hand side (one GMRES solve per conductor); `None` for direct
+    /// right-hand side (one solve per conductor); `None` for direct
     /// solves.
     pub krylov: Option<KrylovStats>,
 }

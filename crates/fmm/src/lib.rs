@@ -3,7 +3,7 @@
 //! The FASTCAP \[4\] stand-in: a piecewise-constant Galerkin BEM whose
 //! matrix-vector product is accelerated by an octree of Cartesian
 //! multipole expansions (monopole + dipole + quadrupole) with a
-//! Barnes–Hut-style multipole acceptance test, wrapped in GMRES.
+//! Barnes–Hut-style multipole acceptance test, wrapped in a Krylov solver.
 //! Near-field interactions use the exact closed-form Galerkin integrals.
 //!
 //! This reproduces the *structure* that matters to the paper's argument:

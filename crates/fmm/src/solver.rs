@@ -1,4 +1,4 @@
-//! FASTCAP-style capacitance extraction: multipole matvec + GMRES, plus
+//! FASTCAP-style capacitance extraction: multipole matvec + Krylov solve, plus
 //! the reference-refinement loop of §6.
 
 use std::time::Instant;
@@ -14,11 +14,13 @@ use crate::operator::{FmmConfig, FmmOperator, MatvecTimings};
 pub struct FmmSolver {
     /// Operator tuning.
     pub config: FmmConfig,
-    /// GMRES relative residual tolerance.
+    /// Relative residual tolerance per right-hand side.
     pub tol: f64,
-    /// GMRES restart length.
+    /// Krylov window length ([`KrylovConfig::restart`]): the directions
+    /// one right-hand side builds before its window restarts; twice as
+    /// many are recycled across the conductors.
     pub restart: usize,
-    /// Cap on total GMRES matvecs per right-hand side.
+    /// Cap on matvecs per right-hand side.
     pub max_iters: usize,
 }
 
@@ -35,7 +37,7 @@ pub struct FmmSolution {
     pub capacitance: Matrix,
     /// Panels in the discretization.
     pub panel_count: usize,
-    /// Total GMRES matvecs across all right-hand sides.
+    /// Total matvecs across all right-hand sides.
     pub total_matvecs: usize,
     /// Seconds building the operator (system setup).
     pub setup_seconds: f64,
@@ -60,7 +62,7 @@ impl FmmSolver {
     /// # Errors
     ///
     /// * [`FmmError::EmptyMesh`] for empty meshes;
-    /// * [`FmmError::Solve`] if GMRES fails to converge.
+    /// * [`FmmError::Solve`] if the Krylov solve fails to converge.
     pub fn solve(&self, geo: &Geometry, mesh: &Mesh) -> Result<FmmSolution, FmmError> {
         let t0 = Instant::now();
         let op = FmmOperator::new(mesh, geo.eps_rel(), self.config)?;
@@ -81,15 +83,16 @@ impl FmmSolver {
     }
 
     /// The solve step on an already-built operator — one conductor RHS per
-    /// GMRES solve through the shared [`gmres_grouped`] driver
-    /// (`bemcap_linalg`) under the Jacobi preconditioner `pre` (built
-    /// from [`FmmOperator::inv_diag`]). Lets callers that prepared the
-    /// operator themselves (the `bemcap-core` backend layer) reuse it
-    /// instead of rebuilding.
+    /// solve, over one recycled Krylov space, through the shared
+    /// [`gmres_grouped`] driver (`bemcap_linalg`) under the Jacobi
+    /// preconditioner `pre` (built from [`FmmOperator::inv_diag`]). Lets
+    /// callers that prepared the operator themselves (the `bemcap-core`
+    /// backend layer) reuse it instead of rebuilding.
     ///
     /// # Errors
     ///
-    /// * [`FmmError::Solve`] if GMRES fails to converge or shapes mismatch.
+    /// * [`FmmError::Solve`] if the Krylov solve fails to converge or
+    ///   shapes mismatch.
     pub fn solve_prepared(
         &self,
         op: &FmmOperator,

@@ -6,8 +6,8 @@
 //! for the tiny instantiable-basis system, or a blocked in-place Cholesky,
 //! which [`LuFactor::new`] tries first on a bit-symmetric matrix such as
 //! the dense piecewise-constant P), Householder QR / least squares (used by the rational
-//! fitting of §4.2.4), and preconditioned GMRES for the FASTCAP-style
-//! baselines.
+//! fitting of §4.2.4), and the preconditioned GCR solver, over one Krylov
+//! space recycled across right-hand sides, for the FASTCAP-style baselines.
 //!
 //! ```
 //! use bemcap_linalg::{Matrix, LuFactor};
@@ -34,9 +34,7 @@ pub mod sparse;
 
 pub use cholesky::CholeskyFactor;
 pub use error::LinalgError;
-pub use krylov::{
-    gmres_grouped, gmres_with, DiagonalPrecond, KrylovConfig, KrylovStats, LinearOperator,
-};
+pub use krylov::{gmres_grouped, DiagonalPrecond, KrylovConfig, KrylovStats, LinearOperator};
 pub use lu::LuFactor;
 pub use matrix::Matrix;
 pub use qr::{least_squares, QrFactor};

@@ -456,9 +456,9 @@ fn decode_options(v: &Value) -> Result<ExtractOptions, WireError> {
         }
         options.pfft = Some(PfftConfig { spacing_factor, near_cells, max_grid_points });
     }
-    // A `tol` of 1 or more is met at GMRES's first residual check, which
-    // answers an all-zero C; one of 0 or less never is, so the job would
-    // hold its worker for all `max_iters` matvecs.
+    // A `tol` of 1 or more is met at the Krylov driver's first residual
+    // check, which answers an all-zero C; one of 0 or less never is, so
+    // the job would hold its worker for all `max_iters` matvecs.
     if let Some(k) = v.get("krylov").filter(|k| !k.is_null()) {
         let krylov = KrylovConfig {
             tol: req(k, "krylov", "tol")?,

@@ -18,7 +18,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let base = Extractor::new().method(Method::InstantiableBasis);
     let runs = [("sequential", Parallelism::Sequential), ("2 threads", Parallelism::Threads(2))];
-    let mut first: Option<f64> = None;
+    let mut first: Option<Extraction> = None;
     for (label, par) in runs {
         let out = base.clone().parallelism(par).extract(&geo)?;
         let r = out.report();
@@ -30,16 +30,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             r.solve_seconds * 1e3,
         );
         // Capacitance must be identical across execution modes.
-        let c00 = out.capacitance().get(0, 0);
-        if let Some(f) = first {
-            assert!((c00 - f).abs() < 1e-9 * f.abs(), "parallel modes disagree");
+        match &first {
+            Some(f) => {
+                let (c00, f00) = (out.capacitance().get(0, 0), f.capacitance().get(0, 0));
+                assert!((c00 - f00).abs() < 1e-9 * f00.abs(), "parallel modes disagree");
+            }
+            None => first = Some(out),
         }
-        first = Some(c00);
     }
 
-    // A peek at the extracted matrix: nearest-neighbor coupling on the
-    // lower layer and cross-layer coupling.
-    let out = base.extract(&geo)?;
+    // A peek at the sequential run's matrix: nearest-neighbor coupling on
+    // the lower layer and cross-layer coupling.
+    let out = first.expect("the sequential run");
     let c = out.capacitance();
     println!("\nself capacitance of wire mx0: {:.4e} F", c.get(0, 0));
     println!("lateral coupling mx0-mx1:     {:.4e} F", c.get(0, 1));
