@@ -18,7 +18,8 @@
 //! routine runs — the instantiable basis and the dense piecewise-constant
 //! reference (one flat template per panel) alike: it walks the triangle
 //! once, maps each pair to its [`PairKey`], canonical under translation
-//! and mirroring, evaluates every *distinct* key once
+//! and mirroring, merges the distinct keys across axis permutations
+//! ([`PairKey::canonical`]), evaluates every *canonical* key once
 //! (on worker threads if asked, or through a cache), then accumulates P in
 //! k order. Because a value depends only on its key and the accumulation
 //! order is fixed, the result is bit-identical however the evaluation was
@@ -116,14 +117,16 @@ pub fn accumulate_entry(p: &mut Matrix, i: usize, j: usize, li: usize, lj: usize
 }
 
 /// Algorithm 1's k-loop, planned: every pair (i ≤ j) of the triangle
-/// mapped to its distinct [`PairKey`], canonical under translation and
-/// mirroring.
+/// mapped to its distinct [`PairKey`], canonical under translation,
+/// mirroring and axis permutation.
 ///
-/// The plan holds one representative (i, j) per distinct key and the
-/// distinct-key id of every pair in k order, found through the
-/// [`DistinctKeys`] table the FMM and pFFT near fields use too. The
-/// distinct list is interleaved so that any contiguous slice of it costs
-/// about the same to evaluate.
+/// The walk maps every pair to its translation- and mirror-canonical key
+/// through the [`DistinctKeys`] table the FMM and pFFT near fields use
+/// too; only then is each walk-distinct key canonicalised
+/// ([`PairKey::canonical`]) and merged again, which keeps the walk fast.
+/// The plan holds one representative (i, j) per canonical key and the
+/// canonical-key id of every pair in k order. The distinct list is
+/// interleaved so that any contiguous slice of it costs about the same.
 ///
 /// ```
 /// use bemcap_basis::instantiate::{instantiate, InstantiateConfig};
@@ -175,6 +178,14 @@ impl<'a> PairPlan<'a> {
                 ids.push(id as u32); // the table holds fewer than 2^32 - 1 ids
             }
         }
+        // Merge the walk's keys across axis permutations in the same table:
+        // one canonicalisation per walk-distinct key, never one per pair.
+        let class_key = |pair| key(pair).canonical();
+        let class: Vec<u32> = keys
+            .take_reps()
+            .into_iter()
+            .map(|rep| keys.id_or_insert(&class_key(rep), rep, class_key).0 as u32)
+            .collect();
         let reps = keys.into_reps();
         // Deal the first-occurrence order into INTERLEAVE runs: keys found
         // late in the walk cost more (near-field pairs repeat less), and
@@ -187,12 +198,15 @@ impl<'a> PairPlan<'a> {
             run_start[c] = run_start[c - 1] + (n + INTERLEAVE - c) / INTERLEAVE;
         }
         let position = |d: usize| run_start[d % INTERLEAVE] + d / INTERLEAVE;
+        for id in &mut ids {
+            *id = position(class[*id as usize] as usize) as u32;
+        }
+        // Freed before the dealt list is made, which can then reuse it: the
+        // allocator tends to keep a plan's transient peak resident.
+        drop(class);
         let mut dealt = vec![(0, 0); n];
         for (d, &rep) in reps.iter().enumerate() {
             dealt[position(d)] = rep;
-        }
-        for id in &mut ids {
-            *id = position(*id as usize) as u32;
         }
         PairPlan { index, canonical, reps: dealt, ids }
     }
@@ -202,22 +216,24 @@ impl<'a> PairPlan<'a> {
         self.ids.len()
     }
 
-    /// Distinct keys among them.
+    /// Distinct canonical keys among them: the integrals the plan
+    /// evaluates.
     pub fn distinct(&self) -> usize {
         self.reps.len()
     }
 
-    /// The key of distinct entry `d`.
+    /// The key of distinct entry `d`, canonical under axis permutations.
     fn key(&self, d: usize) -> PairKey {
         let (i, j) = self.reps[d];
-        PairKey::of(&self.canonical[i as usize], &self.canonical[j as usize])
+        PairKey::of(&self.canonical[i as usize], &self.canonical[j as usize]).canonical()
     }
 
     /// The raw integrals of the distinct keys in `range`, in order. Each is
-    /// obtained through `source`, which receives the key and the
-    /// evaluation — a cache answers from its store or calls the evaluation,
-    /// a plain caller just calls it. The evaluation is the one place pair
-    /// integrals are computed and counted ([`pair_integrals_metric`]).
+    /// obtained through `source`, which receives the canonical key (the
+    /// key a cache stores) and the evaluation — a cache answers from its
+    /// store or calls the evaluation, a plain caller just calls it. The
+    /// evaluation is the one place pair integrals are computed and counted
+    /// ([`pair_integrals_metric`]).
     pub fn values(
         &self,
         eng: &GalerkinEngine,
@@ -349,7 +365,9 @@ mod tests {
         let mut naive = Matrix::zeros(4, 4);
         for k in 0..triangle_size(idx.template_count()) {
             let (i, j) = bemcap_par::k_to_ij(k);
-            let v = 0.5 * pair_integral(&eng, idx.template(i), idx.template(j));
+            // The plan gives every pair its canonical key's integral.
+            let key = PairKey::new(idx.template(i), idx.template(j)).canonical();
+            let v = 0.5 * key.integral(&eng);
             accumulate_entry(&mut naive, i, j, idx.label(i), idx.label(j), v);
         }
         let plan = PairPlan::new(&idx);
@@ -385,6 +403,33 @@ mod tests {
         });
         assert_eq!(seen.len(), 3);
         assert!(seen.iter().enumerate().all(|(d, key)| *key == plan.key(d)));
+    }
+
+    #[test]
+    fn axis_permuted_pairs_are_evaluated_once() {
+        // A crossing: unit-wide flats along x at z = 0 and their x↔y
+        // images along y at z = 1, so most pairs of one layer have an
+        // axis-permuted twin on the other.
+        let along_x = |y0: f64| Panel::new(Axis::Z, 0.0, (0.0, 4.0), (y0, y0 + 1.0)).unwrap();
+        let along_y = |x0: f64| Panel::new(Axis::Z, 1.0, (x0, x0 + 1.0), (0.0, 4.0)).unwrap();
+        let panels = [along_x(0.0), along_x(1.5), along_x(3.0), along_y(0.0), along_y(1.5)];
+        let set = BasisSet::new(
+            panels.iter().map(|&p| BasisFunction::new(0, vec![Template::flat(p)])).collect(),
+        );
+        let idx = TemplateIndex::new(&set);
+        let templates = idx.templates();
+        let walked: std::collections::HashSet<PairKey> = (0..templates.len())
+            .flat_map(|j| (0..=j).map(move |i| (i, j)))
+            .map(|(i, j)| PairKey::new(&templates[i], &templates[j]))
+            .collect();
+        let plan = PairPlan::new(&idx);
+        assert!(plan.distinct() < walked.len(), "{} of {}", plan.distinct(), walked.len());
+        let mut evaluations = 0;
+        plan.values(&GalerkinEngine::default(), 0..plan.distinct(), |_, eval| {
+            evaluations += 1;
+            eval()
+        });
+        assert_eq!(evaluations, plan.distinct());
     }
 
     #[test]

@@ -6,12 +6,13 @@
 //! level up, the window result. [`TemplateCache`] keeps the first warm
 //! across runs and requests, [`crate::chip::WindowCache`] the second:
 //!
-//! * **bit-identity** — keys are exact: [`PairKey`]s are canonical under
-//!   translation and mirroring, and a pair's integral is evaluated from its
-//!   key alone, so a hit returns the very `f64` a recomputation would
-//!   produce, for every translated or mirrored copy of the pair. Eviction can only cause
-//!   recomputation, never a different answer: results are bit-identical
-//!   at any bound, including zero.
+//! * **bit-identity** — keys are exact: the pair plan stores
+//!   [`PairKey`]s canonical under translation, mirroring and axis
+//!   permutation, and a pair's integral is evaluated from its key alone,
+//!   so a hit returns the very `f64` a recomputation would produce, for
+//!   every translated, mirrored or axis-permuted copy of the pair.
+//!   Eviction can only cause recomputation, never a different answer:
+//!   results are bit-identical at any bound, including zero.
 //! * **bounded memory** — a bound is split evenly over the shards, and
 //!   every value reports its own weight ([`CacheValue::weight`];
 //!   [`ENTRY_BYTES`] per pair integral). When an insert would push a shard
@@ -378,9 +379,10 @@ impl TemplateCache {
     ///
     /// [`io::ErrorKind::InvalidData`] for a missing/foreign header, an
     /// unsupported snapshot version (including v1, whose absolute-placement
-    /// keys cannot answer canonical lookups, and v2, whose keys are in the
-    /// translation-only orientation), or a malformed entry line; any I/O
-    /// error from `r`.
+    /// keys cannot answer canonical lookups, v2, whose keys are in the
+    /// translation-only orientation, and v3, whose keys are not canonical
+    /// under axis permutations), or a malformed entry line; any I/O error
+    /// from `r`.
     pub fn restore_from(&self, r: impl BufRead) -> io::Result<usize> {
         let mut lines = r.lines();
         let header = lines.next().ok_or_else(|| bad_snapshot("empty snapshot file"))??;
@@ -432,7 +434,7 @@ impl TemplateCache {
 /// file. Bump the version on any change to the entry encoding or to what
 /// a key's value means; restore refuses versions it does not know instead
 /// of misreading them.
-pub const SNAPSHOT_HEADER: &str = "bemcap-template-cache v3";
+pub const SNAPSHOT_HEADER: &str = "bemcap-template-cache v4";
 
 /// Words per snapshot entry line: the key words, then the value's bits.
 const ENTRY_WORDS: usize = PAIR_KEY_WORDS + 1;
@@ -455,9 +457,9 @@ fn parse_snapshot_header(header: &str) -> io::Result<usize> {
             "not a template-cache snapshot (expected a '{SNAPSHOT_HEADER}' header, got '{header}')"
         )));
     }
-    if version != "v3" {
+    if version != "v4" {
         return Err(bad_snapshot(format!(
-            "unsupported template-cache snapshot version '{version}' (this build reads v3)"
+            "unsupported template-cache snapshot version '{version}' (this build reads v4)"
         )));
     }
     fields
@@ -735,11 +737,12 @@ mod tests {
             ("bemcap-template-cache v9 0\n", "future version"),
             ("bemcap-template-cache v1 0\n", "absolute-placement v1"),
             ("bemcap-template-cache v2 0\n", "translation-only v2"),
-            ("bemcap-template-cache v3\n", "missing count"),
-            ("bemcap-template-cache v3 2\n", "truncated body"),
-            ("bemcap-template-cache v3 1\n1 2 3\n", "short entry"),
-            ("bemcap-template-cache v3 1\nzz 1 1 1 1 1 1 1 1 1 1 1 1\n", "bad hex"),
-            ("bemcap-template-cache v3 1\n1 1 1 1 1 1 1 1 1 1 1 1 1 1\n", "long entry"),
+            ("bemcap-template-cache v3 0\n", "mirror-only v3"),
+            ("bemcap-template-cache v4\n", "missing count"),
+            ("bemcap-template-cache v4 2\n", "truncated body"),
+            ("bemcap-template-cache v4 1\n1 2 3\n", "short entry"),
+            ("bemcap-template-cache v4 1\nzz 1 1 1 1 1 1 1 1 1 1 1 1\n", "bad hex"),
+            ("bemcap-template-cache v4 1\n1 1 1 1 1 1 1 1 1 1 1 1 1 1\n", "long entry"),
         ];
         for (text, what) in errors {
             let e = cache.restore_from(text.as_bytes()).unwrap_err();
@@ -747,7 +750,7 @@ mod tests {
         }
         assert!(cache.is_empty() || !cache.is_empty(), "no panic is the contract");
         // The version messages name the version problem.
-        let versions = ["v9", "v1", "v2"].map(|v| format!("bemcap-template-cache {v} 0\n"));
+        let versions = ["v9", "v1", "v2", "v3"].map(|v| format!("bemcap-template-cache {v} 0\n"));
         for old in versions {
             let e = cache.restore_from(old.as_bytes()).unwrap_err();
             assert!(e.to_string().contains("version"), "{e}");

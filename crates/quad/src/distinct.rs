@@ -4,10 +4,11 @@
 //! [`DistinctKeys`] maps every pair it is shown to the id of its key and
 //! keeps one representative pair per id; the key itself is never stored,
 //! only recomputed from the representative's templates. Both users walk
-//! it the same way: the basis pair plan over Algorithm 1's triangle, and
-//! [`PairValues`] over the near-field lists of the FMM and pFFT
-//! operators, where a piecewise-constant mesh is one flat template per
-//! panel.
+//! it the same way: the basis pair plan over Algorithm 1's triangle
+//! (and once more over its distinct keys, to merge them across axis
+//! permutations), and [`PairValues`] over the near-field lists of the FMM
+//! and pFFT operators, where a piecewise-constant mesh is one flat
+//! template per panel.
 
 use bemcap_geom::Panel;
 
@@ -69,6 +70,14 @@ impl DistinctKeys {
     /// The representative pair of every id, in id order.
     pub fn into_reps(self) -> Vec<(u32, u32)> {
         self.reps
+    }
+
+    /// The representative pair of every id, leaving the table empty but
+    /// with room to take as many keys again without growing.
+    pub fn take_reps(&mut self) -> Vec<(u32, u32)> {
+        self.slots.fill(0);
+        let room = Vec::with_capacity(self.reps.len());
+        std::mem::replace(&mut self.reps, room)
     }
 
     /// The id stored under `fp` for which `is_match` holds, or the empty

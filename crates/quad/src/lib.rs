@@ -20,7 +20,8 @@
 //!   the closed forms are tested against;
 //! * [`template`] — flat and arch templates and
 //!   [`PairKey`](template::PairKey), the translation- and
-//!   mirror-canonical identity of a template pair;
+//!   mirror-canonical identity of a template pair, with its
+//!   axis-permutation canonical form;
 //! * [`distinct`] — the one table of distinct pair keys, under the basis
 //!   pair plan and the FMM and pFFT near fields alike.
 //!

@@ -12,8 +12,10 @@
 //! work: every translated or mirrored copy of a pair — across one
 //! structure's regular placements, across the near field of a
 //! piecewise-constant mesh (one flat template per panel), or across
-//! requests — shares one evaluation, bit for bit. [`crate::distinct`]
-//! finds the distinct keys of a set of pairs.
+//! requests — shares one evaluation, bit for bit. Relabelling the axes is
+//! an isometry too: [`PairKey::canonical`] merges the six axis-permuted
+//! images of a pair, so the x and y layers of a crossing bus share their
+//! pairs. [`crate::distinct`] finds the distinct keys of a set of pairs.
 
 use bemcap_geom::{Axis, Panel, Point3};
 
@@ -296,6 +298,9 @@ impl CanonicalTemplate {
 /// difference of the roundings, and on a µm bus that splits mirror images
 /// whose lengths fall on different sides of a half quantum.
 ///
+/// *Axis permutation* is left to [`PairKey::canonical`], which the basis
+/// pair plan applies once per distinct key; the near fields do without.
+///
 /// The order is part of the identity and is not symmetrised: for
 /// perpendicular, shaped and touching pairs, swapping the roles changes
 /// which panel carries the outer quadrature, and so the value by more than
@@ -332,6 +337,54 @@ impl PairKey {
             offset[1],
             offset[2],
         ])
+    }
+
+    /// The key of the pair's class under the six permutations of the
+    /// axes: the least, word by word, of the key's six relabellings (see
+    /// `relabelled`). A crossing bus whose layers run along x and y thus
+    /// evaluates each x↔y image of a pair once.
+    ///
+    /// The first word, `tags`, ranks b's tag above a's and a tag's shape
+    /// above its normal, so the least relabellings send b's normal to x.
+    /// Of those two, one even and one odd, an arch of b keeps or takes
+    /// the U shape under exactly one; with b flat, a's arch decides the
+    /// same way, and with a flat too, a's new normal. Only a flat pair on
+    /// parallel panels ties on `tags`; then the whole words decide.
+    pub fn canonical(&self) -> PairKey {
+        let (ta, tb) = (self.0[0] & 0xff, self.0[0] >> 8);
+        let (na, nb) = ((ta & 3) as usize, (tb & 3) as usize);
+        // σ(k) = k − nb and σ(k) = nb − k, both sending b's normal to x.
+        let even = [(3 - nb) % 3, (4 - nb) % 3, (5 - nb) % 3];
+        let odd = [nb, (nb + 2) % 3, (nb + 1) % 3];
+        let words = match (tb >> 2, ta >> 2) {
+            (1, _) | (0, 1) => self.relabelled(even),
+            (2, _) | (0, 2) => self.relabelled(odd),
+            _ if na != nb => self.relabelled(if even[na] < odd[na] { even } else { odd }),
+            _ => self.relabelled(even).min(self.relabelled(odd)),
+        };
+        PairKey(words)
+    }
+
+    /// The words with axis k relabelled `to[k]`: b's offsets move to their
+    /// new axes and both normals are relabelled; an odd permutation also
+    /// swaps each panel's u and v extents and arch direction, as it
+    /// reverses every (u, v) frame. No word is recomputed, so this is the
+    /// key of an isometric image of the pair: each axis's mirror
+    /// orientation depends on that axis's words alone.
+    fn relabelled(&self, to: [usize; 3]) -> [u64; PAIR_KEY_WORDS] {
+        let w = &self.0;
+        let odd = to[1] != (to[0] + 1) % 3;
+        let tag = |t: u64| {
+            let shape = if odd && t >> 2 > 0 { 3 - (t >> 2) } else { t >> 2 };
+            to[(t & 3) as usize] as u64 | shape << 2
+        };
+        let (u, v) = if odd { (2, 1) } else { (1, 2) };
+        let tags = tag(w[0] & 0xff) | tag(w[0] >> 8) << 8;
+        let mut key = [tags, w[u], w[v], w[3], w[4], w[u + 4], w[v + 4], w[7], w[8], 0, 0, 0];
+        for (k, &offset) in w[9..].iter().enumerate() {
+            key[9 + to[k]] = offset;
+        }
+        key
     }
 
     /// The raw words, in the order [`From<[u64; PAIR_KEY_WORDS]>`]
@@ -582,6 +635,33 @@ mod tests {
                     assert_eq!(key, PairKey::new(&ma, &mb), "{a:?}, {b:?} along {axis:?}");
                     let moved = pair_integral(&eng, &ma, &mb);
                     assert!((moved - value).abs() <= 1e-12 * value, "{value} vs {moved}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn canonical_is_the_least_of_the_six_relabellings() {
+        let permutations = [[0, 1, 2], [1, 2, 0], [2, 0, 1], [1, 0, 2], [0, 2, 1], [2, 1, 0]];
+        let shape = ArchShape { center: 0.375, width: 0.3 };
+        let templates = |normal: usize, at: f64| {
+            let p = Panel::new(Axis::from_index(normal), at, (at, at + 1.0), (0.25, 0.75)).unwrap();
+            let arch = |lo: f64| ArchShape { center: lo + shape.center, ..shape };
+            [
+                Template::flat(p),
+                Template::arch(p, ShapeDir::U, arch(at)),
+                Template::arch(p, ShapeDir::V, arch(0.25)),
+            ]
+        };
+        let all: Vec<Template> =
+            (0..3).flat_map(|n| [0.0, 0.5, 1.25].map(|at| templates(n, at))).flatten().collect();
+        for a in &all {
+            for b in &all {
+                let key = PairKey::new(a, b);
+                let least = permutations.map(|to| key.relabelled(to)).into_iter().min();
+                assert_eq!(Some(key.canonical().words()), least, "{a:?}, {b:?}");
+                for to in permutations {
+                    assert_eq!(PairKey(key.relabelled(to)).canonical(), key.canonical());
                 }
             }
         }

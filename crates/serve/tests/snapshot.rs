@@ -57,7 +57,7 @@ fn a_snapshot_warm_starts_a_second_daemon() {
 #[test]
 fn a_truncated_snapshot_fails_startup() {
     let path = temp_path("corrupt");
-    std::fs::write(&path, "bemcap-template-cache v3 3\ndeadbeef\n").expect("write corrupt file");
+    std::fs::write(&path, "bemcap-template-cache v4 3\ndeadbeef\n").expect("write corrupt file");
     let err = Server::bind(ServerConfig {
         addr: "127.0.0.1:0".into(),
         cache_restore: Some(path.clone()),
@@ -102,6 +102,15 @@ fn a_v1_snapshot_fails_startup() {
 #[test]
 fn a_v2_snapshot_fails_startup() {
     let err = bind_from_old_snapshot("v2", 13);
+    assert!(err.contains("version"), "{err}");
+}
+
+/// A v3 snapshot keys pairs canonical under translation and mirroring
+/// only: an axis-permuted pair stored there is not the representative the
+/// current keys evaluate. Startup refuses it.
+#[test]
+fn a_v3_snapshot_fails_startup() {
+    let err = bind_from_old_snapshot("v3", 13);
     assert!(err.contains("version"), "{err}");
 }
 

@@ -1,14 +1,21 @@
-//! Translation and mirror invariance of the pair integrals: a pair's value
-//! depends on its shapes and relative position only, up to mirroring about
-//! a plane normal to an axis, so translated structures reuse each other's
-//! cached integrals and extract to the same matrix, and mirror images of a
-//! pair share one key.
+//! Translation, mirror and axis-permutation invariance of the pair
+//! integrals: a pair's value depends on its shapes and relative position
+//! only, up to mirroring about a plane normal to an axis and relabelling
+//! the axes, so translated structures reuse each other's cached integrals
+//! and extract to the same matrix, mirror images of a pair share one key,
+//! and axis-permuted images share one canonical key.
 
 use std::sync::Arc;
 
 use bemcap_basis::arch::ArchShape;
-use bemcap_basis::{pair_integral, PairKey, Template, TemplateKind};
+use bemcap_basis::instantiate::{instantiate, InstantiateConfig};
+use bemcap_basis::{
+    pair_integral, BasisFunction, BasisSet, PairKey, PairPlan, Template, TemplateIndex,
+    TemplateKind,
+};
+use bemcap_core::assembly::assemble_phi;
 use bemcap_core::batch::{BatchExtractor, BatchJob};
+use bemcap_core::solver::solve_capacitance;
 use bemcap_core::{Extractor, TemplateCache};
 use bemcap_geom::structures::{self, BusParams};
 use bemcap_geom::{Axis, Panel, Point3};
@@ -63,6 +70,33 @@ fn centre(t: &Template, axis: Axis) -> f64 {
         _ => p.v_range(),
     };
     0.5 * (range.0 + range.1)
+}
+
+/// The six permutations of the axes, each as the new indices of x, y and z.
+const PERMUTATIONS: [[usize; 3]; 6] =
+    [[0, 1, 2], [1, 2, 0], [2, 0, 1], [1, 0, 2], [0, 2, 1], [2, 1, 0]];
+
+/// `t` with its axes relabelled, axis k becoming axis `to[k]` (an arch
+/// keeps its centre and varies along the image of its axis).
+fn permuted(t: &Template, to: [usize; 3]) -> Template {
+    let p = &t.panel;
+    let (ua, va) = p.normal().tangents();
+    let mut range = [(0.0, 0.0); 3];
+    range[to[p.normal().index()]] = (p.w(), p.w());
+    range[to[ua.index()]] = p.u_range();
+    range[to[va.index()]] = p.v_range();
+    let normal = Axis::from_index(to[p.normal().index()]);
+    let (nu, nv) = normal.tangents();
+    let panel =
+        Panel::new(normal, range[normal.index()].0, range[nu.index()], range[nv.index()]).unwrap();
+    match t.kind {
+        TemplateKind::Flat => Template::flat(panel),
+        TemplateKind::Arch { dir, shape } => {
+            let along = if dir == ShapeDir::U { ua } else { va };
+            let dir = if to[along.index()] == nu.index() { ShapeDir::U } else { ShapeDir::V };
+            Template::arch(panel, dir, shape)
+        }
+    }
 }
 
 /// Nanometre-lattice coordinates on the 2⁻³⁰ m grid: sums with shifts on
@@ -150,6 +184,39 @@ proptest! {
         prop_assert!(here.is_finite() && here > 0.0, "{here}");
         prop_assert!((moved - here).abs() <= 1e-12 * here, "{here} moved to {moved}");
     }
+
+    /// Relabelling the axes of both templates, then mirroring and
+    /// translating them on the lattice, keeps the pair's canonical key,
+    /// and the canonical key evaluates to the pair's integral: every
+    /// axis-permuted image of a pair shares one value.
+    #[test]
+    fn permuting_the_axes_keeps_the_canonical_key(
+        na in 0usize..3, ka in 0usize..3, nb in 0usize..3, kb in 0usize..3,
+        ax in -2000i64..2000, ay in -2000i64..2000, az in -2000i64..2000,
+        bx in -2000i64..2000, by in -2000i64..2000, bz in -2000i64..2000,
+        eu in 300i64..2000, ev in 300i64..2000,
+        perm in 0usize..6, normal in 0usize..3, plane in -4000i64..4000,
+        tx in -4000i64..4000, ty in -4000i64..4000, tz in -4000i64..4000,
+    ) {
+        let eng = GalerkinEngine::default();
+        let corner = |x, y, z| Point3::new(lattice(x), lattice(y), lattice(z));
+        let pair = |shift: Point3| {
+            let a = template(na, ka, corner(ax, ay, az) + shift, lattice(eu), lattice(ev));
+            (a, template(nb, kb, corner(bx, by, bz) + shift, lattice(ev), lattice(eu)))
+        };
+        let ((a, b), (sa, sb)) = (pair(Point3::ZERO), pair(corner(tx, ty, tz)));
+        let (axis, plane) = (Axis::from_index(normal), lattice(plane));
+        let image = |t: &Template| mirrored(&permuted(t, PERMUTATIONS[perm]), axis, plane);
+        let (ia, ib) = (image(&sa), image(&sb));
+        let key = PairKey::new(&a, &b).canonical();
+        prop_assert_eq!(key, PairKey::new(&ia, &ib).canonical());
+        let (here, moved) = (pair_integral(&eng, &a, &b), pair_integral(&eng, &ia, &ib));
+        let canonical = key.integral(&eng);
+        prop_assert!(here.is_finite() && here > 0.0, "{here}");
+        for value in [moved, canonical] {
+            prop_assert!((value - here).abs() <= 1e-9 * here, "{here} vs {value}");
+        }
+    }
 }
 
 /// Bus 3×3, then the same bus moved by (0.37, −1.21, 0.05) µm, through
@@ -175,6 +242,48 @@ fn a_translated_bus_is_all_cache_hits() {
         (first.extraction.capacitance().matrix(), second.extraction.capacitance().matrix());
     let scale = a.max_abs();
     for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
+        assert!((x - y).abs() <= 1e-12 * scale, "{x} vs {y}");
+    }
+}
+
+/// Bus 3×2's basis, then the same basis with x and y swapped, template
+/// for template in the same order, assembled through one shared cache:
+/// every pair of the swapped basis is an axis-permuted image of a pair of
+/// the first, so its plan evaluates nothing and reproduces the first's C.
+///
+/// The basis is swapped rather than the geometry: `instantiate` orders a
+/// box's faces by axis, so the swapped geometry's templates come in
+/// another order, and the few pairs the walk then visits with their roles
+/// reversed have keys of their own.
+#[test]
+fn a_rotated_bus_is_all_cache_hits() {
+    let bus = structures::bus_crossing(3, 2, BusParams::default());
+    let set = instantiate(&bus, &InstantiateConfig::default()).expect("basis");
+    let swap = |f: &BasisFunction| {
+        let templates = f.templates.iter().map(|t| permuted(t, [1, 0, 2])).collect();
+        BasisFunction::new(f.conductor, templates)
+    };
+    let swapped = BasisSet::new(set.functions().iter().map(swap).collect());
+    let (eng, cache) = (GalerkinEngine::default(), TemplateCache::unbounded());
+    let extract = |set: &BasisSet| {
+        let index = TemplateIndex::new(set);
+        let plan = PairPlan::new(&index);
+        let mut misses = 0;
+        let values = plan.values(&eng, 0..plan.distinct(), |key, eval| {
+            let (value, stats) = cache.get_or_compute(*key, eval);
+            misses += stats.misses;
+            value
+        });
+        let phi = assemble_phi(&eng, set, bus.conductor_count());
+        let (c, _) = solve_capacitance(plan.accumulate(&values, 1.0), &phi).expect("solve");
+        (c, misses)
+    };
+    let (first, misses) = extract(&set);
+    assert!(misses > 0);
+    let (second, misses) = extract(&swapped);
+    assert_eq!(misses, 0, "the swapped basis evaluated {misses} pairs");
+    let scale = first.max_abs();
+    for (x, y) in first.as_slice().iter().zip(second.as_slice()) {
         assert!((x - y).abs() <= 1e-12 * scale, "{x} vs {y}");
     }
 }
