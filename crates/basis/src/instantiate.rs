@@ -58,7 +58,12 @@ struct Crossing {
     upper_face: (usize, Panel),
 }
 
-/// Builds the full basis set for a geometry.
+/// Builds the full basis set for a geometry, in the order it is built:
+/// conductors in input order, each box's faces by axis, segment by
+/// segment, then the induced functions in crossing order. The setup's
+/// load balance does not depend on this order; the pair plan
+/// ([`crate::PairPlan`]) deals its distinct keys so that any slice costs
+/// about the same.
 ///
 /// # Errors
 ///
@@ -106,33 +111,7 @@ pub fn instantiate(geo: &Geometry, cfg: &InstantiateConfig) -> Result<BasisSet, 
     // (e.g. several parallel neighbors inducing on the same side face);
     // duplicates make P exactly singular, so keep the first of each.
     dedup_functions(&mut functions);
-    // Load balance for Algorithm 1's contiguous k-partition: entry costs
-    // depend on template type (arch ≫ flat) and on spatial proximity
-    // (near ≫ far). Geometric emission order puts spatially-adjacent
-    // functions at adjacent indices, which concentrates the expensive
-    // near-field entries in the low-j columns of the P̃ triangle and ruins
-    // the static partition's balance. A deterministic shuffle makes every
-    // column a uniform sample of the cost mix — the homogeneity the
-    // paper's "sufficiently balanced" claim presumes.
-    Ok(BasisSet::new(shuffle_functions(functions)))
-}
-
-/// Deterministic (seeded) Fisher–Yates shuffle of the basis function
-/// order. The result is reproducible across runs and platforms.
-fn shuffle_functions(mut functions: Vec<BasisFunction>) -> Vec<BasisFunction> {
-    let mut state: u64 = 0x853c_49e6_748f_ea9b;
-    let mut next = move || {
-        state ^= state >> 12;
-        state ^= state << 25;
-        state ^= state >> 27;
-        state.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    };
-    let n = functions.len();
-    for i in (1..n).rev() {
-        let j = (next() % (i as u64 + 1)) as usize;
-        functions.swap(i, j);
-    }
-    functions
+    Ok(BasisSet::new(functions))
 }
 
 /// Removes exactly-duplicate basis functions (same conductor, same

@@ -13,13 +13,12 @@
 //! run reports the `busy` rejection fraction and the latency
 //! percentiles of the admitted requests.
 //!
-//! Self-contained by default (spawns an in-process daemon on a loopback
-//! port); point it at a running daemon with `--addr`:
+//! It drives a running daemon (or a `bemcaprd` front tier), named by
+//! `--addr`; the daemon keeps its own worker, queue and cache settings:
 //!
 //! ```text
 //! cargo run --release -p bemcap-bench --bin bemcap-load -- \
-//!     [--addr HOST:PORT] [--clients N] [--passes N] [--workers N]
-//!     [--cache-mb N] [--queue N]
+//!     --addr HOST:PORT [--clients N] [--passes N]
 //!     [--overload] [--requests N] [--metrics] [--shutdown]
 //! ```
 //!
@@ -37,7 +36,7 @@ use std::time::Instant;
 
 use bemcap_geom::structures::{self, BusParams, CrossingParams};
 use bemcap_geom::Geometry;
-use bemcap_serve::{Client, ExtractOptions, MetricsReply, ServeError, Server, ServerConfig};
+use bemcap_serve::{Client, ExtractOptions, MetricsReply, ServeError};
 
 /// Formats seconds adaptively (ns/µs/ms/s).
 fn fmt_seconds(s: f64) -> String {
@@ -52,17 +51,13 @@ fn fmt_seconds(s: f64) -> String {
     }
 }
 
-const USAGE: &str = "usage: bemcap-load [--addr HOST:PORT] [--clients N] [--passes N] \
-                     [--workers N] [--cache-mb N] [--queue N] \
+const USAGE: &str = "usage: bemcap-load --addr HOST:PORT [--clients N] [--passes N] \
                      [--overload] [--requests N] [--metrics] [--shutdown]";
 
 struct Args {
-    addr: Option<String>,
+    addr: String,
     clients: usize,
     passes: usize,
-    workers: usize,
-    cache_mb: usize,
-    queue: usize,
     overload: bool,
     requests: usize,
     metrics: bool,
@@ -72,12 +67,9 @@ struct Args {
 impl Default for Args {
     fn default() -> Args {
         Args {
-            addr: None,
+            addr: String::new(),
             clients: 4,
             passes: 2,
-            workers: 1,
-            cache_mb: 64,
-            queue: 256,
             overload: false,
             requests: 40,
             metrics: false,
@@ -99,12 +91,9 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                 .ok_or_else(|| format!("{name} needs a positive integer\n{USAGE}"))
         };
         match flag.as_str() {
-            "--addr" => args.addr = Some(value("--addr")?),
+            "--addr" => args.addr = value("--addr")?,
             "--clients" => args.clients = positive("--clients", value("--clients")?)?,
             "--passes" => args.passes = positive("--passes", value("--passes")?)?,
-            "--workers" => args.workers = positive("--workers", value("--workers")?)?,
-            "--cache-mb" => args.cache_mb = positive("--cache-mb", value("--cache-mb")?)?,
-            "--queue" => args.queue = positive("--queue", value("--queue")?)?,
             "--overload" => args.overload = true,
             "--requests" => args.requests = positive("--requests", value("--requests")?)?,
             "--metrics" => args.metrics = true,
@@ -112,6 +101,9 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             "--help" | "-h" => return Err(USAGE.to_string()),
             other => return Err(format!("unknown flag '{other}'\n{USAGE}")),
         }
+    }
+    if args.addr.is_empty() {
+        return Err(format!("--addr is required\n{USAGE}"));
     }
     Ok(args)
 }
@@ -239,19 +231,6 @@ fn print_warm_speedup(means: &[f64]) {
     }
 }
 
-/// Spawns the in-process daemon with the run's settings.
-fn spawn_local_daemon(args: &Args) -> Result<bemcap_serve::ServerHandle, String> {
-    let server = Server::bind(ServerConfig {
-        addr: "127.0.0.1:0".into(),
-        cache_max_bytes: Some(args.cache_mb << 20),
-        workers: args.workers,
-        queue_depth: args.queue,
-        ..ServerConfig::default()
-    })
-    .map_err(|e| format!("cannot start in-process daemon: {e}"))?;
-    server.spawn().map_err(|e| format!("cannot spawn in-process daemon: {e}"))
-}
-
 /// Outcome of one open-loop overload storm.
 #[derive(Default)]
 struct OverloadStats {
@@ -351,34 +330,18 @@ fn print_overload(label: &str, stats: &OverloadStats) {
 
 /// The `--overload` scenario: an open-loop storm against a small queue.
 fn overload_main(args: &Args) -> Result<(), String> {
-    match &args.addr {
-        Some(addr) => println!(
-            "bemcap-load: overload storm: {} clients x {} requests against {addr} \
-             (daemon keeps its own queue/worker settings)",
-            args.clients, args.requests
-        ),
-        None => println!(
-            "bemcap-load: overload storm: {} clients x {} requests (workers={}, queue={})",
-            args.clients, args.requests, args.workers, args.queue
-        ),
-    }
-    if let Some(addr) = &args.addr {
-        let stats = run_overload(addr, args.clients, args.requests)?;
-        print_overload("overload", &stats);
-        if args.shutdown {
-            let mut client = Client::connect(addr.as_str()).map_err(|e| e.to_string())?;
-            client.shutdown().map_err(|e| e.to_string())?;
-        }
-        return Ok(());
-    }
-    let handle = spawn_local_daemon(args)?;
-    let addr = handle.addr().to_string();
-    let stats = run_overload(&addr, args.clients, args.requests)?;
+    let addr = &args.addr;
+    println!(
+        "bemcap-load: overload storm: {} clients x {} requests against {addr}",
+        args.clients, args.requests
+    );
+    let stats = run_overload(addr, args.clients, args.requests)?;
     print_overload("overload", &stats);
-    let mut client = Client::connect(addr.as_str()).map_err(|e| e.to_string())?;
-    println!("  daemon executor: {}", client.stats().map_err(|e| e.to_string())?.exec);
-    client.shutdown().map_err(|e| e.to_string())?;
-    handle.join().map_err(|e| format!("daemon exit: {e}"))
+    if args.shutdown {
+        let mut client = Client::connect(addr.as_str()).map_err(|e| e.to_string())?;
+        client.shutdown().map_err(|e| e.to_string())?;
+    }
+    Ok(())
 }
 
 /// Prints each counter's movement over the run, then the full scrape —
@@ -427,46 +390,10 @@ fn main() -> ExitCode {
             }
         };
     }
-    // Self-contained mode: spawn the daemon in-process on a free port.
-    let (addr, local_daemon) = match &args.addr {
-        Some(addr) => {
-            // --workers / --cache-mb / --queue configure the
-            // in-process daemon only; an external daemon keeps its own
-            // settings.
-            let defaults = Args::default();
-            if args.workers != defaults.workers
-                || args.cache_mb != defaults.cache_mb
-                || args.queue != defaults.queue
-            {
-                eprintln!(
-                    "bemcap-load: note: --workers/--cache-mb/--queue are ignored with --addr \
-                     (the external daemon keeps its own configuration)"
-                );
-            }
-            (addr.clone(), None)
-        }
-        None => {
-            let handle = match spawn_local_daemon(&args) {
-                Ok(handle) => handle,
-                Err(e) => {
-                    eprintln!("bemcap-load: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            println!(
-                "bemcap-load: in-process daemon on {} (workers={}, queue={}, cache={} MiB)",
-                handle.addr(),
-                args.workers,
-                args.queue,
-                args.cache_mb
-            );
-            (handle.addr().to_string(), Some(handle))
-        }
-    };
-
+    let addr = &args.addr;
     // Scrape before any traffic so the final report can print exact
-    // per-run deltas — the registry is process-lifetime, so an external
-    // daemon's counters may start well above zero.
+    // per-run deltas — the registry is process-lifetime, so the daemon's
+    // counters may start well above zero.
     let metrics_before = if args.metrics {
         match Client::connect(addr.as_str()).and_then(|mut c| c.metrics()) {
             Ok(m) => Some(m),
@@ -490,7 +417,7 @@ fn main() -> ExitCode {
     print_pass_header();
     let mut pass_stats = Vec::new();
     for pass in 0..args.passes {
-        let (stats, wall) = match run_pass(&addr, args.clients, &family) {
+        let (stats, wall) = match run_pass(addr, args.clients, &family) {
             Ok(out) => out,
             Err(e) => {
                 eprintln!("bemcap-load: {e}");
@@ -541,16 +468,9 @@ fn main() -> ExitCode {
         }
         Ok(())
     };
-    let stop = args.shutdown || local_daemon.is_some();
-    if let Err(e) = report_and_stop(stop) {
+    if let Err(e) = report_and_stop(args.shutdown) {
         eprintln!("bemcap-load: final stats: {e}");
         return ExitCode::FAILURE;
-    }
-    if let Some(handle) = local_daemon {
-        if let Err(e) = handle.join() {
-            eprintln!("bemcap-load: daemon exit: {e}");
-            return ExitCode::FAILURE;
-        }
     }
     ExitCode::SUCCESS
 }
@@ -565,5 +485,16 @@ mod tests {
         assert_eq!(fmt_seconds(3.2e-5), "32.00 µs");
         assert_eq!(fmt_seconds(3.2e-2), "32.00 ms");
         assert_eq!(fmt_seconds(3.2), "3.20 s");
+    }
+
+    #[test]
+    fn addr_is_required_and_daemon_knobs_are_gone() {
+        let parse = |a: &[&str]| parse_args(&a.iter().map(|s| s.to_string()).collect::<Vec<_>>());
+        assert!(parse(&["--clients", "2"]).err().unwrap().starts_with("--addr is required"));
+        let args = parse(&["--addr", "127.0.0.1:45454", "--passes", "3"]).unwrap();
+        assert_eq!((args.addr.as_str(), args.passes), ("127.0.0.1:45454", 3));
+        for knob in ["--workers", "--cache-mb", "--queue"] {
+            assert!(parse(&["--addr", "a:1", knob, "2"]).err().unwrap().contains("unknown flag"));
+        }
     }
 }

@@ -145,8 +145,8 @@ fn evaluate_in_mode(
 
 /// Fig. 4's workers on `threads` threads, each taking the next of the
 /// [`self_scheduled_chunks`] of `0..total` until none is left: a worker
-/// the host slows takes fewer chunks instead of holding up the others. Returns the chunks' parts in index order and one timing
-/// per worker, whose range spans the first to the last chunk it took.
+/// the host slows takes fewer chunks instead of holding up the others.
+/// Returns the chunks' parts in index order and one timing per worker.
 fn self_scheduled(
     threads: usize,
     total: usize,
@@ -161,17 +161,6 @@ fn self_scheduled(
         };
         std::iter::from_fn(take).collect::<Vec<_>>()
     });
-    let timings = timings
-        .into_iter()
-        .zip(&taken)
-        .map(|(timing, taken)| {
-            let range = match (taken.first(), taken.last()) {
-                (Some(&(first, _)), Some(&(last, _))) => chunks[first].start..chunks[last].end,
-                _ => 0..0,
-            };
-            WorkerTiming { range, ..timing }
-        })
-        .collect();
     let mut parts: Vec<_> = taken.into_iter().flatten().collect();
     parts.sort_unstable_by_key(|&(c, _)| c);
     (parts.into_iter().map(|(_, part)| part).collect(), timings)

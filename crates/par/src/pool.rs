@@ -11,15 +11,13 @@ use std::time::Instant;
 
 use crate::partition::partition_ranges;
 
-/// Per-worker timing of one parallel region.
+/// Per-worker timing of one parallel region. Which indices a worker
+/// processed is not recorded here: a caller that needs them returns them
+/// from the worker body.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WorkerTiming {
     /// Worker index (0 = the main thread's share).
     pub worker: usize,
-    /// The half-open range of `k` indices this worker processed (for a
-    /// worker that took chunks from a shared counter: the span from its
-    /// first to its last chunk).
-    pub range: std::ops::Range<usize>,
     /// Wall-clock seconds spent inside the worker body.
     pub seconds: f64,
 }
@@ -46,11 +44,7 @@ where
         // Sequential fast path: no thread machinery at all.
         let start = Instant::now();
         let out = work(0, ranges[0].clone());
-        let t = WorkerTiming {
-            worker: 0,
-            range: ranges[0].clone(),
-            seconds: start.elapsed().as_secs_f64(),
-        };
+        let t = WorkerTiming { worker: 0, seconds: start.elapsed().as_secs_f64() };
         return (vec![out], vec![t]);
     }
     let mut slots: Vec<Option<(T, WorkerTiming)>> = Vec::new();
@@ -62,9 +56,8 @@ where
         for (w, (slot, range)) in slots.iter_mut().zip(ranges.iter().cloned()).enumerate() {
             scope.spawn(move |_| {
                 let start = Instant::now();
-                let out = work(w, range.clone());
-                let timing =
-                    WorkerTiming { worker: w, range, seconds: start.elapsed().as_secs_f64() };
+                let out = work(w, range);
+                let timing = WorkerTiming { worker: w, seconds: start.elapsed().as_secs_f64() };
                 *slot = Some((out, timing));
             });
         }
@@ -88,14 +81,14 @@ mod tests {
     fn sums_partition_correctly() {
         let total = 10_000;
         for threads in [1, 2, 3, 7] {
-            let (parts, timings) =
-                run_partitioned(threads, total, |_, range| range.map(|k| k as u64).sum::<u64>());
-            let sum: u64 = parts.iter().sum();
+            let (parts, timings) = run_partitioned(threads, total, |_, range| range);
+            let sum: u64 = parts.iter().flat_map(Clone::clone).map(|k| k as u64).sum();
             assert_eq!(sum, (total as u64 - 1) * total as u64 / 2, "threads={threads}");
             assert_eq!(timings.len(), threads);
-            // Ranges tile [0, total).
-            assert_eq!(timings[0].range.start, 0);
-            assert_eq!(timings.last().unwrap().range.end, total);
+            // The workers' ranges tile [0, total) in worker order.
+            assert_eq!(parts[0].start, 0);
+            assert!(parts.windows(2).all(|w| w[0].end == w[1].start), "threads={threads}");
+            assert_eq!(parts.last().unwrap().end, total);
         }
     }
 

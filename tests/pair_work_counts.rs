@@ -57,8 +57,8 @@ fn bus_pair_counts_and_one_evaluation_per_distinct_key() {
     // (method, side, templates M, distinct canonical keys) for the
     // default bus side × side.
     for (method, side, m, distinct) in [
-        (Method::InstantiableBasis, 4, 144, 1_148),
-        (Method::InstantiableBasis, 8, 480, 4_729),
+        (Method::InstantiableBasis, 4, 144, 850),
+        (Method::InstantiableBasis, 8, 480, 3_520),
         (Method::PwcDense, 4, 272, 4_776),
         (Method::PwcDense, 8, 544, 18_336),
     ] {

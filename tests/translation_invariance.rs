@@ -14,11 +14,12 @@ use bemcap_basis::{
     TemplateKind,
 };
 use bemcap_core::assembly::assemble_phi;
-use bemcap_core::batch::{BatchExtractor, BatchJob};
+use bemcap_core::batch::{BatchExtractor, BatchJob, BatchPoint};
 use bemcap_core::solver::solve_capacitance;
 use bemcap_core::{Extractor, TemplateCache};
 use bemcap_geom::structures::{self, BusParams};
-use bemcap_geom::{Axis, Panel, Point3};
+use bemcap_geom::{Axis, Box3, Conductor, Geometry, Panel, Point3};
+use bemcap_linalg::Matrix;
 use bemcap_quad::galerkin::{GalerkinEngine, ShapeDir};
 use proptest::prelude::*;
 
@@ -219,6 +220,25 @@ proptest! {
     }
 }
 
+/// Extracts `first`, then `second`, through one shared cache; checks that
+/// the second evaluates nothing (every key a hit on the first's entries)
+/// and returns both capacitance matrices.
+fn second_is_all_cache_hits(first: Geometry, second: Geometry) -> (Matrix, Matrix) {
+    let cache = Arc::new(TemplateCache::unbounded());
+    let batch = BatchExtractor::new(Extractor::new()).workers(1).shared_cache(Arc::clone(&cache));
+    let run = |geo| {
+        let result = batch.extract_all(&[BatchJob::new("bus", geo)]).expect("extraction");
+        result.points()[0].clone()
+    };
+    let first = run(first);
+    assert!(first.job.cache.misses > 0 && first.job.cache.hits == 0, "{:?}", first.job.cache);
+    let second = run(second);
+    assert_eq!(second.job.cache.misses, 0, "{:?}", second.job.cache);
+    assert_eq!(second.job.cache.hits, first.job.cache.misses);
+    let c = |p: &BatchPoint| p.extraction.capacitance().matrix().clone();
+    (c(&first), c(&second))
+}
+
 /// Bus 3×3, then the same bus moved by (0.37, −1.21, 0.05) µm, through
 /// one shared cache: every pair of the moved bus is a translated repeat,
 /// so its extraction evaluates nothing and reproduces the first.
@@ -226,20 +246,7 @@ proptest! {
 fn a_translated_bus_is_all_cache_hits() {
     let bus = structures::bus_crossing(3, 3, BusParams::default());
     let moved = structures::translated(&bus, Point3::new(0.37e-6, -1.21e-6, 0.05e-6));
-    let cache = Arc::new(TemplateCache::unbounded());
-    let batch = BatchExtractor::new(Extractor::new()).workers(1).shared_cache(Arc::clone(&cache));
-    let run = |geo| {
-        let result = batch.extract_all(&[BatchJob::new("bus", geo)]).expect("extraction");
-        result.points()[0].clone()
-    };
-    let first = run(bus);
-    assert!(first.job.cache.misses > 0 && first.job.cache.hits == 0, "{:?}", first.job.cache);
-    let second = run(moved);
-    assert_eq!(second.job.cache.misses, 0, "{:?}", second.job.cache);
-    assert_eq!(second.job.cache.hits, first.job.cache.misses);
-
-    let (a, b) =
-        (first.extraction.capacitance().matrix(), second.extraction.capacitance().matrix());
+    let (a, b) = second_is_all_cache_hits(bus, moved);
     let scale = a.max_abs();
     for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
         assert!((x - y).abs() <= 1e-12 * scale, "{x} vs {y}");
@@ -253,8 +260,8 @@ fn a_translated_bus_is_all_cache_hits() {
 ///
 /// The basis is swapped rather than the geometry: `instantiate` orders a
 /// box's faces by axis, so the swapped geometry's templates come in
-/// another order, and the few pairs the walk then visits with their roles
-/// reversed have keys of their own.
+/// another order, and on bus 3×2 the walk then visits a few same-box
+/// x/y face pairs with their roles reversed, whose keys are their own.
 #[test]
 fn a_rotated_bus_is_all_cache_hits() {
     let bus = structures::bus_crossing(3, 2, BusParams::default());
@@ -285,5 +292,33 @@ fn a_rotated_bus_is_all_cache_hits() {
     let scale = first.max_abs();
     for (x, y) in first.as_slice().iter().zip(second.as_slice()) {
         assert!((x - y).abs() <= 1e-12 * scale, "{x} vs {y}");
+    }
+}
+
+/// Bus 8×8, then the same *geometry* with x and y swapped, through one
+/// shared cache: `instantiate` emits the swapped bus in its own geometric
+/// order, and every pair its walk meets is an axis-permuted image of a
+/// pair whose key the first walk cached, so its extraction evaluates
+/// nothing and equals a cold extraction of the swapped bus to the bit.
+///
+/// The walk meets 64 of the swapped bus's pairs with their roles
+/// reversed; on bus 8×8 each reversed key is also a key of the first walk,
+/// so it hits, and C moves from the first by the role asymmetry of the
+/// shaped-pair quadrature alone (≈7·10⁻⁵ of max|C|).
+#[test]
+fn a_rotated_geometry_is_all_cache_hits() {
+    let bus = structures::bus_crossing(8, 8, BusParams::default());
+    let swap = |p: Point3| Point3::new(p.y, p.x, p.z);
+    let conductors = bus.conductors().iter().map(|c| {
+        let boxes = c.boxes().iter().map(|b| Box3::new(swap(b.min()), swap(b.max())).unwrap());
+        boxes.fold(Conductor::new(c.name()), Conductor::with_box)
+    });
+    let rotated = Geometry::new(conductors.collect()).with_eps_rel(bus.eps_rel());
+    let cold = Extractor::new().extract(&rotated).expect("extraction");
+    let (a, b) = second_is_all_cache_hits(bus, rotated);
+    assert_eq!(&b, cold.capacitance().matrix());
+    let scale = a.max_abs();
+    for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
+        assert!((x - y).abs() <= 1e-4 * scale, "{x} vs {y}");
     }
 }
